@@ -28,9 +28,13 @@ def main() -> None:
     context = scenario.context("isp1", day)
 
     # ---------------- structure, raw vs pruned ----------------
-    model = Segugio().fit(context)
+    model = Segugio()
+    prepared = model.prepare_day(context)  # built once, shared below
+    model.fit(context, prepared=prepared)
     raw = BehaviorGraph.from_trace(context.trace)
-    pruned, labels, extractor, _ = model.prepare_day(context)
+    pruned, labels, extractor = (
+        prepared.graph, prepared.labels, prepared.extractor
+    )
     print("=== raw graph ===")
     print(summarize(raw))
     print("\n=== after pruning R1-R4 ===")
@@ -54,7 +58,7 @@ def main() -> None:
         print(f"  {group:<16s} {overlap:.3f}")
 
     # ---------------- explain a detection ----------------
-    report = model.classify(context)
+    report = model.classify(context, prepared=prepared)
     name, score = report.detections(threshold=0.0)[0]
     domain_id = context.domain_id(name)
     x = extractor.feature_matrix([domain_id])[0]

@@ -28,7 +28,9 @@ def main() -> None:
         context = scenario.context(isp, day)
 
         model = Segugio()
-        model.fit(context)
+        # Learn from and classify the same day: build its graph once.
+        prepared = model.prepare_day(context)
+        model.fit(context, prepared=prepared)
 
         # Deployment-grade thresholding: score the training-day benign
         # domains (hidden-label features) and cap the FP rate at 0.1%.
@@ -38,7 +40,7 @@ def main() -> None:
         )
         threshold = threshold_for_fpr(benign_scores, max_fpr=0.001)
 
-        report = model.classify(context)
+        report = model.classify(context, prepared=prepared)
         detections = report.detections(threshold)
         machines = report.infected_machines(threshold)
         print(

@@ -358,12 +358,12 @@ def _run_graph_stats(args: argparse.Namespace) -> None:
     scenario = _scenario(args.scale, args.seed)
     context = scenario.context(args.isp, scenario.eval_day(args.day_offset))
     raw = BehaviorGraph.from_trace(context.trace)
-    model = Segugio()
-    pruned, labels, _, _ = model.prepare_day(context)
+    prepared = Segugio().prepare_day(context)
+    pruned = prepared.graph
     print("=== raw graph ===")
     print(summarize(raw))
     print("\n=== after pruning R1-R4 ===")
-    print(summarize(pruned, labels))
+    print(summarize(pruned, prepared.labels))
     print(
         "\ndomain degree histogram (pruned, <=15):",
         degree_histogram(pruned, "domain", max_bucket=15),
@@ -380,8 +380,10 @@ def _run_explain(args: argparse.Namespace) -> None:
 
     scenario = _scenario(args.scale, args.seed)
     context = scenario.context(args.isp, scenario.eval_day(args.day_offset))
-    model = Segugio().fit(context)
-    report = model.classify(context)
+    model = Segugio()
+    prepared = model.prepare_day(context)
+    model.fit(context, prepared=prepared)
+    report = model.classify(context, prepared=prepared)
 
     if args.domain is not None:
         target = args.domain
@@ -400,7 +402,7 @@ def _run_explain(args: argparse.Namespace) -> None:
         target, score = detections[0]
 
     try:
-        rows = model.explain(context, target)
+        rows = model.explain(context, target, prepared=prepared)
     except KeyError as error:
         raise SystemExit(str(error))
     print(f"{target}: malware score {score:.3f}")
@@ -557,13 +559,14 @@ def _run_classify_dir(args: argparse.Namespace) -> None:
             if telemetry
             else nullcontext({})
         ) as record:
-            model.fit(context)
+            prepared = model.prepare_day(context)
+            model.fit(context, prepared=prepared)
             training = model.training_set_
             benign_scores = model.classifier_.predict_proba(
                 training.X[training.y == 0]
             )
             threshold = threshold_for_fpr(benign_scores, args.fp_target)
-            report = model.classify(context)
+            report = model.classify(context, prepared=prepared)
             detections = report.detections(threshold)
             record.update(
                 threshold=threshold,
@@ -717,14 +720,20 @@ def _verify_bigday(world, args: argparse.Namespace, batch_size: int, store_root:
 
     day = world.eval_day(0)
     cfg = SegugioConfig(n_jobs=_jobs(args), n_estimators=args.estimators)
-    model_mem = Segugio(cfg).fit(world.context(day, batch_size=batch_size))
-    report_mem = model_mem.classify(world.context(day, batch_size=batch_size))
+
+    def score(context):
+        model = Segugio(cfg)
+        prepared = model.prepare_day(context)
+        model.fit(context, prepared=prepared)
+        return model.classify(context, prepared=prepared)
+
+    report_mem = score(world.context(day, batch_size=batch_size))
     directory = os.path.join(store_root, "verify")
-    sharded = world.context(
-        day, store_dir=directory, shards=args.shards, batch_size=batch_size
+    report_shard = score(
+        world.context(
+            day, store_dir=directory, shards=args.shards, batch_size=batch_size
+        )
     )
-    model_shard = Segugio(cfg).fit(sharded)
-    report_shard = model_shard.classify(sharded)
     shutil.rmtree(directory, ignore_errors=True)
     identical = np.array_equal(
         report_mem.domain_ids, report_shard.domain_ids

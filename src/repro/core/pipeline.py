@@ -11,6 +11,10 @@ passive-DNS history, and the ground-truth feeds (blacklist + whitelist).
   train the malware-score classifier.
 * :meth:`Segugio.classify` — build the graph for a (different) day and score
   all *unknown* domains, returning a :class:`DetectionReport`.
+* :meth:`Segugio.prepare_day` — the graph -> label -> prune step both share,
+  returned as a :class:`PreparedDay`; a day that is learned from *and*
+  classified (the tracker's daily loop) passes it to both as ``prepared=``
+  and is built once.
 
 Evaluation protocols (cross-day, cross-network, cross-family, ...) layer on
 top via the ``exclude_domains`` / ``hide_domains`` hooks, which implement the
@@ -250,6 +254,48 @@ class SegugioConfig:
         return list(self.feature_columns)
 
 
+def _hidden_ids(hide_domains: Optional[Iterable[int]]) -> np.ndarray:
+    """Sorted, de-duplicated int64 ids from a hide/exclude argument.
+
+    Consumes the iterable exactly once, so a generator is as good as a
+    list; None and an empty iterable both give the empty array.
+    """
+    if hide_domains is None:
+        return np.empty(0, dtype=np.int64)
+    if not isinstance(hide_domains, np.ndarray):
+        hide_domains = list(hide_domains)
+    return np.unique(np.asarray(hide_domains, dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedDay:
+    """One day's labeled, pruned graph, built once and handed along.
+
+    :meth:`Segugio.prepare_day` returns it; :meth:`Segugio.fit`,
+    :meth:`Segugio.classify` and :meth:`Segugio.explain` take it as
+    ``prepared=`` so a day that is both learned from and classified
+    (the tracker's daily loop) is graphed, labeled and pruned once.
+    """
+
+    context: ObservationContext
+    day: int
+    """``context.day`` when the graph was built."""
+
+    labels: GraphLabels
+    extractor: FeatureExtractor
+    prune: PruneResult
+    """Pruned graph, per-rule attribution arrays and reduction stats."""
+
+    hidden: np.ndarray
+    """Sorted int64 ids relabeled UNKNOWN before anything was measured
+    (§IV-A); empty in deployment."""
+
+    @property
+    def graph(self) -> BehaviorGraph:
+        """The pruned behavior graph."""
+        return self.prune.graph
+
+
 @dataclass
 class DetectionReport:
     """Scored unknown domains of one classified day."""
@@ -318,9 +364,6 @@ class Segugio:
         self.classifier_ = None
         self.training_set_: Optional[TrainingSet] = None
         self.train_stats_: Dict[str, float] = {}
-        self.last_prune_: Optional[PruneResult] = None
-        """Rule-attribution arrays from the most recent
-        :meth:`prepare_day` call (decision provenance)."""
         self.timings_: Stopwatch = Stopwatch()
         self.degradations_: List[str] = []
         """Degradation tags observed on the *training* context (see
@@ -336,15 +379,20 @@ class Segugio:
         context: ObservationContext,
         hide_domains: Optional[Iterable[int]] = None,
         watch: Optional[Stopwatch] = None,
-    ) -> Tuple[BehaviorGraph, GraphLabels, FeatureExtractor, Dict[str, float]]:
+    ) -> PreparedDay:
         """Graph -> labels (with optional hiding) -> pruning -> extractor.
 
         ``hide_domains`` (global domain ids) are relabeled UNKNOWN before
         machine labels are derived, before pruning, and before any feature
         is measured — the paper's leak-free evaluation procedure (§IV-A).
+
+        Pass the result as ``prepared=`` to :meth:`fit`, :meth:`classify`
+        and :meth:`explain` when they run on this same day with this same
+        hidden set, so the day is built once.
         """
         watch = watch if watch is not None else Stopwatch()
         registry = get_registry()
+        hidden = _hidden_ids(hide_domains)
         if getattr(context.trace, "is_sharded", False):
             if self.config.filter_probes:
                 raise ValueError(
@@ -359,17 +407,18 @@ class Segugio:
                 context,
                 self.config,
                 registry,
-                hide_domains=hide_domains,
+                hidden=hidden,
                 watch=watch,
             )
-            pruned = result.graph
         else:
             with watch.phase("build_graph"):
                 graph = BehaviorGraph.from_trace(context.trace)
             # Throughput numerators for the resource profile (--profile): one
             # build consumes the day's full trace and yields the raw graph, so
             # the counts accumulate once per prepare_day call — the same cadence
-            # as the build_graph phase wall-clock they are divided by.
+            # as the build_graph phase wall-clock they are divided by.  The
+            # tracker prepares each day once, so per tracked day they count
+            # the trace and the raw graph once.
             count_units(UNIT_TRACE_ROWS, int(context.trace.n_edges))
             count_units(UNIT_GRAPH_EDGES, int(graph.n_edges))
             _emit_graph_metrics(registry, graph, stage="raw")
@@ -377,10 +426,7 @@ class Segugio:
                 domain_labels = label_domains(
                     graph, context.blacklist, context.whitelist, as_of_day=context.day
                 )
-                if hide_domains is not None:
-                    hidden = np.asarray(list(hide_domains), dtype=np.int64)
-                    if hidden.size:
-                        domain_labels[hidden] = UNKNOWN
+                domain_labels[hidden] = UNKNOWN
                 labels = derive_machine_labels(graph, domain_labels)
             if self.config.filter_probes:
                 with watch.phase("filter_probes"):
@@ -394,10 +440,9 @@ class Segugio:
                 result = prune_graph(
                     graph, labels, context.e2ld_index, self.config.prune
                 )
-                pruned = result.graph
                 # Degrees changed; rederive machine labels on the pruned graph.
-                labels = derive_machine_labels(pruned, domain_labels)
-        self.last_prune_ = result
+                labels = derive_machine_labels(result.graph, domain_labels)
+        pruned = result.graph
         _emit_prune_metrics(registry, result.stats)
         _emit_graph_metrics(registry, pruned, stage="pruned")
         _emit_label_metrics(registry, pruned, labels)
@@ -422,7 +467,47 @@ class Segugio:
             oracle,
             activity_window=self.config.activity_window,
         )
-        return pruned, labels, extractor, result.stats
+        return PreparedDay(
+            context=context,
+            day=context.day,
+            labels=labels,
+            extractor=extractor,
+            prune=result,
+            hidden=hidden,
+        )
+
+    def _prepared_for(
+        self,
+        caller: str,
+        context: ObservationContext,
+        hide_domains: Optional[Iterable[int]],
+        prepared: Optional[PreparedDay],
+        watch: Optional[Stopwatch] = None,
+    ) -> PreparedDay:
+        """The day *caller* works on: built here, or the checked hand-off.
+
+        A handed-in :class:`PreparedDay` must come from this very context
+        object and hide exactly the ids this call hides — otherwise a stale
+        object would bypass the leak-free hiding of §IV-A.
+        """
+        if prepared is None:
+            return self.prepare_day(context, hide_domains=hide_domains, watch=watch)
+        if prepared.context is not context or prepared.day != context.day:
+            raise ValueError(
+                f"Segugio.{caller}: prepared= was built from another "
+                f"observation context (day {prepared.day}) than the one "
+                f"passed to this call (day {context.day}); prepare_day and "
+                f"{caller} must get the same ObservationContext object"
+            )
+        hidden = _hidden_ids(hide_domains)
+        if not np.array_equal(hidden, prepared.hidden):
+            raise ValueError(
+                f"Segugio.{caller}: prepared= hides {prepared.hidden.size} "
+                f"domain ids but this call hides {hidden.size} "
+                f"(day {context.day}); both must name the same set, or "
+                "ground truth leaks past the hiding"
+            )
+        return prepared
 
     # ------------------------------------------------------------------ #
     # training
@@ -432,27 +517,31 @@ class Segugio:
         self,
         context: ObservationContext,
         exclude_domains: Optional[Iterable[int]] = None,
+        prepared: Optional[PreparedDay] = None,
     ) -> "Segugio":
         """Train the malware-score classifier on one day of traffic.
 
         ``exclude_domains`` — global ids whose ground truth must not be used
         at all (the cross-day test sets): they are hidden before labeling,
         so they neither enter the training set nor influence machine labels.
+
+        ``prepared`` — this day as :meth:`prepare_day` returned it for the
+        same context and the same ``exclude_domains``; built here when None.
         """
         from repro.runtime.faults import maybe_fault
 
         maybe_fault("pipeline_fit", task=int(context.day))
         watch = self.timings_ = Stopwatch()
         self.degradations_ = context_degradations(context, self.config)
-        graph, labels, extractor, prune_stats = self.prepare_day(
-            context, hide_domains=exclude_domains, watch=watch
+        prepared = self._prepared_for(
+            "fit", context, exclude_domains, prepared, watch
         )
         with watch.phase("measure_training_features"):
             rng = np.random.default_rng(self.config.seed)
             training = build_training_set(
-                extractor,
-                graph,
-                labels,
+                prepared.extractor,
+                prepared.graph,
+                prepared.labels,
                 max_benign=self.config.max_benign_train,
                 rng=rng,
             )
@@ -463,7 +552,7 @@ class Segugio:
             classifier.fit(training.X, training.y)
         self.classifier_ = classifier
         self.training_set_ = training
-        self.train_stats_ = dict(prune_stats)
+        self.train_stats_ = dict(prepared.prune.stats)
         self.train_stats_.update(
             n_train_malware=float(training.n_malware),
             n_train_benign=float(training.n_benign),
@@ -495,12 +584,16 @@ class Segugio:
         self,
         context: ObservationContext,
         hide_domains: Optional[Iterable[int]] = None,
+        prepared: Optional[PreparedDay] = None,
     ) -> DetectionReport:
         """Score every unknown domain in the day's pruned graph.
 
         ``hide_domains`` forces known test domains to be treated as unknown
         (evaluation mode); in deployment it is None and only genuinely
         unlabeled domains are scored.
+
+        ``prepared`` — this day as :meth:`prepare_day` returned it for the
+        same context and the same ``hide_domains``; built here when None.
         """
         if self.classifier_ is None:
             raise RuntimeError("Segugio must be fitted before classify()")
@@ -508,15 +601,18 @@ class Segugio:
 
         maybe_fault("pipeline_classify", task=int(context.day))
         watch = self.timings_
-        graph, labels, extractor, _ = self.prepare_day(
-            context, hide_domains=hide_domains, watch=watch
+        prepared = self._prepared_for(
+            "classify", context, hide_domains, prepared, watch
         )
+        graph, labels = prepared.graph, prepared.labels
         with watch.phase("measure_test_features"):
             present = graph.domain_ids()
             unknown_ids = present[
                 labels.domain_labels[present] == UNKNOWN
             ]
-            X_full = extractor.feature_matrix(unknown_ids, hide_labels=False)
+            X_full = prepared.extractor.feature_matrix(
+                unknown_ids, hide_labels=False
+            )
         with watch.phase("score_domains"):
             X = X_full[:, self.config.columns()]
             scores = (
@@ -536,9 +632,7 @@ class Segugio:
                 "malware-score distribution over scored domains",
                 buckets=SCORE_BUCKETS,
             ).observe_many(scores)
-        self._emit_decisions(
-            context, graph, labels, unknown_ids, scores, X_full, X, hide_domains
-        )
+        self._emit_decisions(prepared, unknown_ids, scores, X_full, X)
         _log.info(
             "classify_complete", day=context.day, n_scored=int(unknown_ids.size)
         )
@@ -554,14 +648,11 @@ class Segugio:
 
     def _emit_decisions(
         self,
-        context: ObservationContext,
-        graph: BehaviorGraph,
-        labels: GraphLabels,
+        prepared: PreparedDay,
         unknown_ids: np.ndarray,
         scores: np.ndarray,
         X_full: np.ndarray,
         X_selected: np.ndarray,
-        hide_domains: Optional[Iterable[int]],
     ) -> None:
         """Record one decision-provenance record per domain in the day's graph.
 
@@ -570,12 +661,12 @@ class Segugio:
         stamped later by the caller via ``DecisionLog.finalize_day``.
         """
         log = current_decision_log()
-        prune = self.last_prune_
-        if not log.enabled or prune is None:
+        if not log.enabled:
             return
         from repro.core.labeling import BENIGN  # narrow import
 
-        hidden = {int(d) for d in hide_domains} if hide_domains is not None else set()
+        graph, labels, prune = prepared.graph, prepared.labels, prepared.prune
+        hidden = set(prepared.hidden.tolist())
         present = np.flatnonzero(prune.domain_rule != RULE_ABSENT)
         score_index = {int(d): i for i, d in enumerate(unknown_ids)}
         histogram = margin = None
@@ -613,7 +704,7 @@ class Segugio:
                             "margin": float(margin[row]),
                         }
                     log.record(
-                        day=context.day,
+                        day=prepared.day,
                         domain=graph.domains.name(domain_id),
                         verdict=VERDICT_SCORED,
                         label=label,
@@ -633,7 +724,7 @@ class Segugio:
                         else VERDICT_PRUNED
                     )
                     log.record(
-                        day=context.day,
+                        day=prepared.day,
                         domain=graph.domains.name(domain_id),
                         verdict=verdict,
                         label=label,
@@ -655,6 +746,7 @@ class Segugio:
         context: ObservationContext,
         domain: str,
         hide_domains: Optional[Iterable[int]] = None,
+        prepared: Optional[PreparedDay] = None,
     ) -> List[Dict[str, object]]:
         """Feature attribution for one domain's malware score.
 
@@ -662,7 +754,9 @@ class Segugio:
         hiding used at classification time) and attributes the classifier's
         score to individual features by ablating each to the training-set
         median (see :func:`repro.ml.importance.local_attribution`).  Rows
-        come back sorted by absolute contribution.
+        come back sorted by absolute contribution.  ``prepared`` is the day
+        as :meth:`prepare_day` returned it for the same context and
+        ``hide_domains``; built here when None.
         """
         if self.classifier_ is None or self.training_set_ is None:
             raise RuntimeError("Segugio must be fitted before explain()")
@@ -671,9 +765,9 @@ class Segugio:
             raise KeyError(f"unknown domain {domain!r} in this network")
         from repro.ml.importance import local_attribution
 
-        _, _, extractor, _ = self.prepare_day(context, hide_domains=hide_domains)
+        prepared = self._prepared_for("explain", context, hide_domains, prepared)
         columns = self.config.columns()
-        x = extractor.feature_matrix([domain_id])[0][columns]
+        x = prepared.extractor.feature_matrix([domain_id])[0][columns]
         return local_attribution(
             self.classifier_,
             self.training_set_.X,

@@ -30,7 +30,7 @@ equivalence is enforced by tests at shard counts {1, 2, 7}.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -221,12 +221,14 @@ def build_day_sharded(
     context: "ObservationContext",
     config: "SegugioConfig",
     registry: MetricsRegistry,
-    hide_domains: Optional[Iterable[int]] = None,
+    hidden: np.ndarray,
     watch: Optional[Stopwatch] = None,
 ) -> Tuple[PruneResult, GraphLabels, np.ndarray]:
     """Graph build + labeling + pruning for a sharded day.
 
-    Returns ``(prune_result, labels, domain_labels)`` where the pruned
+    ``hidden`` is ``prepare_day``'s normalised id array: those domains are
+    relabeled UNKNOWN before the label pass.  Returns
+    ``(prune_result, labels, domain_labels)`` where the pruned
     graph inside the result is a normal in-memory
     :class:`BehaviorGraph` — pruning removes the overwhelming bulk of a
     paper-scale day (§III reports >90%), so the survivor graph fits in
@@ -292,10 +294,7 @@ def build_day_sharded(
                 context.whitelist,
                 context.day,
             )
-            if hide_domains is not None:
-                hidden = np.asarray(list(hide_domains), dtype=np.int64)
-                if hidden.size:
-                    domain_labels[hidden] = UNKNOWN
+            domain_labels[hidden] = UNKNOWN
             np.save(
                 os.path.join(trace.directory, DOMAIN_LABELS_NAME),
                 domain_labels,

@@ -214,14 +214,18 @@ class DomainTracker:
                 pdns_window=self.config.pdns_window_days,
             )
         model = Segugio(self.config)
-        # n_trace_rows sizes the day's input on the span so the resource
-        # profile (``segugio profile``) can relate phase cost to volume.
+        # The day is graphed, labeled and pruned once; fit, calibration and
+        # classify below all work on this one PreparedDay.  n_trace_rows
+        # sizes the day's input on the span so the resource profile
+        # (``segugio profile``) can relate phase cost to volume.
         with tracer.span(
-            "segugio_tracker_fit",
+            "segugio_tracker_prepare",
             day=context.day,
             n_trace_rows=int(context.trace.n_edges),
         ):
-            model.fit(context)
+            prepared = model.prepare_day(context)
+        with tracer.span("segugio_tracker_fit", day=context.day):
+            model.fit(context, prepared=prepared)
 
         with tracer.span("segugio_tracker_calibrate"):
             training = model.training_set_
@@ -231,14 +235,14 @@ class DomainTracker:
             threshold = threshold_for_fpr(benign_scores, self.fp_target)
 
         with tracer.span("segugio_tracker_classify", day=context.day):
-            report = model.classify(context)
+            report = model.classify(context, prepared=prepared)
         current_decision_log().finalize_day(context.day, threshold)
         detections = report.detections(threshold)
 
         provenance = sorted(set(health.provenance()) | set(report.provenance))
         runtime_events = events_log.since(events_mark)
         with tracer.span("segugio_tracker_quality_check", day=context.day):
-            drift = self._check_quality(context, model, report)
+            drift = self._check_quality(context, prepared.prune.stats, report)
             summary = {
                 "drift": drift if drift is not None else {},
                 "n_degradations": len(provenance),
@@ -327,7 +331,7 @@ class DomainTracker:
     def _check_quality(
         self,
         context: ObservationContext,
-        model: Segugio,
+        prune_stats: Dict[str, float],
         report: DetectionReport,
     ) -> Optional[Dict[str, object]]:
         """Drift summary for this day vs the previous processed day.
@@ -340,15 +344,12 @@ class DomainTracker:
         drift sidecar.  Always rotates the reference snapshot forward as a
         side effect.
         """
-        prune_stats = (
-            dict(model.last_prune_.stats) if model.last_prune_ is not None else {}
-        )
         snapshot: Dict[str, object] = {
             "day": context.day,
             "features": report.features,
             "scores": np.asarray(report.scores, dtype=np.float64),
             "blacklist": frozenset(context.blacklist.domains(as_of_day=context.day)),
-            "prune_stats": prune_stats,
+            "prune_stats": dict(prune_stats),
             "n_scored": len(report),
         }
         reference, self._drift_ref = self._drift_ref, snapshot

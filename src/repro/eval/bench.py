@@ -64,8 +64,9 @@ def _feature_microbench(
     model: Segugio, context: ObservationContext, repeats: int
 ) -> Dict[str, object]:
     """Bulk vs. per-row reference timings for the F2/F3 extractors."""
-    graph, _labels, extractor, _stats = model.prepare_day(context)
-    ids = graph.domain_ids()
+    prepared = model.prepare_day(context)
+    extractor = prepared.extractor
+    ids = prepared.graph.domain_ids()
     out = np.zeros((ids.size, 4), dtype=np.float64)
     ref = np.zeros((ids.size, 4), dtype=np.float64)
 

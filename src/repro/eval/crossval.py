@@ -80,8 +80,12 @@ def cross_validate_day(
             benign_ids=fold_ids[y[test_idx] == 0],
         )
         model = Segugio(config)
-        model.fit(context, exclude_domains=split.all_ids)
-        report = model.classify(context, hide_domains=split.all_ids)
+        # one context, one hidden set: the fold's day is built once
+        prepared = model.prepare_day(context, hide_domains=split.all_ids)
+        model.fit(context, exclude_domains=split.all_ids, prepared=prepared)
+        report = model.classify(
+            context, hide_domains=split.all_ids, prepared=prepared
+        )
         y_fold, s_fold, _, _ = score_split(report, split)
         fold_aucs.append(roc_curve(y_fold, s_fold).auc())
         benign_sorted = np.sort(s_fold[y_fold == 0])

@@ -70,8 +70,9 @@ def _oracle_detection(
 
     context = scenario.context("isp1", scenario.eval_day(day_offset))
     model = Segugio(config)
-    model.fit(context)
-    report = model.classify(context)
+    prepared = model.prepare_day(context)
+    model.fit(context, prepared=prepared)
+    report = model.classify(context, prepared=prepared)
     names = [report.graph.domains.name(int(d)) for d in report.domain_ids]
     y = np.asarray(
         [1 if scenario.is_true_malware(n) else 0 for n in names], dtype=np.int64

@@ -57,6 +57,7 @@ from repro.eval.harness import (
 )
 from repro.ml.folds import family_balanced_folds
 from repro.ml.metrics import RocCurve, roc_curve, threshold_for_fpr
+from repro.obs.tracing import Stopwatch
 from repro.synth.scenario import Scenario
 
 # --------------------------------------------------------------------- #
@@ -420,9 +421,9 @@ def table3_fp_analysis(
 
     # Re-measure the FP domains' features under the same hiding.
     model = experiment.model
-    _, _, extractor, _ = model.prepare_day(
+    extractor = model.prepare_day(
         test_context, hide_domains=split.all_ids
-    )
+    ).extractor
     X = extractor.feature_matrix(np.asarray(fp_ids, dtype=np.int64))
 
     n_fp = len(fp_ids)
@@ -567,14 +568,15 @@ def fig11_early_detection(
             day = scenario.eval_day(start_offset + i)
             context = scenario.context(isp, day)
             model = Segugio(config)
-            model.fit(context)
+            prepared = model.prepare_day(context)
+            model.fit(context, prepared=prepared)
             # Threshold from training-day benign scores only (no test truth).
             training = model.training_set_
             benign_scores = model.classifier_.predict_proba(
                 training.X[training.y == 0]
             )
             threshold = threshold_for_fpr(benign_scores, fp_target)
-            report = model.classify(context)
+            report = model.classify(context, prepared=prepared)
             detections = report.detections(threshold)
             n_detections += len(detections)
             for name, _score in detections:
@@ -618,13 +620,17 @@ def performance_timing(
         day = scenario.eval_day(i)
         context = scenario.context(isp, day)
         model = Segugio(config)
-        model.fit(context)
-        model.classify(context)
-        for name, seconds in model.timings_.items():
+        # The day is prepared once, as the tracker does it: graph, labels,
+        # pruning and the abuse oracle are learning-phase cost and are not
+        # repeated for classification.
+        prepare_watch = Stopwatch()
+        prepared = model.prepare_day(context, watch=prepare_watch)
+        model.fit(context, prepared=prepared)
+        model.classify(context, prepared=prepared)
+        for name, seconds in prepare_watch.items() + model.timings_.items():
             totals[name] = totals.get(name, 0.0) + seconds
     result = {name: seconds / n_days for name, seconds in totals.items()}
     result["train_total"] = sum(result.get(p, 0.0) for p in train_phases)
-    # prepare_day runs for both fit and classify; attribute half to testing.
     result["test_total"] = sum(result.get(p, 0.0) for p in test_phases)
     return result
 
@@ -847,8 +853,6 @@ def graph_inference_comparison(
     seed: int = 0,
 ) -> Dict[str, object]:
     """Segugio vs. loopy BP vs. co-occurrence on the identical test split."""
-    from repro.obs.tracing import Stopwatch
-
     segugio = cross_day_experiment(
         scenario.context(isp, scenario.eval_day(0)),
         scenario.context(isp, scenario.eval_day(gap)),

@@ -108,7 +108,12 @@ SPAN_RENAMES_V1 = {
 
 # Phase grouping of the paper's §IV-G table: the learning phase covers graph
 # preparation + training; the classification phase covers measuring and
-# scoring the unknown domains (same split as eval.experiments).
+# scoring the unknown domains (same split as eval.experiments).  On a tracked
+# day the first five learning phases run once, under the
+# ``segugio_tracker_prepare`` span, and fit and classify share their result —
+# so the groups below sum to the day without counting the graph twice.  The
+# prepare span is a *parent* of those phases; listing it here as well would
+# double the learning total.
 TRAIN_PHASES = (
     "build_graph",
     "label_nodes",

@@ -31,6 +31,7 @@ SPAN_NAMES = frozenset(
         "segugio_sharded_build",
         # core tracker phases (the paper's daily loop)
         "segugio_tracker_health_check",
+        "segugio_tracker_prepare",
         "segugio_tracker_fit",
         "segugio_tracker_calibrate",
         "segugio_tracker_classify",

@@ -156,7 +156,7 @@ class TestDetectionQuality:
 
         model = Segugio(SegugioConfig(n_estimators=8, filter_probes=True))
         model.fit(train_context)
-        graph, labels, _, _ = model.prepare_day(train_context)
+        graph = model.prepare_day(train_context).graph
         pop = scenario.populations["isp1"]
         for probe in pop.machines_of_archetype(ARCH_PROBE):
             assert graph.machine_degrees()[int(probe)] == 0

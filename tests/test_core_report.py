@@ -12,7 +12,7 @@ from repro.core.report import detection_rows, to_json_text, write_csv, write_jso
 @pytest.fixture(scope="module")
 def report_and_extractor(scenario, fitted_model, test_context):
     report = fitted_model.classify(test_context)
-    _, _, extractor, _ = fitted_model.prepare_day(test_context)
+    extractor = fitted_model.prepare_day(test_context).extractor
     return report, extractor
 
 

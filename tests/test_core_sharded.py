@@ -35,10 +35,8 @@ def _sharded(context, directory, n_shards, batch_size=1024):
 
 @pytest.fixture(scope="module")
 def reference(train_context):
-    """In-memory prepare_day outputs on the shared train day."""
-    model = Segugio(FAST)
-    graph, labels, extractor, stats = model.prepare_day(train_context)
-    return graph, labels, stats, model.last_prune_
+    """In-memory PreparedDay of the shared train day."""
+    return Segugio(FAST).prepare_day(train_context)
 
 
 class TestPrepareDayBitIdentity:
@@ -48,12 +46,14 @@ class TestPrepareDayBitIdentity:
     def test_graph_labels_stats_identical(
         self, tmp_path, train_context, reference, n_shards, batch_size
     ):
-        ref_graph, ref_labels, ref_stats, ref_prune = reference
+        ref_graph, ref_labels, ref_prune = (
+            reference.graph, reference.labels, reference.prune
+        )
         context = _sharded(
             train_context, tmp_path / "store", n_shards, batch_size
         )
-        model = Segugio(FAST)
-        graph, labels, _, stats = model.prepare_day(context)
+        prepared = Segugio(FAST).prepare_day(context)
+        graph, labels, prune = prepared.graph, prepared.labels, prepared.prune
 
         np.testing.assert_array_equal(
             graph.edge_machines, ref_graph.edge_machines
@@ -67,8 +67,7 @@ class TestPrepareDayBitIdentity:
         np.testing.assert_array_equal(
             labels.domain_labels, ref_labels.domain_labels
         )
-        assert stats == ref_stats
-        prune = model.last_prune_
+        assert prune.stats == ref_prune.stats
         np.testing.assert_array_equal(
             prune.domain_rule, ref_prune.domain_rule
         )
@@ -77,9 +76,9 @@ class TestPrepareDayBitIdentity:
         )
 
     def test_resolutions_identical(self, tmp_path, train_context, reference):
-        ref_graph = reference[0]
+        ref_graph = reference.graph
         context = _sharded(train_context, tmp_path / "store", 3)
-        graph, _, _, _ = Segugio(FAST).prepare_day(context)
+        graph = Segugio(FAST).prepare_day(context).graph
         assert graph.resolutions.keys() == ref_graph.resolutions.keys()
         for did in ref_graph.resolutions:
             np.testing.assert_array_equal(
@@ -88,20 +87,16 @@ class TestPrepareDayBitIdentity:
 
     def test_hide_domains_identical(self, tmp_path, train_context, reference):
         hide = train_context.trace.unique_domain_ids()[:5].tolist()
-        ref_model = Segugio(FAST)
-        ref_graph, ref_labels, _, _ = ref_model.prepare_day(
-            train_context, hide_domains=hide
-        )
+        ref = Segugio(FAST).prepare_day(train_context, hide_domains=hide)
         context = _sharded(train_context, tmp_path / "store", 2)
-        graph, labels, _, _ = Segugio(FAST).prepare_day(
-            context, hide_domains=hide
+        got = Segugio(FAST).prepare_day(context, hide_domains=hide)
+        np.testing.assert_array_equal(
+            got.graph.edge_machines, ref.graph.edge_machines
         )
         np.testing.assert_array_equal(
-            graph.edge_machines, ref_graph.edge_machines
+            got.labels.domain_labels, ref.labels.domain_labels
         )
-        np.testing.assert_array_equal(
-            labels.domain_labels, ref_labels.domain_labels
-        )
+        np.testing.assert_array_equal(got.hidden, ref.hidden)
 
     def test_filter_probes_refused_with_clear_message(
         self, tmp_path, train_context

@@ -99,7 +99,8 @@ class TestBulkFeatureEquivalence:
         scenario = Scenario.small(seed=seed)
         context = scenario.context("isp1", scenario.eval_day(0))
         model = Segugio(SegugioConfig())
-        graph, _labels, extractor, _stats = model.prepare_day(context)
+        prepared = model.prepare_day(context)
+        graph, extractor = prepared.graph, prepared.extractor
         ids = graph.domain_ids()
         assert ids.size > 0
 
@@ -120,7 +121,8 @@ class TestBulkFeatureEquivalence:
         scenario = Scenario.small(seed=9)
         context = scenario.context("isp1", scenario.eval_day(0))
         model = Segugio(SegugioConfig())
-        graph, _labels, extractor, _stats = model.prepare_day(context)
+        prepared = model.prepare_day(context)
+        graph, extractor = prepared.graph, prepared.extractor
         all_ids = graph.domain_ids()
         rng = np.random.default_rng(4)
         ids = rng.permutation(all_ids)[: max(5, all_ids.size // 3)]

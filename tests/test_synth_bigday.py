@@ -84,9 +84,9 @@ class TestShardedEquivalence:
 class TestStrataBehavior:
     @pytest.fixture(scope="class")
     def prune(self, world):
-        model = Segugio(FAST)
-        model.prepare_day(world.context(world.config.start_day))
-        return model.last_prune_
+        return Segugio(FAST).prepare_day(
+            world.context(world.config.start_day)
+        ).prune
 
     def test_all_four_rules_fire(self, prune):
         stats = prune.stats
