@@ -668,19 +668,33 @@ class Segugio:
         graph, labels, prune = prepared.graph, prepared.labels, prepared.prune
         hidden = set(prepared.hidden.tolist())
         present = np.flatnonzero(prune.domain_rule != RULE_ABSENT)
-        score_index = {int(d): i for i, d in enumerate(unknown_ids)}
-        histogram = margin = None
+        # one bulk conversion per array: the loop below touches only
+        # Python scalars, never a numpy element at a time
+        codes = prune.domain_rule[present].tolist()
+        label_values = labels.domain_labels[present].tolist()
+        names = graph.domains.names(present.tolist())
+        score_index = {d: i for i, d in enumerate(unknown_ids.tolist())}
+        features = np.asarray(X_full, dtype=float).tolist()
+        score_values = np.asarray(scores, dtype=float).tolist()
+        kept_code = int(RULE_KEPT)
+        pruning_of = {  # the log copies it into each record
+            code: {"kept": code == kept_code, "removed_by": rule_name(code)}
+            for code in set(codes)
+        }
+        histograms = margins = None
         if unknown_ids.size and hasattr(self.classifier_, "tree_vote_histogram"):
             histogram, margin = self.classifier_.tree_vote_histogram(
                 X_selected, n_bins=VOTE_BINS
             )
+            histograms = np.asarray(histogram, dtype=np.int64).tolist()
+            margins = np.asarray(margin, dtype=float).tolist()
             n_trees = len(self.classifier_.trees_)
         with current_tracer().span(
             "segugio_decisions_emit", n_domains=int(present.size)
         ):
-            for domain_id in present.tolist():
-                code = int(prune.domain_rule[domain_id])
-                label_value = int(labels.domain_labels[domain_id])
+            for domain_id, name, code, label_value in zip(
+                present.tolist(), names, codes, label_values
+            ):
                 if label_value == MALWARE:
                     label, source = "malware", "blacklist"
                 elif label_value == BENIGN:
@@ -689,47 +703,40 @@ class Segugio:
                     label, source = "unknown", "hidden_for_evaluation"
                 else:
                     label, source = "unknown", "none"
-                pruning = {
-                    "kept": code == int(RULE_KEPT),
-                    "removed_by": rule_name(code),
-                }
                 row = score_index.get(domain_id)
                 if row is not None:
                     votes = None
-                    if histogram is not None:
+                    if histograms is not None:
                         votes = {
-                            "n_trees": int(n_trees),
+                            "n_trees": n_trees,
                             "bins": VOTE_BINS,
-                            "histogram": [int(v) for v in histogram[row]],
-                            "margin": float(margin[row]),
+                            "histogram": histograms[row],
+                            "margin": margins[row],
                         }
                     log.record(
                         day=prepared.day,
-                        domain=graph.domains.name(domain_id),
+                        domain=name,
                         verdict=VERDICT_SCORED,
                         label=label,
                         label_source=source,
-                        pruning=pruning,
-                        features={
-                            name: float(value)
-                            for name, value in zip(FEATURE_NAMES, X_full[row])
-                        },
+                        pruning=pruning_of[code],
+                        features=dict(zip(FEATURE_NAMES, features[row])),
                         votes=votes,
-                        score=float(scores[row]),
+                        score=score_values[row],
                     )
                 else:
                     verdict = (
                         VERDICT_LABELED
-                        if code == int(RULE_KEPT)
+                        if code == kept_code
                         else VERDICT_PRUNED
                     )
                     log.record(
                         day=prepared.day,
-                        domain=graph.domains.name(domain_id),
+                        domain=name,
                         verdict=verdict,
                         label=label,
                         label_source=source,
-                        pruning=pruning,
+                        pruning=pruning_of[code],
                     )
         registry = get_registry()
         if registry.enabled:

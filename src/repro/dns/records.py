@@ -17,14 +17,20 @@ IntArray = np.ndarray
 
 
 def parse_ipv4(text: str) -> int:
-    """Parse dotted-quad notation into a 32-bit integer."""
+    """Parse dotted-quad notation into a 32-bit integer.
+
+    Each octet is one to three ASCII digits — ``int()`` alone would also
+    take signs, underscores, inner whitespace and non-ASCII digits.
+    """
     parts = text.strip().split(".")
     if len(parts) != 4:
         raise ValueError(f"invalid IPv4 address: {text!r}")
     value = 0
     for part in parts:
+        if not (0 < len(part) <= 3 and part.isascii() and part.isdigit()):
+            raise ValueError(f"invalid IPv4 address: {text!r}")
         octet = int(part)
-        if not 0 <= octet <= 255:
+        if octet > 255:
             raise ValueError(f"invalid IPv4 address: {text!r}")
         value = (value << 8) | octet
     return value

@@ -16,6 +16,8 @@ database reference domains across days without string comparisons.
 from __future__ import annotations
 
 import io
+from contextlib import nullcontext
+from itertools import chain, islice, repeat
 from typing import (
     Callable,
     Dict,
@@ -78,29 +80,20 @@ def parse_trace_line(
     return machine, domain, ips
 
 
-#: default number of records per streaming batch — small enough that one
-#: batch of interned int64 ids is a rounding error next to the edge store,
-#: large enough to amortize the per-batch numpy/IO overhead
+#: default number of lines per parsed block and of records per batch —
+#: small enough that one block of strings is a few MB next to the edge
+#: store, large enough to amortize the per-block numpy/IO overhead
 DEFAULT_BATCH_SIZE = 65536
-
-
-class TraceRecord(NamedTuple):
-    """One parsed trace record with its 1-based source line number."""
-
-    lineno: int
-    machine: str
-    domain: str
-    ips: List[int]
 
 
 class TraceBatch(NamedTuple):
     """A fixed-size chunk of interned trace records.
 
-    ``machine_ids``/``domain_ids`` are parallel edge arrays; the
-    resolution observations are flattened into parallel
-    ``res_domains``/``res_ips`` arrays (one row per observed IP), so a
-    batch is four dense numpy arrays regardless of how many IPs each
-    record carried.
+    ``machine_ids``/``domain_ids`` are parallel edge arrays, one row per
+    record; the resolution observations are flattened into parallel
+    ``res_domains``/``res_ips`` arrays, one row per IP of each distinct
+    (domain, IP field) pair of a parsed block, so a batch is four dense
+    numpy arrays regardless of how many IPs each record carried.
     """
 
     machine_ids: np.ndarray
@@ -110,21 +103,25 @@ class TraceBatch(NamedTuple):
 
 
 class TraceReader:
-    """Streaming record iterator over a trace TSV stream.
+    """Block-at-a-time parser over a trace TSV stream.
 
-    The reader owns the day-header state machine that `DayTrace.load`
-    and the lenient loader previously each re-implemented.  The
-    established day is exposed as :attr:`day`; a ``# day N`` header is
-    only allowed to *change* the day before the first edge record.  A
-    header with a different day appearing after records have been
-    parsed raises a located :class:`FeedFormatError` with
-    ``category="late_day_header"`` — previously both loaders silently
-    re-tagged every already-parsed edge to the new day at build time.
+    A block of lines is *clean* when every line, line end stripped, is a
+    record with exactly two tabs, no leading ``#``, a non-empty machine
+    and domain, and an IP field whose every token :func:`parse_ipv4`
+    accepts; such a block is split into its three columns at once.  The
+    leading ``#``/blank lines of a block, and every line of a block that
+    is not clean, go one at a time through :func:`parse_trace_line` and
+    the day-header state machine below, which alone decide what is a
+    fault: the established day is exposed as :attr:`day`, and a
+    ``# day N`` header may only *change* it before the first edge record
+    (afterwards it raises ``category="late_day_header"`` instead of
+    silently re-tagging the records already read).
 
     *on_error* selects the failure mode: ``None`` (strict) re-raises
     each :class:`FeedFormatError`; a callable (lenient) receives the
     error and the offending line is skipped, keeping the established
-    day.
+    day.  Parsed IP fields are memoised for the life of the reader, that
+    is per file: a day holds far fewer distinct fields than records.
     """
 
     def __init__(
@@ -138,60 +135,127 @@ class TraceReader:
         self.source = source
         self.on_error = on_error
         self.day = 0
+        self.n_lines = 0
         self.n_records = 0
+        self._ip_fields: Dict[str, Tuple[int, ...]] = {"": ()}
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for lineno, line in enumerate(self.stream, start=1):
-            line = line.rstrip("\n")
+    def parse_block(
+        self, lines: List[str], machines: Interner, domains: Interner
+    ) -> TraceBatch:
+        """Parse the stream's next *lines* and intern their records.
+
+        A strict fault is raised only after the records that precede it
+        are interned, which is where a per-record loader would have left
+        the interners.
+        """
+        lineno = self.n_lines + 1
+        self.n_lines += len(lines)
+        lead = 0  # a guess that keeps a file's header out of its first block
+        while lead < len(lines) and lines[lead][:1] in "#\r\n":
+            lead += 1
+        slow, flat = lines[:lead], self._clean_columns(lines[lead:])
+        if flat is None:
+            slow, flat = lines, []
+        kept: List[str] = []
+        try:
+            for record in self._record_lines(slow, lineno):
+                kept.append(record)
+        except FeedFormatError:
+            self._intern(self._columns(kept), machines, domains)
+            raise
+        self.n_records += len(flat) // 3
+        return self._intern(self._columns(kept) + flat, machines, domains)
+
+    def _clean_columns(self, lines: List[str]) -> Optional[List[str]]:
+        """*lines* as one flat ``[machine, domain, ip field, ...]`` list,
+        three per record, or ``None`` if the block is not clean."""
+        body = list(map(str.rstrip, lines, repeat("\r\n")))
+        if not body:
+            return body
+        if set(map(str.count, body, repeat("\t"))) != {2} or any(
+            map(str.startswith, body, repeat("#"))
+        ):
+            return None
+        flat = "\t".join(body).split("\t")
+        if "" in flat[0::3] or "" in flat[1::3]:
+            return None
+        try:
+            self._learn_ip_fields(flat[2::3])
+        except ValueError:
+            return None
+        return flat
+
+    def _record_lines(self, lines: List[str], lineno: int) -> Iterator[str]:
+        """The per-line path: *lines* minus blanks, headers and faults."""
+        for lineno, line in enumerate(lines, start=lineno):
+            line = line.rstrip("\r\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "day":
-                    try:
-                        self._apply_day_header(parts[1], lineno)
-                    except FeedFormatError as error:
-                        if self.on_error is None:
-                            raise
-                        self.on_error(error)
-                continue
             try:
-                machine, domain, ips = parse_trace_line(
-                    line, source=self.source, lineno=lineno
-                )
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 2 and parts[0] == "day":
+                        self._apply_day_header(parts[1], lineno)
+                    continue
+                parse_trace_line(line, source=self.source, lineno=lineno)
             except FeedFormatError as error:
                 if self.on_error is None:
                     raise
                 self.on_error(error)
                 continue
             self.n_records += 1
-            yield TraceRecord(lineno, machine, domain, ips)
+            yield line
+
+    def _columns(self, records: List[str]) -> List[str]:
+        """Record lines the per-line path accepted, as flat columns."""
+        flat = "\t".join(records).split("\t") if records else []
+        self._learn_ip_fields(flat[2::3])
+        return flat
+
+    def _learn_ip_fields(self, fields: List[str]) -> None:
+        known = self._ip_fields
+        for field in set(fields).difference(known):
+            known[field] = tuple(map(parse_ipv4, field.split(",")))
+
+    def _intern(
+        self, flat: List[str], machines: Interner, domains: Interner
+    ) -> TraceBatch:
+        machine_ids = machines.intern_many(flat[0::3])
+        domain_ids = domains.intern_many(flat[1::3])
+        pairs = list(dict.fromkeys(zip(domain_ids.tolist(), flat[2::3])))
+        ips = [self._ip_fields[field] for _, field in pairs]
+        return TraceBatch(
+            machine_ids,
+            domain_ids,
+            np.repeat(
+                np.array([did for did, _ in pairs], dtype=np.int64),
+                np.array(list(map(len, ips)), dtype=np.int64),
+            ),
+            np.array(list(chain.from_iterable(ips)), dtype=np.uint32),
+        )
 
     def _apply_day_header(self, token: str, lineno: int) -> None:
+        def fault(detail: str, category: str) -> FeedFormatError:
+            return FeedFormatError(
+                detail, source=self.source, line=lineno, category=category
+            )
+
         try:
             candidate = int(token)
         except ValueError:
-            raise FeedFormatError(
-                f"non-numeric day header {token!r}",
-                source=self.source,
-                line=lineno,
-                category="bad_day",
+            raise fault(
+                f"non-numeric day header {token!r}", "bad_day"
             ) from None
         if candidate < 0:
-            raise FeedFormatError(
-                f"day header must be non-negative, got {candidate}",
-                source=self.source,
-                line=lineno,
-                category="bad_day",
+            raise fault(
+                f"day header must be non-negative, got {candidate}", "bad_day"
             )
         if self.n_records and candidate != self.day:
-            raise FeedFormatError(
+            raise fault(
                 f"day header {candidate} after {self.n_records} record(s) "
                 f"already read under day {self.day} — a mid-file header "
                 f"cannot re-tag earlier records",
-                source=self.source,
-                line=lineno,
-                category="late_day_header",
+                "late_day_header",
             )
         self.day = candidate
 
@@ -203,42 +267,53 @@ def iter_trace_batches(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Iterator[TraceBatch]:
-    """Intern a reader's records and yield them as fixed-size batches.
+    """Parse a reader's stream and yield batches of *batch_size* records.
 
-    Peak memory is bounded by *batch_size* records (plus the interners),
-    which is what lets a paper-scale day flow into the edge store
-    without ever materializing its edge list in Python.
+    At most *batch_size* lines are resident as strings at a time — a
+    block that held blanks, headers or quarantined lines is topped up by
+    a shorter read, so every batch but the last is exactly full — which
+    is what lets a paper-scale day flow into the edge store without ever
+    materializing its edge list in Python.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    mids: List[int] = []
-    dids: List[int] = []
-    res_d: List[int] = []
-    res_i: List[int] = []
-    for record in reader:
-        mid = machines.intern(record.machine)
-        did = domains.intern(record.domain)
-        mids.append(mid)
-        dids.append(did)
-        for ip in record.ips:
-            res_d.append(did)
-            res_i.append(ip)
-        if len(mids) >= batch_size:
-            yield _pack_batch(mids, dids, res_d, res_i)
-            mids, dids, res_d, res_i = [], [], [], []
-    if mids:
-        yield _pack_batch(mids, dids, res_d, res_i)
+    stream = iter(reader.stream)
+    chunks: List[TraceBatch] = []
+    n_pending = 0
+    while lines := list(islice(stream, batch_size - n_pending)):
+        batch = reader.parse_block(lines, machines, domains)
+        if batch.machine_ids.size:
+            chunks.append(batch)
+            n_pending += batch.machine_ids.size
+        if n_pending == batch_size:
+            yield _merge_batches(chunks)
+            chunks, n_pending = [], 0
+    if chunks:
+        yield _merge_batches(chunks)
 
 
-def _pack_batch(
-    mids: List[int], dids: List[int], res_d: List[int], res_i: List[int]
-) -> TraceBatch:
-    return TraceBatch(
-        np.asarray(mids, dtype=np.int64),
-        np.asarray(dids, dtype=np.int64),
-        np.asarray(res_d, dtype=np.int64),
-        np.asarray(res_i, dtype=np.uint32),
+def _merge_batches(chunks: List[TraceBatch]) -> TraceBatch:
+    if len(chunks) == 1:
+        return chunks[0]
+    return TraceBatch(*map(np.concatenate, zip(*chunks)))
+
+
+def _pack_resolutions(
+    domain_ids: np.ndarray, ips: np.ndarray
+) -> Dict[int, np.ndarray]:
+    """Per-domain sorted unique uint32 IPs from flattened observation rows."""
+    if not domain_ids.size:
+        return {}
+    keys = np.unique(
+        (domain_ids.astype(np.uint64) << np.uint64(32)) | ips.astype(np.uint64)
     )
+    dids = (keys >> np.uint64(32)).astype(np.int64)
+    packed = (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    bounds = [0, *(np.flatnonzero(np.diff(dids)) + 1).tolist(), dids.size]
+    return {
+        did: packed[lo:hi]
+        for did, lo, hi in zip(dids[bounds[:-1]].tolist(), bounds, bounds[1:])
+    }
 
 
 class DayTrace:
@@ -252,6 +327,7 @@ class DayTrace:
         edge_machines: np.ndarray,
         edge_domains: np.ndarray,
         resolutions: Dict[int, np.ndarray],
+        n_records: Optional[int] = None,
     ) -> None:
         if edge_machines.shape != edge_domains.shape:
             raise ValueError("edge arrays must be parallel")
@@ -261,6 +337,8 @@ class DayTrace:
         self.edge_machines = np.asarray(edge_machines, dtype=np.int64)
         self.edge_domains = np.asarray(edge_domains, dtype=np.int64)
         self.resolutions = resolutions
+        #: records the edges were deduplicated from (what ingest accounts)
+        self.n_records = self.n_edges if n_records is None else int(n_records)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -277,12 +355,10 @@ class DayTrace:
         resolutions: Optional[Dict[int, np.ndarray]] = None,
     ) -> "DayTrace":
         """Build a trace from possibly-duplicated edge id arrays."""
-        em = np.asarray(list(edge_machines) if not isinstance(edge_machines, np.ndarray) else edge_machines, dtype=np.int64)
-        ed = np.asarray(list(edge_domains) if not isinstance(edge_domains, np.ndarray) else edge_domains, dtype=np.int64)
-        if em.shape != ed.shape:
-            raise ValueError("edge arrays must be parallel")
+        em, ed = _as_id_arrays(edge_machines, edge_domains)
+        n_records = int(em.size)
         em, ed = _dedupe_edges(em, ed)
-        return cls(day, machines, domains, em, ed, resolutions or {})
+        return cls(day, machines, domains, em, ed, resolutions or {}, n_records)
 
     @classmethod
     def from_responses(
@@ -293,25 +369,8 @@ class DayTrace:
         domains: Optional[Interner] = None,
     ) -> "DayTrace":
         """Aggregate raw A responses into a deduplicated day trace."""
-        machines = machines if machines is not None else Interner()
-        domains = domains if domains is not None else Interner()
-        edge_m, edge_d = [], []
-        resolved: Dict[int, set] = {}
-        for response in responses:
-            if response.day != day:
-                raise ValueError(
-                    f"response for day {response.day} fed to trace of day {day}"
-                )
-            mid = machines.intern(response.machine)
-            did = domains.intern(response.domain)
-            edge_m.append(mid)
-            edge_d.append(did)
-            resolved.setdefault(did, set()).update(response.ips)
-        resolutions = {
-            did: np.array(sorted(ips), dtype=np.uint32)
-            for did, ips in resolved.items()
-        }
-        return cls.build(day, machines, domains, edge_m, edge_d, resolutions)
+        builder = DayTraceBuilder(day, machines, domains)
+        return builder.add_responses(responses).build()
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -340,19 +399,23 @@ class DayTrace:
 
     def save(self, stream_or_path: Union[str, TextIO]) -> None:
         """Write the trace as TSV lines ``machine\\tdomain\\tip1,ip2``."""
-        own = isinstance(stream_or_path, str)
-        stream = open(stream_or_path, "w") if own else stream_or_path
-        try:
+        # each domain's IP field is formatted once, not once per edge
+        ip_fields = {
+            did: ",".join(map(format_ipv4, ips.tolist()))
+            for did, ips in self.resolutions.items()
+        }
+        with _opened(stream_or_path, "w") as stream:
             stream.write(f"# day {self.day}\n")
-            for mid, did in zip(self.edge_machines, self.edge_domains):
-                ips = ",".join(format_ipv4(int(ip)) for ip in self.resolved_ips(int(did)))
-                stream.write(
-                    f"{self.machines.name(int(mid))}\t"
-                    f"{self.domains.name(int(did))}\t{ips}\n"
+            for lo in range(0, self.n_edges, DEFAULT_BATCH_SIZE):
+                dids = self.edge_domains[lo : lo + DEFAULT_BATCH_SIZE].tolist()
+                columns = zip(
+                    self.machines.names(
+                        self.edge_machines[lo : lo + DEFAULT_BATCH_SIZE].tolist()
+                    ),
+                    self.domains.names(dids),
+                    map(ip_fields.get, dids, repeat("")),
                 )
-        finally:
-            if own:
-                stream.close()
+                stream.write("\n".join(map("\t".join, columns)) + "\n")
 
     @classmethod
     def load(
@@ -368,75 +431,41 @@ class DayTrace:
         raise :class:`FeedFormatError` naming the file and 1-based line
         number of the offending record.
         """
-        own = isinstance(stream_or_path, str)
-        stream = open(stream_or_path) if own else stream_or_path
-        source = (
-            stream_or_path
-            if own
-            else getattr(stream, "name", "<trace stream>")
-        )
-        machines = machines if machines is not None else Interner()
-        domains = domains if domains is not None else Interner()
-        try:
-            reader = TraceReader(stream, source=source)
-            edge_m, edge_d = [], []
-            resolutions: Dict[int, set] = {}
-            for record in reader:
-                mid = machines.intern(record.machine)
-                did = domains.intern(record.domain)
-                edge_m.append(mid)
-                edge_d.append(did)
-                if record.ips:
-                    resolutions.setdefault(did, set()).update(record.ips)
-            packed = {
-                did: np.array(sorted(ips), dtype=np.uint32)
-                for did, ips in resolutions.items()
-            }
-            return cls.build(
-                reader.day, machines, domains, edge_m, edge_d, packed
+        with _opened(stream_or_path, "r") as stream:
+            # an opened file's name is the path it was opened by
+            source = getattr(stream, "name", "<trace stream>")
+            return cls.from_reader(
+                TraceReader(stream, source=source), machines, domains
             )
-        finally:
-            if own:
-                stream.close()
 
     @classmethod
-    def load_streaming(
+    def from_reader(
         cls,
-        stream_or_path: Union[str, TextIO],
+        reader: TraceReader,
         machines: Optional[Interner] = None,
         domains: Optional[Interner] = None,
         *,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> "DayTrace":
-        """Read a saved trace through fixed-size batches.
-
-        Equivalent output to :meth:`load` (same strict error behavior,
-        bit-identical edge/resolution arrays), but records flow through
-        :func:`iter_trace_batches` into a :class:`DayTraceBuilder`, so
-        Python-side peak memory is bounded by *batch_size* records
-        instead of the whole file.
-        """
-        own = isinstance(stream_or_path, str)
-        stream = open(stream_or_path) if own else stream_or_path
-        source = (
-            stream_or_path
-            if own
-            else getattr(stream, "name", "<trace stream>")
-        )
+        """Drain *reader* — strict or lenient, as it was built — into a
+        trace.  Only one block of lines is ever resident as strings; the
+        batches it becomes are a few numpy arrays each."""
         machines = machines if machines is not None else Interner()
         domains = domains if domains is not None else Interner()
-        try:
-            reader = TraceReader(stream, source=source)
-            builder = DayTraceBuilder(0, machines, domains)
-            for batch in iter_trace_batches(
-                reader, machines, domains, batch_size=batch_size
-            ):
-                feed_builder(builder, batch)
-            builder.set_day(reader.day)
-            return builder.build()
-        finally:
-            if own:
-                stream.close()
+        batches = list(
+            iter_trace_batches(reader, machines, domains, batch_size=batch_size)
+        )
+        if not batches:
+            return cls.build(reader.day, machines, domains, [], [])
+        em, ed, res_domains, res_ips = _merge_batches(batches)
+        return cls.build(
+            reader.day,
+            machines,
+            domains,
+            em,
+            ed,
+            _pack_resolutions(res_domains, res_ips),
+        )
 
     def to_tsv(self) -> str:
         buffer = io.StringIO()
@@ -475,15 +504,6 @@ class DayTraceBuilder:
         self._resolved: Dict[int, set] = {}
         self._built = False
 
-    def set_day(self, day: int) -> "DayTraceBuilder":
-        """Re-tag the day under construction (a streamed file reveals its
-        day header before any records, but the builder is created first)."""
-        self._check_open()
-        if day < 0:
-            raise ValueError(f"day must be non-negative, got {day}")
-        self.day = int(day)
-        return self
-
     def add_edges(
         self,
         edge_machines: Union[np.ndarray, Iterable[int]],
@@ -491,20 +511,7 @@ class DayTraceBuilder:
     ) -> "DayTraceBuilder":
         """Append a chunk of (machine id, domain id) pairs."""
         self._check_open()
-        em = np.asarray(
-            list(edge_machines)
-            if not isinstance(edge_machines, np.ndarray)
-            else edge_machines,
-            dtype=np.int64,
-        )
-        ed = np.asarray(
-            list(edge_domains)
-            if not isinstance(edge_domains, np.ndarray)
-            else edge_domains,
-            dtype=np.int64,
-        )
-        if em.shape != ed.shape:
-            raise ValueError("edge arrays must be parallel")
+        em, ed = _as_id_arrays(edge_machines, edge_domains)
         self._machine_chunks.append(em)
         self._domain_chunks.append(ed)
         return self
@@ -563,19 +570,26 @@ class DayTraceBuilder:
             raise RuntimeError("builder already built; create a new one")
 
 
-def feed_builder(builder: DayTraceBuilder, batch: TraceBatch) -> None:
-    """Append one :class:`TraceBatch` to a builder, edges and resolutions."""
-    builder.add_edges(batch.machine_ids, batch.domain_ids)
-    if batch.res_domains.size:
-        order = np.argsort(batch.res_domains, kind="stable")
-        dom_sorted = batch.res_domains[order]
-        ips_sorted = batch.res_ips[order]
-        uniques, starts = np.unique(dom_sorted, return_index=True)
-        bounds = np.append(starts, dom_sorted.size)
-        for i, did in enumerate(uniques):
-            builder.add_resolution(
-                int(did), ips_sorted[bounds[i] : bounds[i + 1]]
-            )
+def _opened(stream_or_path: Union[str, TextIO], mode: str):
+    """Open a path (closed on exit) or pass an open stream through."""
+    if isinstance(stream_or_path, str):
+        return open(stream_or_path, mode)
+    return nullcontext(stream_or_path)
+
+
+def _as_id_arrays(
+    edge_machines: Union[np.ndarray, Iterable[int]],
+    edge_domains: Union[np.ndarray, Iterable[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    em, ed = (
+        np.asarray(
+            ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64
+        )
+        for ids in (edge_machines, edge_domains)
+    )
+    if em.shape != ed.shape:
+        raise ValueError("edge arrays must be parallel")
+    return em, ed
 
 
 def _dedupe_edges(
@@ -587,5 +601,6 @@ def _dedupe_edges(
     # Pack each pair into one int64 key; ids are dense and far below 2**31.
     max_domain = int(edge_domains.max()) + 1
     keys = edge_machines * max_domain + edge_domains
-    unique_keys = np.unique(keys)
-    return unique_keys // max_domain, unique_keys % max_domain
+    if not (keys[1:] > keys[:-1]).all():  # a saved trace is already sorted
+        keys = np.unique(keys)
+    return keys // max_domain, keys % max_domain

@@ -316,19 +316,23 @@ class RandomForestClassifier:
             )
         X_binned = self.bin_mapper_.transform(X)
         n_samples = X.shape[0]
-        histogram = np.zeros((n_samples, n_bins), dtype=np.int64)
+        histogram = np.zeros(n_samples * n_bins, dtype=np.int64)
         votes_malware = np.zeros(n_samples, dtype=np.int64)
-        rows = np.arange(n_samples)
+        row_starts = np.arange(n_samples) * n_bins
         for tree in self.trees_:
             scores = tree.predict_proba_binned(X_binned)
             buckets = np.minimum(
                 (scores * n_bins).astype(np.int64), n_bins - 1
             )
-            np.add.at(histogram, (rows, buckets), 1)
+            # one cell per row and tree: bincount is np.add.at without
+            # its per-element dispatch
+            histogram += np.bincount(
+                row_starts + buckets, minlength=histogram.size
+            )
             votes_malware += scores >= 0.5
         n_trees = len(self.trees_)
         margin = (2.0 * votes_malware - n_trees) / n_trees
-        return histogram, margin
+        return histogram.reshape(n_samples, n_bins), margin
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -246,36 +246,19 @@ def load_trace_lenient(
     machines: Optional[Interner] = None,
     domains: Optional[Interner] = None,
 ) -> DayTrace:
-    """Line-by-line :meth:`DayTrace.load` that quarantines bad records.
+    """:meth:`DayTrace.load` that quarantines bad records.
 
     A ``# day N`` header appearing after edge records (which strict mode
     rejects as ``late_day_header``) is quarantined here and the
     established day kept — it must not silently re-tag earlier records.
     """
-    machines = machines if machines is not None else Interner()
-    domains = domains if domains is not None else Interner()
-    edge_m: List[int] = []
-    edge_d: List[int] = []
-    resolutions: Dict[int, set] = {}
     with open(path) as stream:
         reader = TraceReader(
             stream, source=path, on_error=_quarantine_trace_error(report)
         )
-        for record in reader:
-            mid = machines.intern(record.machine)
-            did = domains.intern(record.domain)
-            edge_m.append(mid)
-            edge_d.append(did)
-            if record.ips:
-                resolutions.setdefault(did, set()).update(record.ips)
-            report.keep(source="trace")
-    packed = {
-        did: np.array(sorted(ips), dtype=np.uint32)
-        for did, ips in resolutions.items()
-    }
-    return DayTrace.build(
-        reader.day, machines, domains, edge_m, edge_d, packed
-    )
+        trace = DayTrace.from_reader(reader, machines, domains)
+    report.keep(trace.n_records, source="trace")
+    return trace
 
 
 def _quarantine_trace_error(report: IngestReport):
@@ -593,7 +576,7 @@ def _load_observation_checked(
         trace = ShardedDayTrace.open(store_dir, machines, domains)
     elif strict:
         trace = DayTrace.load(trace_path, machines=machines, domains=domains)
-        report.keep(trace.n_edges, source="trace")
+        report.keep(trace.n_records, source="trace")
     else:
         trace = load_trace_lenient(
             trace_path, report, machines=machines, domains=domains

@@ -41,10 +41,18 @@ class Interner:
         return new_id
 
     def intern_many(self, names: Iterable[str]) -> np.ndarray:
-        """Intern every name and return the ids as an int64 array."""
-        return np.fromiter(
-            (self.intern(name) for name in names), dtype=np.int64
-        )
+        """Intern every name and return the ids as an int64 array.
+
+        One ``map`` over the dict when every name is already known; the
+        in-order :meth:`intern` loop only when some name is new.
+        """
+        names = names if isinstance(names, (list, tuple)) else list(names)
+        try:
+            ids = map(self._to_id.__getitem__, names)
+            return np.fromiter(ids, dtype=np.int64, count=len(names))
+        except KeyError:
+            ids = map(self.intern, names)
+            return np.fromiter(ids, dtype=np.int64, count=len(names))
 
     def lookup(self, name: str) -> Optional[int]:
         """Return the id for *name*, or None if it was never interned."""

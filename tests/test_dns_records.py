@@ -27,10 +27,35 @@ class TestIpv4Conversion:
     def test_parse(self, text, value):
         assert parse_ipv4(text) == value
 
-    @pytest.mark.parametrize("bad", ["1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d"])
+    @pytest.mark.parametrize(
+        "bad",
+        # the last is SUPERSCRIPT ONE: isdigit() takes it, int() does not
+        ["1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1..3.4", "\u00b9.2.3.4"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_ipv4(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "1_0.0.0.1",  # int() reads 1_0 as 10
+            "+1.2.3.4",
+            "1. 2.3.4",
+            "1.2.3.-0",
+            "\u0661.2.3.4",  # ARABIC-INDIC DIGIT ONE
+            "0001.2.3.4",
+        ],
+    )
+    def test_parse_rejects_what_int_alone_would_take(self, bad):
+        """Regression: octets went through bare ``int()``, so these loaded
+        as addresses (``1_0.0.0.1`` as 10.0.0.1)."""
+        with pytest.raises(ValueError, match="invalid IPv4"):
+            parse_ipv4(bad)
+
+    def test_parse_strips_outer_whitespace_and_keeps_leading_zeros(self):
+        assert parse_ipv4(" 10.0.0.1\r\n") == 0x0A000001
+        assert parse_ipv4("010.001.000.01") == 0x0A010001
 
     def test_format_out_of_range(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,24 @@ class TestFitting:
         assert importances[0] + importances[2] > 0.6
 
 
+class TestVoteHistogram:
+    def test_matches_a_tree_by_tree_row_by_row_count(self):
+        X, y = make_data(300)
+        forest = RandomForestClassifier(n_estimators=12, random_state=2).fit(X, y)
+        histogram, margin = forest.tree_vote_histogram(X, n_bins=7)
+        assert histogram.dtype == np.int64 and histogram.shape == (300, 7)
+        X_binned = forest.bin_mapper_.transform(X)
+        expected = np.zeros((300, 7), dtype=np.int64)
+        malware = np.zeros(300)
+        for tree in forest.trees_:
+            for row, score in enumerate(tree.predict_proba_binned(X_binned)):
+                expected[row, min(int(score * 7), 6)] += 1
+                malware[row] += score >= 0.5
+        np.testing.assert_array_equal(histogram, expected)
+        np.testing.assert_array_equal(margin, (2.0 * malware - 12) / 12)
+        assert (histogram.sum(axis=1) == 12).all()
+
+
 class TestValidation:
     def test_single_class_rejected(self):
         X = np.zeros((10, 2))

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.features import FEATURE_NAMES
 from repro.core.pipeline import Segugio
 from repro.core.pruning import RULE_NAMES
 from repro.obs.provenance import (
@@ -94,6 +95,42 @@ class TestGoldenSchema:
             # finalize_day stamped the threshold and the verdict
             assert record["threshold"] == 0.5
             assert record["detected"] == (record["score"] >= 0.5)
+
+    def test_scored_payload_equals_a_value_at_a_time_conversion(
+        self, decision_run
+    ):
+        """``_emit_decisions`` converts each array with one ``tolist()``; the
+        per-value ``float()``/``int()`` it replaced is the oracle, and the
+        serialized lines must agree byte for byte."""
+        log, model, report = decision_run
+        histogram, margin = model.classifier_.tree_vote_histogram(
+            report.features[:, model.config.columns()], n_bins=VOTE_BINS
+        )
+        scored = {
+            r["domain"]: r for r in log.records if r["verdict"] == VERDICT_SCORED
+        }
+        assert len(scored) == len(report) > 0
+        for row, domain_id in enumerate(report.domain_ids):
+            record = scored[report.graph.domains.name(int(domain_id))]
+            oracle = dict(
+                record,
+                features={
+                    name: float(value)
+                    for name, value in zip(FEATURE_NAMES, report.features[row])
+                },
+                votes={
+                    "n_trees": int(len(model.classifier_.trees_)),
+                    "bins": VOTE_BINS,
+                    "histogram": [int(v) for v in histogram[row]],
+                    "margin": float(margin[row]),
+                },
+                score=float(report.scores[row]),
+            )
+            assert json.dumps(record, sort_keys=True) == json.dumps(
+                oracle, sort_keys=True
+            )
+            assert all(type(v) is float for v in record["features"].values())
+            assert all(type(v) is int for v in record["votes"]["histogram"])
 
     def test_unscored_records_have_no_score_payload(self, decision_run):
         log, _, _ = decision_run

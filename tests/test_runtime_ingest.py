@@ -121,6 +121,21 @@ class TestLenientFeedLoaders:
         lines = {record.line for record in report.quarantined}
         assert lines == {3, 4}
 
+    def test_trace_quarantines_loose_ipv4_spellings(self, tmp_path):
+        """Regression: these loaded as addresses in both modes."""
+        loose = ["1_0.0.0.1", "+1.2.3.4", "1. 2.3.4", "1.2.3.-0", "\u0661.2.3.4"]
+        path = str(tmp_path / "trace.tsv")
+        with open(path, "w") as stream:
+            stream.write("# day 3\nm0\td0.example\t10.0.0.1\n")
+            for i, token in enumerate(loose):
+                stream.write(f"m{i}\td{i}.example\t10.0.0.1,{token}\n")
+        report = IngestReport(source=path, mode="lenient")
+        trace = load_trace_lenient(path, report)
+        assert trace.n_edges == 1
+        assert report.counters == {"trace:bad_ipv4": len(loose)}
+        with pytest.raises(FeedFormatError, match=r"trace\.tsv:3.*IPv4"):
+            DayTrace.load(path)
+
     def test_blacklist_quarantines_bad_days(self, tmp_path):
         path = str(tmp_path / "feed.tsv")
         with open(path, "w") as stream:
@@ -306,6 +321,33 @@ class TestPerSourceAccounting:
         report.quarantine("trace.tsv", 4, "trace:bad_ipv4", "bad")
         summary = report.summary()
         assert "trace: 1 of 11 quarantined" in summary
+
+
+class TestTraceRecordAccounting:
+    """Regression: strict mode kept ``trace.n_edges`` (deduplicated) while
+    lenient and the edge-store path kept one per record, so the same clean
+    file gave different ``kept["trace"]`` and manifest ``n_ok`` by mode."""
+
+    def test_a_clean_file_is_accounted_alike_in_every_mode(
+        self, saved_dir, tmp_path
+    ):
+        copy = _copy(saved_dir, tmp_path)
+        trace_path = os.path.join(copy, "trace.tsv")
+        with open(trace_path) as stream:
+            lines = stream.readlines()
+        n_records = len(lines)  # the header, plus one duplicated record
+        with open(trace_path, "a") as stream:
+            stream.write(lines[1])
+        kept = {}
+        for name, options in (
+            ("strict", {"mode": "strict"}),
+            ("lenient", {"mode": "lenient"}),
+            ("store", {"mode": "strict", "shards": 2}),
+        ):
+            context, report = load_observation_checked(copy, **options)
+            assert context.trace.n_edges == n_records - 1
+            kept[name] = report.kept["trace"]
+        assert kept == dict.fromkeys(kept, n_records)
 
 
 class TestLateDayHeaderLenient:
