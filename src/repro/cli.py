@@ -752,69 +752,45 @@ def _verify_bigday(world, args: argparse.Namespace, batch_size: int, store_root:
 def _run_bench(args: argparse.Namespace) -> None:
     import json
 
-    from repro.eval.bench import render_bench, run_hotpath_bench
+    from repro.eval.bench import render_e2e_bench, run_e2e_bench
 
     repeats = 1 if args.quick else args.repeats
-    scale = "small" if args.quick else args.scale
-    if args.e2e:
-        from repro.eval.bench import render_e2e_bench, run_e2e_bench
-
-        payload = run_e2e_bench(
-            scale=scale,
-            seed=args.seed,
-            n_jobs=_jobs(args),
-            repeats=repeats,
-            n_days=args.days,
-            n_shards=args.shards if args.shards is not None else 2,
-            batch_size=args.batch_size,
-            # --quick exists for smoke coverage, not overhead verdicts:
-            # don't let the median-of-rounds overhead search grind
-            # through extra rounds on a noisy box
-            max_rounds=repeats if args.quick else None,
-        )
-        out = args.out or "BENCH_e2e.json"
-        with open(out, "w") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        print(render_e2e_bench(payload))
-        print(f"benchmark payload written to {out}")
-        gate = payload["gate"]
-        if not gate["passed"]:
-            profiling = payload["profiling"]
-            if not profiling["outputs_bit_identical"]:
-                reason = "profiling perturbed decision outputs"
-            elif not payload["sharded"]["outputs_bit_identical"]:
-                reason = "sharded execution perturbed decision outputs"
-            elif not payload["worker_tracing"]["complete"]:
-                reason = "worker span coverage incomplete"
-            elif not payload["sharded"]["worker_tracing"]["complete"]:
-                reason = "sharded worker span coverage incomplete"
-            else:
-                reason = (
-                    f"profiling overhead {profiling['overhead_pct']:.2f}% "
-                    f">= {gate['max_overhead_pct']:.0f}%"
-                )
-            raise SystemExit("e2e gate failed: " + reason)
-        return
-    payload = run_hotpath_bench(
-        scale=scale, seed=args.seed, n_jobs=_jobs(args), repeats=repeats
+    payload = run_e2e_bench(
+        scale="small" if args.quick else args.scale,
+        seed=args.seed,
+        n_jobs=_jobs(args),
+        repeats=repeats,
+        n_days=args.days,
+        n_shards=args.shards if args.shards is not None else 2,
+        batch_size=args.batch_size,
+        # --quick exists for smoke coverage, not overhead verdicts:
+        # don't let the median-of-rounds overhead search grind
+        # through extra rounds on a noisy box
+        max_rounds=repeats if args.quick else None,
     )
-    out = args.out or "BENCH_hotpath.json"
+    out = args.out or "BENCH_e2e.json"
     with open(out, "w") as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    print(render_bench(payload))
+    print(render_e2e_bench(payload))
     print(f"benchmark payload written to {out}")
-    features = payload["features"]
-    slow = [
-        key
-        for key in ("f2_activity", "f3_ip_abuse")
-        if features[key]["speedup"] < 1.0 or not features[key]["bit_identical"]
-    ]
-    if slow:
-        raise SystemExit(
-            f"bulk feature path regressed vs the loop reference: {slow}"
-        )
+    gate = payload["gate"]
+    if not gate["passed"]:
+        profiling = payload["profiling"]
+        if not profiling["outputs_bit_identical"]:
+            reason = "profiling perturbed decision outputs"
+        elif not payload["sharded"]["outputs_bit_identical"]:
+            reason = "sharded execution perturbed decision outputs"
+        elif not payload["worker_tracing"]["complete"]:
+            reason = "worker span coverage incomplete"
+        elif not payload["sharded"]["worker_tracing"]["complete"]:
+            reason = "sharded worker span coverage incomplete"
+        else:
+            reason = (
+                f"profiling overhead {profiling['overhead_pct']:.2f}% "
+                f">= {gate['max_overhead_pct']:.0f}%"
+            )
+        raise SystemExit("e2e gate failed: " + reason)
 
 
 def _run_chaos(args: argparse.Namespace) -> None:
@@ -1335,8 +1311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="hot-path benchmark (fit/classify/feature timings) -> "
-        "BENCH_hotpath.json",
+        help="end-to-end profiling gate: a pinned tracking campaign "
+        "profiled off vs. on vs. sharded -> BENCH_e2e.json (rows/s, "
+        "edges/s, peak RSS), gated on bit-identical outputs, complete "
+        "worker spans and <3%% overhead",
     )
     bench.add_argument("--scale", default="small", choices=["small", "benchmark"])
     bench.add_argument("--seed", type=int, default=7)
@@ -1349,21 +1327,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--e2e",
         action="store_true",
-        help="end-to-end baseline instead: a pinned tracking campaign "
-        "profiled off vs. on -> BENCH_e2e.json (rows/s, edges/s, peak "
-        "RSS), gated on bit-identical outputs and <3%% overhead",
+        help="accepted for compatibility: the end-to-end gate is the only "
+        "mode (per-layer cost: python3 benchmarks/segbench/run.py)",
     )
     bench.add_argument(
         "--days",
         type=int,
         default=2,
-        help="tracked days for the --e2e campaign (default 2)",
+        help="tracked days of the campaign (default 2)",
     )
     bench.add_argument(
         "--out",
         default=None,
-        help="payload path (default BENCH_hotpath.json, or BENCH_e2e.json "
-        "with --e2e)",
+        help="payload path (default BENCH_e2e.json)",
     )
     _add_jobs_flag(bench)
     _add_shard_flags(bench)

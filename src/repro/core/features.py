@@ -207,20 +207,6 @@ class FeatureExtractor:
         out[:, 2] = e2ld_act.days_active_bulk(eids, day, window)
         out[:, 3] = e2ld_act.consecutive_days_bulk(eids, day, window)
 
-    def _domain_activity_reference(self, ids: np.ndarray, out: np.ndarray) -> None:
-        """Per-row loop the bulk path must match bit-for-bit (tests/bench)."""
-        day = self.graph.day
-        window = self.activity_window
-        fqd, e2ld_act = self.fqd_activity, self.e2ld_activity
-        e2ld_map = self.e2ld_index.map_array()
-        for row, domain_id in enumerate(ids):
-            did = int(domain_id)
-            eid = int(e2ld_map[did])
-            out[row, 0] = fqd.days_active(did, day, window)
-            out[row, 1] = fqd.consecutive_days(did, day, window)
-            out[row, 2] = e2ld_act.days_active(eid, day, window)
-            out[row, 3] = e2ld_act.consecutive_days(eid, day, window)
-
     # ------------------------------------------------------------------ #
     # F3: IP abuse
     # ------------------------------------------------------------------ #
@@ -237,21 +223,6 @@ class FeatureExtractor:
         else:
             exclude = None
         out[:, :] = oracle.abuse_features_many(ip_sets, exclude_domains=exclude)
-
-    def _ip_abuse_reference(
-        self, ids: np.ndarray, hide_labels: bool, out: np.ndarray
-    ) -> None:
-        """Per-row loop the bulk path must match bit-for-bit (tests/bench)."""
-        graph, oracle, labels = self.graph, self.abuse_oracle, self.labels
-        for row, domain_id in enumerate(ids):
-            did = int(domain_id)
-            ips = graph.resolved_ips(did)
-            exclude = (
-                did
-                if hide_labels and labels.domain_labels[did] == MALWARE
-                else None
-            )
-            out[row, :] = oracle.abuse_features(ips, exclude_domain=exclude)
 
     # ------------------------------------------------------------------ #
     # ablation support

@@ -26,7 +26,7 @@ malware/benign neighbors so that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -152,32 +152,58 @@ def label_domain_ids(
     return labels
 
 
-def derive_machine_labels(
-    graph: BehaviorGraph, domain_labels: np.ndarray
-) -> GraphLabels:
-    """Propagate domain labels to machines (vectorized over the edge list)."""
-    edge_domain_labels = domain_labels[graph.edge_domains]
-    n_machines = graph.n_machine_ids
+def count_label_degrees(
+    edge_machines: np.ndarray,
+    edge_domains: np.ndarray,
+    domain_labels: np.ndarray,
+    n_machines: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per machine, how many MALWARE and how many BENIGN domains it queries.
 
+    Counts over two parallel edge columns (``edge_machines`` indexes an id
+    space of *n_machines*), so a whole graph and one shard's compacted
+    machines go through the same weighted bincounts.
+    """
+    edge_domain_labels = domain_labels[edge_domains]
     malware_degree = np.bincount(
-        graph.edge_machines,
+        edge_machines,
         weights=(edge_domain_labels == MALWARE).astype(np.float64),
         minlength=n_machines,
     ).astype(np.int64)
     benign_degree = np.bincount(
-        graph.edge_machines,
+        edge_machines,
         weights=(edge_domain_labels == BENIGN).astype(np.float64),
         minlength=n_machines,
     ).astype(np.int64)
-    total_degree = graph.machine_degrees()
+    return malware_degree, benign_degree
 
-    machine_labels = np.zeros(n_machines, dtype=np.int8)
+
+def machine_labels_from_degrees(
+    total_degree: np.ndarray,
+    malware_degree: np.ndarray,
+    benign_degree: np.ndarray,
+) -> np.ndarray:
+    """The propagation rule: MALWARE on any malware domain, BENIGN when
+    every queried domain is benign, UNKNOWN otherwise (and when absent)."""
+    machine_labels = np.zeros(total_degree.size, dtype=np.int8)
     machine_labels[(total_degree > 0) & (benign_degree == total_degree)] = BENIGN
     machine_labels[malware_degree > 0] = MALWARE
+    return machine_labels
 
+
+def derive_machine_labels(
+    graph: BehaviorGraph, domain_labels: np.ndarray
+) -> GraphLabels:
+    """Propagate domain labels to machines (vectorized over the edge list)."""
+    malware_degree, benign_degree = count_label_degrees(
+        graph.edge_machines, graph.edge_domains, domain_labels, graph.n_machine_ids
+    )
+    total_degree = graph.machine_degrees()
     return GraphLabels(
         domain_labels=np.asarray(domain_labels, dtype=np.int8),
-        machine_labels=machine_labels,
+        machine_labels=machine_labels_from_degrees(
+            total_degree, malware_degree, benign_degree
+        ),
         machine_malware_degree=malware_degree,
         machine_benign_degree=benign_degree,
         machine_total_degree=total_degree,
@@ -203,8 +229,10 @@ __all__ = [
     "MALWARE",
     "PublicSuffixList",
     "UNKNOWN",
+    "count_label_degrees",
     "derive_machine_labels",
     "label_domain_ids",
     "label_domains",
     "label_graph",
+    "machine_labels_from_degrees",
 ]

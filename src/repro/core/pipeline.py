@@ -37,6 +37,7 @@ from repro.core.features import (
 )
 from repro.core.graph import BehaviorGraph
 from repro.core.labeling import (
+    BENIGN,
     MALWARE,
     UNKNOWN,
     GraphLabels,
@@ -84,27 +85,32 @@ _log = get_logger("pipeline")
 
 
 def _emit_graph_metrics(
-    registry: MetricsRegistry, graph: BehaviorGraph, stage: str
+    registry: MetricsRegistry,
+    machine_degrees: np.ndarray,
+    domain_degrees: np.ndarray,
+    n_edges: int,
+    stage: str,
 ) -> None:
-    """Node/edge counts and degree stats for one built graph."""
+    """Node/edge counts and degree stats of one graph, from its degrees
+    (so the sharded build, which never holds the raw graph, emits them too)."""
     if not registry.enabled:
         return
     nodes = registry.gauge(
         "segugio_graph_nodes", "graph node counts", labels=("kind", "stage")
     )
-    nodes.set(graph.n_machines, kind="machine", stage=stage)
-    nodes.set(graph.n_domains, kind="domain", stage=stage)
+    nodes.set(int(np.count_nonzero(machine_degrees)), kind="machine", stage=stage)
+    nodes.set(int(np.count_nonzero(domain_degrees)), kind="domain", stage=stage)
     registry.gauge(
         "segugio_graph_edges", "graph edge count", labels=("stage",)
-    ).set(graph.n_edges, stage=stage)
+    ).set(n_edges, stage=stage)
     degree = registry.gauge(
         "segugio_graph_degree",
         "degree distribution stats",
         labels=("kind", "stat", "stage"),
     )
     for kind, degrees in (
-        ("machine", graph.machine_degrees()),
-        ("domain", graph.domain_degrees()),
+        ("machine", machine_degrees),
+        ("domain", domain_degrees),
     ):
         present = degrees[degrees > 0]
         mean = float(present.mean()) if present.size else 0.0
@@ -114,21 +120,17 @@ def _emit_graph_metrics(
 
 
 def _emit_label_metrics(
-    registry: MetricsRegistry, graph: BehaviorGraph, labels: "GraphLabels"
+    registry: MetricsRegistry, graph: BehaviorGraph, labels: GraphLabels
 ) -> None:
     """How many present domains carry each ground-truth label."""
     if not registry.enabled:
         return
-    from repro.core.labeling import BENIGN
-
-    present = graph.domain_ids()
-    values = labels.domain_labels[present]
+    counts = labels.counts(graph)
     gauge = registry.gauge(
         "segugio_labels_domains", "labeled domain counts", labels=("label",)
     )
-    gauge.set(int((values == MALWARE).sum()), label="malware")
-    gauge.set(int((values == BENIGN).sum()), label="benign")
-    gauge.set(int((values == UNKNOWN).sum()), label="unknown")
+    for label in ("malware", "benign", "unknown"):
+        gauge.set(counts[f"domains_{label}"], label=label)
 
 
 def _emit_prune_metrics(registry: MetricsRegistry, stats: Dict[str, float]) -> None:
@@ -421,7 +423,13 @@ class Segugio:
             # the trace and the raw graph once.
             count_units(UNIT_TRACE_ROWS, int(context.trace.n_edges))
             count_units(UNIT_GRAPH_EDGES, int(graph.n_edges))
-            _emit_graph_metrics(registry, graph, stage="raw")
+            _emit_graph_metrics(
+                registry,
+                graph.machine_degrees(),
+                graph.domain_degrees(),
+                graph.n_edges,
+                "raw",
+            )
             with watch.phase("label_nodes"):
                 domain_labels = label_domains(
                     graph, context.blacklist, context.whitelist, as_of_day=context.day
@@ -444,12 +452,16 @@ class Segugio:
                 labels = derive_machine_labels(result.graph, domain_labels)
         pruned = result.graph
         _emit_prune_metrics(registry, result.stats)
-        _emit_graph_metrics(registry, pruned, stage="pruned")
+        _emit_graph_metrics(
+            registry,
+            pruned.machine_degrees(),
+            pruned.domain_degrees(),
+            pruned.n_edges,
+            "pruned",
+        )
         _emit_label_metrics(registry, pruned, labels)
         with watch.phase("build_abuse_oracle"):
             known_malware = np.flatnonzero(domain_labels == MALWARE)
-            from repro.core.labeling import BENIGN  # narrow import
-
             known_benign = np.flatnonzero(domain_labels == BENIGN)
             oracle = AbuseOracle(
                 context.pdns,
@@ -663,8 +675,6 @@ class Segugio:
         log = current_decision_log()
         if not log.enabled:
             return
-        from repro.core.labeling import BENIGN  # narrow import
-
         graph, labels, prune = prepared.graph, prepared.labels, prepared.prune
         hidden = set(prepared.hidden.tolist())
         present = np.flatnonzero(prune.domain_rule != RULE_ABSENT)

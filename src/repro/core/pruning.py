@@ -13,12 +13,20 @@
 All thresholds are expressed exactly as in the paper (a percentile and a
 fraction), so the rules transfer unchanged between the paper's multi-million
 machine graphs and the scaled-down synthetic scenarios.
+
+This module is the only copy of the rules.  They never look at an edge:
+:func:`decide_pruning` maps three count arrays (machine degrees, domain
+degrees, :func:`count_e2ld_machines`) plus the labels to two keep masks, the
+caller brings back the kept edges however it stores them, and
+:func:`finish_pruning` attributes orphans and tallies the stats.
+:func:`prune_graph` does that for an in-memory graph,
+:func:`repro.core.sharded.build_day_sharded` for per-shard counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -102,28 +110,65 @@ class PruneResult:
         )
 
 
-def prune_graph(
-    graph: BehaviorGraph,
-    labels: GraphLabels,
-    e2ld_index: E2ldIndex,
-    config: PruneConfig = PruneConfig(),
-) -> PruneResult:
-    """Apply R1-R4 (with their exceptions) in one pass over the edge list.
+def count_e2ld_machines(
+    edge_machines: np.ndarray,
+    edge_domains: np.ndarray,
+    e2ld_map: np.ndarray,
+    n_e2lds: int,
+) -> np.ndarray:
+    """R4's aggregate: distinct machines querying each effective 2LD.
 
-    All rule masks are computed on the *input* graph, then edges whose either
-    endpoint is dropped are removed together — the paper applies the rules as
-    one conservative filtering step, not to a fixpoint.
+    Counts over two parallel edge columns, so it serves a whole graph and a
+    single shard alike — machines live wholly in one shard, which makes the
+    per-shard counts sum to the global ones.
     """
-    machine_degrees = graph.machine_degrees()
-    domain_degrees = graph.domain_degrees()
+    pair_keys = edge_machines * np.int64(n_e2lds) + e2ld_map[edge_domains]
+    unique_pairs = np.unique(pair_keys)
+    return np.bincount(
+        (unique_pairs % n_e2lds).astype(np.int64), minlength=n_e2lds
+    )
+
+
+@dataclass
+class PruneDecision:
+    """What R1-R4 decided, before any edge is touched.
+
+    Boolean keep masks and int8 attribution arrays over the global id
+    spaces, and how many nodes each rule was the first to remove.
+    """
+
+    keep_machines: np.ndarray
+    keep_domains: np.ndarray
+    machine_rule: np.ndarray
+    domain_rule: np.ndarray
+    removed: Dict[str, int]
+
+
+def decide_pruning(
+    machine_degrees: np.ndarray,
+    domain_degrees: np.ndarray,
+    e2ld_machine_counts: Optional[np.ndarray],
+    machine_labels: np.ndarray,
+    domain_labels: np.ndarray,
+    e2ld_map: np.ndarray,
+    config: PruneConfig = PruneConfig(),
+) -> PruneDecision:
+    """R1-R4 (with their exceptions) as a pure function of node aggregates.
+
+    All rule masks are computed on the *input* graph's degrees, so edges
+    whose either endpoint is dropped are removed together — the paper
+    applies the rules as one conservative filtering step, not to a fixpoint.
+    ``e2ld_machine_counts`` (:func:`count_e2ld_machines`) and ``e2ld_map``
+    are read only under ``apply_r4``.
+    """
     present_machines = machine_degrees > 0
     present_domains = domain_degrees > 0
     n_machines = int(np.count_nonzero(present_machines))
 
     keep_machines = present_machines.copy()
     keep_domains = present_domains.copy()
-    machine_is_malware = labels.machine_labels == MALWARE
-    domain_is_malware = labels.domain_labels == MALWARE
+    machine_is_malware = machine_labels == MALWARE
+    domain_is_malware = domain_labels == MALWARE
 
     # Rule attribution over the global id spaces (first rule wins).
     machine_rule = np.where(present_machines, RULE_KEPT, RULE_ABSENT).astype(
@@ -177,23 +222,31 @@ def prune_graph(
     if config.apply_r4:
         # R4: e2LDs queried by >= theta_m machines.
         theta_m = config.r4_machine_fraction * n_machines
-        e2ld_map = e2ld_index.map_array()
-        edge_e2lds = e2ld_map[graph.edge_domains]
-        # Count distinct machines per e2LD: dedupe (machine, e2ld) pairs.
-        n_e2lds = len(e2ld_index)
-        pair_keys = graph.edge_machines * np.int64(n_e2lds) + edge_e2lds
-        unique_pairs = np.unique(pair_keys)
-        e2ld_machine_counts = np.bincount(
-            (unique_pairs % n_e2lds).astype(np.int64), minlength=n_e2lds
-        )
         hot_e2lds = e2ld_machine_counts >= max(theta_m, 1)
         too_popular = present_domains & hot_e2lds[e2ld_map]
         removed["r4"] = int(np.count_nonzero(too_popular & keep_domains))
         domain_rule[too_popular & keep_domains] = RULE_R4
         keep_domains &= ~too_popular
 
-    pruned = graph.subgraph(keep_machines, keep_domains)
+    return PruneDecision(
+        keep_machines=keep_machines,
+        keep_domains=keep_domains,
+        machine_rule=machine_rule,
+        domain_rule=domain_rule,
+        removed=removed,
+    )
 
+
+def finish_pruning(
+    decision: PruneDecision, pruned: BehaviorGraph, edges_before: int
+) -> PruneResult:
+    """Orphan attribution and reduction stats, once the kept edges are back.
+
+    ``pruned`` is the input graph restricted to ``decision``'s keep masks,
+    however the caller extracted it; ``edges_before`` is the input graph's
+    edge count.  Takes ownership of the decision's attribution arrays.
+    """
+    machine_rule, domain_rule = decision.machine_rule, decision.domain_rule
     # Nodes no rule touched but whose every counterpart was pruned end up
     # edge-less in the subgraph — attribute them as orphaned.
     domain_rule[
@@ -203,13 +256,15 @@ def prune_graph(
         (machine_rule == RULE_KEPT) & (pruned.machine_degrees() == 0)
     ] = RULE_ORPHANED
 
-    n_domains = int(np.count_nonzero(present_domains))
+    n_machines = int(np.count_nonzero(machine_rule != RULE_ABSENT))
+    n_domains = int(np.count_nonzero(domain_rule != RULE_ABSENT))
+    removed = decision.removed
     stats: Dict[str, float] = {
         "machines_before": float(n_machines),
         "machines_after": float(pruned.n_machines),
         "domains_before": float(n_domains),
         "domains_after": float(pruned.n_domains),
-        "edges_before": float(graph.n_edges),
+        "edges_before": float(edges_before),
         "edges_after": float(pruned.n_edges),
         "removed_r1_machines": float(removed["r1"]),
         "removed_r2_machines": float(removed["r2"]),
@@ -218,13 +273,39 @@ def prune_graph(
     }
     stats["machines_removed_pct"] = _pct(n_machines, pruned.n_machines)
     stats["domains_removed_pct"] = _pct(n_domains, pruned.n_domains)
-    stats["edges_removed_pct"] = _pct(graph.n_edges, pruned.n_edges)
+    stats["edges_removed_pct"] = _pct(edges_before, pruned.n_edges)
     return PruneResult(
         graph=pruned,
         stats=stats,
         domain_rule=domain_rule,
         machine_rule=machine_rule,
     )
+
+
+def prune_graph(
+    graph: BehaviorGraph,
+    labels: GraphLabels,
+    e2ld_index: E2ldIndex,
+    config: PruneConfig = PruneConfig(),
+) -> PruneResult:
+    """R1-R4 on an in-memory graph: its aggregates, decided, one subgraph."""
+    e2ld_map = e2ld_index.map_array()
+    e2ld_machine_counts = None
+    if config.apply_r4:
+        e2ld_machine_counts = count_e2ld_machines(
+            graph.edge_machines, graph.edge_domains, e2ld_map, len(e2ld_index)
+        )
+    decision = decide_pruning(
+        graph.machine_degrees(),
+        graph.domain_degrees(),
+        e2ld_machine_counts,
+        labels.machine_labels,
+        labels.domain_labels,
+        e2ld_map,
+        config,
+    )
+    pruned = graph.subgraph(decision.keep_machines, decision.keep_domains)
+    return finish_pruning(decision, pruned, graph.n_edges)
 
 
 def _pct(before: float, after: float) -> float:

@@ -360,6 +360,19 @@ class ShardedDayTrace:
     def __init__(
         self, store: EdgeStore, machines: Interner, domains: Interner
     ) -> None:
+        # The store is outside input on resume: ids beyond the interners
+        # would index past every per-id array the sharded build allocates.
+        for kind, n_ids, interner in (
+            ("machine", store.n_machines, machines),
+            ("domain", store.n_domains, domains),
+        ):
+            if n_ids > len(interner):
+                raise ValueError(
+                    f"{store.directory}: edge store spans {kind} ids "
+                    f"[0, {n_ids}), outside the interned id space "
+                    f"[0, {len(interner)}) — the trace was built against a "
+                    f"stale or torn interner"
+                )
         self.store = store
         self.machines = machines
         self.domains = domains

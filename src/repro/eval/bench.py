@@ -1,20 +1,13 @@
-"""Hot-path benchmark: the perf baseline every PR must move, not break.
+"""End-to-end profiling gate behind ``segugio bench`` (``BENCH_e2e.json``).
 
-Measures the two loops that dominate deployment cost (paper §IV-G):
-
-* **fit** — train-day graph preparation + forest training, per-phase
-  breakdown from the pipeline stopwatch;
-* **classify** — scoring a full day of unknown domains, reported as
-  domains/second (the ISP-scale throughput headline);
-* **feature micro-bench** — the vectorized F2/F3 bulk paths against their
-  per-row reference loops (kept in :class:`repro.core.features` for
-  exactly this comparison), with speedups.
-
-Everything is pinned — synth scale, seed, worker count are recorded in
-the emitted payload — so ``BENCH_hotpath.json`` files from different
-commits are directly comparable.  Timings use ``time.perf_counter``
-(durations, not wall-clock identity; same policy as the stopwatch) and
-every measurement is best-of-``repeats`` to damp scheduler noise.
+Runs one pinned tracking campaign with profiling off, with profiling on,
+and with profiling on over a sharded edge store, and gates on what only
+this comparison can show: the three runs' ledgers and ``decisions.jsonl``
+are byte-identical, every supervised pool task contributed its worker
+span, and profiling costs under :data:`E2E_OVERHEAD_GATE_PCT` of wall.
+Per-layer cost is not measured here — ``python3 benchmarks/segbench/run.py``
+is the benchmark.  Timings use ``time.perf_counter`` (durations, not
+wall-clock identity; same policy as the stopwatch).
 """
 
 from __future__ import annotations
@@ -22,15 +15,10 @@ from __future__ import annotations
 import io
 import json
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from repro.core.pipeline import ObservationContext, Segugio, SegugioConfig
+from repro.core.pipeline import SegugioConfig
 from repro.synth.scenario import Scenario
-
-#: bump when the payload layout changes (consumers: CI artifact diffing)
-BENCH_SCHEMA_VERSION = 1
 
 #: schema of the ``BENCH_e2e.json`` payload emitted by ``bench --e2e``
 E2E_SCHEMA_VERSION = 3
@@ -48,121 +36,6 @@ E2E_MIN_ROUNDS = 3
 #: needs enough clean rounds to outvote them — a quiet box converges
 #: and exits after max(repeats, E2E_MIN_ROUNDS) rounds regardless
 E2E_MAX_ROUNDS = 20
-
-
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Minimum wall-clock seconds over *repeats* calls of *fn*."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _feature_microbench(
-    model: Segugio, context: ObservationContext, repeats: int
-) -> Dict[str, object]:
-    """Bulk vs. per-row reference timings for the F2/F3 extractors."""
-    prepared = model.prepare_day(context)
-    extractor = prepared.extractor
-    ids = prepared.graph.domain_ids()
-    out = np.zeros((ids.size, 4), dtype=np.float64)
-    ref = np.zeros((ids.size, 4), dtype=np.float64)
-
-    f2_bulk = _best_of(lambda: extractor._domain_activity(ids, out), repeats)
-    f2_loop = _best_of(
-        lambda: extractor._domain_activity_reference(ids, ref), repeats
-    )
-    f2_equal = bool(np.array_equal(out, ref))
-
-    f3_bulk = _best_of(lambda: extractor._ip_abuse(ids, True, out), repeats)
-    f3_loop = _best_of(
-        lambda: extractor._ip_abuse_reference(ids, True, ref), repeats
-    )
-    f3_equal = bool(np.array_equal(out, ref))
-
-    return {
-        "n_domains": int(ids.size),
-        "f2_activity": {
-            "bulk_seconds": f2_bulk,
-            "loop_seconds": f2_loop,
-            "speedup": f2_loop / f2_bulk if f2_bulk > 0 else float("inf"),
-            "bit_identical": f2_equal,
-        },
-        "f3_ip_abuse": {
-            "bulk_seconds": f3_bulk,
-            "loop_seconds": f3_loop,
-            "speedup": f3_loop / f3_bulk if f3_bulk > 0 else float("inf"),
-            "bit_identical": f3_equal,
-        },
-    }
-
-
-def run_hotpath_bench(
-    scale: str = "small",
-    seed: int = 7,
-    n_jobs: int = 1,
-    repeats: int = 3,
-    isp: str = "isp1",
-    config: Optional[SegugioConfig] = None,
-) -> Dict[str, object]:
-    """Run the pinned hot-path benchmark; returns the JSON-ready payload.
-
-    ``scale``/``seed`` pin the synthetic world, ``n_jobs`` the worker
-    count (recorded, so baselines at different parallelism are never
-    silently compared), ``repeats`` the best-of sampling.
-    """
-    scenario = (
-        Scenario.small(seed=seed) if scale == "small" else Scenario.benchmark(seed=seed)
-    )
-    if config is None:
-        config = SegugioConfig(n_jobs=n_jobs)
-    train_ctx = scenario.context(isp, scenario.eval_day(0))
-    test_ctx = scenario.context(isp, scenario.eval_day(1))
-
-    model = Segugio(config)
-    fit_seconds = _best_of(lambda: model.fit(train_ctx), repeats)
-    fit_phases: List = list(model.timings_.items())
-
-    report_box: Dict[str, object] = {}
-
-    def _classify() -> None:
-        report_box["report"] = model.classify(test_ctx)
-
-    classify_seconds = _best_of(_classify, repeats)
-    n_scored = len(report_box["report"])  # type: ignore[arg-type]
-
-    features = _feature_microbench(model, train_ctx, repeats)
-
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "params": {
-            "scale": scale,
-            "seed": int(seed),
-            "isp": isp,
-            "n_jobs": int(n_jobs),
-            "repeats": int(repeats),
-            "n_estimators": int(config.n_estimators),
-        },
-        "fit": {
-            "seconds": fit_seconds,
-            "phases": {name: secs for name, secs in fit_phases},
-        },
-        "classify": {
-            "seconds": classify_seconds,
-            "n_scored": int(n_scored),
-            "domains_per_second": (
-                n_scored / classify_seconds if classify_seconds > 0 else 0.0
-            ),
-        },
-        "features": features,
-    }
-
-
-# ---------------------------------------------------------------------- #
-# end-to-end baseline (BENCH_e2e.json)
-# ---------------------------------------------------------------------- #
 
 
 def _campaign_contexts(scale: str, seed: int, isp: str, n_days: int):
@@ -613,31 +486,4 @@ def render_e2e_bench(payload: Dict[str, object]) -> str:
         f"bit-identical, worker spans complete): "
         f"{'PASS' if gate['passed'] else 'FAIL'}"
     )
-    return "\n".join(lines)
-
-
-def render_bench(payload: Dict[str, object]) -> str:
-    """Human-readable summary of a benchmark payload."""
-    params = payload["params"]
-    fit = payload["fit"]
-    classify = payload["classify"]
-    features = payload["features"]
-    lines = [
-        f"hot-path benchmark (scale={params['scale']}, seed={params['seed']}, "
-        f"jobs={params['n_jobs']}, repeats={params['repeats']})",
-        f"  fit: {fit['seconds']:.3f}s",
-    ]
-    for name, secs in fit["phases"].items():
-        lines.append(f"    {name:<28s} {secs:8.3f}s")
-    lines.append(
-        f"  classify: {classify['seconds']:.3f}s for {classify['n_scored']} "
-        f"domains ({classify['domains_per_second']:.0f} domains/s)"
-    )
-    for key, label in (("f2_activity", "F2 activity"), ("f3_ip_abuse", "F3 IP abuse")):
-        row = features[key]
-        lines.append(
-            f"  {label}: bulk {row['bulk_seconds'] * 1e3:.2f}ms vs loop "
-            f"{row['loop_seconds'] * 1e3:.2f}ms — {row['speedup']:.1f}x "
-            f"(bit-identical: {row['bit_identical']})"
-        )
     return "\n".join(lines)

@@ -52,7 +52,7 @@ _PREDICT_TREE_CHUNK = 16
 _FIT_TREE_CHUNK = 16
 
 
-def _resolve_n_jobs(n_jobs: Optional[int]) -> int:
+def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     """Worker count: None/1 → serial, -1 → all cores, n → n."""
     if n_jobs is None:
         return 1
@@ -130,7 +130,7 @@ class RandomForestClassifier:
             raise ValueError("n_estimators must be >= 1")
         if class_weight not in (None, "balanced"):
             raise ValueError('class_weight must be None or "balanced"')
-        self.n_jobs = _resolve_n_jobs(n_jobs)
+        self.n_jobs = resolve_n_jobs(n_jobs)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

@@ -14,16 +14,34 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import Segugio, SegugioConfig
+from repro.core.pruning import PruneConfig
 from repro.core.tracker import DomainTracker
 from repro.datasets.edgestore import ShardedDayTrace
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.runtime.supervisor import (
     SupervisorPolicy,
     supervised_process_day,
 )
+from repro.utils.ids import Interner
 
 FAST = SegugioConfig(n_estimators=5)
 PARALLEL = SegugioConfig(n_estimators=5, n_jobs=2)
+
+#: every rule switched off alone and together, every threshold moved — the
+#: sharded path must follow the one R1-R4 wherever the config takes it
+PRUNE_CONFIGS = {
+    "no_r1": PruneConfig(apply_r1=False),
+    "no_r2": PruneConfig(apply_r2=False),
+    "no_r3": PruneConfig(apply_r3=False),
+    "no_r4": PruneConfig(apply_r4=False),
+    "no_rules": PruneConfig(
+        apply_r1=False, apply_r2=False, apply_r3=False, apply_r4=False
+    ),
+    "r1_min_0": PruneConfig(r1_min_domains=0),
+    "r2_pct_90": PruneConfig(r2_percentile=90),
+    "r4_frac_005": PruneConfig(r4_machine_fraction=0.05),
+}
 
 
 def _sharded(context, directory, n_shards, batch_size=1024):
@@ -31,6 +49,22 @@ def _sharded(context, directory, n_shards, batch_size=1024):
         context.trace, str(directory), n_shards=n_shards, batch_size=batch_size
     )
     return dataclasses.replace(context, trace=trace)
+
+
+def _assert_same_day(got, ref):
+    """Two PreparedDays agree bit for bit: graph, labels, rules, stats."""
+    for part, fields in (
+        ("graph", ("edge_machines", "edge_domains")),
+        ("labels", ("machine_labels", "domain_labels")),
+        ("prune", ("machine_rule", "domain_rule")),
+    ):
+        for field in fields:
+            np.testing.assert_array_equal(
+                getattr(getattr(got, part), field),
+                getattr(getattr(ref, part), field),
+                err_msg=f"{part}.{field}",
+            )
+    assert got.prune.stats == ref.prune.stats
 
 
 @pytest.fixture(scope="module")
@@ -46,34 +80,51 @@ class TestPrepareDayBitIdentity:
     def test_graph_labels_stats_identical(
         self, tmp_path, train_context, reference, n_shards, batch_size
     ):
-        ref_graph, ref_labels, ref_prune = (
-            reference.graph, reference.labels, reference.prune
-        )
         context = _sharded(
             train_context, tmp_path / "store", n_shards, batch_size
         )
-        prepared = Segugio(FAST).prepare_day(context)
-        graph, labels, prune = prepared.graph, prepared.labels, prepared.prune
+        _assert_same_day(Segugio(FAST).prepare_day(context), reference)
 
-        np.testing.assert_array_equal(
-            graph.edge_machines, ref_graph.edge_machines
-        )
-        np.testing.assert_array_equal(
-            graph.edge_domains, ref_graph.edge_domains
-        )
-        np.testing.assert_array_equal(
-            labels.machine_labels, ref_labels.machine_labels
-        )
-        np.testing.assert_array_equal(
-            labels.domain_labels, ref_labels.domain_labels
-        )
-        assert prune.stats == ref_prune.stats
-        np.testing.assert_array_equal(
-            prune.domain_rule, ref_prune.domain_rule
-        )
-        np.testing.assert_array_equal(
-            prune.machine_rule, ref_prune.machine_rule
-        )
+    @pytest.mark.parametrize("name", sorted(PRUNE_CONFIGS))
+    def test_identical_under_every_prune_config(
+        self, tmp_path, train_context, reference, name
+    ):
+        config = dataclasses.replace(FAST, prune=PRUNE_CONFIGS[name])
+        ref = Segugio(config).prepare_day(train_context)
+        # the config really moved the outcome, so agreement is not vacuous
+        assert ref.prune.stats != reference.prune.stats
+        for n_shards in (1, 2, 7):
+            context = _sharded(train_context, tmp_path / str(n_shards), n_shards)
+            _assert_same_day(Segugio(config).prepare_day(context), ref)
+
+    def test_graph_label_and_pruning_gauges_identical(
+        self, tmp_path, train_context
+    ):
+        """One function emits the gauges on both paths: same series, same
+        values, for the raw and the pruned graph."""
+
+        def gauges(context):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                Segugio(FAST).prepare_day(context)
+            return {
+                name: series
+                for name, series in registry.snapshot().items()
+                if name.startswith(
+                    ("segugio_graph_", "segugio_labels_", "segugio_pruning_")
+                )
+            }
+
+        in_memory = gauges(train_context)
+        assert {
+            "segugio_graph_nodes",
+            "segugio_graph_edges",
+            "segugio_graph_degree",
+            "segugio_labels_domains",
+            "segugio_pruning_removed",
+            "segugio_pruning_removed_pct",
+        } <= set(in_memory)
+        assert gauges(_sharded(train_context, tmp_path / "store", 3)) == in_memory
 
     def test_resolutions_identical(self, tmp_path, train_context, reference):
         ref_graph = reference.graph
@@ -178,3 +229,55 @@ class TestFaultInjection:
             supervised_process_day(tracker, context, policy=policy)
         assert plan.n_fired > 0  # the plan really injected
         assert tracker.state_dict() == clean.state_dict()
+
+
+class TestLocatedErrors:
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_bad_n_jobs_raises_before_any_shard_work(
+        self, tmp_path, train_context, monkeypatch, n_jobs
+    ):
+        """One resolver for the whole stack: the forest's ValueError comes
+        up front, not after scan/label/prune ran serially."""
+        import repro.core.sharded as sharded
+
+        def no_shard_work(*args, **kwargs):
+            raise AssertionError("shard work started before n_jobs was checked")
+
+        monkeypatch.setattr(sharded, "supervised_map", no_shard_work)
+        context = _sharded(train_context, tmp_path / "store", 2)
+        model = Segugio(SegugioConfig(n_estimators=5, n_jobs=n_jobs))
+        with pytest.raises(ValueError, match=rf"n_jobs must be >= 1 or -1, got {n_jobs}"):
+            model.prepare_day(context)
+
+    @pytest.mark.parametrize("kind", ["machine", "domain"])
+    def test_stale_interner_is_a_located_error(
+        self, tmp_path, train_context, kind
+    ):
+        """A store written against more ids than the interner it is opened
+        with holds: the in-memory path's message, not a bare IndexError."""
+        trace = _sharded(train_context, tmp_path / "store", 2).trace
+        interners = {"machine": trace.machines, "domain": trace.domains}
+        stale = Interner()
+        for name in interners[kind].names(range(10)):
+            stale.intern(name)
+        interners[kind] = stale
+        with pytest.raises(
+            ValueError,
+            match=rf"{kind} ids .* outside the interned id space \[0, 10\) — "
+            r"the trace was built against a stale or torn interner",
+        ) as error:
+            ShardedDayTrace.open(
+                trace.directory, interners["machine"], interners["domain"]
+            )
+        assert trace.directory in str(error.value)
+
+    def test_grown_interner_still_opens(self, tmp_path, train_context):
+        """Interners are append-only across days: a store written earlier
+        stays readable after they grew."""
+        trace = _sharded(train_context, tmp_path / "store", 2).trace
+        grown = Interner()
+        for name in trace.machines.names(range(len(trace.machines))):
+            grown.intern(name)
+        grown.intern("a-machine-first-seen-tomorrow")
+        reopened = ShardedDayTrace.open(trace.directory, grown, trace.domains)
+        assert reopened.n_edges == trace.n_edges

@@ -10,7 +10,7 @@ equivalence test is indistinguishable from a broken one.
 Forest equivalence holds by construction (per-tree seeds derived before
 scheduling, fixed predict chunking in both paths); feature equivalence
 is checked against the per-row reference loops kept in
-:class:`repro.core.features.FeatureExtractor` for exactly this purpose.
+``tests/test_core_features.py`` for exactly this purpose.
 """
 
 import numpy as np
@@ -19,6 +19,10 @@ import pytest
 from repro.core.pipeline import Segugio, SegugioConfig
 from repro.ml.forest import RandomForestClassifier
 from repro.synth.scenario import Scenario
+from tests.test_core_features import (
+    domain_activity_reference,
+    ip_abuse_reference,
+)
 
 
 def make_data(n=300, seed=0):
@@ -107,13 +111,13 @@ class TestBulkFeatureEquivalence:
         bulk_f2 = np.zeros((ids.size, 4), dtype=np.float64)
         ref_f2 = np.zeros((ids.size, 4), dtype=np.float64)
         extractor._domain_activity(ids, bulk_f2)
-        extractor._domain_activity_reference(ids, ref_f2)
+        domain_activity_reference(extractor, ids, ref_f2)
         assert np.array_equal(bulk_f2, ref_f2)
 
         bulk_f3 = np.zeros((ids.size, 4), dtype=np.float64)
         ref_f3 = np.zeros((ids.size, 4), dtype=np.float64)
         extractor._ip_abuse(ids, hide_labels, bulk_f3)
-        extractor._ip_abuse_reference(ids, hide_labels, ref_f3)
+        ip_abuse_reference(extractor, ids, hide_labels, ref_f3)
         assert np.array_equal(bulk_f3, ref_f3)
 
     def test_feature_matrix_unchanged_on_subsets(self):
@@ -130,9 +134,9 @@ class TestBulkFeatureEquivalence:
         bulk = np.zeros((ids.size, 4), dtype=np.float64)
         ref = np.zeros((ids.size, 4), dtype=np.float64)
         extractor._domain_activity(ids, bulk)
-        extractor._domain_activity_reference(ids, ref)
+        domain_activity_reference(extractor, ids, ref)
         assert np.array_equal(bulk, ref)
 
         extractor._ip_abuse(ids, True, bulk)
-        extractor._ip_abuse_reference(ids, True, ref)
+        ip_abuse_reference(extractor, ids, True, ref)
         assert np.array_equal(bulk, ref)
