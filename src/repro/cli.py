@@ -11,12 +11,11 @@ Examples::
     segugio track --days 3 --telemetry-dir /tmp/telemetry --profile \\
         --budgets examples/budgets.json
     segugio track --days 3 --alert-rules rules.json --task-timeout 120
-    segugio telemetry /tmp/telemetry/manifest.json
-    segugio profile /tmp/telemetry --html profile.html
+    segugio inspect /tmp/telemetry --html report.html
+    segugio inspect /tmp/telemetry --view profile
+    segugio inspect /tmp/run1 /tmp/run2 --view health --reference rolling:7
     segugio bench --e2e --out BENCH_e2e.json
     segugio explain --telemetry-dir /tmp/telemetry --domain evil.example
-    segugio monitor /tmp/telemetry --html dashboard.html
-    segugio monitor /tmp/telemetry --reference rolling:7
     segugio chaos --plan examples/fault-plan.json --out /tmp/chaos
     segugio export-day /tmp/obs --day-offset 2
     segugio health /tmp/obs
@@ -33,6 +32,7 @@ from typing import List, Optional
 from repro.eval import experiments as E
 from repro.eval.figures import ascii_roc
 from repro.eval.reporting import ascii_table, histogram, roc_series_table
+from repro.eval.views import VIEW_NAMES, inspect_runs
 from repro.synth.scenario import Scenario
 
 
@@ -195,6 +195,45 @@ def _load_fault_plan(args: argparse.Namespace):
         raise SystemExit(str(error))
 
 
+def _start_telemetry(tracker, args: argparse.Namespace, command: str) -> None:
+    """Give *tracker* a RunTelemetry when --telemetry-dir asks for one."""
+    if args.profile and not args.telemetry_dir:
+        raise SystemExit(
+            "--profile needs --telemetry-dir (the resource summary lands "
+            "in the run manifest)"
+        )
+    if args.budgets and not args.profile:
+        raise SystemExit(
+            "--budgets needs --profile (budgets are evaluated over the "
+            "profiled resource summary)"
+        )
+    if not args.telemetry_dir:
+        return
+    from repro.obs import RunTelemetry
+    from repro.runtime.checkpoint import config_to_dict
+
+    tracker.telemetry = RunTelemetry(
+        command=command,
+        config=config_to_dict(tracker.config),
+        profile=args.profile,
+        budgets=_load_budgets(args),
+    )
+    # Stream decision records into the output directory as each day
+    # finalizes instead of buffering the whole campaign's ledger in memory
+    # (~1 GB at paper scale; byte-identical output, see
+    # DecisionLog.stream_to).
+    tracker.telemetry.stream_decisions(args.telemetry_dir)
+
+
+def _finish_telemetry(tracker, args: argparse.Namespace) -> None:
+    if tracker.telemetry is None:
+        return
+    manifest_path, trace_path = tracker.telemetry.write(args.telemetry_dir)
+    print(f"run manifest written to {manifest_path}")
+    print(f"span trace written to {trace_path}")
+    print(f"inspect with: segugio inspect {args.telemetry_dir}")
+
+
 def _run_track(args: argparse.Namespace) -> None:
     from contextlib import nullcontext
     from dataclasses import replace
@@ -235,30 +274,7 @@ def _run_track(args: argparse.Namespace) -> None:
             fp_target=args.fp_target,
             alert_rules=alert_rules,
         )
-    if args.profile and not args.telemetry_dir:
-        raise SystemExit(
-            "--profile needs --telemetry-dir (the resource summary lands "
-            "in the run manifest)"
-        )
-    if args.budgets and not args.profile:
-        raise SystemExit(
-            "--budgets needs --profile (budgets are evaluated over the "
-            "profiled resource summary)"
-        )
-    if args.telemetry_dir:
-        from repro.obs import RunTelemetry
-        from repro.runtime.checkpoint import config_to_dict
-
-        tracker.telemetry = RunTelemetry(
-            command="track",
-            config=config_to_dict(tracker.config),
-            profile=args.profile,
-            budgets=_load_budgets(args),
-        )
-        # Stream decision records into the output directory as each day
-        # finalizes instead of buffering the whole campaign's ledger in
-        # memory (byte-identical output; see DecisionLog.stream_to).
-        tracker.telemetry.stream_decisions(args.telemetry_dir)
+    _start_telemetry(tracker, args, "track")
     shard_stack = None
     if args.shards is not None:
         import tempfile
@@ -308,13 +324,7 @@ def _run_track(args: argparse.Namespace) -> None:
                     )
     if args.checkpoint:
         print(f"checkpoint written to {args.checkpoint}")
-    if tracker.telemetry is not None and args.telemetry_dir:
-        manifest_path, trace_path = tracker.telemetry.write(args.telemetry_dir)
-        print(f"run manifest written to {manifest_path}")
-        print(f"span trace written to {trace_path}")
-        print(f"inspect with: segugio telemetry {manifest_path}")
-        if args.profile:
-            print(f"resource profile: segugio profile {args.telemetry_dir}")
+    _finish_telemetry(tracker, args)
     confirmed = tracker.confirmations(scenario.commercial_blacklist, horizon=35)
     print(
         f"\ntracked {len(tracker)} domains; {len(confirmed)} later entered "
@@ -415,45 +425,33 @@ def _run_explain(args: argparse.Namespace) -> None:
 
 
 def _explain_from_artifacts(args: argparse.Namespace) -> None:
-    """Replay a verdict from a telemetry dir's decisions.jsonl — no rerun."""
+    """Replay a verdict from a telemetry dir's decision records — no rerun."""
     import os
 
-    from repro.obs.manifest import MANIFEST_FILENAME, ManifestError, load_manifest
-    from repro.obs.provenance import (
-        DECISIONS_FILENAME,
-        ProvenanceError,
+    from repro.obs import (
+        TelemetryError,
+        TelemetryRun,
         decisions_for_domain,
-        load_decisions,
         render_decision,
     )
 
-    # The manifest records the decisions file it wrote (None when the run
-    # recorded no decisions); honor it rather than assuming the default
-    # name, falling back only when no manifest is present at all.
-    decisions_name = DECISIONS_FILENAME
-    manifest_path = os.path.join(args.telemetry_dir, MANIFEST_FILENAME)
-    if os.path.exists(manifest_path):
-        try:
-            manifest = load_manifest(manifest_path)
-        except ManifestError as error:
-            raise SystemExit(str(error))
-        recorded = manifest.get("decisions_file")
-        if recorded is None:
-            raise SystemExit(
-                f"run {manifest.get('run_id', '?')} recorded no decision "
-                f"provenance (manifest decisions_file is null) — rerun "
-                "with --telemetry-dir to capture decisions"
-            )
-        decisions_name = str(recorded)
-    path = os.path.join(args.telemetry_dir, decisions_name)
-    if not os.path.exists(path):
-        raise SystemExit(
-            f"no {decisions_name} in {args.telemetry_dir} (was the run "
-            "started with --telemetry-dir?)"
-        )
     try:
-        records = load_decisions(path)
-    except ProvenanceError as error:
+        # a decisions.jsonl copied out without its manifest still replays
+        run = TelemetryRun.open(args.telemetry_dir, need_manifest=False)
+        path = run.decisions_path
+        if path is None:
+            raise SystemExit(
+                f"run {run.run_id} recorded no decision provenance "
+                "(manifest decisions_file is null) — rerun with "
+                "--telemetry-dir to capture decisions"
+            )
+        if not os.path.exists(path):
+            raise SystemExit(
+                f"no {run.decisions_file} in {run.path} (was the run "
+                "started with --telemetry-dir?)"
+            )
+        records = run.decisions
+    except TelemetryError as error:
         raise SystemExit(str(error))
     if args.domain is not None:
         matches = decisions_for_domain(records, args.domain)
@@ -471,31 +469,25 @@ def _explain_from_artifacts(args: argparse.Namespace) -> None:
         print(render_decision(record))
 
 
-def _run_monitor(args: argparse.Namespace) -> None:
-    from repro.eval.monitor import (
-        MonitorError,
-        load_runs,
-        parse_reference,
-        render_monitor,
-        render_monitor_html,
-    )
+def _run_inspect(args: argparse.Namespace) -> None:
+    from repro.eval.document import render_html, render_text
+    from repro.eval.monitor import parse_reference
+    from repro.obs import TelemetryRun
 
     try:
         parse_reference(args.reference)  # reject a bad spec before loading
-        runs = load_runs(args.telemetry_dirs)
-        text = render_monitor(runs, reference=args.reference)
-        html_text = (
-            render_monitor_html(runs, reference=args.reference)
-            if args.html
-            else None
+        documents = inspect_runs(
+            TelemetryRun.open_all(args.paths),
+            [args.view] if args.view else VIEW_NAMES,
+            args.reference,
         )
-    except MonitorError as error:
+    except ValueError as error:  # TelemetryError, or a --reference no day matches
         raise SystemExit(str(error))
-    print(text)
-    if args.html and html_text is not None:
+    print(render_text(*documents))
+    if args.html:
         with open(args.html, "w") as stream:
-            stream.write(html_text)
-        print(f"\nhtml dashboard written to {args.html}")
+            stream.write(render_html(*documents))
+        print(f"\nhtml report written to {args.html}")
 
 
 def _run_export_day(args: argparse.Namespace) -> None:
@@ -628,30 +620,7 @@ def _run_bigday(args: argparse.Namespace) -> None:
         fp_target=args.fp_target,
         alert_rules=alert_rules,
     )
-    if args.profile and not args.telemetry_dir:
-        raise SystemExit(
-            "--profile needs --telemetry-dir (the resource summary lands "
-            "in the run manifest)"
-        )
-    if args.budgets and not args.profile:
-        raise SystemExit(
-            "--budgets needs --profile (budgets are evaluated over the "
-            "profiled resource summary)"
-        )
-    if args.telemetry_dir:
-        from repro.obs import RunTelemetry
-        from repro.runtime.checkpoint import config_to_dict
-
-        tracker.telemetry = RunTelemetry(
-            command="bigday",
-            config=config_to_dict(tracker.config),
-            profile=args.profile,
-            budgets=_load_budgets(args),
-        )
-        # Paper-scale days carry ~1 GB of decision records; stream them
-        # to disk as each day finalizes instead of holding the whole
-        # campaign ledger in memory (byte-identical output).
-        tracker.telemetry.stream_decisions(args.telemetry_dir)
+    _start_telemetry(tracker, args, "bigday")
     store_stack = None
     store_root = args.store_dir
     if store_root is None:
@@ -690,12 +659,7 @@ def _run_bigday(args: argparse.Namespace) -> None:
                 )
     if args.verify:
         _verify_bigday(world, args, batch_size, store_root)
-    if tracker.telemetry is not None and args.telemetry_dir:
-        manifest_path, trace_path = tracker.telemetry.write(args.telemetry_dir)
-        print(f"run manifest written to {manifest_path}")
-        print(f"span trace written to {trace_path}")
-        if args.profile:
-            print(f"resource profile: segugio profile {args.telemetry_dir}")
+    _finish_telemetry(tracker, args)
     confirmed = tracker.confirmations(
         world.blacklist, horizon=config.fresh_blacklist_lag + 30
     )
@@ -818,58 +782,6 @@ def _run_chaos(args: argparse.Namespace) -> None:
     print(report.summary())
     if not report.passed:
         raise SystemExit(1)
-
-
-def _run_telemetry(args: argparse.Namespace) -> None:
-    from repro.obs import ManifestError, load_manifest, render_telemetry
-
-    try:
-        manifest = load_manifest(args.manifest)
-    except ManifestError as error:
-        raise SystemExit(str(error))
-    print(render_telemetry(manifest))
-
-
-def _run_profile(args: argparse.Namespace) -> None:
-    from repro.eval.profile import (
-        ProfileError,
-        load_profile,
-        render_profile,
-        render_profile_html,
-    )
-
-    try:
-        manifest = load_profile(args.telemetry_dir)
-        text = render_profile(manifest)
-        html_text = render_profile_html(manifest) if args.html else None
-    except ProfileError as error:
-        raise SystemExit(str(error))
-    print(text)
-    if args.html and html_text is not None:
-        with open(args.html, "w") as stream:
-            stream.write(html_text)
-        print(f"\nhtml profile written to {args.html}")
-
-
-def _run_trace(args: argparse.Namespace) -> None:
-    from repro.eval.trace import (
-        TraceError,
-        load_trace,
-        render_trace,
-        render_trace_html,
-    )
-
-    try:
-        manifest, rows = load_trace(args.telemetry_dir)
-        text = render_trace(manifest, rows)
-        html_text = render_trace_html(manifest, rows) if args.html else None
-    except TraceError as error:
-        raise SystemExit(str(error))
-    print(text)
-    if args.html and html_text is not None:
-        with open(args.html, "w") as stream:
-            stream.write(html_text)
-        print(f"\nhtml trace written to {args.html}")
 
 
 def _run_lint(lint_args: List[str]) -> int:
@@ -1201,28 +1113,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.set_defaults(func=_run_explain)
 
-    monitor = sub.add_parser(
-        "monitor",
-        help="multi-day quality dashboard over telemetry directories",
+    inspect = sub.add_parser(
+        "inspect",
+        help="read a run's telemetry: cost (the paper's §IV-G table), "
+        "health dashboard, resource profile, worker timeline",
     )
-    monitor.add_argument(
-        "telemetry_dirs",
+    inspect.add_argument(
+        "paths",
         nargs="+",
-        help="one or more --telemetry-dir outputs (each holding a "
-        "manifest.json and optionally decisions.jsonl)",
+        metavar="PATH",
+        help="one or more --telemetry-dir outputs (the directory, its "
+        "manifest.json, or its trace.jsonl); the health view trends all "
+        "of them together, the other views render each in turn",
     )
-    monitor.add_argument(
+    inspect.add_argument(
+        "--view",
+        choices=VIEW_NAMES,
+        default=None,
+        help="render one view only (default: all four, in this order)",
+    )
+    inspect.add_argument(
         "--html",
         default=None,
-        help="additionally write a self-contained HTML dashboard here",
+        metavar="OUT",
+        help="additionally write the same views as one self-contained "
+        "HTML page (the timeline becomes a per-lane flamegraph)",
     )
-    monitor.add_argument(
+    inspect.add_argument(
         "--reference",
         default="previous",
-        help="baseline for the reference-drift section: previous "
-        "(default), pinned:<day>, or rolling:<k>",
+        metavar="SPEC",
+        help="baseline for the health view's reference-drift section: "
+        "previous (default), pinned:<day>, or rolling:<k>",
     )
-    monitor.set_defaults(func=_run_monitor)
+    inspect.set_defaults(func=_run_inspect)
 
     chaos = sub.add_parser(
         "chaos",
@@ -1344,45 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(bench)
     _add_shard_flags(bench)
     bench.set_defaults(func=_run_bench)
-
-    telemetry = sub.add_parser(
-        "telemetry",
-        help="render the per-phase cost breakdown of a run manifest",
-    )
-    telemetry.add_argument("manifest", help="path to a manifest.json")
-    telemetry.set_defaults(func=_run_telemetry)
-
-    profile = sub.add_parser(
-        "profile",
-        help="phase-tree + hotspot resource view of a profiled run "
-        "(manifest written by track --telemetry-dir ... --profile)",
-    )
-    profile.add_argument(
-        "telemetry_dir",
-        help="a --telemetry-dir output (or a manifest.json path)",
-    )
-    profile.add_argument(
-        "--html",
-        default=None,
-        help="additionally write a self-contained HTML profile here",
-    )
-    profile.set_defaults(func=_run_profile)
-
-    trace = sub.add_parser(
-        "trace",
-        help="unified parent + pool-worker timeline of a run's trace.jsonl "
-        "(worker lanes need track --telemetry-dir ... --profile)",
-    )
-    trace.add_argument(
-        "telemetry_dir",
-        help="a --telemetry-dir output (or a trace.jsonl path)",
-    )
-    trace.add_argument(
-        "--html",
-        default=None,
-        help="additionally write a self-contained HTML flamegraph here",
-    )
-    trace.set_defaults(func=_run_trace)
 
     # Handled in main() before parsing so every flag forwards verbatim
     # to ``python -m tools.lint`` (argparse's REMAINDER mishandles a

@@ -217,7 +217,7 @@ class DomainTracker:
         # The day is graphed, labeled and pruned once; fit, calibration and
         # classify below all work on this one PreparedDay.  n_trace_rows
         # sizes the day's input on the span so the resource profile
-        # (``segugio profile``) can relate phase cost to volume.
+        # (``segugio inspect``) can relate phase cost to volume.
         with tracer.span(
             "segugio_tracker_prepare",
             day=context.day,

@@ -15,9 +15,10 @@ from __future__ import annotations
 import io
 import json
 import time
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.pipeline import SegugioConfig
+from repro.obs.manifest import TelemetryRun
 from repro.synth.scenario import Scenario
 
 #: schema of the ``BENCH_e2e.json`` payload emitted by ``bench --e2e``
@@ -51,85 +52,42 @@ def _campaign_contexts(scale: str, seed: int, isp: str, n_days: int):
     ]
 
 
-def _manifest_resources(
-    manifest: Mapping[str, object],
-) -> Tuple[Mapping[str, object], Mapping[str, object], Optional[object]]:
-    """``(throughput, units, peak_rss_mb)`` from a telemetry manifest."""
-    throughput: Mapping[str, object] = {}
-    units: Mapping[str, object] = {}
-    peak_rss_mb = None
-    resources = manifest.get("resources")
-    if isinstance(resources, Mapping):
-        raw = resources.get("throughput")
-        if isinstance(raw, Mapping):
-            throughput = raw
-        raw = resources.get("units")
-        if isinstance(raw, Mapping):
-            units = raw
-        process = resources.get("process")
-        if isinstance(process, Mapping):
-            peak_rss_mb = process.get("peak_rss_mb")
-    return throughput, units, peak_rss_mb
+def _profiled_leg(manifest: Mapping[str, object]) -> Dict[str, object]:
+    """What one profiled campaign's manifest contributes to the payload.
 
-
-def _manifest_worker_tracing(
-    manifest: Mapping[str, object],
-) -> Dict[str, object]:
-    """Worker-span accounting of a profiled run's manifest.
-
-    ``complete`` is True when every supervised pool task contributed
-    exactly one merged ``segugio_worker_task`` span and nothing was
-    quarantined or went missing (DESIGN.md §15) — the cross-process
-    tracing analogue of the bit-identity checks.
+    Throughput headlines and peak RSS from its ``resources`` summary, and
+    worker-span coverage: ``complete`` is True when every supervised pool
+    task contributed exactly one merged ``segugio_worker_task`` span and
+    nothing was quarantined or went missing (DESIGN.md §15) — the
+    cross-process tracing analogue of the bit-identity checks.
     """
-
-    def count_spans(spans: object) -> int:
-        total = 0
-        for span in spans if isinstance(spans, list) else []:
-            if isinstance(span, Mapping):
-                if span.get("name") == "segugio_worker_task":
-                    total += 1
-                total += count_spans(span.get("children"))
-        return total
-
-    resources = manifest.get("resources")
-    workers = (
-        resources.get("workers") if isinstance(resources, Mapping) else None
-    )
-    pool = resources.get("pool") if isinstance(resources, Mapping) else None
-    workers = workers if isinstance(workers, Mapping) else {}
-    pool = pool if isinstance(pool, Mapping) else {}
-    n_spans = count_spans(manifest.get("spans"))
-    n_merged = sum(
-        int(s.get("n_merged", 0) or 0)
-        for s in workers.values()
-        if isinstance(s, Mapping)
-    )
-    n_quarantined = sum(
-        int(s.get("n_quarantined", 0) or 0)
-        for s in workers.values()
-        if isinstance(s, Mapping)
-    )
-    n_missing = sum(
-        int(s.get("n_missing", 0) or 0)
-        for s in workers.values()
-        if isinstance(s, Mapping)
-    )
-    n_pool_tasks = sum(
-        int(s.get("n_tasks", 0) or 0)
-        for s in pool.values()
-        if isinstance(s, Mapping)
-    )
+    run = TelemetryRun(manifest)
+    resources = run.resources or {"throughput": {}, "units": {}, "process": {}}
+    counts = run.worker_accounting()
     return {
-        "n_worker_spans": n_spans,
-        "n_pool_tasks": n_pool_tasks,
-        "n_quarantined": n_quarantined,
-        "n_missing": n_missing,
-        "complete": (
-            n_spans == n_merged == n_pool_tasks
-            and n_quarantined == 0
-            and n_missing == 0
-        ),
+        "throughput": {
+            key: resources["throughput"].get(key)
+            for key in (
+                "trace_rows_per_s",
+                "graph_edges_per_s",
+                "domains_scored_per_s",
+            )
+        },
+        "units": dict(resources["units"]),
+        "peak_rss_mb": resources["process"].get("peak_rss_mb"),
+        "worker_tracing": {
+            "n_worker_spans": counts["n_worker_spans"],
+            "n_pool_tasks": counts["n_pool_tasks"],
+            "n_quarantined": counts["n_quarantined"],
+            "n_missing": counts["n_missing"],
+            "complete": (
+                counts["n_worker_spans"]
+                == counts["n_merged"]
+                == counts["n_pool_tasks"]
+                and counts["n_quarantined"] == 0
+                and counts["n_missing"] == 0
+            ),
+        },
     }
 
 
@@ -338,12 +296,7 @@ def run_e2e_bench(
         base_decisions == shard_decisions and base_ledger == shard_ledger
     )
     overhead_pct = overhead_estimate()
-    throughput, units, peak_rss_mb = _manifest_resources(manifest)
-    shard_throughput, shard_units, shard_peak = _manifest_resources(
-        shard_manifest
-    )
-    worker_tracing = _manifest_worker_tracing(manifest)
-    shard_worker_tracing = _manifest_worker_tracing(shard_manifest)
+    leg, shard_leg = _profiled_leg(manifest), _profiled_leg(shard_manifest)
     # Quick mode (max_rounds=repeats=1) collects a single base/profiled
     # pair, which on a steal-prone box is pure noise — one sample of a
     # distribution whose stdev we've measured at ~13 points.  The overhead
@@ -355,8 +308,8 @@ def run_e2e_bench(
         identical
         and shard_identical
         and (overhead_pct < E2E_OVERHEAD_GATE_PCT or not overhead_gated)
-        and bool(worker_tracing["complete"])
-        and bool(shard_worker_tracing["complete"])
+        and leg["worker_tracing"]["complete"]
+        and shard_leg["worker_tracing"]["complete"]
     )
     return {
         "schema_version": E2E_SCHEMA_VERSION,
@@ -375,37 +328,19 @@ def run_e2e_bench(
         },
         "baseline": {"seconds": base_s},
         "profiled": {"seconds": prof_s},
-        "throughput": {
-            "trace_rows_per_s": throughput.get("trace_rows_per_s"),
-            "graph_edges_per_s": throughput.get("graph_edges_per_s"),
-            "domains_scored_per_s": throughput.get("domains_scored_per_s"),
-        },
-        "units": dict(units),
-        "peak_rss_mb": peak_rss_mb,
+        **leg,
         "sharded": {
             "n_shards": int(n_shards),
             "batch_size": int(batch_size),
             "seconds": shard_s,
-            "throughput": {
-                "trace_rows_per_s": shard_throughput.get("trace_rows_per_s"),
-                "graph_edges_per_s": shard_throughput.get(
-                    "graph_edges_per_s"
-                ),
-                "domains_scored_per_s": shard_throughput.get(
-                    "domains_scored_per_s"
-                ),
-            },
-            "units": dict(shard_units),
-            "peak_rss_mb": shard_peak,
             "outputs_bit_identical": shard_identical,
-            "worker_tracing": shard_worker_tracing,
+            **shard_leg,
         },
         "profiling": {
             "overhead_pct": overhead_pct,
             "outputs_bit_identical": identical,
             "n_decision_records": base_decisions.count("\n"),
         },
-        "worker_tracing": worker_tracing,
         "gate": {
             "max_overhead_pct": E2E_OVERHEAD_GATE_PCT,
             "overhead_gated": overhead_gated,
@@ -414,18 +349,17 @@ def run_e2e_bench(
     }
 
 
-def render_e2e_bench(payload: Dict[str, object]) -> str:
+def render_e2e_bench(payload: Mapping[str, Any]) -> str:
     """Human-readable summary of a ``BENCH_e2e.json`` payload."""
     params = payload["params"]
-    throughput = payload["throughput"]
     profiling = payload["profiling"]
     gate = payload["gate"]
 
-    def per_s(key: str) -> str:
-        value = throughput.get(key)  # type: ignore[union-attr]
+    def per_s(leg: Mapping[str, Any], key: str) -> str:
+        value = leg["throughput"][key]
         return f"{float(value):.0f}/s" if value is not None else "n/a"
 
-    peak = payload.get("peak_rss_mb")
+    peak = payload["peak_rss_mb"]
     lines = [
         f"end-to-end benchmark (scale={params['scale']}, "
         f"seed={params['seed']}, days={params['n_days']}, "
@@ -433,52 +367,38 @@ def render_e2e_bench(payload: Dict[str, object]) -> str:
         f"  baseline: {payload['baseline']['seconds']:.3f}s, "
         f"profiled: {payload['profiled']['seconds']:.3f}s "
         f"(overhead {profiling['overhead_pct']:+.2f}%)",
-        f"  throughput: trace rows {per_s('trace_rows_per_s')}, "
-        f"graph edges {per_s('graph_edges_per_s')}, "
-        f"domains scored {per_s('domains_scored_per_s')}",
+        f"  throughput: trace rows {per_s(payload, 'trace_rows_per_s')}, "
+        f"graph edges {per_s(payload, 'graph_edges_per_s')}, "
+        f"domains scored {per_s(payload, 'domains_scored_per_s')}",
         f"  peak rss: "
         + (f"{float(peak):.1f} MB" if peak is not None else "n/a"),
         f"  outputs bit-identical with profiling: "
         f"{profiling['outputs_bit_identical']} "
         f"({profiling['n_decision_records']} decision records)",
     ]
-    worker_tracing = payload.get("worker_tracing")
-    if isinstance(worker_tracing, Mapping):
-        lines.append(
-            f"  worker tracing: {worker_tracing['n_worker_spans']} span(s) "
-            f"merged for {worker_tracing['n_pool_tasks']} pool task(s), "
-            f"{worker_tracing['n_quarantined']} quarantined, "
-            f"{worker_tracing['n_missing']} missing "
-            f"(complete: {worker_tracing['complete']})"
-        )
-    sharded = payload.get("sharded")
-    if isinstance(sharded, Mapping):
-        sh_tp = sharded.get("throughput")
-
-        def sh_per_s(key: str) -> str:
-            value = sh_tp.get(key) if isinstance(sh_tp, Mapping) else None
-            return f"{float(value):.0f}/s" if value is not None else "n/a"
-
-        sh_peak = sharded.get("peak_rss_mb")
-        lines += [
-            f"  sharded ({sharded['n_shards']} shards, "
-            f"batch {sharded['batch_size']}): "
-            f"{float(sharded['seconds']):.3f}s, "
-            f"trace rows {sh_per_s('trace_rows_per_s')}, "
-            f"graph edges {sh_per_s('graph_edges_per_s')}, "
-            f"domains scored {sh_per_s('domains_scored_per_s')}, "
-            f"peak rss "
-            + (
-                f"{float(sh_peak):.1f} MB"
-                if sh_peak is not None
-                else "n/a"
-            ),
-            f"  outputs bit-identical with sharding: "
-            f"{sharded['outputs_bit_identical']}",
-        ]
+    worker_tracing = payload["worker_tracing"]
+    sharded = payload["sharded"]
+    sh_peak = sharded["peak_rss_mb"]
+    lines += [
+        f"  worker tracing: {worker_tracing['n_worker_spans']} span(s) "
+        f"merged for {worker_tracing['n_pool_tasks']} pool task(s), "
+        f"{worker_tracing['n_quarantined']} quarantined, "
+        f"{worker_tracing['n_missing']} missing "
+        f"(complete: {worker_tracing['complete']})",
+        f"  sharded ({sharded['n_shards']} shards, "
+        f"batch {sharded['batch_size']}): "
+        f"{float(sharded['seconds']):.3f}s, "
+        f"trace rows {per_s(sharded, 'trace_rows_per_s')}, "
+        f"graph edges {per_s(sharded, 'graph_edges_per_s')}, "
+        f"domains scored {per_s(sharded, 'domains_scored_per_s')}, "
+        f"peak rss "
+        + (f"{float(sh_peak):.1f} MB" if sh_peak is not None else "n/a"),
+        f"  outputs bit-identical with sharding: "
+        f"{sharded['outputs_bit_identical']}",
+    ]
     overhead_term = (
         f"overhead < {gate['max_overhead_pct']:.0f}%"
-        if gate.get("overhead_gated", True)
+        if gate["overhead_gated"]
         else "overhead advisory"
     )
     lines.append(

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.pipeline import SegugioConfig
 from repro.core.tracker import DayReport, DomainTracker
+from repro.obs.manifest import TelemetryRun
 from repro.obs.monitor import STATUS_OK, AlertRule
 from repro.obs.run import RunTelemetry
 from repro.runtime.checkpoint import config_to_dict
@@ -237,7 +238,7 @@ def run_chaos(
                     break
                 tracker.telemetry = telemetry
     manifest_path, _ = telemetry.write(out_dir)
-    manifest = telemetry.build_manifest()
+    run = TelemetryRun.open(out_dir)
 
     # --- invariants ---------------------------------------------------- #
     report_out = ChaosReport(
@@ -306,7 +307,7 @@ def run_chaos(
     )
 
     if plan.n_fired:
-        recorded = bool(manifest.get("runtime_events"))
+        recorded = bool(run.runtime_events)
         add(
             Invariant(
                 "degradations_recorded",
@@ -316,8 +317,7 @@ def run_chaos(
                 else "faults fired but the manifest records no degradation events",
             )
         )
-        health = manifest.get("health")
-        status = health.get("status") if isinstance(health, dict) else None
+        status = run.health.get("status")
         add(
             Invariant(
                 "health_reflects_degradation",
@@ -340,23 +340,11 @@ def run_chaos(
     )
 
     if profile:
-        add(_worker_span_invariant(manifest, completed))
+        add(_worker_span_invariant(run, completed))
     return report_out
 
 
-def _count_worker_spans(spans: object) -> int:
-    total = 0
-    for span in spans if isinstance(spans, list) else []:
-        if isinstance(span, dict):
-            if span.get("name") == "segugio_worker_task":
-                total += 1
-            total += _count_worker_spans(span.get("children"))
-    return total
-
-
-def _worker_span_invariant(
-    manifest: Dict[str, object], completed: bool
-) -> Invariant:
+def _worker_span_invariant(run: TelemetryRun, completed: bool) -> Invariant:
     """Worker spans survive faults or are cleanly quarantined.
 
     A profiled chaos run must account for every supervised pool task: the
@@ -368,36 +356,19 @@ def _worker_span_invariant(
     ``worker_spans_quarantined`` warning — degraded observability is
     reported, never silent (DESIGN.md §15).
     """
-    resources = manifest.get("resources")
-    workers = resources.get("workers") if isinstance(resources, dict) else None
-    pool = resources.get("pool") if isinstance(resources, dict) else None
-    workers = workers if isinstance(workers, dict) else {}
-    pool = pool if isinstance(pool, dict) else {}
-    n_spans = _count_worker_spans(manifest.get("spans"))
-    n_merged = sum(int(s.get("n_merged", 0) or 0) for s in workers.values())
-    n_quarantined = sum(
-        int(s.get("n_quarantined", 0) or 0) for s in workers.values()
-    )
-    n_missing = sum(int(s.get("n_missing", 0) or 0) for s in workers.values())
-    per_label_ok = all(
-        int(workers.get(label, {}).get("n_merged", -1) or -1)
-        == int(stats.get("n_tasks", 0) or 0)
-        for label, stats in pool.items()
-        if isinstance(stats, dict)
-    )
-    health = manifest.get("health")
-    reasons = health.get("reasons") if isinstance(health, dict) else None
+    counts = run.worker_accounting()
+    n_spans, n_merged = counts["n_worker_spans"], counts["n_merged"]
+    n_quarantined, n_missing = counts["n_quarantined"], counts["n_missing"]
+    accounted = n_spans == n_merged and counts["merged_per_label"]
     loss_flagged = any(
-        isinstance(reason, dict)
-        and reason.get("rule") == "worker_spans_quarantined"
-        for reason in (reasons if isinstance(reasons, list) else [])
+        reason.get("rule") == "worker_spans_quarantined"
+        for reason in run.health["reasons"]
     )
     ok = (
         completed
         and n_merged > 0
-        and n_spans == n_merged
+        and accounted
         and n_missing == 0
-        and per_label_ok
         and (n_quarantined == 0 or loss_flagged)
     )
     detail = (
@@ -410,7 +381,7 @@ def _worker_span_invariant(
         )
     )
     if not ok:
-        if n_spans != n_merged or not per_label_ok:
+        if not accounted:
             detail += "; merged span count disagrees with pool task accounting"
         if n_missing:
             detail += "; completed task(s) lost their sidecar record"

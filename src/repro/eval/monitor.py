@@ -1,61 +1,20 @@
-"""The ``segugio monitor`` dashboard: multi-day quality trends from artifacts.
+"""Trend analysis behind the ``segugio inspect`` health view.
 
-Renders a text (and optionally HTML) dashboard over one or more telemetry
-directories written by ``segugio track --telemetry-dir`` — the run
-manifests, per-day drift summaries, health verdicts, and (when present)
-``decisions.jsonl`` — so an operator can watch a long-running tracker
-without re-running anything:
-
-* a per-day trend table (scored volume, detections, threshold, drift
-  statistics, health) across all loaded runs, in day order;
-* sparkline deltas for the headline series;
-* every tripped alert rule, with its value and threshold;
-* a decision-verdict breakdown per day (scored / pruned / labeled /
-  detected) from the decision-provenance records;
-* the last day's per-feature drift table;
-* optionally (``--reference pinned:<day>`` / ``rolling:<k>``) a
-  reference-drift table comparing each day's headline counters against a
-  pinned known-good day or a rolling mean instead of only the previous
-  day — the built-in drift summaries are always day-over-day.
-
-Everything is computed from the artifacts alone — the dashboard is a pure
-function of the telemetry directory contents, deterministic and offline.
-
-Status is always rendered as *symbol + word* (``[+] ok`` / ``[!] warn`` /
-``[x] alert``), never as color alone; the HTML variant adds color on top
-of the same text.
+The pieces of the multi-day quality dashboard that hide an algorithm:
+min-max block sparklines for the headline series, and the
+reference-drift comparison (``--reference pinned:<day>`` /
+``rolling:<k>``) of each day's headline counters against a pinned
+known-good day or a rolling mean instead of only the previous day — the
+drift summaries a manifest carries are always day-over-day.  The view
+itself is :func:`repro.eval.views.health_view`.
 """
 
 from __future__ import annotations
 
-import html
 import math
-import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.manifest import MANIFEST_FILENAME, ManifestError, load_manifest
-from repro.obs.monitor import STATUS_OK, worst_status
-from repro.obs.provenance import DECISIONS_FILENAME, load_decisions
-
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-#: status -> (ascii badge, css class) — symbol + word, never color alone
-_BADGES = {
-    "ok": ("[+] ok", "ok"),
-    "warn": ("[!] warn", "warn"),
-    "alert": ("[x] alert", "alert"),
-    "unknown": ("[?] unknown", "unknown"),
-}
-
-
-class MonitorError(ValueError):
-    """No usable telemetry found at the given locations."""
-
-
-#: valid ``--reference`` modes: what baseline the headline series are
-#: compared against in the reference-drift section
-REFERENCE_MODES = ("previous", "pinned", "rolling")
 
 #: headline day-record series the reference-drift section compares
 _REFERENCE_METRICS = (
@@ -71,7 +30,7 @@ def parse_reference(spec: str) -> Tuple[str, Optional[int]]:
     ``previous`` (the default day-over-day comparison), ``pinned:<day>``
     (every day compared against one known-good day), or ``rolling:<k>``
     (each day compared against the mean of its previous *k* days).
-    Raises :class:`MonitorError` with the offending spec on anything else.
+    Raises :class:`ValueError` with the offending spec on anything else.
     """
     if spec == "previous":
         return "previous", None
@@ -80,15 +39,15 @@ def parse_reference(spec: str) -> Tuple[str, Optional[int]]:
         try:
             value = int(raw)
         except ValueError:
-            raise MonitorError(
+            raise ValueError(
                 f"--reference {spec!r}: {raw!r} is not an integer"
             ) from None
         if mode == "rolling" and value < 1:
-            raise MonitorError(
+            raise ValueError(
                 f"--reference {spec!r}: window must be a positive day count"
             )
         return mode, value
-    raise MonitorError(
+    raise ValueError(
         f"--reference {spec!r}: expected previous, pinned:<day>, or "
         f"rolling:<k>"
     )
@@ -101,7 +60,7 @@ def reference_deltas(
 
     Returns one row per comparable day: ``{"day", "metric", "value",
     "reference", "delta_pct"}`` (``delta_pct`` is None when the baseline
-    is zero).  ``pinned`` mode raises :class:`MonitorError` when the
+    is zero).  ``pinned`` mode raises :class:`ValueError` when the
     pinned day is not among the loaded records; ``rolling`` mode skips
     days with no history yet.  ``previous`` mode returns nothing — that
     comparison is already the drift summary in every manifest.
@@ -119,7 +78,7 @@ def reference_deltas(
         )
         if pinned is None:
             known = ", ".join(str(d.get("day", "?")) for d in days) or "none"
-            raise MonitorError(
+            raise ValueError(
                 f"--reference pinned:{parameter}: day {parameter} is not "
                 f"among the loaded day records (loaded: {known})"
             )
@@ -156,62 +115,10 @@ def reference_deltas(
     return rows
 
 
-def _reference_title(mode: str, parameter: Optional[int]) -> str:
+def reference_title(mode: str, parameter: Optional[int]) -> str:
     if mode == "pinned":
         return f"reference drift vs pinned day {parameter}:"
     return f"reference drift vs rolling mean of previous {parameter} day(s):"
-
-
-@dataclass
-class RunSummary:
-    """One loaded telemetry directory."""
-
-    path: str
-    manifest: Dict[str, object]
-    decisions: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def days(self) -> List[Mapping[str, object]]:
-        days = self.manifest.get("days", [])
-        return days if isinstance(days, list) else []
-
-    @property
-    def health(self) -> Mapping[str, object]:
-        health = self.manifest.get("health")
-        return health if isinstance(health, Mapping) else {"status": "unknown"}
-
-
-def load_runs(paths: Sequence[str]) -> List[RunSummary]:
-    """Load telemetry dirs (manifest required, decisions optional).
-
-    Raises :class:`MonitorError` naming every unusable path — a missing
-    directory or a directory without a readable manifest is an error, not
-    a silent skip, so a typo'd path can't masquerade as a healthy run.
-    """
-    runs: List[RunSummary] = []
-    problems: List[str] = []
-    for path in paths:
-        manifest_path = os.path.join(path, MANIFEST_FILENAME)
-        if not os.path.isdir(path):
-            problems.append(f"{path}: not a directory")
-            continue
-        try:
-            manifest = load_manifest(manifest_path)
-        except ManifestError as error:
-            problems.append(str(error))
-            continue
-        decisions: List[Dict[str, object]] = []
-        decisions_path = os.path.join(path, DECISIONS_FILENAME)
-        if os.path.exists(decisions_path):
-            decisions = load_decisions(decisions_path)
-        runs.append(RunSummary(path=path, manifest=manifest, decisions=decisions))
-    if problems:
-        raise MonitorError(
-            "unusable telemetry location(s):\n  " + "\n  ".join(problems)
-        )
-    if not runs:
-        raise MonitorError("no telemetry directories given")
-    return runs
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -231,380 +138,3 @@ def sparkline(values: Sequence[float]) -> str:
         ]
         for v in values
     )
-
-
-def _badge(status: str) -> str:
-    return _BADGES.get(status, _BADGES["unknown"])[0]
-
-
-def _drift_value(day: Mapping[str, object], *path: str) -> Optional[float]:
-    node: object = day
-    for part in path:
-        if not isinstance(node, Mapping) or part not in node:
-            return None
-        node = node[part]
-    try:
-        return float(node)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return None
-
-
-def _fmt(value: Optional[float], spec: str = ".3f") -> str:
-    return format(value, spec) if value is not None else "-"
-
-
-def _all_days(
-    runs: Sequence[RunSummary],
-) -> List[Tuple[RunSummary, Mapping[str, object]]]:
-    rows = [(run, day) for run in runs for day in run.days]
-    rows.sort(key=lambda pair: (int(pair[1].get("day", 0) or 0), pair[0].path))
-    return rows
-
-
-def _decision_breakdown(run: RunSummary) -> Dict[int, Dict[str, int]]:
-    """Per-day verdict counts from one run's decision records."""
-    out: Dict[int, Dict[str, int]] = {}
-    for record in run.decisions:
-        day = int(record.get("day", -1) or -1)
-        row = out.setdefault(
-            day, {"scored": 0, "pruned": 0, "labeled": 0, "detected": 0}
-        )
-        verdict = str(record.get("verdict", "?"))
-        if verdict in row:
-            row[verdict] += 1
-        if record.get("detected"):
-            row["detected"] += 1
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# text dashboard
-# ---------------------------------------------------------------------- #
-
-
-def render_monitor(
-    runs: Sequence[RunSummary], reference: str = "previous"
-) -> str:
-    """The text dashboard over all loaded runs.
-
-    *reference* selects the baseline for the reference-drift section (see
-    :func:`parse_reference`); the default ``previous`` adds nothing beyond
-    the manifests' built-in day-over-day drift summaries.
-    """
-    mode, parameter = parse_reference(reference)
-    rows = _all_days(runs)
-    overall = worst_status(str(run.health.get("status", "unknown")) for run in runs)
-    lines = [
-        f"segugio monitor — {len(runs)} run(s), {len(rows)} tracked day(s), "
-        f"overall health {_badge(overall)}"
-    ]
-    for run in runs:
-        manifest = run.manifest
-        line = (
-            f"  {run.path}: run {manifest.get('run_id', '?')} "
-            f"({manifest.get('command', '?')}), {len(run.days)} day(s), "
-            f"{len(run.decisions)} decision record(s), "
-            f"health {_badge(str(run.health.get('status', 'unknown')))}"
-        )
-        # profiled runs (track --profile) carry an additive resources key;
-        # surface the headline number and point at the dedicated view
-        resources = manifest.get("resources")
-        if isinstance(resources, Mapping):
-            process = resources.get("process")
-            peak = (
-                process.get("peak_rss_mb")
-                if isinstance(process, Mapping)
-                else None
-            )
-            if peak is not None:
-                line += f", peak rss {float(peak):.1f} MB (profiled)"
-            else:
-                line += ", profiled"
-        lines.append(line)
-    if not rows:
-        lines.append("")
-        lines.append("no day records in any manifest — nothing to trend.")
-        return "\n".join(lines)
-
-    header = (
-        f"{'day':>5} {'scored':>7} {'new':>5} {'repeat':>7} {'thresh':>7} "
-        f"{'score_psi':>10} {'feat_psi':>9} {'churn%':>7} {'health':>10}"
-    )
-    lines.append("")
-    lines.append("per-day trend:")
-    lines.append(header)
-    for _run, day in rows:
-        health = day.get("health")
-        status = (
-            str(health.get("status", "unknown"))
-            if isinstance(health, Mapping)
-            else "unknown"
-        )
-        threshold = day.get("threshold")
-        lines.append(
-            f"{day.get('day', '?'):>5} "
-            f"{int(day.get('n_scored', 0) or 0):>7} "
-            f"{int(day.get('n_new_detections', 0) or 0):>5} "
-            f"{int(day.get('n_repeat_detections', 0) or 0):>7} "
-            f"{_fmt(float(threshold) if threshold is not None else None):>7} "
-            f"{_fmt(_drift_value(day, 'drift', 'score', 'psi')):>10} "
-            f"{_fmt(_drift_value(day, 'drift', 'features_max', 'psi')):>9} "
-            f"{_fmt(_drift_value(day, 'drift', 'labels', 'churn_pct'), '.1f'):>7} "
-            f"{_badge(status):>10}"
-        )
-
-    series = [
-        ("scored", [float(d.get("n_scored", 0) or 0) for _, d in rows]),
-        (
-            "new detections",
-            [float(d.get("n_new_detections", 0) or 0) for _, d in rows],
-        ),
-        (
-            "threshold",
-            [float(d.get("threshold", 0) or 0) for _, d in rows],
-        ),
-        (
-            "score psi",
-            [
-                v
-                for _, d in rows
-                if (v := _drift_value(d, "drift", "score", "psi")) is not None
-            ],
-        ),
-    ]
-    lines.append("")
-    lines.append("trend sparklines (min-max scaled per series):")
-    for name, values in series:
-        if values:
-            lines.append(f"  {name:<16s} {sparkline(values)}")
-
-    if mode != "previous":
-        deltas = reference_deltas([d for _, d in rows], mode, parameter)
-        lines.append("")
-        lines.append(_reference_title(mode, parameter))
-        if deltas:
-            lines.append(
-                f"{'day':>5} {'metric':>16} {'value':>10} {'reference':>10} "
-                f"{'delta':>8}"
-            )
-            for row in deltas:
-                delta = row["delta_pct"]
-                delta_text = (
-                    f"{float(delta):+.1f}%" if delta is not None else "-"  # type: ignore[arg-type]
-                )
-                lines.append(
-                    f"{row['day']:>5} {str(row['metric']):>16} "
-                    f"{float(row['value']):>10.3f} "  # type: ignore[arg-type]
-                    f"{float(row['reference']):>10.3f} "  # type: ignore[arg-type]
-                    f"{delta_text:>8}"
-                )
-        else:
-            lines.append("  no comparable days yet")
-
-    reasons = [
-        (day.get("day", "?"), reason)
-        for _run, day in rows
-        if isinstance(day.get("health"), Mapping)
-        for reason in day["health"].get("reasons", [])  # type: ignore[index, union-attr]
-        if isinstance(reason, Mapping)
-    ]
-    lines.append("")
-    if reasons:
-        lines.append("tripped alert rules:")
-        for day_number, reason in reasons:
-            lines.append(
-                f"  day {day_number}: {_badge(str(reason.get('status', '?')))} "
-                f"{reason.get('message', reason.get('rule', '?'))}"
-            )
-    else:
-        lines.append("tripped alert rules: none")
-
-    breakdowns = [
-        (run, _decision_breakdown(run)) for run in runs if run.decisions
-    ]
-    if breakdowns:
-        lines.append("")
-        lines.append("decision verdicts per day (from decisions.jsonl):")
-        lines.append(
-            f"{'day':>5} {'scored':>7} {'pruned':>7} {'labeled':>8} "
-            f"{'detected':>9}"
-        )
-        for _run, by_day in breakdowns:
-            for day_number in sorted(by_day):
-                row = by_day[day_number]
-                lines.append(
-                    f"{day_number:>5} {row['scored']:>7} {row['pruned']:>7} "
-                    f"{row['labeled']:>8} {row['detected']:>9}"
-                )
-
-    last_features = None
-    for _run, day in reversed(rows):
-        drift = day.get("drift")
-        if isinstance(drift, Mapping) and isinstance(
-            drift.get("features"), Mapping
-        ):
-            last_features = (day.get("day", "?"), drift["features"])
-            break
-    if last_features is not None:
-        day_number, per_feature = last_features
-        lines.append("")
-        lines.append(f"per-feature drift, day {day_number} vs previous:")
-        lines.append(f"  {'feature':<24s} {'psi':>8} {'ks':>8}")
-        for name in per_feature:  # type: ignore[union-attr]
-            stats = per_feature[name]  # type: ignore[index]
-            lines.append(
-                f"  {name:<24s} "
-                f"{_fmt(_drift_value(stats, 'psi')):>8} "
-                f"{_fmt(_drift_value(stats, 'ks')):>8}"
-            )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# HTML dashboard
-# ---------------------------------------------------------------------- #
-
-_HTML_STYLE = """
-  body { font-family: ui-monospace, 'SF Mono', Menlo, Consolas, monospace;
-         margin: 2rem auto; max-width: 72rem; padding: 0 1rem;
-         background: #ffffff; color: #1f2430; }
-  h1 { font-size: 1.2rem; } h2 { font-size: 1rem; margin-top: 2rem; }
-  table { border-collapse: collapse; margin: 0.75rem 0; }
-  th, td { padding: 0.3rem 0.8rem; text-align: right;
-           border-bottom: 1px solid #e3e6ec; }
-  th { color: #5a6172; font-weight: 600; }
-  td.name, th.name { text-align: left; }
-  .spark { color: #5878a8; letter-spacing: 1px; }
-  .badge { font-weight: 600; }
-  .badge.ok { color: #2c6e49; } .badge.warn { color: #8a6d1a; }
-  .badge.alert { color: #a23b3b; } .badge.unknown { color: #5a6172; }
-  p.meta { color: #5a6172; }
-"""
-
-
-def _html_badge(status: str) -> str:
-    text, css = _BADGES.get(status, _BADGES["unknown"])
-    return f'<span class="badge {css}">{html.escape(text)}</span>'
-
-
-def render_monitor_html(
-    runs: Sequence[RunSummary], reference: str = "previous"
-) -> str:
-    """Self-contained HTML version of the dashboard (same content)."""
-    mode, parameter = parse_reference(reference)
-    rows = _all_days(runs)
-    overall = worst_status(str(run.health.get("status", "unknown")) for run in runs)
-    parts = [
-        "<!doctype html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>segugio monitor</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>segugio monitor — overall health {_html_badge(overall)}</h1>",
-        f'<p class="meta">{len(runs)} run(s), {len(rows)} tracked day(s).</p>',
-    ]
-    for run in runs:
-        manifest = run.manifest
-        parts.append(
-            '<p class="meta">'
-            f"{html.escape(run.path)}: run {html.escape(str(manifest.get('run_id', '?')))} "
-            f"({html.escape(str(manifest.get('command', '?')))}), "
-            f"{len(run.days)} day(s), {len(run.decisions)} decision record(s), "
-            f"health {_html_badge(str(run.health.get('status', 'unknown')))}</p>"
-        )
-    if rows:
-        parts.append("<h2>Per-day trend</h2>")
-        parts.append(
-            "<table><tr><th>day</th><th>scored</th><th>new</th><th>repeat</th>"
-            "<th>threshold</th><th>score psi</th><th>feature psi</th>"
-            "<th>label churn %</th><th>health</th></tr>"
-        )
-        for _run, day in rows:
-            health = day.get("health")
-            status = (
-                str(health.get("status", "unknown"))
-                if isinstance(health, Mapping)
-                else "unknown"
-            )
-            threshold = day.get("threshold")
-            parts.append(
-                "<tr>"
-                f"<td>{day.get('day', '?')}</td>"
-                f"<td>{int(day.get('n_scored', 0) or 0)}</td>"
-                f"<td>{int(day.get('n_new_detections', 0) or 0)}</td>"
-                f"<td>{int(day.get('n_repeat_detections', 0) or 0)}</td>"
-                f"<td>{_fmt(float(threshold) if threshold is not None else None)}</td>"
-                f"<td>{_fmt(_drift_value(day, 'drift', 'score', 'psi'))}</td>"
-                f"<td>{_fmt(_drift_value(day, 'drift', 'features_max', 'psi'))}</td>"
-                f"<td>{_fmt(_drift_value(day, 'drift', 'labels', 'churn_pct'), '.1f')}</td>"
-                f"<td>{_html_badge(status)}</td>"
-                "</tr>"
-            )
-        parts.append("</table>")
-
-        scored = [float(d.get("n_scored", 0) or 0) for _, d in rows]
-        psi = [
-            v
-            for _, d in rows
-            if (v := _drift_value(d, "drift", "score", "psi")) is not None
-        ]
-        parts.append("<h2>Trends</h2><table>")
-        parts.append(
-            f'<tr><th class="name">scored</th>'
-            f'<td class="spark">{sparkline(scored)}</td></tr>'
-        )
-        if psi:
-            parts.append(
-                f'<tr><th class="name">score psi</th>'
-                f'<td class="spark">{sparkline(psi)}</td></tr>'
-            )
-        parts.append("</table>")
-
-        if mode != "previous":
-            deltas = reference_deltas([d for _, d in rows], mode, parameter)
-            parts.append(
-                f"<h2>{html.escape(_reference_title(mode, parameter).rstrip(':'))}</h2>"
-            )
-            if deltas:
-                parts.append(
-                    "<table><tr><th>day</th><th>metric</th><th>value</th>"
-                    "<th>reference</th><th>delta</th></tr>"
-                )
-                for row in deltas:
-                    delta = row["delta_pct"]
-                    delta_text = (
-                        f"{float(delta):+.1f}%" if delta is not None else "-"  # type: ignore[arg-type]
-                    )
-                    parts.append(
-                        f"<tr><td>{row['day']}</td>"
-                        f'<td class="name">{html.escape(str(row["metric"]))}</td>'
-                        f"<td>{float(row['value']):.3f}</td>"  # type: ignore[arg-type]
-                        f"<td>{float(row['reference']):.3f}</td>"  # type: ignore[arg-type]
-                        f"<td>{delta_text}</td></tr>"
-                    )
-                parts.append("</table>")
-            else:
-                parts.append('<p class="meta">no comparable days yet</p>')
-
-        reasons = [
-            (day.get("day", "?"), reason)
-            for _run, day in rows
-            if isinstance(day.get("health"), Mapping)
-            for reason in day["health"].get("reasons", [])  # type: ignore[index, union-attr]
-            if isinstance(reason, Mapping)
-        ]
-        parts.append("<h2>Tripped alert rules</h2>")
-        if reasons:
-            parts.append("<table><tr><th>day</th><th>status</th>"
-                         '<th class="name">reason</th></tr>')
-            for day_number, reason in reasons:
-                parts.append(
-                    f"<tr><td>{day_number}</td>"
-                    f"<td>{_html_badge(str(reason.get('status', '?')))}</td>"
-                    f'<td class="name">'
-                    f"{html.escape(str(reason.get('message', '?')))}</td></tr>"
-                )
-            parts.append("</table>")
-        else:
-            parts.append('<p class="meta">none</p>')
-    parts.append("</body></html>")
-    return "\n".join(parts)

@@ -1,66 +1,28 @@
-"""The ``segugio profile`` view: where a tracking run spent its resources.
+"""Resource analysis behind the ``segugio inspect`` profile view.
 
-Renders a phase-tree + hotspot breakdown over one telemetry directory
-written by ``segugio track --telemetry-dir ... --profile`` — pure
-post-processing of the run manifest, in the same visual language as
-``segugio monitor`` (text first, optional self-contained HTML; status is
-always symbol + word, never color alone):
-
-* a process summary (wall, CPU, utilization, peak RSS, I/O, sampler
-  coverage);
-* the span tree with per-node wall / CPU / peak-RSS columns, siblings
-  aggregated by name so multi-day runs stay readable;
-* phase hotspots ranked by CPU seconds (the §IV-G table, ranked);
-* throughput gauges (trace rows/s, graph edges/s, domains scored/s);
-* supervised-pool utilization per task label: worker busy time,
-  queue-wait, and the task-latency histogram;
-* resource-budget verdicts folded into the run health.
-
-A manifest written without ``--profile`` has no ``resources`` key; the
-view then renders the wall-clock span tree with ``n/a`` resource columns
-instead of failing, so the command is safe to point at any telemetry dir.
+The pieces of the phase-tree + hotspot breakdown that hide an algorithm,
+each a pure function of a run manifest: same-named span siblings merged
+into an aggregate tree (so multi-day runs stay readable), phases ranked
+by CPU seconds (the §IV-G table, ranked), per-shard / per-tree-block wall
+attribution from the merged worker spans, the p95 read of a pool's
+task-latency histogram, and the budget verdicts folded into run health.
+A manifest written without ``--profile`` has no ``resources`` key; CPU
+and RSS columns are then ``None`` rather than an error.  Keys may be
+missing, but what is present is expected in the shape
+:class:`repro.obs.manifest.TelemetryRun` guarantees (only
+:func:`aggregate_spans` also takes a raw, possibly junk-ridden forest).
+The view itself is :func:`repro.eval.views.profile_view`.
 """
 
 from __future__ import annotations
 
-import html
-import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.eval.monitor import (
-    _HTML_STYLE,
-    _badge,
-    _fmt,
-    _html_badge,
-)
-from repro.obs.manifest import (
-    MANIFEST_FILENAME,
-    ManifestError,
-    load_manifest,
-)
+from repro.obs.manifest import WORKER_TASK_SPAN
 from repro.obs.resources import LATENCY_BUCKETS
 
 #: hotspot rows shown in the ranked table
 HOTSPOT_LIMIT = 12
-
-#: per-task attribution rows shown per pool label
-ATTRIBUTION_LIMIT = 12
-
-
-class ProfileError(ValueError):
-    """No usable run manifest at the given location."""
-
-
-def load_profile(path: str) -> Dict[str, object]:
-    """Load the run manifest from a telemetry directory (or file path)."""
-    manifest_path = (
-        os.path.join(path, MANIFEST_FILENAME) if os.path.isdir(path) else path
-    )
-    try:
-        return load_manifest(manifest_path)
-    except ManifestError as error:
-        raise ProfileError(str(error)) from None
-
 
 # ---------------------------------------------------------------------- #
 # span-tree aggregation
@@ -68,8 +30,8 @@ def load_profile(path: str) -> Dict[str, object]:
 
 
 def aggregate_spans(
-    spans: Sequence[Mapping[str, object]],
-) -> List[Dict[str, object]]:
+    spans: Sequence[Mapping[str, Any]],
+) -> List[Dict[str, Any]]:
     """Merge same-named siblings of a span forest into aggregate nodes.
 
     Each node carries ``{name, n, wall_s, cpu_s, peak_rss_mb, children}``
@@ -78,16 +40,16 @@ def aggregate_spans(
     when no merged span carried a ``resources`` attribute (unprofiled
     runs), which renders as ``n/a``.
     """
-    order: List[Dict[str, object]] = []
-    by_name: Dict[str, Dict[str, object]] = {}
-    pending: Dict[str, List[Mapping[str, object]]] = {}
+    order: List[Dict[str, Any]] = []
+    by_name: Dict[str, Dict[str, Any]] = {}
+    pending: Dict[str, List[Mapping[str, Any]]] = {}
     for span in spans:
         if not isinstance(span, Mapping):
             continue
         name = str(span.get("name", "?"))
         node = by_name.get(name)
         if node is None:
-            node = {
+            node = by_name[name] = {
                 "name": name,
                 "n": 0,
                 "wall_s": 0.0,
@@ -95,133 +57,87 @@ def aggregate_spans(
                 "peak_rss_mb": None,
                 "children": [],
             }
-            by_name[name] = node
             order.append(node)
             pending[name] = []
-        node["n"] = int(node["n"]) + 1  # type: ignore[arg-type]
-        try:
-            node["wall_s"] = float(node["wall_s"]) + float(  # type: ignore[arg-type]
-                span.get("duration", 0.0) or 0.0
-            )
-        except (TypeError, ValueError):
-            pass
-        attributes = span.get("attributes")
-        resources = (
-            attributes.get("resources")
-            if isinstance(attributes, Mapping)
-            else None
-        )
-        if isinstance(resources, Mapping):
-            cpu = resources.get("cpu_s")
-            if cpu is not None:
-                node["cpu_s"] = round(
-                    (float(node["cpu_s"]) if node["cpu_s"] is not None else 0.0)  # type: ignore[arg-type]
-                    + float(cpu),  # type: ignore[arg-type]
-                    6,
-                )
-            rss = resources.get("peak_rss_mb")
-            if rss is not None:
-                prior = node["peak_rss_mb"]
-                node["peak_rss_mb"] = round(
-                    float(rss)  # type: ignore[arg-type]
-                    if prior is None
-                    else max(float(prior), float(rss)),  # type: ignore[arg-type]
-                    3,
-                )
-        children = span.get("children")
-        if isinstance(children, list):
-            pending[name].extend(children)
+        node["n"] += 1
+        node["wall_s"] += span.get("duration") or 0.0
+        resources = (span.get("attributes") or {}).get("resources") or {}
+        cpu, rss = resources.get("cpu_s"), resources.get("peak_rss_mb")
+        if cpu is not None:
+            node["cpu_s"] = round((node["cpu_s"] or 0.0) + cpu, 6)
+        if rss is not None:
+            node["peak_rss_mb"] = round(max(node["peak_rss_mb"] or rss, rss), 3)
+        pending[name].extend(span.get("children") or ())
     for node in order:
-        node["children"] = aggregate_spans(pending[str(node["name"])])
+        node["children"] = aggregate_spans(pending[node["name"]])
     return order
 
 
-def _tree_rows(
-    nodes: Sequence[Mapping[str, object]],
+def tree_rows(
+    nodes: Sequence[Mapping[str, Any]],
     total_wall: float,
     depth: int = 0,
-) -> List[Tuple[int, Mapping[str, object], Optional[float]]]:
-    rows: List[Tuple[int, Mapping[str, object], Optional[float]]] = []
+) -> List[Tuple[int, Mapping[str, Any], Optional[float]]]:
+    """The aggregate tree flattened depth-first into ``(depth, node, share
+    of *total_wall* in percent)`` rows."""
+    rows: List[Tuple[int, Mapping[str, Any], Optional[float]]] = []
     for node in nodes:
-        share = (
-            float(node["wall_s"]) / total_wall * 100.0  # type: ignore[arg-type]
-            if total_wall > 0
-            else None
-        )
+        share = node["wall_s"] / total_wall * 100.0 if total_wall > 0 else None
         rows.append((depth, node, share))
-        rows.extend(
-            _tree_rows(node.get("children", []), total_wall, depth + 1)  # type: ignore[arg-type]
-        )
+        rows.extend(tree_rows(node["children"], total_wall, depth + 1))
     return rows
 
 
 def phase_hotspots(
-    manifest: Mapping[str, object], limit: int = HOTSPOT_LIMIT
-) -> List[Dict[str, object]]:
+    manifest: Mapping[str, Any], limit: int = HOTSPOT_LIMIT
+) -> List[Dict[str, Any]]:
     """Top phases by CPU seconds (profiled) or wall seconds (fallback).
 
     Profiled manifests rank ``resources.phases`` (exact per-phase CPU
     totals); unprofiled ones fall back to summed span durations by name,
     with ``None`` CPU/RSS columns.
     """
-    resources = manifest.get("resources")
-    rows: List[Dict[str, object]] = []
-    if isinstance(resources, Mapping) and isinstance(
-        resources.get("phases"), Mapping
-    ):
-        for name, stats in resources["phases"].items():  # type: ignore[union-attr]
-            if not isinstance(stats, Mapping):
-                continue
-            rows.append(
-                {
-                    "name": str(name),
-                    "n": int(stats.get("n", 0) or 0),
-                    "wall_s": float(stats.get("wall_s", 0.0) or 0.0),
-                    "cpu_s": (
-                        float(stats["cpu_s"])  # type: ignore[arg-type]
-                        if stats.get("cpu_s") is not None
-                        else None
-                    ),
-                    "peak_rss_mb": (
-                        float(stats["peak_rss_mb"])  # type: ignore[arg-type]
-                        if stats.get("peak_rss_mb") is not None
-                        else None
-                    ),
-                }
-            )
+    phases = (manifest.get("resources") or {}).get("phases")
+    if phases is not None:
+        rows = [
+            {
+                "name": name,
+                "n": stats.get("n") or 0,
+                "wall_s": stats.get("wall_s") or 0.0,
+                "cpu_s": stats.get("cpu_s"),
+                "peak_rss_mb": stats.get("peak_rss_mb"),
+            }
+            for name, stats in phases.items()
+        ]
         rows.sort(
             key=lambda r: (
-                -(r["cpu_s"] if r["cpu_s"] is not None else r["wall_s"]),  # type: ignore[operator]
-                str(r["name"]),
+                -(r["cpu_s"] if r["cpu_s"] is not None else r["wall_s"]),
+                r["name"],
             )
         )
         return rows[:limit]
-    totals: Dict[str, Dict[str, object]] = {}
-    spans = manifest.get("spans")
-    for depth, node, _share in _tree_rows(
-        aggregate_spans(spans if isinstance(spans, list) else []), 0.0
-    ):
+    totals: Dict[str, Dict[str, Any]] = {}
+    tree = aggregate_spans(manifest.get("spans") or [])
+    for _depth, node, _share in tree_rows(tree, 0.0):
         entry = totals.setdefault(
-            str(node["name"]),
+            node["name"],
             {
-                "name": str(node["name"]),
+                "name": node["name"],
                 "n": 0,
                 "wall_s": 0.0,
                 "cpu_s": None,
                 "peak_rss_mb": None,
             },
         )
-        entry["n"] = int(entry["n"]) + int(node["n"])  # type: ignore[arg-type]
-        entry["wall_s"] = float(entry["wall_s"]) + float(node["wall_s"])  # type: ignore[arg-type]
-    rows = sorted(
-        totals.values(), key=lambda r: (-float(r["wall_s"]), str(r["name"]))  # type: ignore[arg-type]
-    )
+        entry["n"] += node["n"]
+        entry["wall_s"] += node["wall_s"]
+    rows = sorted(totals.values(), key=lambda r: (-r["wall_s"], r["name"]))
     return rows[:limit]
 
 
 def worker_task_attribution(
-    manifest: Mapping[str, object],
-) -> Dict[str, List[Dict[str, object]]]:
+    manifest: Mapping[str, Any],
+) -> Dict[str, List[Dict[str, Any]]]:
     """Per-task wall attribution from merged ``segugio_worker_task`` spans.
 
     Groups the worker-side spans the supervisor merged back into the trace
@@ -233,20 +149,14 @@ def worker_task_attribution(
     order; empty for manifests without worker spans (unprofiled or serial
     runs).
     """
-    per_label: Dict[str, Dict[int, Dict[str, object]]] = {}
+    per_label: Dict[str, Dict[int, Dict[str, Any]]] = {}
 
-    def visit(span: object) -> None:
-        if not isinstance(span, Mapping):
-            return
-        attributes = span.get("attributes")
-        if span.get("name") == "segugio_worker_task" and isinstance(
-            attributes, Mapping
-        ):
+    def visit(span: Mapping[str, Any]) -> None:
+        if span.get("name") == WORKER_TASK_SPAN:
+            attributes = span.get("attributes") or {}
             label = str(attributes.get("label", "?"))
-            try:
-                task = int(attributes.get("task", -1))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                task = -1
+            task = attributes.get("task")
+            task = -1 if task is None else task
             entry = per_label.setdefault(label, {}).setdefault(
                 task,
                 {
@@ -263,29 +173,20 @@ def worker_task_attribution(
                     "workers": set(),
                 },
             )
-            entry["n"] = int(entry["n"]) + 1  # type: ignore[arg-type]
-            try:
-                entry["wall_s"] = round(
-                    float(entry["wall_s"])  # type: ignore[arg-type]
-                    + float(span.get("duration", 0.0) or 0.0),
-                    6,
-                )
-            except (TypeError, ValueError):
-                pass
-            worker = attributes.get("worker")
-            if worker is not None:
-                entry["workers"].add(str(worker))  # type: ignore[union-attr]
-        children = span.get("children")
-        if isinstance(children, list):
-            for child in children:
-                visit(child)
+            entry["n"] += 1
+            entry["wall_s"] = round(
+                entry["wall_s"] + (span.get("duration") or 0.0), 6
+            )
+            if attributes.get("worker") is not None:
+                entry["workers"].add(str(attributes["worker"]))
+        for child in span.get("children") or ():
+            visit(child)
 
-    spans = manifest.get("spans")
-    for span in spans if isinstance(spans, list) else []:
+    for span in manifest.get("spans") or ():
         visit(span)
     return {
         label: [
-            {**entry, "workers": sorted(entry["workers"])}  # type: ignore[arg-type]
+            {**entry, "workers": sorted(entry["workers"])}
             for _task, entry in sorted(tasks.items())
         ]
         for label, tasks in sorted(per_label.items())
@@ -293,25 +194,19 @@ def worker_task_attribution(
 
 
 def budget_verdicts(
-    manifest: Mapping[str, object],
-) -> List[Mapping[str, object]]:
+    manifest: Mapping[str, Any],
+) -> List[Mapping[str, Any]]:
     """Health reasons contributed by resource budgets (path resources.*)."""
-    health = manifest.get("health")
-    if not isinstance(health, Mapping):
-        return []
-    reasons = health.get("reasons")
-    if not isinstance(reasons, list):
-        return []
+    reasons = (manifest.get("health") or {}).get("reasons") or ()
     return [
         reason
         for reason in reasons
-        if isinstance(reason, Mapping)
-        and str(reason.get("path", "")).startswith("resources.")
+        if str(reason.get("path", "")).startswith("resources.")
     ]
 
 
 def latency_summary(
-    histogram: Mapping[str, object],
+    histogram: Mapping[str, Any],
 ) -> Tuple[Optional[float], Optional[float]]:
     """``(mean_s, p95_s)`` of a pool task-latency histogram.
 
@@ -319,389 +214,15 @@ def latency_summary(
     (``None`` when it lands in the overflow bucket or the histogram is
     empty) — a deterministic, conservative read of the bucketed data.
     """
-    count = int(histogram.get("count", 0) or 0)
+    count = histogram.get("count") or 0
     if count <= 0:
         return None, None
-    mean = float(histogram.get("sum", 0.0) or 0.0) / count
-    buckets = histogram.get("buckets")
-    if not isinstance(buckets, Mapping):
-        return mean, None
+    mean = (histogram.get("sum") or 0.0) / count
+    buckets = histogram.get("buckets") or {}
     target = 0.95 * count
     cumulative = 0
     for le in LATENCY_BUCKETS:
-        cumulative += int(buckets.get(f"{le:g}", 0) or 0)
+        cumulative += buckets.get(f"{le:g}") or 0
         if cumulative >= target:
             return mean, float(le)
     return mean, None
-
-
-def _resource_section(
-    resources: Mapping[str, object],
-) -> Tuple[Mapping[str, object], Mapping[str, object], Mapping[str, object]]:
-    process = resources.get("process", {})
-    throughput = resources.get("throughput", {})
-    pool = resources.get("pool", {})
-    return (
-        process if isinstance(process, Mapping) else {},
-        throughput if isinstance(throughput, Mapping) else {},
-        pool if isinstance(pool, Mapping) else {},
-    )
-
-
-def _opt(value: object) -> Optional[float]:
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return None
-
-
-# ---------------------------------------------------------------------- #
-# text view
-# ---------------------------------------------------------------------- #
-
-
-def render_profile(manifest: Mapping[str, object]) -> str:
-    """The text phase-tree + hotspot view of one run manifest."""
-    days = manifest.get("days")
-    n_days = len(days) if isinstance(days, list) else 0
-    health = manifest.get("health")
-    status = (
-        str(health.get("status", "unknown"))
-        if isinstance(health, Mapping)
-        else "unknown"
-    )
-    lines = [
-        f"segugio profile — run {manifest.get('run_id', '?')} "
-        f"({manifest.get('command', '?')}), {n_days} day(s), "
-        f"health {_badge(status)}"
-    ]
-    resources = manifest.get("resources")
-    profiled = isinstance(resources, Mapping)
-    if not profiled:
-        lines.append(
-            "resources: n/a (manifest has no resources key — rerun with "
-            "--profile to record CPU/RSS/IO; wall-clock tree below)"
-        )
-    else:
-        process, throughput, pool = _resource_section(resources)  # type: ignore[arg-type]
-        platform = resources.get("platform", {})  # type: ignore[union-attr]
-        if not isinstance(platform, Mapping):
-            platform = {}
-        util = _opt(process.get("cpu_util"))
-        lines.append(
-            f"process: wall {_fmt(_opt(process.get('wall_s')))}s, "
-            f"cpu {_fmt(_opt(process.get('cpu_s')))}s"
-            + (f" (util {_fmt(util, '.2f')})" if util is not None else "")
-            + f", child cpu {_fmt(_opt(process.get('child_cpu_s')))}s"
-        )
-        lines.append(
-            f"memory: peak rss {_fmt(_opt(process.get('peak_rss_mb')), '.1f')} MB, "
-            f"child peak rss "
-            f"{_fmt(_opt(process.get('child_peak_rss_mb')), '.1f')} MB "
-            f"({int(platform.get('n_rss_samples', 0) or 0)} watermark samples)"
-        )
-        io_read = _opt(process.get("io_read_bytes"))
-        io_write = _opt(process.get("io_write_bytes"))
-        if io_read is not None or io_write is not None:
-            lines.append(
-                f"io: read {_fmt(io_read, '.0f')} B, "
-                f"write {_fmt(io_write, '.0f')} B"
-            )
-        if throughput:
-            lines.append(
-                "throughput: "
-                + ", ".join(
-                    f"{name[: -len('_per_s')]} {_fmt(_opt(value), '.1f')}/s"
-                    if name.endswith("_per_s")
-                    else f"{name} {_fmt(_opt(value), '.1f')}"
-                    for name, value in sorted(throughput.items())
-                )
-            )
-
-    spans = manifest.get("spans")
-    tree = aggregate_spans(spans if isinstance(spans, list) else [])
-    total_wall = sum(float(node["wall_s"]) for node in tree)  # type: ignore[arg-type]
-    lines.append("")
-    lines.append("phase tree (same-named siblings merged):")
-    lines.append(
-        f"  {'span':<44s}{'n':>5}{'wall s':>10}{'%':>7}"
-        f"{'cpu s':>10}{'rss MB':>9}"
-    )
-    for depth, node, share in _tree_rows(tree, total_wall):
-        label = "  " * depth + str(node["name"])
-        if len(label) > 43:
-            label = label[:40] + "..."
-        lines.append(
-            f"  {label:<44s}"
-            f"{int(node['n']):>5}"  # type: ignore[arg-type]
-            f"{float(node['wall_s']):>10.3f}"  # type: ignore[arg-type]
-            f"{_fmt(share, '.1f'):>7}"
-            f"{_fmt(node['cpu_s']):>10}"  # type: ignore[arg-type]
-            f"{_fmt(node['peak_rss_mb'], '.1f'):>9}"  # type: ignore[arg-type]
-        )
-
-    hotspots = phase_hotspots(manifest)
-    if hotspots:
-        lines.append("")
-        lines.append(
-            "hotspots (top phases by "
-            + ("cpu" if profiled else "wall")
-            + " seconds):"
-        )
-        lines.append(
-            f"  {'phase':<30s}{'n':>5}{'wall s':>10}{'cpu s':>10}{'rss MB':>9}"
-        )
-        for row in hotspots:
-            lines.append(
-                f"  {str(row['name']):<30s}"
-                f"{int(row['n']):>5}"  # type: ignore[arg-type]
-                f"{float(row['wall_s']):>10.3f}"  # type: ignore[arg-type]
-                f"{_fmt(row['cpu_s']):>10}"  # type: ignore[arg-type]
-                f"{_fmt(row['peak_rss_mb'], '.1f'):>9}"  # type: ignore[arg-type]
-            )
-
-    if profiled:
-        _process, _throughput, pool = _resource_section(resources)  # type: ignore[arg-type]
-        attribution = worker_task_attribution(manifest)
-        if pool:
-            lines.append("")
-            lines.append("supervised pool utilization:")
-            for label in sorted(pool):
-                stats = pool[label]
-                if not isinstance(stats, Mapping):
-                    continue
-                histogram = stats.get("latency", {})
-                mean, p95 = latency_summary(
-                    histogram if isinstance(histogram, Mapping) else {}
-                )
-                n_tasks = int(stats.get("n_tasks", 0) or 0)
-                queue_wait = _opt(stats.get("queue_wait_s"))
-                mean_wait = (
-                    queue_wait / n_tasks
-                    if queue_wait is not None and n_tasks
-                    else None
-                )
-                lines.append(
-                    f"  {label}: {n_tasks} task(s), "
-                    f"busy {_fmt(_opt(stats.get('busy_s')))}s, "
-                    f"cpu {_fmt(_opt(stats.get('cpu_s')))}s, "
-                    f"queue wait mean {_fmt(mean_wait)}s / "
-                    f"max {_fmt(_opt(stats.get('queue_wait_max_s')))}s, "
-                    f"latency mean {_fmt(mean)}s"
-                    + (f" / p95 <= {_fmt(p95)}s" if p95 is not None else "")
-                )
-                workers = stats.get("workers")
-                if isinstance(workers, Mapping):
-                    busy_total = sum(
-                        _opt(w.get("busy_s")) or 0.0
-                        for w in workers.values()
-                        if isinstance(w, Mapping)
-                    )
-                    for wid in sorted(workers):
-                        wstats = workers[wid]
-                        if not isinstance(wstats, Mapping):
-                            continue
-                        busy = _opt(wstats.get("busy_s")) or 0.0
-                        share = (
-                            busy / busy_total * 100.0 if busy_total > 0 else 0.0
-                        )
-                        lines.append(
-                            f"    {wid}: {int(wstats.get('n_tasks', 0) or 0)} "
-                            f"task(s), busy {busy:.3f}s ({share:.0f}%)"
-                        )
-                tasks = attribution.get(label)
-                if tasks:
-                    for row in tasks[:ATTRIBUTION_LIMIT]:
-                        workers = ", ".join(row["workers"])  # type: ignore[arg-type]
-                        lines.append(
-                            f"    {row['unit']} {row['task']}: "
-                            f"{int(row['n'])} run(s), "  # type: ignore[arg-type]
-                            f"wall {float(row['wall_s']):.3f}s"  # type: ignore[arg-type]
-                            + (f" ({workers})" if workers else "")
-                        )
-                    if len(tasks) > ATTRIBUTION_LIMIT:
-                        lines.append(
-                            f"    ... {len(tasks) - ATTRIBUTION_LIMIT} more "
-                            f"{row['unit']}(s)"
-                        )
-
-        verdicts = budget_verdicts(manifest)
-        lines.append("")
-        if verdicts:
-            lines.append("resource budget verdicts:")
-            for reason in verdicts:
-                lines.append(
-                    f"  {_badge(str(reason.get('status', '?')))} "
-                    f"{reason.get('message', reason.get('rule', '?'))}"
-                )
-        else:
-            lines.append("resource budget verdicts: all within budget")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# HTML view
-# ---------------------------------------------------------------------- #
-
-
-def render_profile_html(manifest: Mapping[str, object]) -> str:
-    """Self-contained HTML version of the profile view (same content)."""
-    days = manifest.get("days")
-    n_days = len(days) if isinstance(days, list) else 0
-    health = manifest.get("health")
-    status = (
-        str(health.get("status", "unknown"))
-        if isinstance(health, Mapping)
-        else "unknown"
-    )
-    resources = manifest.get("resources")
-    profiled = isinstance(resources, Mapping)
-    parts = [
-        "<!doctype html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>segugio profile</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>segugio profile — run "
-        f"{html.escape(str(manifest.get('run_id', '?')))} "
-        f"health {_html_badge(status)}</h1>",
-        f'<p class="meta">segugio {html.escape(str(manifest.get("command", "?")))}, '
-        f"{n_days} day(s).</p>",
-    ]
-    if not profiled:
-        parts.append(
-            '<p class="meta">resources: n/a (manifest has no resources key '
-            "&mdash; rerun with --profile; wall-clock tree below)</p>"
-        )
-    else:
-        process, throughput, pool = _resource_section(resources)  # type: ignore[arg-type]
-        util = _opt(process.get("cpu_util"))
-        parts.append(
-            '<p class="meta">process: '
-            f"wall {_fmt(_opt(process.get('wall_s')))}s, "
-            f"cpu {_fmt(_opt(process.get('cpu_s')))}s"
-            + (f" (util {_fmt(util, '.2f')})" if util is not None else "")
-            + f", peak rss {_fmt(_opt(process.get('peak_rss_mb')), '.1f')} MB"
-            + "</p>"
-        )
-        if throughput:
-            parts.append(
-                '<p class="meta">throughput: '
-                + html.escape(
-                    ", ".join(
-                        f"{name[: -len('_per_s')]} {_fmt(_opt(value), '.1f')}/s"
-                        if name.endswith("_per_s")
-                        else f"{name} {_fmt(_opt(value), '.1f')}"
-                        for name, value in sorted(throughput.items())
-                    )
-                )
-                + "</p>"
-            )
-
-    spans = manifest.get("spans")
-    tree = aggregate_spans(spans if isinstance(spans, list) else [])
-    total_wall = sum(float(node["wall_s"]) for node in tree)  # type: ignore[arg-type]
-    parts.append("<h2>Phase tree</h2>")
-    parts.append(
-        '<table><tr><th class="name">span</th><th>n</th><th>wall s</th>'
-        "<th>%</th><th>cpu s</th><th>peak rss MB</th></tr>"
-    )
-    for depth, node, share in _tree_rows(tree, total_wall):
-        indent = "&nbsp;" * (2 * depth)
-        parts.append(
-            "<tr>"
-            f'<td class="name">{indent}{html.escape(str(node["name"]))}</td>'
-            f"<td>{int(node['n'])}</td>"  # type: ignore[arg-type]
-            f"<td>{float(node['wall_s']):.3f}</td>"  # type: ignore[arg-type]
-            f"<td>{_fmt(share, '.1f')}</td>"
-            f"<td>{_fmt(node['cpu_s'])}</td>"  # type: ignore[arg-type]
-            f"<td>{_fmt(node['peak_rss_mb'], '.1f')}</td>"  # type: ignore[arg-type]
-            "</tr>"
-        )
-    parts.append("</table>")
-
-    hotspots = phase_hotspots(manifest)
-    if hotspots:
-        parts.append("<h2>Hotspots</h2>")
-        parts.append(
-            '<table><tr><th class="name">phase</th><th>n</th><th>wall s</th>'
-            "<th>cpu s</th><th>peak rss MB</th></tr>"
-        )
-        for row in hotspots:
-            parts.append(
-                "<tr>"
-                f'<td class="name">{html.escape(str(row["name"]))}</td>'
-                f"<td>{int(row['n'])}</td>"  # type: ignore[arg-type]
-                f"<td>{float(row['wall_s']):.3f}</td>"  # type: ignore[arg-type]
-                f"<td>{_fmt(row['cpu_s'])}</td>"  # type: ignore[arg-type]
-                f"<td>{_fmt(row['peak_rss_mb'], '.1f')}</td>"  # type: ignore[arg-type]
-                "</tr>"
-            )
-        parts.append("</table>")
-
-    if profiled:
-        _process, _throughput, pool = _resource_section(resources)  # type: ignore[arg-type]
-        if pool:
-            parts.append("<h2>Supervised pool</h2>")
-            parts.append(
-                '<table><tr><th class="name">label</th><th>tasks</th>'
-                "<th>busy s</th><th>cpu s</th><th>queue wait max s</th>"
-                "<th>latency mean s</th></tr>"
-            )
-            for label in sorted(pool):
-                stats = pool[label]
-                if not isinstance(stats, Mapping):
-                    continue
-                histogram = stats.get("latency", {})
-                mean, _p95 = latency_summary(
-                    histogram if isinstance(histogram, Mapping) else {}
-                )
-                parts.append(
-                    "<tr>"
-                    f'<td class="name">{html.escape(str(label))}</td>'
-                    f"<td>{int(stats.get('n_tasks', 0) or 0)}</td>"
-                    f"<td>{_fmt(_opt(stats.get('busy_s')))}</td>"
-                    f"<td>{_fmt(_opt(stats.get('cpu_s')))}</td>"
-                    f"<td>{_fmt(_opt(stats.get('queue_wait_max_s')))}</td>"
-                    f"<td>{_fmt(mean)}</td>"
-                    "</tr>"
-                )
-            parts.append("</table>")
-        attribution = worker_task_attribution(manifest)
-        if attribution:
-            parts.append("<h2>Worker task attribution</h2>")
-            parts.append(
-                '<table><tr><th class="name">label</th><th>task</th>'
-                "<th>runs</th><th>wall s</th>"
-                '<th class="name">workers</th></tr>'
-            )
-            for label, tasks in attribution.items():
-                for row in tasks:
-                    parts.append(
-                        "<tr>"
-                        f'<td class="name">{html.escape(label)}</td>'
-                        f"<td>{html.escape(str(row['unit']))} {row['task']}</td>"
-                        f"<td>{int(row['n'])}</td>"  # type: ignore[arg-type]
-                        f"<td>{float(row['wall_s']):.3f}</td>"  # type: ignore[arg-type]
-                        f'<td class="name">'
-                        f"{html.escape(', '.join(row['workers']))}</td>"  # type: ignore[arg-type]
-                        "</tr>"
-                    )
-            parts.append("</table>")
-        verdicts = budget_verdicts(manifest)
-        parts.append("<h2>Resource budget verdicts</h2>")
-        if verdicts:
-            parts.append(
-                '<table><tr><th>status</th><th class="name">reason</th></tr>'
-            )
-            for reason in verdicts:
-                parts.append(
-                    "<tr>"
-                    f"<td>{_html_badge(str(reason.get('status', '?')))}</td>"
-                    f'<td class="name">'
-                    f"{html.escape(str(reason.get('message', '?')))}</td></tr>"
-                )
-            parts.append("</table>")
-        else:
-            parts.append('<p class="meta">all within budget</p>')
-    parts.append("</body></html>")
-    return "\n".join(parts)

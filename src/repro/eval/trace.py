@@ -1,16 +1,13 @@
-"""The ``segugio trace`` view: one timeline across parent and pool workers.
+"""Timeline assembly behind the ``segugio inspect`` timeline view.
 
-Renders the flat span records of a telemetry directory's ``trace.jsonl``
-as a unified timeline — the parent process and every pool worker on one
-clock.  Worker spans exist because the supervised executor injects a
+Turns the flat span records of a run's ``trace.jsonl`` into one timeline —
+the parent process and every pool worker on one clock.  Worker spans exist
+because the supervised executor injects a
 :class:`repro.obs.workerctx.TaskContext` into each pool task and merges
 the workers' sidecar records back into the main span tree (DESIGN.md
 §15); on Linux both sides read the same ``CLOCK_MONOTONIC``, so a merged
 worker span's ``start`` is directly comparable to the parent's.
-
-The view follows the house visual language (``segugio monitor`` /
-``profile``): text first, optional self-contained HTML flamegraph;
-status is always symbol + word, never color alone.  It annotates:
+:func:`build_timeline` annotates:
 
 * **lanes** — one per worker alias (``w0``, ``w1``, …, ``serial``) plus
   the parent; a span lands in the lane of its nearest ancestor with a
@@ -20,91 +17,33 @@ status is always symbol + word, never color alone.  It annotates:
 * **skew** — spans whose start was clamped into the parent's clock
   window at merge time (``skew_normalized`` attribute);
 * **degradation events** — the manifest's ``runtime_events`` (worker
-  death, hangs, ladder steps), listed with their day/phase stamps so an
-  operator can line them up against the lanes.
+  death, hangs, ladder steps), carried along with their day/phase stamps
+  so an operator can line them up against the lanes.
 
-A trace written without ``--profile`` has no worker spans; the view then
-renders the parent lane alone instead of failing, so the command is safe
-to point at any telemetry directory.
+A trace written without ``--profile`` has no worker spans; the timeline
+then holds the parent lane alone.  Rows are expected in the shape
+:class:`repro.obs.manifest.TelemetryRun` hands out (numbers are numbers,
+``attributes`` a mapping); the view itself is
+:func:`repro.eval.views.timeline_view`.
 """
 
 from __future__ import annotations
 
-import html
-import json
-import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.eval.monitor import (
-    _HTML_STYLE,
-    _badge,
-    _fmt,
-    _html_badge,
-)
-from repro.obs.manifest import (
-    MANIFEST_FILENAME,
-    TRACE_FILENAME,
-    ManifestError,
-    load_manifest,
-)
+from repro.obs.manifest import WORKER_TASK_SPAN
 
 #: a worker task is a straggler when its wall time exceeds this multiple
 #: of the median wall time for its pool label (given >= 3 tasks)
 STRAGGLER_FACTOR = 1.5
-
-#: timeline rows printed by the text view before truncating with a note
-ROW_LIMIT = 400
-
-#: the span name workers open around every supervised pool task
-WORKER_TASK_SPAN = "segugio_worker_task"
-
-
-class TraceError(ValueError):
-    """No usable trace at the given location."""
-
-
-def load_trace(path: str) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
-    """Load ``(manifest, trace rows)`` from a telemetry directory.
-
-    *path* may also name the ``trace.jsonl`` file directly, in which case
-    the manifest is looked up next to it.  Malformed lines are skipped
-    (the writer is atomic, so these only appear in hand-edited files).
-    """
-    if os.path.isdir(path):
-        trace_path = os.path.join(path, TRACE_FILENAME)
-        manifest_path = os.path.join(path, MANIFEST_FILENAME)
-    else:
-        trace_path = path
-        manifest_path = os.path.join(os.path.dirname(path), MANIFEST_FILENAME)
-    try:
-        manifest = load_manifest(manifest_path)
-    except ManifestError as error:
-        raise TraceError(str(error)) from None
-    if not os.path.exists(trace_path):
-        raise TraceError(f"no trace file at {trace_path}")
-    rows: List[Dict[str, object]] = []
-    with open(trace_path) as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                rows.append(record)
-    return manifest, rows
-
 
 # ---------------------------------------------------------------------- #
 # timeline assembly
 # ---------------------------------------------------------------------- #
 
 
-def _attrs(row: Mapping[str, object]) -> Mapping[str, object]:
-    attributes = row.get("attributes")
-    return attributes if isinstance(attributes, Mapping) else {}
+def _attrs(row: Mapping[str, Any]) -> Mapping[str, Any]:
+    return row.get("attributes") or {}
 
 
 def _lane_order_key(lane: str) -> Tuple[int, int, str]:
@@ -117,8 +56,8 @@ def _lane_order_key(lane: str) -> Tuple[int, int, str]:
 
 
 def build_timeline(
-    manifest: Mapping[str, object], rows: Sequence[Mapping[str, object]]
-) -> Dict[str, object]:
+    manifest: Mapping[str, Any], rows: Sequence[Mapping[str, Any]]
+) -> Dict[str, Any]:
     """Assemble the unified timeline from flat trace rows.
 
     Returns ``{clock_s, lanes, rows, n_stragglers, n_skew, events}``:
@@ -127,16 +66,18 @@ def build_timeline(
     ``straggler`` and ``skew`` booleans; *lanes* maps each lane to its
     span count and busy seconds (summed over the lane's root spans).
     """
-    by_id: Dict[object, Mapping[str, object]] = {
+    by_id: Dict[object, Mapping[str, Any]] = {
         row.get("id"): row for row in rows
     }
     lanes_of: Dict[object, str] = {}
 
-    def lane_of(row: Mapping[str, object]) -> str:
+    def lane_of(row: Mapping[str, Any]) -> str:
         row_id = row.get("id")
         known = lanes_of.get(row_id)
         if known is not None:
             return known
+        # a parent_id cycle (only a hand-edited trace has one) ends here
+        lanes_of[row_id] = "parent"
         worker = _attrs(row).get("worker")
         if worker is not None:
             lane = str(worker)
@@ -151,12 +92,7 @@ def build_timeline(
     for row in rows:
         if row.get("name") == WORKER_TASK_SPAN:
             label = str(_attrs(row).get("label", "?"))
-            try:
-                durations.setdefault(label, []).append(
-                    float(row.get("duration", 0.0) or 0.0)
-                )
-            except (TypeError, ValueError):
-                pass
+            durations.setdefault(label, []).append(row.get("duration") or 0.0)
     thresholds: Dict[str, float] = {}
     for label, values in durations.items():
         if len(values) >= 3:
@@ -164,19 +100,18 @@ def build_timeline(
             median = ordered[len(ordered) // 2]
             thresholds[label] = STRAGGLER_FACTOR * median
 
-    timeline: List[Dict[str, object]] = []
-    lanes: Dict[str, Dict[str, object]] = {}
+    timeline: List[Dict[str, Any]] = []
+    lanes: Dict[str, Dict[str, Any]] = {}
     clock_s = 0.0
     n_stragglers = 0
     n_skew = 0
     for row in sorted(
-        rows,
-        key=lambda r: (float(r.get("start", 0.0) or 0.0), int(r.get("id", 0) or 0)),
+        rows, key=lambda r: (r.get("start") or 0.0, r.get("id") or 0)
     ):
         lane = lane_of(row)
         attrs = _attrs(row)
-        start = float(row.get("start", 0.0) or 0.0)
-        duration = float(row.get("duration", 0.0) or 0.0)
+        start = row.get("start") or 0.0
+        duration = row.get("duration") or 0.0
         clock_s = max(clock_s, start + duration)
         straggler = False
         if row.get("name") == WORKER_TASK_SPAN:
@@ -191,14 +126,11 @@ def build_timeline(
         entry["skew"] = skew
         timeline.append(entry)
         stats = lanes.setdefault(lane, {"n_spans": 0, "busy_s": 0.0})
-        stats["n_spans"] = int(stats["n_spans"]) + 1  # type: ignore[arg-type]
+        stats["n_spans"] += 1
         parent = by_id.get(row.get("parent_id"))
         if parent is None or lane_of(parent) != lane:
             # Lane root: its duration is the lane's busy contribution.
-            stats["busy_s"] = round(
-                float(stats["busy_s"]) + duration, 6  # type: ignore[arg-type]
-            )
-    events = manifest.get("runtime_events")
+            stats["busy_s"] = round(stats["busy_s"] + duration, 6)
     return {
         "clock_s": round(clock_s, 6),
         "lanes": {
@@ -208,224 +140,5 @@ def build_timeline(
         "rows": timeline,
         "n_stragglers": n_stragglers,
         "n_skew": n_skew,
-        "events": [
-            dict(event)
-            for event in (events if isinstance(events, list) else [])
-            if isinstance(event, Mapping)
-        ],
+        "events": [dict(event) for event in manifest.get("runtime_events") or ()],
     }
-
-
-# ---------------------------------------------------------------------- #
-# text view
-# ---------------------------------------------------------------------- #
-
-
-def render_trace(
-    manifest: Mapping[str, object],
-    rows: Sequence[Mapping[str, object]],
-    limit: int = ROW_LIMIT,
-) -> str:
-    """The text timeline view of one run's trace."""
-    timeline = build_timeline(manifest, rows)
-    health = manifest.get("health")
-    status = (
-        str(health.get("status", "unknown"))
-        if isinstance(health, Mapping)
-        else "unknown"
-    )
-    lanes: Mapping[str, Mapping[str, object]] = timeline["lanes"]  # type: ignore[assignment]
-    lines = [
-        f"segugio trace — run {manifest.get('run_id', '?')} "
-        f"({manifest.get('command', '?')}), "
-        f"{len(rows)} span(s) over {float(timeline['clock_s']):.3f}s, "  # type: ignore[arg-type]
-        f"health {_badge(status)}"
-    ]
-    worker_lanes = [lane for lane in lanes if lane != "parent"]
-    if not worker_lanes:
-        lines.append(
-            "lanes: parent only (no worker spans — rerun with --profile "
-            "and --jobs > 1 to trace pool workers)"
-        )
-    lines.append(
-        "lanes: "
-        + ", ".join(
-            f"{lane} ({int(stats['n_spans'])} span(s), "  # type: ignore[arg-type]
-            f"busy {float(stats['busy_s']):.3f}s)"  # type: ignore[arg-type]
-            for lane, stats in lanes.items()
-        )
-    )
-    n_stragglers = int(timeline["n_stragglers"])  # type: ignore[arg-type]
-    n_skew = int(timeline["n_skew"])  # type: ignore[arg-type]
-    if n_stragglers or n_skew:
-        lines.append(
-            f"annotations: {n_stragglers} straggler task(s) "
-            f"(> {STRAGGLER_FACTOR:g}x label median), "
-            f"{n_skew} skew-normalized span(s)"
-        )
-    lines.append("")
-    lines.append("timeline (one clock; indent = span depth):")
-    lines.append(
-        f"  {'start s':>9} {'dur s':>9}  {'lane':<7} span"
-    )
-    shown = 0
-    for entry in timeline["rows"]:  # type: ignore[union-attr]
-        if shown >= limit:
-            remaining = len(timeline["rows"]) - shown  # type: ignore[arg-type]
-            lines.append(f"  ... {remaining} more row(s) (see --html)")
-            break
-        attrs = _attrs(entry)
-        extras = []
-        for key in ("label", "task", "day", "shard"):
-            if key in attrs:
-                extras.append(f"{key}={attrs[key]}")
-        if entry["straggler"]:
-            extras.append("STRAGGLER")
-        if entry["skew"]:
-            extras.append("skew-normalized")
-        suffix = f" ({', '.join(extras)})" if extras else ""
-        indent = "  " * int(entry.get("depth", 0) or 0)
-        lines.append(
-            f"  {float(entry.get('start', 0.0) or 0.0):>9.3f} "
-            f"{float(entry.get('duration', 0.0) or 0.0):>9.3f}  "
-            f"{str(entry['lane']):<7} "
-            f"{indent}{entry.get('name', '?')}{suffix}"
-        )
-        shown += 1
-    events: Sequence[Mapping[str, object]] = timeline["events"]  # type: ignore[assignment]
-    lines.append("")
-    if events:
-        lines.append(f"degradation events ({len(events)}):")
-        for event in events:
-            context = ", ".join(
-                f"{key}={event[key]}"
-                for key in sorted(event)
-                if key != "kind"
-            )
-            lines.append(
-                f"  {event.get('kind', '?')}"
-                + (f" ({context})" if context else "")
-            )
-    else:
-        lines.append("degradation events: none")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# HTML view
-# ---------------------------------------------------------------------- #
-
-_TRACE_STYLE = """
-.lane-block { margin: 0.6em 0; }
-.lane-name { font-weight: 600; margin-bottom: 2px; }
-.track { position: relative; height: 18px; background: #f4f4f4;
-         margin-bottom: 2px; }
-.bar { position: absolute; top: 1px; height: 16px; background: #7aa6c2;
-       overflow: hidden; font-size: 10px; line-height: 16px;
-       color: #fff; white-space: nowrap; box-sizing: border-box;
-       border-right: 1px solid #fff; }
-.bar.worker { background: #5b8c5a; }
-.bar.straggler { background: #c2703a; }
-.bar.skew { outline: 2px dashed #a04040; }
-"""
-
-
-def render_trace_html(
-    manifest: Mapping[str, object], rows: Sequence[Mapping[str, object]]
-) -> str:
-    """Self-contained HTML flamegraph of the unified timeline."""
-    timeline = build_timeline(manifest, rows)
-    clock_s = float(timeline["clock_s"]) or 1.0  # type: ignore[arg-type]
-    health = manifest.get("health")
-    status = (
-        str(health.get("status", "unknown"))
-        if isinstance(health, Mapping)
-        else "unknown"
-    )
-    parts = [
-        "<!doctype html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>segugio trace</title>",
-        f"<style>{_HTML_STYLE}{_TRACE_STYLE}</style></head><body>",
-        f"<h1>segugio trace — run "
-        f"{html.escape(str(manifest.get('run_id', '?')))} "
-        f"health {_html_badge(status)}</h1>",
-        f'<p class="meta">segugio {html.escape(str(manifest.get("command", "?")))}, '
-        f"{len(rows)} span(s) over {clock_s:.3f}s; "
-        f"{int(timeline['n_stragglers'])} straggler(s), "  # type: ignore[arg-type]
-        f"{int(timeline['n_skew'])} skew-normalized span(s).</p>",  # type: ignore[arg-type]
-    ]
-    lanes: Mapping[str, Mapping[str, object]] = timeline["lanes"]  # type: ignore[assignment]
-    by_lane_depth: Dict[str, Dict[int, List[Mapping[str, object]]]] = {}
-    for entry in timeline["rows"]:  # type: ignore[union-attr]
-        depth = int(entry.get("depth", 0) or 0)
-        by_lane_depth.setdefault(str(entry["lane"]), {}).setdefault(
-            depth, []
-        ).append(entry)
-    for lane, stats in lanes.items():
-        parts.append('<div class="lane-block">')
-        parts.append(
-            f'<div class="lane-name">{html.escape(lane)} '
-            f"&mdash; {int(stats['n_spans'])} span(s), "  # type: ignore[arg-type]
-            f"busy {float(stats['busy_s']):.3f}s</div>"  # type: ignore[arg-type]
-        )
-        depths = by_lane_depth.get(lane, {})
-        for depth in sorted(depths):
-            parts.append('<div class="track">')
-            for entry in depths[depth]:
-                start = float(entry.get("start", 0.0) or 0.0)
-                duration = float(entry.get("duration", 0.0) or 0.0)
-                left = start / clock_s * 100.0
-                width = max(duration / clock_s * 100.0, 0.05)
-                classes = ["bar"]
-                if lane != "parent":
-                    classes.append("worker")
-                if entry["straggler"]:
-                    classes.append("straggler")
-                if entry["skew"]:
-                    classes.append("skew")
-                attrs = _attrs(entry)
-                title_extra = "".join(
-                    f" {key}={attrs[key]}"
-                    for key in ("label", "task", "day", "shard")
-                    if key in attrs
-                )
-                title = (
-                    f"{entry.get('name', '?')}{title_extra} "
-                    f"start={start:.3f}s dur={duration:.3f}s"
-                    + (" STRAGGLER" if entry["straggler"] else "")
-                    + (" skew-normalized" if entry["skew"] else "")
-                )
-                parts.append(
-                    f'<div class="{" ".join(classes)}" '
-                    f'style="left:{left:.3f}%;width:{width:.3f}%" '
-                    f'title="{html.escape(title)}">'
-                    f"{html.escape(str(entry.get('name', '?')))}</div>"
-                )
-            parts.append("</div>")
-        parts.append("</div>")
-    events: Sequence[Mapping[str, object]] = timeline["events"]  # type: ignore[assignment]
-    parts.append("<h2>Degradation events</h2>")
-    if events:
-        parts.append(
-            '<table><tr><th class="name">kind</th><th>day</th>'
-            '<th>phase</th><th class="name">context</th></tr>'
-        )
-        for event in events:
-            context = ", ".join(
-                f"{key}={event[key]}"
-                for key in sorted(event)
-                if key not in ("kind", "day", "phase")
-            )
-            parts.append(
-                "<tr>"
-                f'<td class="name">{html.escape(str(event.get("kind", "?")))}</td>'
-                f"<td>{html.escape(str(event.get('day', '')))}</td>"
-                f"<td>{html.escape(str(event.get('phase', '')))}</td>"
-                f'<td class="name">{html.escape(context)}</td></tr>'
-            )
-        parts.append("</table>")
-    else:
-        parts.append('<p class="meta">none</p>')
-    parts.append("</body></html>")
-    return "\n".join(parts)

@@ -5,8 +5,8 @@ Three coordinated zero-dependency layers (stdlib only):
 * :mod:`repro.obs.metrics` — a registry of labeled counters, gauges, and
   histograms with snapshot/delta export to JSON and Prometheus text format;
 * :mod:`repro.obs.tracing` — nested, timed spans over the pipeline's call
-  tree (absorbing the old ``utils.timing.Stopwatch`` as a shim), exported
-  as a span tree and a per-run ``trace.jsonl``;
+  tree (plus the accumulate-by-name ``Stopwatch`` that feeds them),
+  exported as a span tree and a per-run ``trace.jsonl``;
 * :mod:`repro.obs.logs` — ``get_logger(component)`` emitting JSON records
   with run-id / day / phase context variables.
 
@@ -18,8 +18,11 @@ declarative SLO alert rules over the tracker's day-over-day drift
 summaries into ``ok``/``warn``/``alert`` health verdicts.
 
 :mod:`repro.obs.run` bundles them into a per-run :class:`RunTelemetry`
-whose output is the run manifest (:mod:`repro.obs.manifest`) rendered by
-``segugio telemetry``.
+whose output is a telemetry directory: run manifest, span trace, decision
+records.  :mod:`repro.obs.manifest` owns that on-disk format in both
+directions — the writer and :class:`TelemetryRun`, the one reader behind
+``segugio inspect``, ``segugio explain --telemetry-dir`` and the
+bench/chaos gates.
 
 :mod:`repro.obs.workerctx` carries the ambient pattern across process
 boundaries: the supervised executor injects a picklable
@@ -27,7 +30,7 @@ boundaries: the supervised executor injects a picklable
 record events/metrics into per-process sidecar files, and the parent
 merges the sidecars back into the main span tree after each pool call —
 so a profiled multi-process run yields one unified timeline
-(``segugio trace``).
+(``segugio inspect --view timeline``).
 
 All three layers are **ambient and off by default**: library code
 instruments unconditionally against :func:`get_registry` /
@@ -44,13 +47,12 @@ from repro.obs.logs import StructuredLogger, bound, configure, get_logger
 from repro.obs.manifest import (
     MANIFEST_FILENAME,
     MANIFEST_VERSION,
-    SPAN_RENAMES_V1,
     TRACE_FILENAME,
     ManifestError,
+    TelemetryError,
+    TelemetryRun,
     config_hash,
     load_manifest,
-    render_telemetry,
-    upgrade_manifest_v1,
     write_manifest,
 )
 from repro.obs.monitor import (
@@ -138,12 +140,13 @@ __all__ = [
     "RuntimeEventLog",
     "SIDECAR_SCHEMA_VERSION",
     "SPAN_NAMES",
-    "SPAN_RENAMES_V1",
     "Span",
     "Stopwatch",
     "StructuredLogger",
     "TRACE_FILENAME",
     "TaskContext",
+    "TelemetryError",
+    "TelemetryRun",
     "Tracer",
     "WorkerMergeBox",
     "bound",
@@ -167,10 +170,8 @@ __all__ = [
     "open_box",
     "read_sidecars",
     "render_decision",
-    "render_telemetry",
     "rules_from_dicts",
     "run_health",
-    "upgrade_manifest_v1",
     "use_decision_log",
     "use_event_log",
     "use_monitor",

@@ -1,11 +1,19 @@
-"""Run manifests: the one artifact that tells a whole run's story.
+"""A telemetry directory on disk: its format, its writer, its one reader.
 
 Every telemetry-enabled ``segugio track`` / ``segugio classify-dir`` run
-writes two files next to its outputs:
+writes up to three files next to its outputs:
 
 * ``manifest.json`` — the run manifest (this module's schema);
 * ``trace.jsonl`` — the flat span trace
-  (:meth:`repro.obs.tracing.Tracer.write_jsonl`).
+  (:meth:`repro.obs.tracing.Tracer.write_jsonl`);
+* ``decisions.jsonl`` — one decision record per classified domain
+  (:mod:`repro.obs.provenance`), when the run recorded any.
+
+:class:`TelemetryRun` is the only code that opens such a directory:
+``segugio inspect``, ``segugio explain --telemetry-dir`` and the
+bench/chaos gates all read through it, so the layout, the version check
+and every shape check live here once (lint rule SEG103 names this module
+as the manifest's single consumer).
 
 Manifest layout (``manifest_version`` 2)::
 
@@ -50,61 +58,38 @@ Manifest layout (``manifest_version`` 2)::
                                      # "n/a" when absent)
     }
 
-**Version history.** v1 (PR 2) predates the SEG006 telemetry-naming
-contract: its span trees and day ``phases`` use the old dotted names
-(``fit``, ``forest.predict``, ``checkpoint.save``, …) and it has no
-``health``/``drift``/``decisions_file`` fields.  :func:`load_manifest`
-still accepts v1 and upgrades it in place — span/phase names are mapped
-through :data:`SPAN_RENAMES_V1` and the new fields default to unknown
-health — so telemetry dirs written by older builds keep rendering.
-The ``runtime_events`` keys (run-level and per-day) were added later as
-a purely *additive* v2 extension: readers must treat a missing key as an
-empty list, so older v2 manifests stay valid without a version bump.
-The ``resources`` key (run-level and per-day) follows the same additive
-contract: only ``--profile`` runs write it, and readers must render
-"n/a" — never fail — when it is absent.  ``resources.workers`` (and the
-merged ``segugio_worker_task`` spans it accounts for) arrived with
-cross-process worker tracing under the same rule: absent on serial or
-pre-workerctx manifests, and never required by any reader.
-
-``segugio telemetry manifest.json`` renders the per-phase cost breakdown in
-the shape of the paper's §IV-G efficiency table (learning vs. classification
-wall-clock per day), plus the day-by-day counter summary.
+**Additive keys.**  ``runtime_events`` (run-level and per-day),
+``resources`` (run-level and per-day) and ``resources.workers`` were added
+to version 2 without a bump: writers emit them only when they apply
+(``resources`` only on ``--profile`` runs) and the reader treats a missing
+key as empty, so every v2 manifest ever written stays readable.  Version 1
+(no ``health``/``drift``/``decisions_file``, dotted span names) has had no
+writer since the bump and is rejected by version like any other.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.obs.provenance import (
+    DECISIONS_FILENAME,
+    ProvenanceError,
+    load_decisions,
+)
 
 MANIFEST_VERSION = 2
 MANIFEST_FILENAME = "manifest.json"
 TRACE_FILENAME = "trace.jsonl"
 
-#: v1 span names (pre-SEG006 dotted style) -> v2 ``segugio_*`` names.
-#: Applied to the span tree and day phase keys when loading a v1 manifest.
-SPAN_RENAMES_V1 = {
-    "process_day": "segugio_run_day",
-    "health_check": "segugio_tracker_health_check",
-    "fit": "segugio_tracker_fit",
-    "calibrate_threshold": "segugio_tracker_calibrate",
-    "classify": "segugio_tracker_classify",
-    "update_ledger": "segugio_tracker_ledger_update",
-    "forest.fit": "segugio_forest_fit",
-    "forest.predict": "segugio_forest_predict",
-    "features.f1_machine": "segugio_features_f1_machine",
-    "features.f2_activity": "segugio_features_f2_activity",
-    "features.f3_ip": "segugio_features_f3_ip",
-    "experiment.select_split": "segugio_experiment_select_split",
-    "experiment.fit": "segugio_experiment_fit",
-    "experiment.classify": "segugio_experiment_classify",
-    "checkpoint.save": "segugio_checkpoint_save",
-    "checkpoint.resume": "segugio_checkpoint_resume",
-    "ingest.load_observation": "segugio_ingest_load_observation",
-}
+#: the span workers open around every supervised pool task
+WORKER_TASK_SPAN = "segugio_worker_task"
+
 
 # Phase grouping of the paper's §IV-G table: the learning phase covers graph
 # preparation + training; the classification phase covers measuring and
@@ -126,7 +111,11 @@ TRAIN_PHASES = (
 TEST_PHASES = ("measure_test_features", "score_domains")
 
 
-class ManifestError(ValueError):
+class TelemetryError(ValueError):
+    """Unreadable telemetry; the message starts with the offending path."""
+
+
+class ManifestError(TelemetryError):
     """Unreadable, foreign, or structurally broken run manifest."""
 
 
@@ -149,339 +138,388 @@ def write_manifest(manifest: Mapping[str, object], path: str) -> None:
     os.replace(staging, path)
 
 
-def load_manifest(path: str) -> Dict[str, object]:
-    """Read and validate a run manifest; raises :class:`ManifestError`."""
+def load_manifest(path: str) -> Dict[str, Any]:
+    """Read a run manifest and check its version and required keys."""
     if not os.path.exists(path):
         raise ManifestError(f"{path}: manifest file does not exist")
     try:
         with open(path) as stream:
-            payload = json.load(stream)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            manifest = json.load(stream)
+    except (OSError, ValueError, RecursionError) as error:
         raise ManifestError(
             f"{path}: manifest is not valid JSON ({error})"
         ) from None
-    if not isinstance(payload, dict):
+    if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
-    version = payload.get("manifest_version")
-    if version == 1:
-        payload = upgrade_manifest_v1(payload)
-    elif version != MANIFEST_VERSION:
+    version = manifest.get("manifest_version")
+    if version != MANIFEST_VERSION:
         raise ManifestError(
             f"{path}: manifest version {version!r} is not supported "
-            f"(this library speaks versions 1-{MANIFEST_VERSION})"
+            f"(this library reads version {MANIFEST_VERSION})"
         )
     for key in ("run_id", "command", "days", "metrics", "spans"):
-        if key not in payload:
+        if key not in manifest:
             raise ManifestError(f"{path}: manifest is missing {key!r}")
-    return payload
+    return manifest
 
 
-def _rename_spans(spans: List[Dict[str, object]]) -> None:
-    for span in spans:
-        if isinstance(span, dict):
-            name = span.get("name")
-            if name in SPAN_RENAMES_V1:
-                span["name"] = SPAN_RENAMES_V1[name]  # type: ignore[index]
-            children = span.get("children")
-            if isinstance(children, list):
-                _rename_spans(children)
+# ---------------------------------------------------------------------- #
+# the shape the views rely on
+# ---------------------------------------------------------------------- #
+
+# A spec is one of the scalar kinds below, ``[spec]`` (a list), a dict of
+# known keys, or ``{"*": spec}`` (a mapping with free keys).  Keys a spec
+# does not name pass through unread.
+_NUM, _INT, _STR, _ANY = "a number", "an integer", "a string", "anything"
+
+_HEALTH = {"status": _STR, "reasons": [{"status": _STR}]}
+_DRIFT_STATS = {"psi": _NUM, "ks": _NUM}
+_DAY = {
+    "day": _INT,
+    "threshold": _NUM,
+    "n_scored": _INT,
+    "n_new_detections": _INT,
+    "n_repeat_detections": _INT,
+    "n_implicated_machines": _INT,
+    "phases": {"*": _NUM},
+    "health": _HEALTH,
+    "drift": {
+        "score": _DRIFT_STATS,
+        "features_max": _DRIFT_STATS,
+        "features": {"*": _DRIFT_STATS},
+        "labels": {"churn_pct": _NUM},
+    },
+}
+_SPAN: Dict[str, Any] = {
+    "name": _STR,
+    "duration": _NUM,
+    "attributes": {
+        "task": _INT,
+        "resources": {"cpu_s": _NUM, "peak_rss_mb": _NUM},
+    },
+}
+_SPAN["children"] = [_SPAN]
+_TRACE_ROW = {
+    "id": _INT,
+    "parent_id": _INT,
+    "depth": _INT,
+    "name": _STR,
+    "start": _NUM,
+    "duration": _NUM,
+    "attributes": {"*": _ANY},
+}
+_RESOURCES = {
+    "platform": {"n_rss_samples": _INT},
+    "process": {"*": _NUM},
+    "phases": {
+        "*": {"n": _INT, "wall_s": _NUM, "cpu_s": _NUM, "peak_rss_mb": _NUM}
+    },
+    "throughput": {"*": _NUM},
+    "units": {"*": _ANY},
+    "pool": {
+        "*": {
+            "n_tasks": _INT,
+            "busy_s": _NUM,
+            "cpu_s": _NUM,
+            "queue_wait_s": _NUM,
+            "queue_wait_max_s": _NUM,
+            "latency": {"count": _INT, "sum": _NUM, "buckets": {"*": _INT}},
+            "workers": {"*": {"n_tasks": _INT, "busy_s": _NUM}},
+        }
+    },
+    "workers": {
+        "*": {"n_merged": _INT, "n_quarantined": _INT, "n_missing": _INT}
+    },
+}
+_MANIFEST = {
+    "created_unix": _NUM,
+    "health": _HEALTH,
+    "days": [_DAY],
+    "metrics": {"*": _ANY},
+    "spans": [_SPAN],
+    "ingest": [
+        {"n_ok": _INT, "n_quarantined": _INT, "counters": {"*": _INT}}
+    ],
+    "degradations": [_ANY],
+    "runtime_events": [{"*": _ANY}],
+    "warnings": [_ANY],
+    "trace_file": _STR,
+    "decisions_file": _STR,
+}
 
 
-def upgrade_manifest_v1(payload: Dict[str, object]) -> Dict[str, object]:
-    """In-place upgrade of a v1 manifest to the v2 schema.
+def _misshapen(where: str, kind: str, value: Any) -> TelemetryError:
+    return TelemetryError(
+        f"{where} must be {kind}, got {type(value).__name__} {value!r:.40}"
+    )
 
-    Span-tree and day ``phases`` names move through
-    :data:`SPAN_RENAMES_V1`; the v2-only quality fields are defaulted —
-    ``health`` becomes ``unknown`` (a v1 run recorded no drift, which is
-    different from a v2 run that measured ``ok``) and ``decisions_file``
-    becomes None.  The original version is preserved in
-    ``upgraded_from_version``.
+
+def _conform(value: Any, spec: Any, where: str) -> Any:
+    """*value* in the shape *spec* names, or a :class:`TelemetryError`.
+
+    Containers a spec names always come back (a missing or null one as
+    empty), so views index them freely; scalars stay optional and are
+    read with ``.get``.  A number that is not finite reads as missing.
     """
-    payload = dict(payload)
-    days = payload.get("days")
-    if isinstance(days, list):
-        for day in days:
-            if not isinstance(day, dict):
-                continue
-            phases = day.get("phases")
-            if isinstance(phases, dict):
-                day["phases"] = {
-                    SPAN_RENAMES_V1.get(name, name): seconds
-                    for name, seconds in phases.items()
-                }
-            day.setdefault("drift", None)
-            day.setdefault("health", {"status": "unknown", "reasons": []})
-    spans = payload.get("spans")
-    if isinstance(spans, list):
-        _rename_spans(spans)  # type: ignore[arg-type]
-    payload.setdefault("health", {"status": "unknown", "reasons": []})
-    payload.setdefault("decisions_file", None)
-    payload["upgraded_from_version"] = 1
-    payload["manifest_version"] = MANIFEST_VERSION
-    return payload
-
-
-# ---------------------------------------------------------------------- #
-# §IV-G-style rendering
-# ---------------------------------------------------------------------- #
-
-
-def _phase_order(days: Sequence[Mapping[str, object]]) -> List[str]:
-    """Known train/test phases first (paper order), then everything else."""
-    seen: List[str] = []
-    for day in days:
-        for name in day.get("phases", {}):  # type: ignore[union-attr]
-            if name not in seen:
-                seen.append(name)
-    ordered = [p for p in TRAIN_PHASES if p in seen]
-    ordered += [p for p in TEST_PHASES if p in seen]
-    ordered += [p for p in seen if p not in ordered]
-    return ordered
-
-
-def render_telemetry(manifest: Mapping[str, object]) -> str:
-    """Human-readable per-phase cost breakdown (cf. paper §IV-G)."""
-    days: List[Mapping[str, object]] = manifest.get("days", [])  # type: ignore[assignment]
-    run_id = manifest.get("run_id", "?")
-    command = manifest.get("command", "?")
-    config_sha = manifest.get("config_sha256") or "-"
-    lines = [
-        f"run {run_id} — segugio {command}, {len(days)} day(s), "
-        f"config sha256 {str(config_sha)[:12]}"
-    ]
-    created = manifest.get("created_unix")
-    if created is not None:
-        try:
-            stamp = time.strftime(
-                "%Y-%m-%d %H:%M:%SZ", time.gmtime(float(created))  # type: ignore[arg-type]
-            )
-        except (TypeError, ValueError, OverflowError, OSError):
-            stamp = "?"
-        lines[0] += f", created {stamp}"
-    upgraded = manifest.get("upgraded_from_version")
-    if upgraded is not None:
-        lines[0] += f" (upgraded from manifest v{upgraded})"
-
-    health = manifest.get("health")
-    if isinstance(health, Mapping) and health.get("status"):
-        lines.append(f"health: {health['status']}")
-        for reason in health.get("reasons", []):  # type: ignore[union-attr]
-            if isinstance(reason, Mapping):
-                day = reason.get("day", "?")
-                message = reason.get("message", reason.get("rule", "?"))
-                lines.append(f"  day {day}: [{reason.get('status', '?')}] {message}")
-
-    day_labels = [f"day {d.get('day', '?')}" for d in days]
-    width = max([9] + [len(label) for label in day_labels]) + 2
-
-    def row(name: str, values: Sequence[str]) -> str:
-        cells = "".join(f"{v:>{width}s}" for v in values)
-        return f"  {name:<28s}{cells}"
-
-    lines.append("")
-    lines.append("per-phase wall-clock cost (seconds), cf. paper §IV-G:")
-    lines.append(row("phase", day_labels + ["total"]))
-    order = _phase_order(days)
-    phase_by_day: Dict[str, List[float]] = {
-        name: [float(d.get("phases", {}).get(name, 0.0)) for d in days]  # type: ignore[union-attr]
-        for name in order
-    }
-    for name in order:
-        values = phase_by_day[name]
-        lines.append(
-            row(name, [f"{v:.3f}" for v in values] + [f"{sum(values):.3f}"])
-        )
-
-    def group_total(names: Sequence[str]) -> List[float]:
+    if spec is _ANY:
+        return value
+    if isinstance(spec, dict):
+        if value is None:
+            value = {}
+        if not isinstance(value, dict):
+            raise _misshapen(where, "an object", value)
+        if "*" in spec:
+            return {
+                key: _conform(item, spec["*"], f"{where}.{key}")
+                for key, item in value.items()
+            }
+        shaped = dict(value)
+        for key, sub in spec.items():
+            if key in value or isinstance(sub, (dict, list)):
+                shaped[key] = _conform(value.get(key), sub, f"{where}.{key}")
+        return shaped
+    if isinstance(spec, list):
+        if value is None:
+            return []
+        if not isinstance(value, list):
+            raise _misshapen(where, "a list", value)
         return [
-            sum(phase_by_day[n][i] for n in names if n in phase_by_day)
-            for i in range(len(days))
+            _conform(item, spec[0], f"{where}[{index}]")
+            for index, item in enumerate(value)
         ]
-
-    train = group_total(TRAIN_PHASES)
-    test = group_total(TEST_PHASES)
-    lines.append(
-        row("learning total", [f"{v:.3f}" for v in train] + [f"{sum(train):.3f}"])
-    )
-    lines.append(
-        row(
-            "classification total",
-            [f"{v:.3f}" for v in test] + [f"{sum(test):.3f}"],
-        )
-    )
-    if any(test) and sum(test) > 0:
-        lines.append(
-            row(
-                "learning/classification",
-                [
-                    f"{(t / c):.1f}x" if c > 0 else "-"
-                    for t, c in zip(train, test)
-                ]
-                + [f"{(sum(train) / sum(test)):.1f}x"],
-            )
-        )
-
-    # Resource cost (additive v2 ``resources`` key, written by --profile
-    # runs): the §IV-G table again, but in CPU seconds and peak RSS rather
-    # than wall-clock alone.  Manifests without the key render "n/a".
-    lines.append("")
-    resources = manifest.get("resources")
-    if not isinstance(resources, Mapping):
-        lines.append(
-            "resource cost: n/a (run was not profiled; "
-            "rerun with --profile to record per-phase CPU/RSS/IO)"
-        )
-    else:
-        process: Mapping[str, object] = resources.get("process", {})  # type: ignore[assignment]
-        if not isinstance(process, Mapping):
-            process = {}
-
-        def cell(value: object, spec: str = ".3f") -> str:
-            if value is None:
-                return "n/a"
+    if value is None:
+        return None
+    if spec is _STR:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if spec is _INT:
+            # beyond 2**53 a JSON float no longer holds an integer exactly
+            if abs(value) < 2**53 and value == int(value):
+                return int(value)
+        else:
             try:
-                return format(float(value), spec)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                return "n/a"
+                number = float(value)
+            except OverflowError:
+                raise _misshapen(where, spec, value) from None
+            return number if math.isfinite(number) else None
+    raise _misshapen(where, spec, value)
 
-        lines.append("resource cost (profiled run), cf. paper §IV-G:")
-        util = process.get("cpu_util")
-        summary = (
-            f"  process: wall {cell(process.get('wall_s'))}s, "
-            f"cpu {cell(process.get('cpu_s'))}s"
+
+# ---------------------------------------------------------------------- #
+# the reader
+# ---------------------------------------------------------------------- #
+
+
+def _utc_stamp(seconds: Optional[float]) -> Optional[str]:
+    if seconds is None:
+        return None
+    try:
+        return time.strftime("%Y-%m-%d %H:%M:%SZ", time.gmtime(seconds))
+    except (ValueError, OverflowError, OSError):
+        return "?"
+
+
+class TelemetryRun:
+    """One run's telemetry, opened once and already in shape.
+
+    :meth:`open` reads a directory; the constructor takes a manifest a
+    caller already holds (``RunTelemetry.build_manifest()``, a test's
+    literal) plus, optionally, the trace rows and decision records that
+    would otherwise come from the files the manifest names.  Either way
+    every attribute below has the shape :func:`_conform` promises, so no
+    consumer re-checks it.  The trace and the decision records load on
+    first use: a cost or profile view never pays for a paper-scale
+    ``decisions.jsonl``.
+    """
+
+    def __init__(
+        self,
+        manifest: Mapping[str, Any],
+        path: str = "<memory>",
+        trace_rows: Optional[Sequence[Any]] = None,
+        decisions: Optional[Sequence[Mapping[str, Any]]] = None,
+        source: Optional[str] = None,
+    ) -> None:
+        #: the telemetry directory (what the health view lists a run by)
+        self.path = path
+        where = f"{source or path}: manifest"
+        manifest = _conform(dict(manifest), _MANIFEST, where)
+        self.manifest: Dict[str, Any] = manifest
+        self.run_id = manifest.get("run_id", "?")
+        self.command = manifest.get("command", "?")
+        self.config_sha256 = manifest.get("config_sha256")
+        #: ``created_unix`` as a UTC stamp (``?`` when out of range)
+        self.created = _utc_stamp(manifest.get("created_unix"))
+        self.health: Dict[str, Any] = manifest["health"]
+        self.days: List[Dict[str, Any]] = manifest["days"]
+        self.metrics: Dict[str, Any] = manifest["metrics"]
+        self.spans: List[Dict[str, Any]] = manifest["spans"]
+        self.ingest: List[Dict[str, Any]] = manifest["ingest"]
+        self.degradations: List[Any] = manifest["degradations"]
+        self.runtime_events: List[Dict[str, Any]] = manifest["runtime_events"]
+        self.warnings: List[Any] = manifest["warnings"]
+        self.trace_file: str = manifest.get("trace_file") or TRACE_FILENAME
+        self.trace_path = os.path.join(path, self.trace_file)
+        #: None when the run recorded no decisions — a stale file beside
+        #: the manifest is then not this run's and is never read
+        self.decisions_file: Optional[str] = manifest.get("decisions_file")
+        self.decisions_path = (
+            os.path.join(path, self.decisions_file) if self.decisions_file else None
         )
-        if util is not None:
-            summary += f" (util {cell(util, '.2f')})"
-        summary += f", peak rss {cell(process.get('peak_rss_mb'), '.1f')} MB"
-        lines.append(summary)
-        io_read = process.get("io_read_bytes")
-        io_write = process.get("io_write_bytes")
-        if io_read is not None or io_write is not None:
-            lines.append(
-                f"  io: read {cell(io_read, '.0f')} B, "
-                f"write {cell(io_write, '.0f')} B"
+        #: None unless the run was profiled (``track --profile``)
+        self.resources: Optional[Dict[str, Any]] = None
+        if manifest.get("resources") is not None:
+            self.resources = manifest["resources"] = _conform(
+                manifest["resources"], _RESOURCES, f"{where}.resources"
             )
-        phase_stats: Mapping[str, object] = resources.get("phases", {})  # type: ignore[assignment]
-        if isinstance(phase_stats, Mapping) and phase_stats:
-            ordered = [p for p in TRAIN_PHASES if p in phase_stats]
-            ordered += [p for p in TEST_PHASES if p in phase_stats]
-            ordered += [p for p in phase_stats if p not in ordered]
-            rwidth = 14
+        # given in memory, these stand in for the files (and shadow the
+        # lazily loading properties of the same names below)
+        if trace_rows is not None:
+            self.trace = self._shape_rows(trace_rows)
+        if decisions is not None:
+            self.decisions = self._check_decisions(list(decisions), path)
 
-            def resource_row(name: str, values: Sequence[str]) -> str:
-                cells = "".join(f"{v:>{rwidth}s}" for v in values)
-                return f"  {name:<28s}{cells}"
+    # ------------------------------------------------------------------ #
+    # opening a directory
+    # ------------------------------------------------------------------ #
 
-            lines.append(
-                resource_row("phase", ["wall s", "cpu s", "peak rss MB"])
+    @classmethod
+    def open(cls, path: str, need_manifest: bool = True) -> "TelemetryRun":
+        """Open a telemetry directory, named directly or by a file in it.
+
+        *path* is the directory, its manifest (under any name), or a
+        ``.jsonl`` artifact beside the manifest.  ``need_manifest=False``
+        lets ``segugio explain`` replay a ``decisions.jsonl`` that was
+        copied out without its manifest, under the default file names.
+        """
+        if os.path.isdir(path):
+            directory, source = path, os.path.join(path, MANIFEST_FILENAME)
+        elif os.path.isfile(path):
+            directory = os.path.dirname(path) or "."
+            source = (
+                os.path.join(directory, MANIFEST_FILENAME)
+                if path.endswith(".jsonl")
+                else path
             )
-            for name in ordered:
-                stats = phase_stats.get(name)
-                if not isinstance(stats, Mapping):
-                    continue
-                lines.append(
-                    resource_row(
-                        name,
-                        [
-                            cell(stats.get("wall_s")),
-                            cell(stats.get("cpu_s")),
-                            cell(stats.get("peak_rss_mb"), ".1f"),
-                        ],
-                    )
+        else:
+            raise TelemetryError(
+                f"{path}: not a directory or a telemetry file inside one"
+            )
+        if need_manifest or os.path.exists(source):
+            manifest = load_manifest(source)
+        else:
+            manifest = {"decisions_file": DECISIONS_FILENAME}
+        return cls(manifest, path=directory, source=source)
+
+    @classmethod
+    def open_all(cls, paths: Sequence[str]) -> List["TelemetryRun"]:
+        """Open every path, or raise one error naming each unusable one —
+        a typo'd path must not masquerade as one healthy run fewer."""
+        runs: List[TelemetryRun] = []
+        problems: List[str] = []
+        for path in paths:
+            try:
+                runs.append(cls.open(path))
+            except TelemetryError as error:
+                problems.append(str(error))
+        if problems:
+            raise TelemetryError("\n".join(problems))
+        return runs
+
+    # ------------------------------------------------------------------ #
+    # the artifacts the manifest names
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _shape_rows(records: Iterable[Any]) -> Tuple[List[Dict[str, Any]], int]:
+        rows: List[Dict[str, Any]] = []
+        skipped = 0
+        for record in records:
+            try:
+                if isinstance(record, str):
+                    record = json.loads(record)
+                if not isinstance(record, dict):
+                    raise TelemetryError("row is not an object")
+                rows.append(_conform(record, _TRACE_ROW, "row"))
+            except (ValueError, RecursionError):
+                skipped += 1
+        return rows, skipped
+
+    @cached_property
+    def trace(self) -> Tuple[List[Dict[str, Any]], int]:
+        """``(rows, n_skipped)``: the flat span records of the trace file,
+        and how many of its lines were not one (a torn or hand-edited
+        file; the writer itself is atomic)."""
+        path = self.trace_path
+        try:
+            with open(path, encoding="utf-8", errors="replace") as stream:
+                return self._shape_rows(line for line in stream if line.strip())
+        except FileNotFoundError:
+            raise TelemetryError(
+                f"{path}: no trace file (the manifest names {self.trace_file!r})"
+            ) from None
+        except OSError as error:
+            raise TelemetryError(f"{path}: cannot read trace ({error})") from None
+
+    @staticmethod
+    def _check_decisions(
+        records: List[Dict[str, Any]], path: str
+    ) -> List[Dict[str, Any]]:
+        for number, record in enumerate(records, start=1):
+            if not isinstance(record.get("day"), int) or not isinstance(
+                record.get("verdict"), str
+            ):
+                raise TelemetryError(
+                    f"{path}: decision record {number} needs an integer "
+                    "'day' and a string 'verdict'"
                 )
-        throughput: Mapping[str, object] = resources.get("throughput", {})  # type: ignore[assignment]
-        if isinstance(throughput, Mapping) and throughput:
-            lines.append(
-                "  throughput: "
-                + ", ".join(
-                    f"{name[: -len('_per_s')] if name.endswith('_per_s') else name}"
-                    f" {cell(value, '.1f')}/s"
-                    for name, value in sorted(throughput.items())
-                )
-            )
+        return records
 
-    counter_rows = [
-        ("unknown domains scored", "n_scored"),
-        ("new detections", "n_new_detections"),
-        ("repeat detections", "n_repeat_detections"),
-        ("machines implicated", "n_implicated_machines"),
-    ]
-    if days and any(key in d for d in days for _, key in counter_rows):
-        lines.append("")
-        lines.append("per-day outcomes:")
-        lines.append(row("counter", day_labels + ["total"]))
-        for label, key in counter_rows:
-            values = [int(d.get(key, 0) or 0) for d in days]
-            lines.append(
-                row(label, [str(v) for v in values] + [str(sum(values))])
-            )
-        thresholds = [d.get("threshold") for d in days]
-        if any(t is not None for t in thresholds):
-            lines.append(
-                row(
-                    "detection threshold",
-                    [
-                        f"{float(t):.3f}" if t is not None else "-"
-                        for t in thresholds
-                    ]
-                    + ["-"],
-                )
-            )
+    @cached_property
+    def decisions(self) -> List[Dict[str, Any]]:
+        """The run's decision records: those of the file the manifest
+        names — none when it names none or the file was removed since."""
+        path = self.decisions_path
+        if path is None or not os.path.exists(path):
+            return []
+        try:
+            return self._check_decisions(load_decisions(path), path)
+        except ProvenanceError as error:
+            raise TelemetryError(str(error)) from None
 
-    ingest: List[Mapping[str, object]] = manifest.get("ingest", [])  # type: ignore[assignment]
-    if ingest:
-        lines.append("")
-        lines.append("ingest accounting:")
-        for report in ingest:
-            lines.append(
-                f"  {report.get('source', '?')} ({report.get('mode', '?')}): "
-                f"{report.get('n_ok', 0)} kept, "
-                f"{report.get('n_quarantined', 0)} quarantined"
-            )
-            counters: Mapping[str, int] = report.get("counters", {})  # type: ignore[assignment]
-            for category in sorted(counters):
-                lines.append(f"    {category}: {counters[category]}")
+    # ------------------------------------------------------------------ #
+    # derived accessors
+    # ------------------------------------------------------------------ #
 
-    degradations: List[str] = manifest.get("degradations", [])  # type: ignore[assignment]
-    if degradations:
-        lines.append("")
-        lines.append("degradations observed:")
-        for tag in degradations:
-            lines.append(f"  {tag}")
+    def worker_accounting(self) -> Dict[str, Any]:
+        """Pool tasks against the worker spans merged back for them.
 
-    runtime_events: List[Mapping[str, object]] = manifest.get(  # type: ignore[assignment]
-        "runtime_events", []
-    )
-    if runtime_events:
-        counts: Dict[str, int] = {}
-        for event in runtime_events:
-            if isinstance(event, Mapping):
-                kind = str(event.get("kind", "?"))
-                counts[kind] = counts.get(kind, 0) + 1
-        lines.append("")
-        lines.append(
-            f"execution-layer degradations ({len(runtime_events)} event(s); "
-            "results are unaffected — the run only got slower):"
-        )
-        for kind in sorted(counts):
-            lines.append(f"  {kind}: {counts[kind]}")
+        Every supervised pool task should have contributed exactly one
+        merged :data:`WORKER_TASK_SPAN` span, none quarantined or missing
+        (DESIGN.md §15); the bench gate and the chaos invariant each
+        phrase their own verdict over these counts.
+        """
+        n_spans = 0
+        stack = list(self.spans)
+        while stack:
+            span = stack.pop()
+            n_spans += span.get("name") == WORKER_TASK_SPAN
+            stack.extend(span["children"])
+        resources = self.resources or {"workers": {}, "pool": {}}
+        workers, pool = resources["workers"], resources["pool"]
 
-    warnings: List[str] = manifest.get("warnings", [])  # type: ignore[assignment]
-    if warnings:
-        lines.append("")
-        lines.append("warnings:")
-        for text in warnings:
-            lines.append(f"  {text}")
+        def total(stats: Mapping[str, Mapping[str, Any]], key: str) -> int:
+            return sum(entry.get(key) or 0 for entry in stats.values())
 
-    # Companion artifacts the manifest points at, so a reader of the
-    # rendered summary knows what else the telemetry dir holds.
-    metrics: Mapping[str, object] = manifest.get("metrics") or {}  # type: ignore[assignment]
-    artifacts = [f"trace {manifest.get('trace_file') or '-'}"]
-    decisions_file = manifest.get("decisions_file")
-    if decisions_file:
-        artifacts.append(f"decisions {decisions_file}")
-    if isinstance(metrics, Mapping):
-        artifacts.append(f"{len(metrics)} metric series")
-    lines.append("")
-    lines.append("artifacts: " + ", ".join(artifacts))
-    return "\n".join(lines)
+        return {
+            "n_worker_spans": n_spans,
+            "n_pool_tasks": total(pool, "n_tasks"),
+            "n_merged": total(workers, "n_merged"),
+            "n_quarantined": total(workers, "n_quarantined"),
+            "n_missing": total(workers, "n_missing"),
+            "merged_per_label": all(
+                workers.get(label, {}).get("n_merged") == (stats.get("n_tasks") or 0)
+                for label, stats in pool.items()
+            ),
+        }

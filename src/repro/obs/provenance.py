@@ -292,7 +292,7 @@ def load_decisions(path: str) -> List[Dict[str, object]]:
                         f"{DECISION_SCHEMA_VERSION})"
                     )
                 records.append(record)
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ProvenanceError(f"{path}: cannot read decisions ({error})") from None
     return records
 

@@ -677,7 +677,7 @@ def derive_throughput(
 ) -> Dict[str, Optional[float]]:
     """Sustained ``<unit>_per_s`` gauges from unit counts and phase seconds.
 
-    Pure so ``segugio profile`` / ``segugio telemetry`` can recompute the
+    Pure so the ``segugio inspect`` views can recompute the
     same numbers from a manifest alone.  Each unit is divided by the
     wall-clock of the phases that process it (:data:`UNIT_PHASES`); when
     those phases recorded no time, the total wall is the denominator, and

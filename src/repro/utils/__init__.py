@@ -1,4 +1,4 @@
-"""Shared low-level utilities: seeded RNG streams, string interning, timing.
+"""Shared low-level utilities: seeded RNG streams, string interning.
 
 These helpers underpin the deterministic simulation substrate.  Everything in
 :mod:`repro.synth` draws randomness through :class:`repro.utils.rng.RngFactory`
@@ -7,6 +7,5 @@ so an entire multi-day, multi-ISP scenario is reproducible from one seed.
 
 from repro.utils.ids import Interner
 from repro.utils.rng import RngFactory
-from repro.utils.timing import Stopwatch
 
-__all__ = ["Interner", "RngFactory", "Stopwatch"]
+__all__ = ["Interner", "RngFactory"]

@@ -130,7 +130,7 @@ class TestFaultToleranceFlags:
     def test_monitor_bad_reference_exits_with_located_error(self, tmp_path):
         # the bad spec is rejected up front, before any manifest is loaded
         with pytest.raises(SystemExit) as excinfo:
-            main(["monitor", str(tmp_path), "--reference", "sometimes"])
+            main(["inspect", str(tmp_path), "--reference", "sometimes"])
         assert "sometimes" in str(excinfo.value)
 
     def test_chaos_small_run_exits_zero_and_prints_verdict(
@@ -156,7 +156,7 @@ class TestFaultToleranceFlags:
 
 
 class TestProfilingFlags:
-    """`track --profile/--budgets`, `segugio profile`, and `bench --e2e`."""
+    """`track --profile/--budgets`, `inspect --view profile`, `bench --e2e`."""
 
     def test_profile_requires_telemetry_dir(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -215,9 +215,12 @@ class TestProfilingFlags:
         )
         capsys.readouterr()
         html_path = str(tmp_path / "profile.html")
-        assert main(["profile", telemetry_dir, "--html", html_path]) == 0
+        assert (
+            main(["inspect", telemetry_dir, "--view", "profile", "--html", html_path])
+            == 0
+        )
         out = capsys.readouterr().out
-        assert "segugio profile" in out
+        assert "segugio inspect: profile" in out
         assert "phase tree" in out
         with open(html_path) as stream:
             assert "<!doctype html>" in stream.read()
@@ -231,12 +234,12 @@ class TestProfilingFlags:
             == 0
         )
         capsys.readouterr()
-        assert main(["profile", telemetry_dir]) == 0
+        assert main(["inspect", telemetry_dir, "--view", "profile"]) == 0
         assert "resources: n/a" in capsys.readouterr().out
 
     def test_profile_missing_dir_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["profile", str(tmp_path / "nowhere")])
+            main(["inspect", str(tmp_path / "nowhere")])
 
     def test_bench_e2e_writes_schema_versioned_payload(
         self, tmp_path, capsys, monkeypatch

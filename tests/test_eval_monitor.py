@@ -1,18 +1,22 @@
-"""The ``segugio monitor`` dashboard: loading, rendering, CLI, edge cases."""
+"""The ``segugio inspect`` health view: loading, rendering, CLI, edge cases."""
 
 import pytest
 
 from repro.cli import main
-from repro.eval.monitor import (
-    MonitorError,
-    RunSummary,
-    load_runs,
-    parse_reference,
-    reference_deltas,
-    render_monitor,
-    render_monitor_html,
-    sparkline,
-)
+from repro.eval.document import render_html, render_text
+from repro.eval.monitor import parse_reference, reference_deltas, sparkline
+from repro.eval.views import health_view
+from repro.obs import TelemetryError, TelemetryRun
+
+load_runs = TelemetryRun.open_all
+
+
+def render_monitor(runs, reference="previous"):
+    return render_text(health_view(runs, reference))
+
+
+def render_monitor_html(runs, reference="previous"):
+    return render_html(health_view(runs, reference))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +83,7 @@ def _alert_run():
             },
         ],
     }
-    return RunSummary(path="/synthetic", manifest=manifest)
+    return TelemetryRun(manifest, path="/synthetic")
 
 
 class TestSparkline:
@@ -104,19 +108,21 @@ class TestLoadRuns:
         assert run.health["status"] in ("ok", "warn", "alert")
 
     def test_missing_directory_is_an_error(self):
-        with pytest.raises(MonitorError, match="not a directory"):
+        with pytest.raises(TelemetryError, match="not a directory"):
             load_runs(["/no/such/telemetry"])
 
     def test_directory_without_manifest_is_an_error(self, tmp_path):
-        with pytest.raises(MonitorError, match="manifest"):
+        with pytest.raises(TelemetryError, match="manifest"):
             load_runs([str(tmp_path)])
 
-    def test_no_paths_is_an_error(self):
-        with pytest.raises(MonitorError, match="no telemetry"):
-            load_runs([])
+    def test_no_paths_is_an_error(self, capsys):
+        # the CLI owns this case now: `inspect` takes one or more paths
+        with pytest.raises(SystemExit):
+            main(["inspect"])
+        assert "PATH" in capsys.readouterr().err
 
     def test_all_problems_reported_together(self, tmp_path, telemetry_dir):
-        with pytest.raises(MonitorError) as excinfo:
+        with pytest.raises(TelemetryError) as excinfo:
             load_runs([telemetry_dir, "/no/such/dir", str(tmp_path)])
         assert "/no/such/dir" in str(excinfo.value)
         assert str(tmp_path) in str(excinfo.value)
@@ -125,7 +131,7 @@ class TestLoadRuns:
 class TestRenderText:
     def test_real_run_dashboard(self, telemetry_dir):
         text = render_monitor(load_runs([telemetry_dir]))
-        assert "segugio monitor — 1 run(s), 2 tracked day(s)" in text
+        assert "segugio inspect: health — 1 run(s), 2 tracked day(s)" in text
         assert "per-day trend:" in text
         assert "[+] ok" in text
         assert "trend sparklines" in text
@@ -143,10 +149,25 @@ class TestRenderText:
         text = render_monitor(load_runs([telemetry_dir]))
         assert "tripped alert rules: none" in text
 
+    def test_day_zero_decisions_are_bucketed_as_day_zero(self):
+        # regression: `int(record.get("day", -1) or -1)` read day 0 as -1,
+        # so a campaign starting at day 0 grew a phantom "-1" verdict row
+        manifest = {
+            "run_id": "r",
+            "command": "track",
+            "days": [{"day": 0, "n_scored": 1}],
+        }
+        decisions = [
+            {"day": 0, "verdict": "scored", "detected": True},
+            {"day": 0, "verdict": "pruned", "detected": None},
+        ]
+        text = render_monitor([TelemetryRun(manifest, decisions=decisions)])
+        table = text.split("decision verdicts per day")[1].splitlines()[1:3]
+        assert table[1].split() == ["0", "1", "1", "0", "1"]
+        assert "-1" not in text
+
     def test_manifest_without_days(self):
-        run = RunSummary(
-            path="/empty", manifest={"run_id": "r", "command": "track"}
-        )
+        run = TelemetryRun({"run_id": "r", "command": "track"}, path="/empty")
         text = render_monitor([run])
         assert "nothing to trend" in text
 
@@ -176,20 +197,23 @@ class TestMonitorCli:
         self, telemetry_dir, tmp_path, capsys
     ):
         out = str(tmp_path / "dash.html")
-        assert main(["monitor", telemetry_dir, "--html", out]) == 0
+        assert (
+            main(["inspect", telemetry_dir, "--view", "health", "--html", out])
+            == 0
+        )
         printed = capsys.readouterr().out
-        assert "segugio monitor" in printed
-        assert f"html dashboard written to {out}" in printed
+        assert "segugio inspect: health" in printed
+        assert f"html report written to {out}" in printed
         with open(out) as stream:
             assert "<!doctype html>" in stream.read()
 
     def test_monitor_missing_dir_exits_nonzero(self):
         with pytest.raises(SystemExit, match="not a directory"):
-            main(["monitor", "/no/such/telemetry"])
+            main(["inspect", "/no/such/telemetry"])
 
     def test_monitor_empty_dir_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit, match="manifest"):
-            main(["monitor", str(tmp_path)])
+            main(["inspect", str(tmp_path)])
 
 
 class TestExplainReplayCli:
@@ -243,7 +267,7 @@ class TestReferenceWindows:
         "spec", ["bogus", "pinned:", "pinned:soon", "rolling:0", "rolling:x"]
     )
     def test_bad_specs_name_the_offender(self, spec):
-        with pytest.raises(MonitorError, match="reference") as excinfo:
+        with pytest.raises(ValueError, match="reference") as excinfo:
             parse_reference(spec)
         assert spec in str(excinfo.value)
 
@@ -259,7 +283,7 @@ class TestReferenceWindows:
         assert by_key[(3, "threshold")]["delta_pct"] == pytest.approx(-50.0)
 
     def test_pinned_day_must_be_loaded(self):
-        with pytest.raises(MonitorError, match="not.*among") as excinfo:
+        with pytest.raises(ValueError, match="not.*among") as excinfo:
             reference_deltas(_REFERENCE_DAYS, "pinned", 99)
         assert "1, 2, 3" in str(excinfo.value)  # the error lists what IS loaded
 

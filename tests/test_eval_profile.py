@@ -1,20 +1,35 @@
-"""The ``segugio profile`` view: aggregation, hotspots, budgets, render."""
+"""The ``segugio inspect`` profile view: aggregation, hotspots, budgets, render."""
 
 import json
 
 import pytest
 
+from repro.eval.document import render_html, render_text
 from repro.eval.profile import (
-    ProfileError,
     aggregate_spans,
     budget_verdicts,
     latency_summary,
-    load_profile,
     phase_hotspots,
-    render_profile,
-    render_profile_html,
 )
-from repro.obs.manifest import MANIFEST_VERSION, config_hash
+from repro.eval.views import profile_view
+from repro.obs.manifest import (
+    MANIFEST_VERSION,
+    TelemetryError,
+    TelemetryRun,
+    config_hash,
+)
+
+
+def load_profile(path):
+    return TelemetryRun.open(path).manifest
+
+
+def render_profile(manifest):
+    return render_text(profile_view(TelemetryRun(manifest)))
+
+
+def render_profile_html(manifest):
+    return render_html(profile_view(TelemetryRun(manifest)))
 
 
 def span(name, duration, cpu=None, rss=None, children=()):
@@ -244,7 +259,7 @@ class TestRenderHtml:
     def test_self_contained_document(self):
         html_text = render_profile_html(profiled_manifest())
         assert html_text.startswith("<!doctype html>")
-        assert "segugio profile" in html_text
+        assert "segugio inspect: profile" in html_text
         assert "train_classifier" in html_text
         assert "Supervised pool" in html_text
         assert "rss-cap" in html_text
@@ -268,10 +283,10 @@ class TestLoadProfile:
         assert manifest["resources"]["schema_version"] == 1
 
     def test_missing_manifest_raises_profile_error(self, tmp_path):
-        with pytest.raises(ProfileError):
+        with pytest.raises(TelemetryError):
             load_profile(str(tmp_path))
 
     def test_invalid_manifest_raises_profile_error(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{}")
-        with pytest.raises(ProfileError):
+        with pytest.raises(TelemetryError):
             load_profile(str(tmp_path))

@@ -1,18 +1,29 @@
-"""Tests for the ``segugio trace`` unified timeline view."""
+"""Tests for the ``segugio inspect`` unified timeline view."""
 
 import json
 import os
 
 import pytest
 
-from repro.eval.trace import (
-    STRAGGLER_FACTOR,
-    TraceError,
-    build_timeline,
-    load_trace,
-    render_trace,
-    render_trace_html,
-)
+from repro.eval.document import render_html, render_text
+from repro.eval.trace import STRAGGLER_FACTOR, build_timeline
+from repro.eval.views import ROW_LIMIT, timeline_view
+from repro.obs.manifest import TelemetryError, TelemetryRun
+
+
+def load_trace(path):
+    run = TelemetryRun.open(path)
+    return run.manifest, run.trace[0]
+
+
+def render_trace(manifest, rows, limit=ROW_LIMIT):
+    return render_text(
+        timeline_view(TelemetryRun(manifest, trace_rows=rows), limit)
+    )
+
+
+def render_trace_html(manifest, rows):
+    return render_html(timeline_view(TelemetryRun(manifest, trace_rows=rows)))
 
 
 def manifest(run_id="run-1", events=None):
@@ -159,7 +170,7 @@ class TestBuildTimeline:
 class TestRenderTrace:
     def test_text_view_lists_lanes_and_annotations(self):
         text = render_trace(manifest(), worker_rows())
-        assert "segugio trace" in text
+        assert "segugio inspect: timeline" in text
         assert "w0" in text and "w1" in text and "serial" in text
         assert "STRAGGLER" in text
         assert f"{STRAGGLER_FACTOR:g}x label median" in text
@@ -232,13 +243,13 @@ class TestLoadTrace:
         assert len(rows) == 2
 
     def test_missing_dir_raises_trace_error(self, tmp_path):
-        with pytest.raises(TraceError):
+        with pytest.raises(TelemetryError):
             load_trace(str(tmp_path / "nowhere"))
 
     def test_missing_trace_file_raises(self, tmp_path):
         self.write_dir(tmp_path)
         os.unlink(tmp_path / "trace.jsonl")
-        with pytest.raises(TraceError, match="no trace file"):
+        with pytest.raises(TelemetryError, match="no trace file"):
             load_trace(str(tmp_path))
 
 
@@ -264,9 +275,14 @@ class TestTraceCli:
         )
         capsys.readouterr()
         html_path = str(tmp_path / "trace.html")
-        assert main(["trace", telemetry_dir, "--html", html_path]) == 0
+        assert (
+            main(
+                ["inspect", telemetry_dir, "--view", "timeline", "--html", html_path]
+            )
+            == 0
+        )
         out = capsys.readouterr().out
-        assert "segugio trace" in out
+        assert "segugio inspect: timeline" in out
         assert "timeline" in out
         with open(html_path) as stream:
             assert "lane-block" in stream.read()
@@ -275,4 +291,4 @@ class TestTraceCli:
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["trace", str(tmp_path / "nowhere")])
+            main(["inspect", str(tmp_path / "nowhere")])

@@ -311,14 +311,13 @@ class TestSEG103ManifestContract:
             f"    manifest = {{{body}}}\n"
             "    return manifest\n",
         )
-        write(tmp_path, "src/repro/obs/manifest.py", "")
         reads = "\n".join(
             f"    _ = manifest.get('{k}')" for k in consumer_reads
         )
         write(
             tmp_path,
-            "src/repro/eval/profile.py",
-            "def render(manifest):\n" + (reads or "    pass") + "\n",
+            "src/repro/obs/manifest.py",
+            "def read(manifest):\n" + (reads or "    pass") + "\n",
         )
         return tmp_path
 
@@ -328,7 +327,7 @@ class TestSEG103ManifestContract:
         errors = [f for f in findings if f.severity == "error"]
         (finding,) = errors
         assert "ghost_key" in finding.message
-        assert finding.path == "src/repro/eval/profile.py"
+        assert finding.path == "src/repro/obs/manifest.py"
 
     def test_unread_producer_is_warning(self, tmp_path, monkeypatch):
         self._contract_tree(tmp_path, ["run_id", "dead_key"], ["run_id"])
@@ -574,25 +573,6 @@ class TestLiveRepoContracts:
         assert findings == [], [
             f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
         ]
-
-    def test_span_renames_target_registered_names(self, live_findings):
-        # the v1->v2 upgrade shim must rename onto registered span names,
-        # or upgraded manifests fork the namespace the registry guards
-        import sys
-
-        sys.path.insert(
-            0,
-            __import__("os").path.join(
-                __import__("os").path.dirname(
-                    __import__("os").path.dirname(__file__)
-                ),
-                "src",
-            ),
-        )
-        from repro.obs.manifest import SPAN_RENAMES_V1
-        from repro.obs.spans import SPAN_NAMES
-
-        assert set(SPAN_RENAMES_V1.values()) <= SPAN_NAMES
 
     def test_live_span_sites_all_registered(self, live_findings):
         from repro.obs.spans import SPAN_NAMES

@@ -73,3 +73,29 @@ class TestValidation:
             LogisticRegression(C=0)
         with pytest.raises(ValueError):
             LogisticRegression(class_weight="x")
+
+
+def test_scipy_is_loaded_by_a_logistic_fit_not_by_every_process():
+    # scipy.optimize costs +0.36 s and +51 MB RSS to import; the default
+    # classifier is the forest, so only LogisticRegression.fit may pay it
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.core.tracker, repro.runtime.ingest\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:3]\n"
+        "import numpy as np\n"
+        "from repro.ml.logistic import LogisticRegression\n"
+        "LogisticRegression().fit(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 0, 1, 1]))\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

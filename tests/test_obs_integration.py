@@ -13,9 +13,15 @@ import pytest
 
 from repro.core.pipeline import Segugio
 from repro.core.tracker import DomainTracker
-from repro.obs import RunTelemetry, load_manifest, render_telemetry
+from repro.eval.document import render_text
+from repro.eval.views import cost_view
+from repro.obs import RunTelemetry, TelemetryRun, load_manifest
 from repro.runtime.checkpoint import config_to_dict
 from repro.runtime.ingest import load_observation_checked
+
+
+def render_telemetry(manifest):
+    return render_text(cost_view(TelemetryRun(manifest)))
 
 
 def gauge_value(metrics, name, **labels):
@@ -139,7 +145,7 @@ class TestTrackRunManifest:
         manifest = load_manifest(manifest_path)
         assert manifest["config_sha256"] is not None
         text = render_telemetry(manifest)
-        assert "segugio track, 2 day(s)" in text
+        assert "(track), 2 day(s)" in text
         assert "learning total" in text
         with open(trace_path) as stream:
             spans = [json.loads(line) for line in stream]
@@ -229,7 +235,7 @@ class TestCliRoundTrip:
         assert manifest["command"] == "track"
         assert len(manifest["days"]) == 1
 
-        assert main(["telemetry", f"{out_dir}/manifest.json"]) == 0
+        assert main(["inspect", f"{out_dir}/manifest.json", "--view", "cost"]) == 0
         rendered = capsys.readouterr().out
         assert "cf. paper §IV-G" in rendered
         assert "unknown domains scored" in rendered
@@ -240,4 +246,4 @@ class TestCliRoundTrip:
         path = tmp_path / "not-a-manifest.json"
         path.write_text("{}")
         with pytest.raises(SystemExit, match="manifest"):
-            main(["telemetry", str(path)])
+            main(["inspect", str(path)])

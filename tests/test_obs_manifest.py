@@ -5,16 +5,20 @@ import os
 
 import pytest
 
+from repro.eval.document import render_text
+from repro.eval.views import cost_view
 from repro.obs.manifest import (
     MANIFEST_VERSION,
-    SPAN_RENAMES_V1,
     ManifestError,
+    TelemetryRun,
     config_hash,
     load_manifest,
-    render_telemetry,
-    upgrade_manifest_v1,
     write_manifest,
 )
+
+
+def render_telemetry(manifest):
+    return render_text(cost_view(TelemetryRun(manifest)))
 
 
 def minimal_manifest(**overrides):
@@ -81,6 +85,15 @@ class TestWriteLoad:
         with pytest.raises(ManifestError, match="version 99"):
             load_manifest(path)
 
+    def test_v1_manifest_is_rejected_by_version(self, tmp_path):
+        # no writer has produced version 1 since the bump to 2; the reader
+        # names the version it found instead of guessing at an upgrade
+        path = str(tmp_path / "v1.json")
+        write_manifest(minimal_manifest(manifest_version=1), path)
+        with pytest.raises(ManifestError, match="version 1 is not supported") as excinfo:
+            load_manifest(path)
+        assert str(excinfo.value).startswith(path)
+
     def test_missing_required_key(self, tmp_path):
         path = str(tmp_path / "partial.json")
         manifest = minimal_manifest()
@@ -142,7 +155,7 @@ class TestRenderTelemetry:
 
     def test_header_and_phase_rows(self):
         text = render_telemetry(self.make_manifest())
-        assert "run r1 — segugio track, 2 day(s)" in text
+        assert "run r1 (track), 2 day(s)" in text
         assert "cf. paper §IV-G" in text
         # Phase rows carry per-day and total columns.
         build = next(l for l in text.splitlines() if "build_graph" in l)
@@ -233,84 +246,6 @@ class TestRenderTelemetry:
         assert loaded["resources"] == manifest["resources"]
 
 
-class TestV1Compatibility:
-    """PR-2 era manifests (version 1) must keep loading after the v2 bump."""
-
-    def v1_manifest(self):
-        return minimal_manifest(
-            manifest_version=1,
-            days=[
-                {
-                    "day": 21,
-                    "threshold": 0.4,
-                    "n_scored": 930,
-                    "phases": {
-                        "build_graph": 1.0,       # Stopwatch phase: unchanged
-                        "health_check": 0.1,      # old span name: renamed
-                        "calibrate_threshold": 0.2,
-                    },
-                }
-            ],
-            spans=[
-                {
-                    "name": "process_day",
-                    "children": [{"name": "forest.fit", "children": []}],
-                }
-            ],
-        )
-
-    def test_load_upgrades_v1_in_place(self, tmp_path):
-        path = str(tmp_path / "v1.json")
-        write_manifest(self.v1_manifest(), path)
-        manifest = load_manifest(path)
-        assert manifest["manifest_version"] == MANIFEST_VERSION
-        assert manifest["upgraded_from_version"] == 1
-
-    def test_span_names_are_migrated_recursively(self, tmp_path):
-        path = str(tmp_path / "v1.json")
-        write_manifest(self.v1_manifest(), path)
-        (root,) = load_manifest(path)["spans"]
-        assert root["name"] == "segugio_run_day"
-        assert root["children"][0]["name"] == "segugio_forest_fit"
-
-    def test_phase_keys_migrate_but_stopwatch_phases_survive(self, tmp_path):
-        path = str(tmp_path / "v1.json")
-        write_manifest(self.v1_manifest(), path)
-        (day,) = load_manifest(path)["days"]
-        assert day["phases"]["build_graph"] == 1.0
-        assert day["phases"]["segugio_tracker_health_check"] == 0.1
-        assert day["phases"]["segugio_tracker_calibrate"] == 0.2
-        assert "health_check" not in day["phases"]
-
-    def test_v2_quality_fields_default_to_unknown(self, tmp_path):
-        # a v1 run measured no drift: that is 'unknown', not a clean 'ok'
-        path = str(tmp_path / "v1.json")
-        write_manifest(self.v1_manifest(), path)
-        manifest = load_manifest(path)
-        assert manifest["health"] == {"status": "unknown", "reasons": []}
-        assert manifest["decisions_file"] is None
-        (day,) = manifest["days"]
-        assert day["drift"] is None
-        assert day["health"]["status"] == "unknown"
-
-    def test_upgraded_manifest_still_renders(self, tmp_path):
-        path = str(tmp_path / "v1.json")
-        write_manifest(self.v1_manifest(), path)
-        text = render_telemetry(load_manifest(path))
-        assert "run r1" in text
-
-    def test_rename_map_targets_are_all_namespaced(self):
-        for old, new in SPAN_RENAMES_V1.items():
-            assert not old.startswith("segugio_")
-            assert new.startswith("segugio_")
-
-    def test_upgrade_does_not_mutate_the_input(self):
-        payload = self.v1_manifest()
-        upgraded = upgrade_manifest_v1(payload)
-        assert payload["manifest_version"] == 1
-        assert upgraded is not payload
-
-
 class TestRenderTelemetryArtifacts:
     """The header/footer fields added for the SEG103 manifest contract:
     every key the producers write has a reader in the rendered view."""
@@ -325,10 +260,6 @@ class TestRenderTelemetryArtifacts:
     def test_unparseable_created_stamp_degrades(self):
         text = render_telemetry(minimal_manifest(created_unix=1e300))
         assert "created ?" in text.splitlines()[0]
-
-    def test_upgrade_marker_in_header(self):
-        text = render_telemetry(minimal_manifest(upgraded_from_version=1))
-        assert "(upgraded from manifest v1)" in text.splitlines()[0]
 
     def test_no_upgrade_marker_on_native_manifest(self):
         text = render_telemetry(minimal_manifest())

@@ -175,8 +175,3 @@ class TestStopwatchShim:
         assert tracer.phase_totals()["build_graph"] == pytest.approx(
             watch.elapsed("build_graph"), abs=5e-3
         )
-
-    def test_legacy_import_path_still_works(self):
-        from repro.utils.timing import Stopwatch as LegacyStopwatch
-
-        assert LegacyStopwatch is Stopwatch

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.utils.timing import Stopwatch
+from repro.obs.tracing import Stopwatch
 
 
 class TestStopwatch:

@@ -12,12 +12,13 @@ phase 1 — never on raw source — so they see across file boundaries:
   ``supervised_map`` / ``ProcessPoolExecutor.submit`` must be a
   module-level function (picklable by construction) that neither writes
   ``global`` names nor mutates module-level state.
-* **SEG103** — manifest contract: string keys written by the manifest
-  producers (``repro.obs.run``, ``repro.obs.manifest``) are checked
-  against keys read by the consumers (``repro.obs.manifest``,
-  ``repro.eval.{profile,monitor,chaos}``, ``repro.cli``).  A key read
-  but never produced is an error; a key produced but never read is a
-  warning (unless allowlisted as archival).
+* **SEG103** — manifest contract: string keys written by the run
+  manifest's producer (``repro.obs.run``) are checked against keys read
+  by its one consumer, the reader in ``repro.obs.manifest`` (the edge
+  store's own manifest is checked the same way inside
+  ``repro.datasets.edgestore``).  A key read but never produced is an
+  error; a key produced but never read is a warning (unless allowlisted
+  as archival).
 * **SEG104** — span-name registry: every ``span("segugio_*")`` literal
   must be declared in :data:`repro.obs.spans.SPAN_NAMES`; registry
   entries with no call site are warnings.
@@ -81,16 +82,13 @@ POOL_ENTRYPOINTS = frozenset({("repro.runtime.supervisor", "supervised_map")})
 #: consumers contribute read keys; a module may be both.
 MANIFEST_PRODUCERS: Dict[str, Tuple[str, ...]] = {
     "repro.obs.run": ("manifest",),
-    "repro.obs.manifest": ("payload",),
     "repro.datasets.edgestore": ("manifest",),
 }
 MANIFEST_CONSUMERS: Dict[str, Tuple[str, ...]] = {
-    "repro.obs.manifest": ("payload", "manifest"),
+    # the run manifest has one reader: TelemetryRun and load_manifest
+    "repro.obs.manifest": ("manifest",),
+    # the edge store reads back its own, separate manifest
     "repro.datasets.edgestore": ("manifest",),
-    "repro.eval.profile": ("manifest",),
-    "repro.eval.monitor": ("manifest", "self.manifest"),
-    "repro.eval.chaos": ("manifest",),
-    "repro.cli": ("manifest",),
 }
 
 #: produced keys that are deliberately write-only (archival record, not
@@ -761,8 +759,8 @@ class ManifestContractRule(ProjectRule):
     rule_id = "SEG103"
     name = "manifest-contract"
     rationale = (
-        "the manifest is the only interface between a run and its "
-        "consumers (profile/monitor/chaos/cli); a key read but never "
+        "the manifest is the only interface between a run and every "
+        "later view of it (all through the one reader); a key read but never "
         "produced renders 'n/a' forever, a key produced but never read "
         "is dead weight in every run artifact"
     )

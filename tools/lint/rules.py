@@ -714,7 +714,7 @@ class PerfTimingRule(Rule):
 
     ``repro.eval`` timings feed reports and manifests; a raw
     ``time.perf_counter()`` pair produces a number that bypasses the span
-    tree, so ``segugio telemetry`` cannot account for it and the trace
+    tree, so ``segugio inspect`` cannot account for it and the trace
     disagrees with the report.  Evaluation code must time work through
     ``repro.obs.tracing`` (``Stopwatch`` phases or tracer spans), which
     yields the same float *and* lands in the manifest.  The benchmark
@@ -832,7 +832,7 @@ class ResourceReadContainmentRule(Rule):
     ``tracemalloc`` left running skews every later measurement.  A second
     call site re-learns those lessons wrong — and numbers that bypass the
     :class:`ResourceMonitor` never reach the manifest's ``resources`` key,
-    so ``segugio profile`` disagrees with whatever ad-hoc figure was
+    so ``segugio inspect`` disagrees with whatever ad-hoc figure was
     printed.  Everyone else reads through the monitor (or its
     ``process_clock`` helper for worker self-timing).
     """
