@@ -12,9 +12,10 @@ as a file-based workflow.
 import tempfile
 
 from repro import Scenario, Segugio
-from repro.datasets.store import load_observation, save_observation
+from repro.core.tracker import calibrate_threshold
+from repro.datasets.store import save_observation
 from repro.ml.serialization import load_forest, save_forest
-from repro.ml.metrics import threshold_for_fpr
+from repro.runtime.ingest import load_observation_checked
 
 
 def main() -> None:
@@ -31,11 +32,7 @@ def main() -> None:
 
         # The threshold policy travels as a number, derived from the
         # training-day benign scores (0.5% FP budget).
-        training = model.training_set_
-        benign_scores = model.classifier_.predict_proba(
-            training.X[training.y == 0]
-        )
-        threshold = threshold_for_fpr(benign_scores, 0.005)
+        threshold = calibrate_threshold(model, fp_target=0.005)
         print(f"training site: shipping threshold {threshold:.3f}")
 
         # ---------------- deployment site (ISP2) ----------------
@@ -49,7 +46,7 @@ def main() -> None:
             private_suffixes=scenario.universe.identified_services,
         )
         # ...and loads everything back from files only.
-        loaded_ctx = load_observation(obs_dir)
+        loaded_ctx, _ingest = load_observation_checked(obs_dir)
         clone = Segugio()
         clone.classifier_ = load_forest(model_path)
         report = clone.classify(loaded_ctx)

@@ -10,7 +10,7 @@ Runs on the small synthetic world (a few seconds end to end):
 import sys
 
 from repro import Scenario, Segugio
-from repro.ml.metrics import threshold_for_fpr
+from repro.core.tracker import calibrate_threshold
 
 
 def main() -> None:
@@ -45,10 +45,7 @@ def main() -> None:
 
     # Deployment thresholding: cap the FP rate at 0.5% using the
     # training-day benign scores (no test ground truth involved).
-    benign_scores = model.classifier_.predict_proba(
-        training.X[training.y == 0]
-    )
-    threshold = threshold_for_fpr(benign_scores, max_fpr=0.005)
+    threshold = calibrate_threshold(model, fp_target=0.005)
     machines = report.infected_machines(threshold)
     print(
         f"\nat threshold {threshold:.3f} (0.5% training FPs): "

@@ -11,6 +11,7 @@ Examples::
     segugio track --days 3 --telemetry-dir /tmp/telemetry --profile \\
         --budgets examples/budgets.json
     segugio track --days 3 --alert-rules rules.json --task-timeout 120
+    segugio track /tmp/day0 /tmp/day1 --lenient --checkpoint /tmp/run.ckpt
     segugio inspect /tmp/telemetry --html report.html
     segugio inspect /tmp/telemetry --view profile
     segugio inspect /tmp/run1 /tmp/run2 --view health --reference rolling:7
@@ -19,8 +20,10 @@ Examples::
     segugio chaos --plan examples/fault-plan.json --out /tmp/chaos
     segugio export-day /tmp/obs --day-offset 2
     segugio health /tmp/obs
-    segugio classify-dir /tmp/obs --lenient
-    segugio list
+
+Every tracking command — ``track`` over a synthetic world or over exported
+observation directories, ``bigday``, ``chaos`` — drives the one campaign
+runner, :func:`repro.runtime.supervisor.track_days`, over a lazy day source.
 """
 
 from __future__ import annotations
@@ -33,22 +36,16 @@ from repro.eval import experiments as E
 from repro.eval.figures import ascii_roc
 from repro.eval.reporting import ascii_table, histogram, roc_series_table
 from repro.eval.views import VIEW_NAMES, inspect_runs
+from repro.obs import load_alert_rules, load_resource_budgets
+from repro.runtime.faults import load_fault_plan
 from repro.synth.scenario import Scenario
-
-
-def _scenario(scale: str, seed: int) -> Scenario:
-    if scale == "small":
-        return Scenario.small(seed=seed)
-    if scale == "benchmark":
-        return Scenario.benchmark(seed=seed)
-    raise SystemExit(f"unknown scale {scale!r} (use small|benchmark)")
 
 
 def _run_demo(args: argparse.Namespace) -> None:
     from repro import Segugio
     from repro.core.pipeline import SegugioConfig
 
-    scenario = _scenario(args.scale, args.seed)
+    scenario = Scenario.at_scale(args.scale, args.seed)
     train_ctx = scenario.context("isp1", scenario.eval_day(0))
     test_ctx = scenario.context("isp1", scenario.eval_day(5))
     model = Segugio(SegugioConfig(n_jobs=_jobs(args))).fit(train_ctx)
@@ -62,7 +59,7 @@ def _run_demo(args: argparse.Namespace) -> None:
 
 
 def _run_experiment(args: argparse.Namespace) -> None:
-    scenario = _scenario(args.scale, args.seed)
+    scenario = Scenario.at_scale(args.scale, args.seed)
     name = args.name
     if name == "table1":
         rows = E.table1_dataset_summary(scenario)
@@ -132,8 +129,6 @@ def _run_experiment(args: argparse.Namespace) -> None:
         timing = E.performance_timing(scenario)
         for phase, seconds in timing.items():
             print(f"  {phase:<28s} {seconds:8.3f}s")
-    else:
-        raise SystemExit(f"unknown experiment {name!r}; try `segugio list`")
 
 
 EXPERIMENT_NAMES: List[str] = [
@@ -152,46 +147,17 @@ EXPERIMENT_NAMES: List[str] = [
 ]
 
 
-def _run_list(_args: argparse.Namespace) -> None:
-    print("available experiments:")
-    for name in EXPERIMENT_NAMES:
-        print(f"  {name}")
+def _flag_file(path: Optional[str], load):
+    """The file a flag names, read by *load* (None when the flag is absent).
 
-
-def _load_alert_rules(args: argparse.Namespace):
-    """The --alert-rules file as a rule tuple (None when the flag is absent)."""
-    if not getattr(args, "alert_rules", None):
-        return None
-    from repro.obs import AlertRuleError, load_alert_rules
-
-    try:
-        return load_alert_rules(args.alert_rules)
-    except AlertRuleError as error:
-        raise SystemExit(str(error))
-
-
-def _load_budgets(args: argparse.Namespace):
-    """The --budgets file as a ResourceBudget tuple (None when absent)."""
-    if not getattr(args, "budgets", None):
-        return None
-    from repro.obs import ResourceBudgetError, load_resource_budgets
-
-    try:
-        return load_resource_budgets(args.budgets)
-    except ResourceBudgetError as error:
-        raise SystemExit(str(error))
-
-
-def _load_fault_plan(args: argparse.Namespace):
-    """The fault-plan file named by the flag (None when absent)."""
-    path = getattr(args, "inject_faults", None) or getattr(args, "plan", None)
+    Each loader reports an unreadable or malformed file as a ValueError
+    that starts with the path; that message is the exit message.
+    """
     if not path:
         return None
-    from repro.runtime.faults import FaultPlanError, load_fault_plan
-
     try:
-        return load_fault_plan(path)
-    except FaultPlanError as error:
+        return load(path)
+    except ValueError as error:
         raise SystemExit(str(error))
 
 
@@ -216,7 +182,7 @@ def _start_telemetry(tracker, args: argparse.Namespace, command: str) -> None:
         command=command,
         config=config_to_dict(tracker.config),
         profile=args.profile,
-        budgets=_load_budgets(args),
+        budgets=_flag_file(args.budgets, load_resource_budgets),
     )
     # Stream decision records into the output directory as each day
     # finalizes instead of buffering the whole campaign's ledger in memory
@@ -234,27 +200,39 @@ def _finish_telemetry(tracker, args: argparse.Namespace) -> None:
     print(f"inspect with: segugio inspect {args.telemetry_dir}")
 
 
+#: ``track``'s synthetic-world flags with the value each takes when absent;
+#: given together with observation directories they are rejected, not ignored
+_SYNTHETIC_WORLD = {"scale": "small", "seed": 7, "isp": "isp1", "days": 3}
+
+
 def _run_track(args: argparse.Namespace) -> None:
     from contextlib import nullcontext
     from dataclasses import replace
 
     from repro.core.pipeline import SegugioConfig
     from repro.core.tracker import DomainTracker
+    from repro.datasets.edgestore import resharded, staged_day_stores
+    from repro.intel.blacklist import CncBlacklist
     from repro.runtime.faults import use_fault_plan
-    from repro.runtime.supervisor import (
-        policy_from_overrides,
-        supervised_process_day,
-        use_policy,
-    )
+    from repro.runtime.ingest import observation_days
+    from repro.runtime.supervisor import policy_from_overrides, world_days
 
-    alert_rules = _load_alert_rules(args)
-    plan = _load_fault_plan(args)
+    given = [f"--{name}" for name in _SYNTHETIC_WORLD if name in args]
+    if args.directories and given:
+        raise SystemExit(
+            f"{', '.join(given)} select a synthetic world and cannot be "
+            "combined with observation directories"
+        )
+    alert_rules = _flag_file(args.alert_rules, load_alert_rules)
+    plan = _flag_file(args.inject_faults, load_fault_plan)
     overrides = dict(plan.policy) if plan is not None else {}
     if args.task_timeout is not None:
         overrides["task_timeout"] = args.task_timeout
     policy = policy_from_overrides(overrides)
 
-    scenario = _scenario(args.scale, args.seed)
+    if not args.directories:
+        args = argparse.Namespace(**{**_SYNTHETIC_WORLD, **vars(args)})
+        scenario = Scenario.at_scale(args.scale, args.seed)
     if args.resume:
         tracker = DomainTracker.resume(args.resume)
         if args.jobs is not None:
@@ -275,57 +253,80 @@ def _run_track(args: argparse.Namespace) -> None:
             alert_rules=alert_rules,
         )
     _start_telemetry(tracker, args, "track")
-    shard_stack = None
-    if args.shards is not None:
-        import tempfile
+    # days the resumed ledger already covers are neither generated nor parsed
+    after = tracker.days_processed[-1] if tracker.days_processed else None
 
-        if args.shards < 1:
-            raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-        shard_stack = tempfile.TemporaryDirectory(prefix="segugio-shards-")
-    last_done = tracker.days_processed[-1] if tracker.days_processed else None
+    if args.directories:
+        feed = CncBlacklist()  # the newest feed loaded, for the closing tally
+
+        def days_under(store_root: Optional[str]):
+            nonlocal feed
+            for context, ingest in observation_days(
+                args.directories,
+                after=after,
+                store_root=store_root,
+                mode=args.mode,
+                max_error_rate=args.max_error_rate,
+                shards=args.shards,
+                batch_size=args.batch_size,
+            ):
+                if ingest.n_quarantined:
+                    print(ingest.summary())
+                if tracker.telemetry is not None:
+                    tracker.telemetry.add_ingest_report(ingest)
+                feed = context.blacklist
+                yield context
+
+    else:
+
+        def days_under(store_root: Optional[str]):
+            days = world_days(scenario, args.days, after=after, isp=args.isp)
+            if store_root is None:
+                return days
+            return resharded(
+                days, store_root, n_shards=args.shards, batch_size=args.batch_size
+            )
+
+    contexts = (
+        days_under(None) if args.shards is None else staged_day_stores(days_under)
+    )
+    # an exported day carries no ground truth to tag its detections with
+    truth = None if args.directories else scenario.is_true_malware
     with use_fault_plan(plan) if plan is not None else nullcontext():
-        with use_policy(policy):
-            for offset in range(args.days):
-                day = scenario.eval_day(offset)
-                if last_done is not None and day <= last_done:
-                    continue  # completed before the interruption; do not re-score
-                context = scenario.context(args.isp, day)
-                if shard_stack is not None:
-                    context = _shard_day_context(
-                        context, shard_stack.name, args.shards, _batch_size(args)
-                    )
-                # activate telemetry around the *whole* day so day retries
-                # and checkpoint-write retries land in the run's event log
-                with (
-                    tracker.telemetry.activate()
-                    if tracker.telemetry is not None
-                    else nullcontext()
-                ):
-                    report = supervised_process_day(tracker, context, policy=policy)
-                    print(report.summary())
-                    for entry in report.new_detections[:5]:
-                        truth = (
-                            "MALWARE"
-                            if scenario.is_true_malware(entry.name)
-                            else "unknown"
-                        )
-                        print(f"    new: {entry.name:<42s} [{truth}]")
-                    if args.checkpoint:
-                        tracker.save_checkpoint(args.checkpoint)
-                if shard_stack is not None:
-                    # one day's store is never needed again: keep disk
-                    # usage bounded by a single day
-                    import os
-                    import shutil
-
-                    shutil.rmtree(
-                        os.path.join(shard_stack.name, f"day-{day:05d}"),
-                        ignore_errors=True,
-                    )
+        _track(tracker, contexts, truth, policy, args.checkpoint)
     if args.checkpoint:
         print(f"checkpoint written to {args.checkpoint}")
     _finish_telemetry(tracker, args)
-    confirmed = tracker.confirmations(scenario.commercial_blacklist, horizon=35)
+    _print_confirmations(
+        tracker,
+        feed if args.directories else scenario.commercial_blacklist,
+        horizon=35,
+    )
+
+
+def _track(tracker, contexts, truth, policy=None, checkpoint=None) -> None:
+    """Drive the campaign runner over *contexts*, printing each day.
+
+    *truth* is the world's ground-truth predicate over domain names; with
+    None a new detection is shown with its score instead.
+    """
+    from repro.runtime.supervisor import track_days
+
+    for report in track_days(
+        tracker, contexts, policy=policy, checkpoint=checkpoint
+    ):
+        print(report.summary())
+        for entry in report.new_detections[:5]:
+            if truth is None:
+                tag = f"score {entry.best_score:.3f}"
+            else:
+                tag = "MALWARE" if truth(entry.name) else "unknown"
+            print(f"    new: {entry.name:<42s} [{tag}]")
+
+
+def _print_confirmations(tracker, blacklist, horizon: int) -> None:
+    """The campaign's closing tally: the Fig. 11 lead over *blacklist*."""
+    confirmed = tracker.confirmations(blacklist, horizon=horizon)
     print(
         f"\ntracked {len(tracker)} domains; {len(confirmed)} later entered "
         f"the blacklist"
@@ -338,7 +339,6 @@ def _run_track(args: argparse.Namespace) -> None:
 def _run_report(args: argparse.Namespace) -> None:
     from repro.eval.fullreport import SECTIONS, write_report
 
-    scenario = _scenario(args.scale, args.seed)
     sections = args.sections.split(",") if args.sections else None
     if sections is not None:
         unknown = [s for s in sections if s not in SECTIONS]
@@ -346,14 +346,15 @@ def _run_report(args: argparse.Namespace) -> None:
             raise SystemExit(
                 f"unknown sections {unknown}; options: {', '.join(SECTIONS)}"
             )
-    write_report(scenario, args.out, sections)
+    # the world is built only once the names are known to be good
+    write_report(Scenario.at_scale(args.scale, args.seed), args.out, sections)
     print(f"wrote report to {args.out}")
 
 
 def _run_diagnose(args: argparse.Namespace) -> None:
     from repro.synth.diagnostics import diagnose
 
-    scenario = _scenario(args.scale, args.seed)
+    scenario = Scenario.at_scale(args.scale, args.seed)
     result = diagnose(scenario, args.isp, scenario.eval_day(args.day_offset))
     print(result.report())
     if not result.healthy():
@@ -365,7 +366,7 @@ def _run_graph_stats(args: argparse.Namespace) -> None:
     from repro.core.graph import BehaviorGraph
     from repro.core.graphstats import degree_histogram, summarize
 
-    scenario = _scenario(args.scale, args.seed)
+    scenario = Scenario.at_scale(args.scale, args.seed)
     context = scenario.context(args.isp, scenario.eval_day(args.day_offset))
     raw = BehaviorGraph.from_trace(context.trace)
     prepared = Segugio().prepare_day(context)
@@ -382,13 +383,13 @@ def _run_graph_stats(args: argparse.Namespace) -> None:
 
 def _run_explain(args: argparse.Namespace) -> None:
     from repro import Segugio
-    from repro.ml.metrics import threshold_for_fpr
+    from repro.core.tracker import calibrate_threshold
 
     if args.telemetry_dir is not None:
         _explain_from_artifacts(args)
         return
 
-    scenario = _scenario(args.scale, args.seed)
+    scenario = Scenario.at_scale(args.scale, args.seed)
     context = scenario.context(args.isp, scenario.eval_day(args.day_offset))
     model = Segugio()
     prepared = model.prepare_day(context)
@@ -401,12 +402,7 @@ def _run_explain(args: argparse.Namespace) -> None:
         if score is None:
             raise SystemExit(f"{target!r} was not scored (labeled or pruned)")
     else:
-        training = model.training_set_
-        benign_scores = model.classifier_.predict_proba(
-            training.X[training.y == 0]
-        )
-        threshold = threshold_for_fpr(benign_scores, 0.005)
-        detections = report.detections(threshold)
+        detections = report.detections(calibrate_threshold(model, 0.005))
         if not detections:
             raise SystemExit("no detections at the default threshold")
         target, score = detections[0]
@@ -493,7 +489,7 @@ def _run_inspect(args: argparse.Namespace) -> None:
 def _run_export_day(args: argparse.Namespace) -> None:
     from repro.datasets.store import save_observation
 
-    scenario = _scenario(args.scale, args.seed)
+    scenario = Scenario.at_scale(args.scale, args.seed)
     context = scenario.context(args.isp, scenario.eval_day(args.day_offset))
     save_observation(
         args.directory,
@@ -521,90 +517,17 @@ def _run_health(args: argparse.Namespace) -> None:
         raise SystemExit(2)
 
 
-def _run_classify_dir(args: argparse.Namespace) -> None:
-    from contextlib import nullcontext
-
-    from repro import Segugio
-    from repro.ml.metrics import threshold_for_fpr
-    from repro.runtime.ingest import load_observation_checked
-
-    telemetry = None
-    if args.telemetry_dir:
-        from repro.obs import RunTelemetry
-
-        telemetry = RunTelemetry(command="classify-dir")
-    with telemetry.activate() if telemetry else nullcontext():
-        context, ingest = load_observation_checked(
-            args.directory,
-            mode=args.mode,
-            max_error_rate=args.max_error_rate,
-            shards=args.shards,
-            batch_size=args.batch_size,
-        )
-        if ingest.n_quarantined:
-            print(ingest.summary())
-        from repro.core.pipeline import SegugioConfig
-
-        model = Segugio(SegugioConfig(n_jobs=_jobs(args)))
-        with (
-            telemetry.day_scope(context.day)
-            if telemetry
-            else nullcontext({})
-        ) as record:
-            prepared = model.prepare_day(context)
-            model.fit(context, prepared=prepared)
-            training = model.training_set_
-            benign_scores = model.classifier_.predict_proba(
-                training.X[training.y == 0]
-            )
-            threshold = threshold_for_fpr(benign_scores, args.fp_target)
-            report = model.classify(context, prepared=prepared)
-            detections = report.detections(threshold)
-            record.update(
-                threshold=threshold,
-                n_scored=len(report),
-                n_new_detections=len(detections),
-                provenance=list(report.provenance),
-            )
-    if telemetry is not None:
-        from repro.runtime.checkpoint import config_to_dict
-
-        telemetry.config = config_to_dict(model.config)
-        telemetry.add_ingest_report(ingest)
-        manifest_path, trace_path = telemetry.write(args.telemetry_dir)
-        print(f"run manifest written to {manifest_path}")
-        print(f"span trace written to {trace_path}")
-    print(
-        f"day {context.day}: {len(report)} unknown domains scored, "
-        f"{len(detections)} detected at <= {args.fp_target:.2%} training FPs"
-    )
-    if report.provenance:
-        print("degraded inputs: " + ", ".join(report.provenance))
-    for name, score in detections[: args.top]:
-        print(f"  {score:6.3f}  {name}")
-
-
 def _run_bigday(args: argparse.Namespace) -> None:
     """Track a paper-scale synthetic day stream through the sharded path."""
-    import os
-    import shutil
-    import tempfile
     import time
-    from contextlib import nullcontext
 
     from repro.core.pipeline import SegugioConfig
     from repro.core.tracker import DomainTracker
-    from repro.runtime.supervisor import (
-        policy_from_overrides,
-        supervised_process_day,
-        use_policy,
-    )
+    from repro.datasets.edgestore import staged_day_stores
+    from repro.runtime.supervisor import world_days
     from repro.synth.bigday import BigDay, BigDayConfig
 
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    alert_rules = _load_alert_rules(args)
-    policy = policy_from_overrides({})
+    alert_rules = _flag_file(args.alert_rules, load_alert_rules)
     started = time.perf_counter()
     config = BigDayConfig.for_edges(
         args.edges, seed=args.seed, n_days=max(args.days, 1)
@@ -621,61 +544,34 @@ def _run_bigday(args: argparse.Namespace) -> None:
         alert_rules=alert_rules,
     )
     _start_telemetry(tracker, args, "bigday")
-    store_stack = None
-    store_root = args.store_dir
-    if store_root is None:
-        store_stack = tempfile.TemporaryDirectory(prefix="segugio-bigday-")
-        store_root = store_stack.name
-    batch_size = _batch_size(args)
-    with use_policy(policy):
-        for offset in range(args.days):
-            day = world.eval_day(offset)
-            context = world.context(
-                day,
-                store_dir=store_root,
-                shards=args.shards,
-                batch_size=batch_size,
-            )
-            with (
-                tracker.telemetry.activate()
-                if tracker.telemetry is not None
-                else nullcontext()
-            ):
-                report = supervised_process_day(tracker, context, policy=policy)
-                print(report.summary())
-                for entry in report.new_detections[:5]:
-                    truth = (
-                        "MALWARE"
-                        if world.is_malware(entry.name)
-                        else "unknown"
-                    )
-                    print(f"    new: {entry.name:<42s} [{truth}]")
-            if store_stack is not None:
-                # stores under a caller-named --store-dir are kept for
-                # inspection; our own temporaries are dropped per day
-                shutil.rmtree(
-                    os.path.join(store_root, f"day-{day:05d}"),
-                    ignore_errors=True,
-                )
+
+    def days_under(store_root: str):
+        return world_days(
+            world,
+            args.days,
+            store_dir=store_root,
+            shards=args.shards,
+            batch_size=args.batch_size,
+        )
+
+    # stores under a caller-named --store-dir are kept for inspection
+    contexts = (
+        days_under(args.store_dir)
+        if args.store_dir is not None
+        else staged_day_stores(days_under)
+    )
+    _track(tracker, contexts, world.is_malware)
     if args.verify:
-        _verify_bigday(world, args, batch_size, store_root)
+        _verify_bigday(world, args)
     _finish_telemetry(tracker, args)
-    confirmed = tracker.confirmations(
-        world.blacklist, horizon=config.fresh_blacklist_lag + 30
+    _print_confirmations(
+        tracker, world.blacklist, horizon=config.fresh_blacklist_lag + 30
     )
-    print(
-        f"\ntracked {len(tracker)} domains; {len(confirmed)} later entered "
-        f"the blacklist"
-    )
-    if confirmed:
-        mean_lead = sum(c.lead_days for c in confirmed) / len(confirmed)
-        print(f"mean lead over the feed: {mean_lead:.1f} days")
 
 
-def _verify_bigday(world, args: argparse.Namespace, batch_size: int, store_root: str) -> None:
+def _verify_bigday(world, args: argparse.Namespace) -> None:
     """Score the first day through both paths and demand identical bytes."""
-    import os
-    import shutil
+    import tempfile
 
     import numpy as np
 
@@ -691,14 +587,16 @@ def _verify_bigday(world, args: argparse.Namespace, batch_size: int, store_root:
         model.fit(context, prepared=prepared)
         return model.classify(context, prepared=prepared)
 
-    report_mem = score(world.context(day, batch_size=batch_size))
-    directory = os.path.join(store_root, "verify")
-    report_shard = score(
-        world.context(
-            day, store_dir=directory, shards=args.shards, batch_size=batch_size
+    report_mem = score(world.context(day, batch_size=args.batch_size))
+    with tempfile.TemporaryDirectory(prefix="segugio-verify-") as directory:
+        report_shard = score(
+            world.context(
+                day,
+                store_dir=directory,
+                shards=args.shards,
+                batch_size=args.batch_size,
+            )
         )
-    )
-    shutil.rmtree(directory, ignore_errors=True)
     identical = np.array_equal(
         report_mem.domain_ids, report_shard.domain_ids
     ) and np.array_equal(report_mem.scores, report_shard.scores)
@@ -762,8 +660,8 @@ def _run_chaos(args: argparse.Namespace) -> None:
 
     from repro.eval.chaos import run_chaos
 
-    plan = _load_fault_plan(args)
-    alert_rules = _load_alert_rules(args)
+    plan = _flag_file(args.plan, load_fault_plan)
+    alert_rules = _flag_file(args.alert_rules, load_alert_rules)
     out_dir = args.out or tempfile.mkdtemp(prefix="segugio-chaos-")
     report = run_chaos(
         plan,
@@ -855,16 +753,37 @@ def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_world_flags(
+    parser: argparse.ArgumentParser, isp: bool = False, day_offset: bool = False
+) -> None:
+    """--scale/--seed of the synthetic world, and where in it a command looks."""
+    parser.add_argument("--scale", default="small", choices=["small", "benchmark"])
+    parser.add_argument("--seed", type=int, default=7)
+    if isp:
+        parser.add_argument("--isp", default="isp1")
+    if day_offset:
+        parser.add_argument("--day-offset", type=int, default=0)
+
+
 def _jobs(args: argparse.Namespace) -> int:
     """The --jobs value with the absent flag meaning serial."""
     return 1 if args.jobs is None else args.jobs
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """--shards/--batch-size: the out-of-core streaming graph build."""
+    from repro.dns.trace import DEFAULT_BATCH_SIZE
+
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_at_least_one,
         default=None,
         help="partition each day's edges by machine id into this many "
         "shards and run the out-of-core graph build through the "
@@ -873,36 +792,45 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--batch-size",
-        type=int,
-        default=None,
+        type=_at_least_one,
+        default=DEFAULT_BATCH_SIZE,
         help="trace rows per streamed batch (default 65536); purely an "
         "execution knob — any value yields bit-identical outputs",
     )
 
 
-def _batch_size(args: argparse.Namespace) -> int:
-    from repro.dns.trace import DEFAULT_BATCH_SIZE
-
-    value = getattr(args, "batch_size", None)
-    if value is None:
-        return DEFAULT_BATCH_SIZE
-    if value < 1:
-        raise SystemExit(f"--batch-size must be >= 1, got {value}")
-    return value
-
-
-def _shard_day_context(context, root: str, shards: int, batch_size: int):
-    """Reshard one in-memory day context through an edge store under *root*."""
-    import os
-    from dataclasses import replace
-
-    from repro.datasets.edgestore import ShardedDayTrace
-
-    directory = os.path.join(root, f"day-{context.day:05d}")
-    trace = ShardedDayTrace.from_day_trace(
-        context.trace, directory, n_shards=shards, batch_size=batch_size
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """What every tracking campaign takes, whichever world feeds it."""
+    parser.add_argument("--fp-target", type=float, default=0.001)
+    parser.add_argument(
+        "--telemetry-dir",
+        default=None,
+        help="write a run manifest (manifest.json) and span trace "
+        "(trace.jsonl) into this directory",
     )
-    return replace(context, trace=trace)
+    parser.add_argument(
+        "--alert-rules",
+        default=None,
+        help="JSON file of SLO alert rules replacing the built-in set "
+        "(see repro.obs.monitor.load_alert_rules)",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="record per-phase CPU/peak-RSS/IO, throughput, and pool "
+        "stats into the manifest's resources key (needs --telemetry-dir; "
+        "observation only — decision outputs stay bit-identical)",
+    )
+    parser.add_argument(
+        "--budgets",
+        default=None,
+        help="JSON file of declarative resource budgets (max_peak_rss_mb, "
+        "min rows/s, ...) checked against the profiled summary and folded "
+        "into run health (needs --profile; see "
+        "repro.obs.resources.load_resource_budgets)",
+    )
+    _add_jobs_flag(parser)
+    _add_shard_flags(parser)
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -931,26 +859,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="train + classify on a synthetic ISP")
-    demo.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    demo.add_argument("--seed", type=int, default=7)
+    _add_world_flags(demo)
     _add_jobs_flag(demo)
     demo.set_defaults(func=_run_demo)
 
     exp = sub.add_parser("experiment", help="run a named paper experiment")
-    exp.add_argument("name", help="experiment id (see `segugio list`)")
-    exp.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    exp.add_argument("--seed", type=int, default=7)
+    exp.add_argument("name", choices=EXPERIMENT_NAMES, help="experiment id")
+    _add_world_flags(exp)
     exp.set_defaults(func=_run_experiment)
 
-    lst = sub.add_parser("list", help="list experiment names")
-    lst.set_defaults(func=_run_list)
-
-    track = sub.add_parser("track", help="day-by-day deployment tracking")
-    track.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    track.add_argument("--seed", type=int, default=7)
-    track.add_argument("--isp", default="isp1")
-    track.add_argument("--days", type=int, default=3)
-    track.add_argument("--fp-target", type=float, default=0.001)
+    track = sub.add_parser(
+        "track",
+        help="day-by-day deployment tracking over a synthetic world or "
+        "exported observation directories",
+    )
+    track.add_argument(
+        "directories",
+        nargs="*",
+        metavar="DIR",
+        help="observation directories (see export-day) to track in the "
+        "order given, which must be increasing day order; default: the "
+        "synthetic world selected by --scale/--seed/--isp/--days",
+    )
+    # absent unless given, so that one next to DIR can be rejected; the
+    # values they default to are _SYNTHETIC_WORLD
+    unset = argparse.SUPPRESS
+    track.add_argument("--scale", default=unset, choices=["small", "benchmark"])
+    track.add_argument("--seed", type=int, default=unset, help="default 7")
+    track.add_argument("--isp", default=unset, help="default isp1")
+    track.add_argument("--days", type=int, default=unset, help="default 3")
+    _add_ingest_flags(track)
     track.add_argument(
         "--checkpoint",
         default=None,
@@ -961,33 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="resume a killed run from this checkpoint (already-scored "
         "days are skipped; the ledger continues bit-identically)",
-    )
-    track.add_argument(
-        "--telemetry-dir",
-        default=None,
-        help="write a run manifest (manifest.json) and span trace "
-        "(trace.jsonl) into this directory",
-    )
-    track.add_argument(
-        "--alert-rules",
-        default=None,
-        help="JSON file of SLO alert rules replacing the built-in set "
-        "(see repro.obs.monitor.load_alert_rules)",
-    )
-    track.add_argument(
-        "--profile",
-        action="store_true",
-        help="record per-phase CPU/peak-RSS/IO, throughput, and pool "
-        "stats into the manifest's resources key (needs --telemetry-dir; "
-        "observation only — decision outputs stay bit-identical)",
-    )
-    track.add_argument(
-        "--budgets",
-        default=None,
-        help="JSON file of declarative resource budgets (max_peak_rss_mb, "
-        "min rows/s, ...) checked against the profiled summary and folded "
-        "into run health (needs --profile; see "
-        "repro.obs.resources.load_resource_budgets)",
     )
     track.add_argument(
         "--inject-faults",
@@ -1002,8 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds without any parallel-task progress before the "
         "supervisor declares a hang and degrades (default: no watchdog)",
     )
-    _add_jobs_flag(track)
-    _add_shard_flags(track)
+    _add_campaign_flags(track)
     track.set_defaults(func=_run_track)
 
     bigday = sub.add_parser(
@@ -1020,7 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bigday.add_argument("--days", type=int, default=2)
     bigday.add_argument("--seed", type=int, default=0)
-    bigday.add_argument("--fp-target", type=float, default=0.001)
     bigday.add_argument(
         "--estimators",
         type=int,
@@ -1035,44 +944,20 @@ def build_parser() -> argparse.ArgumentParser:
         "default: a temporary directory dropped day by day)",
     )
     bigday.add_argument(
-        "--telemetry-dir",
-        default=None,
-        help="write a run manifest and span trace into this directory",
-    )
-    bigday.add_argument(
-        "--alert-rules",
-        default=None,
-        help="JSON file of SLO alert rules replacing the built-in set",
-    )
-    bigday.add_argument(
-        "--profile",
-        action="store_true",
-        help="record per-phase CPU/peak-RSS/IO and throughput into the "
-        "manifest's resources key (needs --telemetry-dir)",
-    )
-    bigday.add_argument(
-        "--budgets",
-        default=None,
-        help="JSON file of resource budgets (e.g. a process.peak_rss_mb "
-        "cap) checked against the profiled summary (needs --profile)",
-    )
-    bigday.add_argument(
         "--verify",
         action="store_true",
         help="additionally score the first day through the in-memory "
         "path and fail unless the sharded output is bit-identical "
         "(materializes the full day — budget memory accordingly)",
     )
-    _add_jobs_flag(bigday)
-    _add_shard_flags(bigday)
+    _add_campaign_flags(bigday)
     bigday.set_defaults(func=_run_bigday, shards=8)
 
     report = sub.add_parser(
         "report", help="run experiments and write a Markdown report"
     )
     report.add_argument("--out", default="segugio-report.md")
-    report.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    report.add_argument("--seed", type=int, default=7)
+    _add_world_flags(report)
     report.add_argument(
         "--sections",
         default=None,
@@ -1083,27 +968,18 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser(
         "diagnose", help="check the paper's preconditions on a world"
     )
-    diag.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    diag.add_argument("--seed", type=int, default=7)
-    diag.add_argument("--isp", default="isp1")
-    diag.add_argument("--day-offset", type=int, default=0)
+    _add_world_flags(diag, isp=True, day_offset=True)
     diag.set_defaults(func=_run_diagnose)
 
     stats = sub.add_parser("graph-stats", help="behavior-graph structure report")
-    stats.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    stats.add_argument("--seed", type=int, default=7)
-    stats.add_argument("--isp", default="isp1")
-    stats.add_argument("--day-offset", type=int, default=0)
+    _add_world_flags(stats, isp=True, day_offset=True)
     stats.set_defaults(func=_run_graph_stats)
 
     explain = sub.add_parser(
         "explain", help="feature attribution for a scored domain"
     )
     explain.add_argument("--domain", default=None, help="FQD to explain (default: top detection)")
-    explain.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    explain.add_argument("--seed", type=int, default=7)
-    explain.add_argument("--isp", default="isp1")
-    explain.add_argument("--day-offset", type=int, default=0)
+    _add_world_flags(explain, isp=True, day_offset=True)
     explain.add_argument("--top", type=int, default=6)
     explain.add_argument(
         "--telemetry-dir",
@@ -1159,9 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan JSON (default: a built-in plan exercising worker "
         "kill, day retry, and a torn checkpoint write)",
     )
-    chaos.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--isp", default="isp1")
+    _add_world_flags(chaos, isp=True)
     chaos.add_argument("--days", type=int, default=3)
     chaos.add_argument(
         "--estimators",
@@ -1202,28 +1076,8 @@ def build_parser() -> argparse.ArgumentParser:
         "export-day", help="write one observation day to a directory"
     )
     export.add_argument("directory")
-    export.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    export.add_argument("--seed", type=int, default=7)
-    export.add_argument("--isp", default="isp1")
-    export.add_argument("--day-offset", type=int, default=0)
+    _add_world_flags(export, isp=True, day_offset=True)
     export.set_defaults(func=_run_export_day)
-
-    classify = sub.add_parser(
-        "classify-dir", help="train + classify an exported observation day"
-    )
-    classify.add_argument("directory")
-    classify.add_argument("--fp-target", type=float, default=0.005)
-    classify.add_argument("--top", type=int, default=15)
-    classify.add_argument(
-        "--telemetry-dir",
-        default=None,
-        help="write a run manifest (manifest.json) and span trace "
-        "(trace.jsonl) into this directory",
-    )
-    _add_ingest_flags(classify)
-    _add_jobs_flag(classify)
-    _add_shard_flags(classify)
-    classify.set_defaults(func=_run_classify_dir)
 
     health = sub.add_parser(
         "health",
@@ -1240,8 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
         "edges/s, peak RSS), gated on bit-identical outputs, complete "
         "worker spans and <3%% overhead",
     )
-    bench.add_argument("--scale", default="small", choices=["small", "benchmark"])
-    bench.add_argument("--seed", type=int, default=7)
+    _add_world_flags(bench)
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument(
         "--quick",

@@ -133,6 +133,18 @@ class Confirmation:
         return self.blacklisted_day - self.detected_day
 
 
+def calibrate_threshold(model: Segugio, fp_target: float) -> float:
+    """The detection threshold for a fitted *model* (§IV-F).
+
+    The smallest score cut that flags at most *fp_target* of the model's
+    own training-day benign domains — no test ground truth is involved,
+    so a deployment can set it every day.
+    """
+    training = model.training_set_
+    benign_scores = model.classifier_.predict_proba(training.X[training.y == 0])
+    return threshold_for_fpr(benign_scores, fp_target)
+
+
 class DomainTracker:
     """Stateful day-by-day malware-control domain tracking."""
 
@@ -228,11 +240,7 @@ class DomainTracker:
             model.fit(context, prepared=prepared)
 
         with tracer.span("segugio_tracker_calibrate"):
-            training = model.training_set_
-            benign_scores = model.classifier_.predict_proba(
-                training.X[training.y == 0]
-            )
-            threshold = threshold_for_fpr(benign_scores, self.fp_target)
+            threshold = calibrate_threshold(model, self.fp_target)
 
         with tracer.span("segugio_tracker_classify", day=context.day):
             report = model.classify(context, prepared=prepared)

@@ -2,12 +2,13 @@
 
 A deployment feeds Segugio from live infrastructure; experiments and
 hand-offs need the same inputs as files.  :mod:`repro.datasets.store`
-writes and reads a complete :class:`repro.core.pipeline.ObservationContext`
-— trace, feeds, activity index, passive-DNS history, PSL augmentation —
-as one self-describing directory, preserving the global domain-id space so
-models and reports transfer exactly.
+writes a complete :class:`repro.core.pipeline.ObservationContext` — trace,
+feeds, activity index, passive-DNS history, PSL augmentation — as one
+self-describing directory, preserving the global domain-id space so models
+and reports transfer exactly; :func:`repro.runtime.ingest
+.load_observation_checked` reads it back.
 """
 
-from repro.datasets.store import load_observation, save_observation
+from repro.datasets.store import save_observation
 
-__all__ = ["load_observation", "save_observation"]
+__all__ = ["save_observation"]

@@ -35,9 +35,12 @@ in-memory one):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+import shutil
+import tempfile
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -457,3 +460,32 @@ class ShardedDayTrace:
             f"ShardedDayTrace(day={self.day}, edges={self.n_edges}, "
             f"shards={self.n_shards}, dir={self.directory!r})"
         )
+
+
+def day_store_dir(root: str, day: int) -> str:
+    """Where a campaign keeps *day*'s edge store under *root*."""
+    return os.path.join(root, f"day-{day:05d}")
+
+
+def resharded(
+    contexts: Iterable, root: str, *, n_shards: int, batch_size: int = 65536
+) -> Iterator:
+    """Each in-memory day context, its trace moved into a store under *root*."""
+    for context in contexts:
+        trace = ShardedDayTrace.from_day_trace(
+            context.trace,
+            day_store_dir(root, context.day),
+            n_shards=n_shards,
+            batch_size=batch_size,
+        )
+        yield dataclasses.replace(context, trace=trace)
+
+
+def staged_day_stores(days_under: Callable[[str], Iterable]) -> Iterator:
+    """The sharded day contexts of ``days_under(root)`` under a temporary
+    *root*, each day's store — never read again — removed when the consumer
+    asks for the next day."""
+    with tempfile.TemporaryDirectory(prefix="segugio-shards-") as root:
+        for context in days_under(root):
+            yield context
+            shutil.rmtree(context.trace.directory, ignore_errors=True)

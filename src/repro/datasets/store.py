@@ -1,4 +1,4 @@
-"""Serialize an observation day to a directory and back.
+"""Serialize an observation day to a directory.
 
 Layout (one directory per observation)::
 
@@ -21,10 +21,10 @@ keeping exports compact.
 Saves are atomic: everything is staged into ``<directory>.tmp`` and swapped
 into place only once complete (see :func:`repro.runtime.retry
 .atomic_directory`), so a crash mid-save can never leave a torn directory
-behind.  Loading a directory written by a newer library raises
-:class:`FormatVersionError` naming both versions; the strict/lenient
-malformed-record handling lives one layer up in :mod:`repro.runtime.ingest`,
-which reuses the ``load_*`` helpers below.
+behind.  The reader is :func:`repro.runtime.ingest.load_observation_checked`
+(strict or lenient), built on the ``load_*`` helpers below; a directory
+written by a newer library raises :class:`FormatVersionError` naming both
+versions.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ import numpy as np
 from repro.core.features import DEFAULT_ACTIVITY_WINDOW
 from repro.core.pipeline import DEFAULT_PDNS_WINDOW_DAYS, ObservationContext
 from repro.dns.activity import ActivityIndex
-from repro.dns.e2ld import E2ldIndex
-from repro.dns.publicsuffix import PublicSuffixList
-from repro.dns.trace import DayTrace
-from repro.intel.blacklist import CncBlacklist
-from repro.intel.whitelist import DomainWhitelist
 from repro.pdns.database import PassiveDNSDatabase
 from repro.runtime.retry import atomic_directory
 from repro.utils.errors import FormatVersionError, IngestError
@@ -243,52 +238,3 @@ def build_activity_index(pairs: np.ndarray) -> ActivityIndex:
     for unique_day in np.unique(pairs[:, 0]) if pairs.size else []:
         index.record(int(unique_day), pairs[pairs[:, 0] == unique_day, 1])
     return index
-
-
-def load_observation(directory: str) -> ObservationContext:
-    """Read a directory written by :func:`save_observation` (strict mode).
-
-    Any malformed record raises a located error immediately; for
-    quarantine-and-continue loading use
-    :func:`repro.runtime.ingest.load_observation_checked`.
-    """
-    meta = load_meta(directory)
-    day = int(meta["day"])
-
-    domains = load_interner(
-        os.path.join(directory, "domains.txt"), int(meta["n_domains"]), "domains"
-    )
-    machines = load_interner(
-        os.path.join(directory, "machines.txt"),
-        int(meta["n_machines"]),
-        "machines",
-    )
-
-    trace = DayTrace.load(
-        os.path.join(directory, "trace.tsv"), machines=machines, domains=domains
-    )
-    blacklist = CncBlacklist.load(os.path.join(directory, "blacklist.tsv"))
-
-    psl = PublicSuffixList()
-    psl.add_private_suffixes(meta.get("private_suffixes", []))
-    whitelist = DomainWhitelist.load(
-        os.path.join(directory, "whitelist.txt"), psl=psl
-    )
-    e2ld_index = E2ldIndex(domains, psl)
-
-    pdns = build_pdns(*load_pdns_arrays(directory))
-
-    fqd_pairs, e2ld_pairs = load_activity_arrays(directory)
-    fqd_activity = build_activity_index(fqd_pairs)
-    e2ld_activity = build_activity_index(e2ld_pairs)
-
-    return ObservationContext(
-        day=day,
-        trace=trace,
-        fqd_activity=fqd_activity,
-        e2ld_activity=e2ld_activity,
-        e2ld_index=e2ld_index,
-        pdns=pdns,
-        blacklist=blacklist,
-        whitelist=whitelist,
-    )

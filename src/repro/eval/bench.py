@@ -18,7 +18,9 @@ import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.pipeline import SegugioConfig
+from repro.datasets.edgestore import resharded
 from repro.obs.manifest import TelemetryRun
+from repro.runtime.supervisor import world_days
 from repro.synth.scenario import Scenario
 
 #: schema of the ``BENCH_e2e.json`` payload emitted by ``bench --e2e``
@@ -37,19 +39,6 @@ E2E_MIN_ROUNDS = 3
 #: needs enough clean rounds to outvote them — a quiet box converges
 #: and exits after max(repeats, E2E_MIN_ROUNDS) rounds regardless
 E2E_MAX_ROUNDS = 20
-
-
-def _campaign_contexts(scale: str, seed: int, isp: str, n_days: int):
-    """The pinned day contexts the e2e campaign replays (built untimed)."""
-    scenario = (
-        Scenario.small(seed=seed)
-        if scale == "small"
-        else Scenario.benchmark(seed=seed)
-    )
-    return [
-        scenario.context(isp, scenario.eval_day(offset))
-        for offset in range(n_days)
-    ]
 
 
 def _profiled_leg(manifest: Mapping[str, object]) -> Dict[str, object]:
@@ -89,23 +78,6 @@ def _profiled_leg(manifest: Mapping[str, object]) -> Dict[str, object]:
             ),
         },
     }
-
-
-def _sharded_contexts(contexts, root: str, n_shards: int, batch_size: int):
-    """Rebuild *contexts* on out-of-core edge stores under *root* (untimed)."""
-    import dataclasses
-    import os
-
-    from repro.datasets.edgestore import ShardedDayTrace
-
-    sharded = []
-    for context in contexts:
-        directory = os.path.join(root, f"day-{context.day:05d}")
-        trace = ShardedDayTrace.from_day_trace(
-            context.trace, directory, n_shards=n_shards, batch_size=batch_size
-        )
-        sharded.append(dataclasses.replace(context, trace=trace))
-    return sharded
 
 
 def _tracked_campaign(
@@ -211,7 +183,8 @@ def run_e2e_bench(
         config = SegugioConfig(n_jobs=n_jobs)
     if batch_size is None:
         batch_size = DEFAULT_BATCH_SIZE
-    contexts = _campaign_contexts(scale, seed, isp, n_days)
+    # the pinned days every leg replays, built (and resharded) untimed
+    contexts = list(world_days(Scenario.at_scale(scale, seed), n_days, isp=isp))
     round_cap = (
         E2E_MAX_ROUNDS
         if max_rounds is None
@@ -258,7 +231,9 @@ def run_e2e_bench(
         repeats if max_rounds is not None else max(repeats, E2E_MIN_ROUNDS),
     )
     with tempfile.TemporaryDirectory(prefix="segugio-bench-shards-") as root:
-        sharded = _sharded_contexts(contexts, root, n_shards, batch_size)
+        sharded = list(
+            resharded(contexts, root, n_shards=n_shards, batch_size=batch_size)
+        )
         while n_rounds < min_rounds or (
             overhead_estimate() >= E2E_OVERHEAD_GATE_PCT
             and n_rounds < round_cap

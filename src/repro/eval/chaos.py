@@ -45,8 +45,8 @@ from repro.runtime.faults import FaultPlan, plan_from_dict, use_fault_plan
 from repro.runtime.supervisor import (
     SupervisorPolicy,
     policy_from_overrides,
-    supervised_process_day,
-    use_policy,
+    track_days,
+    world_days,
 )
 from repro.synth.scenario import Scenario
 from repro.utils.errors import CheckpointError
@@ -195,8 +195,7 @@ def run_chaos(
     if policy is None:
         policy = policy_from_overrides(plan.policy, base=base)
 
-    scenario = Scenario.small(seed=seed) if scale == "small" else Scenario.benchmark(seed=seed)
-    contexts = [scenario.context(isp, scenario.eval_day(offset)) for offset in range(days)]
+    contexts = list(world_days(Scenario.at_scale(scale, seed), days, isp=isp))
 
     # --- baseline: serial, fault-free ---------------------------------- #
     baseline = DomainTracker(
@@ -222,21 +221,26 @@ def run_chaos(
     )
     chaos_days: List[Dict[str, object]] = []
     resume_error: Optional[str] = None
-    with use_fault_plan(plan), use_policy(policy):
-        for offset, context in enumerate(contexts):
-            with telemetry.activate():
-                report = supervised_process_day(tracker, context, policy=policy)
+    with use_fault_plan(plan):
+        while True:
+            # the runner skips what the ledger covers, so the segment after
+            # a crash is the same call over the same days
+            for report in track_days(
+                tracker, contexts, policy=policy, checkpoint=checkpoint_path
+            ):
                 chaos_days.append(_day_fingerprint(report))
-                tracker.save_checkpoint(checkpoint_path)
-            if kill_day_offset is not None and offset == kill_day_offset:
-                # simulated coordinator crash: forget the live tracker and
-                # come back from the bytes on disk (ledger + drift sidecar)
-                try:
-                    tracker = DomainTracker.resume(checkpoint_path)
-                except CheckpointError as error:
-                    resume_error = str(error)
+                if len(chaos_days) - 1 == kill_day_offset:
                     break
-                tracker.telemetry = telemetry
+            else:
+                break
+            # simulated coordinator crash: forget the live tracker and
+            # come back from the bytes on disk (ledger + drift sidecar)
+            try:
+                tracker = DomainTracker.resume(checkpoint_path)
+            except CheckpointError as error:
+                resume_error = str(error)
+                break
+            tracker.telemetry = telemetry
     manifest_path, _ = telemetry.write(out_dir)
     run = TelemetryRun.open(out_dir)
 

@@ -48,6 +48,7 @@ from repro.core.labeling import (
 )
 from repro.core.pipeline import ObservationContext, Segugio, SegugioConfig
 from repro.core.pruning import prune_graph
+from repro.core.tracker import calibrate_threshold
 from repro.eval.harness import (
     MISS_SCORE,
     RocExperiment,
@@ -56,7 +57,8 @@ from repro.eval.harness import (
     score_split,
 )
 from repro.ml.folds import family_balanced_folds
-from repro.ml.metrics import RocCurve, roc_curve, threshold_for_fpr
+from repro.ml.metrics import RocCurve, roc_curve
+from repro.obs.manifest import TEST_PHASES, TRAIN_PHASES
 from repro.obs.tracing import Stopwatch
 from repro.synth.scenario import Scenario
 
@@ -570,12 +572,7 @@ def fig11_early_detection(
             model = Segugio(config)
             prepared = model.prepare_day(context)
             model.fit(context, prepared=prepared)
-            # Threshold from training-day benign scores only (no test truth).
-            training = model.training_set_
-            benign_scores = model.classifier_.predict_proba(
-                training.X[training.y == 0]
-            )
-            threshold = threshold_for_fpr(benign_scores, fp_target)
+            threshold = calibrate_threshold(model, fp_target)
             report = model.classify(context, prepared=prepared)
             detections = report.detections(threshold)
             n_detections += len(detections)
@@ -606,15 +603,6 @@ def performance_timing(
     config: Optional[SegugioConfig] = None,
 ) -> Dict[str, float]:
     """Average per-phase wall-clock cost of training and classification."""
-    train_phases = (
-        "build_graph",
-        "label_nodes",
-        "prune_graph",
-        "build_abuse_oracle",
-        "measure_training_features",
-        "train_classifier",
-    )
-    test_phases = ("measure_test_features", "score_domains")
     totals: Dict[str, float] = {}
     for i in range(n_days):
         day = scenario.eval_day(i)
@@ -630,8 +618,8 @@ def performance_timing(
         for name, seconds in prepare_watch.items() + model.timings_.items():
             totals[name] = totals.get(name, 0.0) + seconds
     result = {name: seconds / n_days for name, seconds in totals.items()}
-    result["train_total"] = sum(result.get(p, 0.0) for p in train_phases)
-    result["test_total"] = sum(result.get(p, 0.0) for p in test_phases)
+    result["train_total"] = sum(result.get(p, 0.0) for p in TRAIN_PHASES)
+    result["test_total"] = sum(result.get(p, 0.0) for p in TEST_PHASES)
     return result
 
 

@@ -3,7 +3,7 @@
 Three coordinated zero-dependency layers (stdlib only):
 
 * :mod:`repro.obs.metrics` — a registry of labeled counters, gauges, and
-  histograms with snapshot/delta export to JSON and Prometheus text format;
+  histograms with snapshot/delta export to JSON;
 * :mod:`repro.obs.tracing` — nested, timed spans over the pipeline's call
   tree (plus the accumulate-by-name ``Stopwatch`` that feeds them),
   exported as a span tree and a per-run ``trace.jsonl``;

@@ -1,7 +1,7 @@
 """A telemetry directory on disk: its format, its writer, its one reader.
 
-Every telemetry-enabled ``segugio track`` / ``segugio classify-dir`` run
-writes up to three files next to its outputs:
+Every telemetry-enabled ``segugio track`` / ``segugio bigday`` run writes
+up to three files next to its outputs:
 
 * ``manifest.json`` — the run manifest (this module's schema);
 * ``trace.jsonl`` — the flat span trace

@@ -14,9 +14,7 @@ series following the convention ``segugio_<area>_<name>`` (areas: ``graph``,
 
 A :class:`MetricsRegistry` owns the instruments and exports them as a
 JSON-ready :meth:`~MetricsRegistry.snapshot` (with
-:meth:`~MetricsRegistry.delta` for per-day accounting in the run manifest)
-or as Prometheus text exposition format
-(:meth:`~MetricsRegistry.to_prometheus`).
+:meth:`~MetricsRegistry.delta` for per-day accounting in the run manifest).
 
 Telemetry is **off by default**: instrumented code calls
 :func:`get_registry`, which returns a permanently disabled registry unless a
@@ -29,7 +27,6 @@ and an attribute check per instrumentation site.
 from __future__ import annotations
 
 import contextvars
-import json
 import re
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -368,45 +365,6 @@ class MetricsRegistry:
                 }
         return out
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (cumulative histogram buckets)."""
-        lines: List[str] = []
-        for name, inst in sorted(self._instruments.items()):
-            if inst.help:
-                lines.append(f"# HELP {name} {inst.help}")
-            lines.append(f"# TYPE {name} {inst.kind}")
-            for key, value in inst.series_items():
-                labels = inst._label_dict(key)
-                if inst.kind == "histogram":
-                    cell = value  # type: ignore[assignment]
-                    cumulative = 0
-                    bounds = list(inst.buckets) + [float("inf")]  # type: ignore[attr-defined]
-                    for bound, count in zip(bounds, cell["counts"]):
-                        cumulative += count
-                        bucket_labels = dict(labels)
-                        bucket_labels["le"] = _bucket_label(bound)
-                        lines.append(
-                            f"{name}_bucket{_fmt_labels(bucket_labels)} "
-                            f"{cumulative}"
-                        )
-                    lines.append(
-                        f"{name}_sum{_fmt_labels(labels)} {_fmt_value(cell['sum'])}"
-                    )
-                    lines.append(
-                        f"{name}_count{_fmt_labels(labels)} {cell['count']}"
-                    )
-                else:
-                    lines.append(
-                        f"{name}{_fmt_labels(labels)} {_fmt_value(value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def reset(self) -> None:
-        self._instruments.clear()
-
 
 def _series_key(entry: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted(entry["labels"].items()))  # type: ignore[union-attr]
@@ -417,26 +375,6 @@ def _bucket_label(bound: float) -> str:
         return "+Inf"
     text = f"{bound:g}"
     return text
-
-
-def _fmt_value(value: object) -> str:
-    number = float(value)  # type: ignore[arg-type]
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return f"{number:g}"
-
-
-def _fmt_labels(labels: Mapping[str, str]) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{k}="{_escape(v)}"' for k, v in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 # ---------------------------------------------------------------------- #

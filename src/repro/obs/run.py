@@ -3,7 +3,7 @@
 :class:`RunTelemetry` bundles a :class:`~repro.obs.metrics.MetricsRegistry`
 and a :class:`~repro.obs.tracing.Tracer`, binds the run id into the
 structured-logging context, and accumulates per-day records so a
-``track``/``classify-dir`` run can be written out as a run manifest plus a
+``track``/``bigday`` run can be written out as a run manifest plus a
 span-trace JSONL (see :mod:`repro.obs.manifest` for the schema)::
 
     telemetry = RunTelemetry(command="track", config=config_to_dict(cfg))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -679,3 +679,38 @@ def _load_observation_checked(
         whitelist=whitelist,
     )
     return context, report
+
+
+def observation_days(
+    directories: Sequence[str],
+    *,
+    after: Optional[int] = None,
+    store_root: Optional[str] = None,
+    **load_args: object,
+) -> Iterator[Tuple[ObservationContext, IngestReport]]:
+    """Exported observation directories as a lazy day source.
+
+    Every ``meta.json`` is read first — the directories must come in
+    increasing day order — then each is loaded as the consumer asks for it
+    (*load_args* go to :func:`load_observation_checked`), except a day at or
+    before *after*, the last day of a resumed ledger, which is skipped
+    without opening its trace.  A sharded day's edge store goes under
+    *store_root*, never inside the observation directory.
+    """
+    from repro.datasets.edgestore import day_store_dir
+
+    days = [int(store.load_meta(directory)["day"]) for directory in directories]
+    for index in range(1, len(days)):
+        if days[index] <= days[index - 1]:
+            raise IngestError(
+                f"{directories[index]}: day {days[index]} does not come after "
+                f"day {days[index - 1]} of {directories[index - 1]} — "
+                f"observation directories must be given in increasing day order"
+            )
+    for directory, day in zip(directories, days):
+        if after is None or day > after:
+            yield load_observation_checked(
+                directory,
+                edgestore_dir=store_root and day_store_dir(store_root, day),
+                **load_args,
+            )

@@ -35,6 +35,10 @@ the deterministic backoff schedule **only if the tracker's ledger is
 untouched** — a day that failed after mutating state is not safely
 re-runnable and fails loudly instead.
 
+:func:`track_days` is the campaign around that day (skip what a resumed
+ledger covers, pull the next day from a lazy source, run it supervised,
+checkpoint): the one loop under ``track``, ``bigday`` and ``chaos``.
+
 Injected faults (:mod:`repro.runtime.faults`) ride into workers as
 picklable directives taken from the active plan at submission time; the
 serial ground floor never executes worker-only directives, so a fault plan
@@ -46,13 +50,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -547,3 +552,50 @@ def supervised_process_day(
             )
             policy.sleep(delay)
     return tracker.process_day(context)
+
+
+def track_days(
+    tracker: "DomainTracker",
+    contexts: Iterable["ObservationContext"],
+    *,
+    policy: Optional[SupervisorPolicy] = None,
+    checkpoint: Optional[str] = None,
+) -> Iterator["DayReport"]:
+    """Run the deployment loop over a lazy day source, one report per new day.
+
+    A day the (resumed) ledger already covers is skipped.  Pulling the next
+    context, the supervised day and the checkpoint write share one
+    activation of the tracker's telemetry, so the source's ingest span, day
+    retries and checkpoint-write retries all land in the run's manifest.
+    """
+    policy = current_policy() if policy is None else policy
+    telemetry = tracker.telemetry
+    contexts = iter(contexts)
+    while True:
+        with use_policy(policy), (
+            telemetry.activate() if telemetry is not None else nullcontext()
+        ):
+            context = next(contexts, None)
+            if context is None:
+                return
+            if tracker.days_processed and context.day <= tracker.days_processed[-1]:
+                continue
+            report = supervised_process_day(tracker, context, policy=policy)
+            if checkpoint is not None:
+                tracker.save_checkpoint(checkpoint)
+        yield report
+
+
+def world_days(
+    world: Any, n_days: int, *, after: Optional[int] = None, **context_args: Any
+) -> Iterator["ObservationContext"]:
+    """The first *n_days* of a synthetic world's evaluation window, lazily.
+
+    *context_args* go to ``world.context`` (a ``Scenario`` takes ``isp=``, a
+    ``BigDay`` its store arguments); days at or before *after*, the last day
+    of a resumed ledger, are not generated.
+    """
+    for offset in range(n_days):
+        day = world.eval_day(offset)
+        if after is None or day > after:
+            yield world.context(day=day, **context_args)

@@ -37,14 +37,17 @@ already labeled MALWARE through the known half of their family.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import ObservationContext
-from repro.datasets.edgestore import EdgeStoreWriter, ShardedDayTrace
+from repro.datasets.edgestore import (
+    EdgeStoreWriter,
+    ShardedDayTrace,
+    day_store_dir,
+)
 from repro.dns.activity import ActivityIndex
 from repro.dns.e2ld import E2ldIndex
 from repro.dns.publicsuffix import PublicSuffixList
@@ -501,7 +504,7 @@ class BigDay:
         if shards is not None:
             if store_dir is None:
                 raise ValueError("shards requires store_dir")
-            directory = os.path.join(store_dir, f"day-{day:05d}")
+            directory = day_store_dir(store_dir, day)
             trace = self.sharded_trace(
                 day, directory, n_shards=shards, batch_size=batch_size
             )

@@ -117,6 +117,11 @@ class Scenario:
     def benchmark(cls, seed: int = 7) -> "Scenario":
         return cls(benchmark_scenario_config(seed))
 
+    @classmethod
+    def at_scale(cls, scale: str, seed: int = 7) -> "Scenario":
+        """The world behind every command's ``--scale small|benchmark``."""
+        return {"small": cls.small, "benchmark": cls.benchmark}[scale](seed=seed)
+
     # ------------------------------------------------------------------ #
     # global IP table
     # ------------------------------------------------------------------ #

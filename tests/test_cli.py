@@ -29,7 +29,10 @@ class TestParser:
 
 class TestCommands:
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        # the names are listed where they are chosen: `experiment --help`
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--help"])
+        assert excinfo.value.code == 0
         out = capsys.readouterr().out
         for name in EXPERIMENT_NAMES:
             assert name in out
@@ -37,6 +40,33 @@ class TestCommands:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["experiment", "nonsense"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "nosuch", "--scale", "benchmark"],
+            ["report", "--sections", "nosuch", "--scale", "benchmark"],
+        ],
+    )
+    def test_a_name_is_checked_before_a_world_is_built(self, argv, monkeypatch):
+        from repro.synth.scenario import Scenario
+
+        def entered(self, config):
+            raise AssertionError("built a world for a name that does not exist")
+
+        monkeypatch.setattr(Scenario, "__init__", entered)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code not in (0, None)
+
+    def test_help_lists_fourteen_subcommands_and_neither_removed_one(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+        assert len(commands) == 14
+        assert not {"classify-dir", "list"} & set(commands)
 
     def test_pruning_experiment_runs(self, capsys):
         # The cheapest end-to-end command: builds a small world and prints.
@@ -77,9 +107,9 @@ class TestCommands:
     def test_export_and_classify_round_trip(self, tmp_path, capsys):
         directory = str(tmp_path / "obs")
         assert main(["export-day", directory, "--seed", "5"]) == 0
-        assert main(["classify-dir", directory, "--top", "3"]) == 0
+        assert main(["track", directory]) == 0
         out = capsys.readouterr().out
-        assert "unknown domains scored" in out
+        assert "unknown domains" in out
 
 
 class TestFaultToleranceFlags:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import Segugio, SegugioConfig
-from repro.datasets.store import load_observation, save_observation
+from repro.datasets.store import save_observation
+from repro.runtime.ingest import load_observation_checked
 
 
 @pytest.fixture(scope="module")
@@ -54,25 +55,25 @@ class TestLayout:
 class TestRoundTrip:
     def test_ids_preserved(self, saved_dir):
         directory, _, context = saved_dir
-        loaded = load_observation(directory)
+        loaded = load_observation_checked(directory)[0]
         assert len(loaded.trace.domains) == len(context.trace.domains)
         some = context.trace.domains.name(42)
         assert loaded.trace.domains.lookup(some) == 42
 
     def test_edges_preserved(self, saved_dir):
         directory, _, context = saved_dir
-        loaded = load_observation(directory)
+        loaded = load_observation_checked(directory)[0]
         assert loaded.trace.n_edges == context.trace.n_edges
 
     def test_blacklist_and_whitelist_preserved(self, saved_dir):
         directory, _, context = saved_dir
-        loaded = load_observation(directory)
+        loaded = load_observation_checked(directory)[0]
         assert loaded.blacklist.domains() == context.blacklist.domains()
         assert set(loaded.whitelist) == set(context.whitelist)
 
     def test_activity_window_preserved(self, saved_dir):
         directory, _, context = saved_dir
-        loaded = load_observation(directory)
+        loaded = load_observation_checked(directory)[0]
         day = context.day
         for domain_id in range(0, 200, 17):
             assert loaded.fqd_activity.days_active(
@@ -84,7 +85,7 @@ class TestRoundTrip:
 
     def test_psl_augmentation_preserved(self, saved_dir):
         directory, scenario, _ = saved_dir
-        loaded = load_observation(directory)
+        loaded = load_observation_checked(directory)[0]
         service = scenario.universe.identified_services[0]
         site = f"someuser.{service}"
         assert loaded.e2ld_index.psl.e2ld(site) == site
@@ -93,7 +94,7 @@ class TestRoundTrip:
         """The load-bearing property: a model scores the loaded context
         exactly as it scores the original."""
         directory, _, context = saved_dir
-        loaded = load_observation(directory)
+        loaded = load_observation_checked(directory)[0]
         config = SegugioConfig(n_estimators=8)
         original = Segugio(config).fit(context).classify(context)
         reloaded = Segugio(config).fit(loaded).classify(loaded)
@@ -115,7 +116,7 @@ class TestValidation:
         with open(meta_path, "w") as stream:
             json.dump(meta, stream)
         with pytest.raises(ValueError, match="version"):
-            load_observation(copy)
+            load_observation_checked(copy)
 
     def test_tampered_domains_rejected(self, saved_dir, tmp_path):
         directory, _, _ = saved_dir
@@ -126,4 +127,4 @@ class TestValidation:
         with open(os.path.join(copy, "domains.txt"), "a") as stream:
             stream.write("extra.example\n")
         with pytest.raises(ValueError, match="domains.txt"):
-            load_observation(copy)
+            load_observation_checked(copy)

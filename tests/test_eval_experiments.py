@@ -138,6 +138,19 @@ class TestPerformance:
         assert timing["test_total"] > 0
         assert timing["train_total"] > timing["test_total"]
 
+    def test_learning_total_is_the_manifest_phase_list(self, scenario):
+        # REPORT.md and `inspect --view cost` must add up the same phases,
+        # probe filtering included when it runs
+        import dataclasses
+
+        from repro.obs.manifest import TEST_PHASES, TRAIN_PHASES
+
+        config = dataclasses.replace(FAST, filter_probes=True)
+        timing = E.performance_timing(scenario, n_days=1, config=config)
+        assert timing["filter_probes"] > 0
+        assert timing["train_total"] == sum(timing[p] for p in TRAIN_PHASES)
+        assert timing["test_total"] == sum(timing[p] for p in TEST_PHASES)
+
 
 class TestFig12:
     def test_notos_comparison(self, scenario):

@@ -234,6 +234,7 @@ class TestTornSaves:
         self, tmp_path, train_context, test_context, scenario, monkeypatch
     ):
         from repro.datasets import store
+        from repro.runtime.ingest import load_observation_checked
 
         directory = str(tmp_path / "obs")
         suffixes = scenario.universe.identified_services
@@ -253,7 +254,7 @@ class TestTornSaves:
                 directory, test_context, private_suffixes=suffixes
             )
         assert not os.path.exists(directory + ".tmp")
-        survivor = store.load_observation(directory)
+        survivor, _ = load_observation_checked(directory)
         assert survivor.day == train_context.day
         assert survivor.trace.n_edges == train_context.trace.n_edges
 

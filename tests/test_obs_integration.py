@@ -172,7 +172,7 @@ class TestIngestManifest:
         with open(f"{directory}/trace.tsv", "a") as stream:
             stream.write("mX\tbroken.example\t10.0.0.999\n")
 
-        telemetry = RunTelemetry(command="classify-dir")
+        telemetry = RunTelemetry(command="track")
         with telemetry.activate():
             _context, ingest = load_observation_checked(
                 directory, mode="lenient"

@@ -215,53 +215,5 @@ class TestSnapshotDelta:
         registry = MetricsRegistry()
         registry.counter("segugio_a_total", labels=("kind",)).inc(1, kind="x")
         registry.histogram("segugio_h").observe(0.1)
-        parsed = json.loads(registry.to_json())
+        parsed = json.loads(json.dumps(registry.snapshot()))
         assert set(parsed) == {"segugio_a_total", "segugio_h"}
-
-
-class TestPrometheusExport:
-    def test_counter_and_gauge_lines(self):
-        registry = MetricsRegistry()
-        registry.counter(
-            "segugio_a_total", "things counted", labels=("kind",)
-        ).inc(2, kind="new")
-        registry.gauge("segugio_g", "a level").set(1.5)
-        text = registry.to_prometheus()
-        assert "# HELP segugio_a_total things counted" in text
-        assert "# TYPE segugio_a_total counter" in text
-        assert 'segugio_a_total{kind="new"} 2' in text
-        assert "# TYPE segugio_g gauge" in text
-        assert "segugio_g 1.5" in text
-
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("segugio_h", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        h.observe(1.5)
-        h.observe(5.0)
-        text = registry.to_prometheus()
-        assert 'segugio_h_bucket{le="1"} 1' in text
-        assert 'segugio_h_bucket{le="2"} 2' in text
-        assert 'segugio_h_bucket{le="+Inf"} 3' in text
-        assert "segugio_h_sum 7" in text
-        assert "segugio_h_count 3" in text
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("segugio_a_total", labels=("path",)).inc(
-            1, path='a"b\\c'
-        )
-        assert 'path="a\\"b\\\\c"' in registry.to_prometheus()
-
-    def test_empty_registry_exports_empty(self):
-        assert MetricsRegistry().to_prometheus() == ""
-
-    def test_round_trip_through_snapshot(self):
-        """Snapshot totals agree with the Prometheus _count/_sum lines."""
-        registry = MetricsRegistry()
-        h = registry.histogram("segugio_h", buckets=SCORE_BUCKETS)
-        h.observe_many([0.05, 0.15, 0.95])
-        [series] = registry.snapshot()["segugio_h"]["series"]
-        text = registry.to_prometheus()
-        assert f"segugio_h_count {series['count']}" in text
-        assert sum(series["buckets"].values()) == series["count"]

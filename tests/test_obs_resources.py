@@ -359,9 +359,11 @@ class TestObservationOnly:
 
     def test_profiled_run_is_bit_identical(self):
         from repro.core.pipeline import SegugioConfig
-        from repro.eval.bench import _campaign_contexts, _tracked_campaign
+        from repro.eval.bench import _tracked_campaign
+        from repro.runtime.supervisor import world_days
+        from repro.synth.scenario import Scenario
 
-        contexts = _campaign_contexts("small", seed=11, isp="isp1", n_days=1)
+        contexts = list(world_days(Scenario.small(seed=11), 1, isp="isp1"))
         config = SegugioConfig(n_estimators=8, n_jobs=1)
         _, off_decisions, off_ledger, off_manifest = _tracked_campaign(
             contexts, config, 0.01, profile=False

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.datasets.store import load_observation, save_observation
+from repro.datasets.store import save_observation
 from repro.dns.trace import DayTrace
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
@@ -189,8 +189,6 @@ class TestCheckedDirectoryLoad:
         with pytest.raises(FormatVersionError, match="99") as excinfo:
             load_observation_checked(copy)
         assert "version 1" in str(excinfo.value)
-        with pytest.raises(FormatVersionError):
-            load_observation(copy)
 
     def test_fuzzed_trace_quarantined_leniently(self, saved_dir, tmp_path):
         copy = _copy(saved_dir, tmp_path)
