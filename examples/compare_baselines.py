@@ -43,7 +43,11 @@ def main() -> None:
     # --- graph-only baselines on the same hidden graph ---
     graph = BehaviorGraph.from_trace(test_ctx.trace)
     domain_labels = label_domains(
-        graph, test_ctx.blacklist, test_ctx.whitelist, as_of_day=test_ctx.day
+        graph,
+        test_ctx.blacklist,
+        test_ctx.whitelist,
+        test_ctx.e2ld_index,
+        as_of_day=test_ctx.day,
     )
     domain_labels[split.all_ids] = UNKNOWN
     labels = derive_machine_labels(graph, domain_labels)

@@ -20,6 +20,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.dns.trace import DayTrace
+from repro.utils.arrays import sorted_unique
 from repro.utils.ids import Interner
 
 
@@ -106,7 +107,7 @@ class BehaviorGraph:
         """
         edge_kept = keep_machines[self.edge_machines] & keep_domains[self.edge_domains]
         kept_domains = self.edge_domains[edge_kept]
-        present = np.unique(kept_domains)
+        present = sorted_unique(kept_domains)
         resolutions = {
             int(did): self.resolutions[int(did)]
             for did in present

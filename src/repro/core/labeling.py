@@ -7,6 +7,14 @@ Domains are labeled:
 * ``BENIGN`` when the FQD's effective 2LD is in the whitelist,
 * ``UNKNOWN`` otherwise.
 
+The pass runs in id space and costs the size of the two lists, not of the
+day: the *lists* are resolved to ids (whitelist e2LD strings through the
+context's :class:`~repro.dns.e2ld.E2ldIndex`, blacklist names through the
+domain interner) and the day's domains are labeled with two array
+operations.  The e2LD a label is decided on is therefore by definition the
+index's — the one pruning rule R4 and the F2 features use.  The per-name
+reading of the rule lives in ``tests/test_core_labeling_oracle.py``.
+
 Machine labels are then *derived*: a machine is ``MALWARE`` if it queries at
 least one malware domain, ``BENIGN`` if it queries exclusively benign
 domains, and ``UNKNOWN`` otherwise.
@@ -31,6 +39,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.core.graph import BehaviorGraph
+from repro.dns.e2ld import E2ldIndex
 from repro.dns.publicsuffix import PublicSuffixList
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
@@ -105,15 +114,18 @@ def label_domains(
     graph: BehaviorGraph,
     blacklist: CncBlacklist,
     whitelist: DomainWhitelist,
+    e2ld_index: E2ldIndex,
     as_of_day: Optional[int] = None,
 ) -> np.ndarray:
     """Label every domain id in the graph's id space.
 
     Blacklist matching is on the whole FQD string; whitelist matching is on
-    the effective 2LD (both per §III).  ``as_of_day`` restricts the blacklist
-    to entries already published by that day (defaults to the graph's day),
-    which is what makes cross-day experiments honest: a domain blacklisted
-    *after* the training day is still unknown at training time.
+    the effective 2LD (both per §III), read off *e2ld_index* — the
+    observation context's index over the graph's domain interner.
+    ``as_of_day`` restricts the blacklist to entries already published by
+    that day (defaults to the graph's day), which is what makes cross-day
+    experiments honest: a domain blacklisted *after* the training day is
+    still unknown at training time.
     """
     if as_of_day is None:
         as_of_day = graph.day
@@ -123,16 +135,18 @@ def label_domains(
         graph.n_domain_ids,
         blacklist,
         whitelist,
+        e2ld_index,
         as_of_day,
     )
 
 
 def label_domain_ids(
-    domain_ids: Iterable[int],
+    domain_ids: np.ndarray,
     domains: Interner,
     n_domain_ids: int,
     blacklist: CncBlacklist,
     whitelist: DomainWhitelist,
+    e2ld_index: E2ldIndex,
     as_of_day: int,
 ) -> np.ndarray:
     """Label the given domain ids over an id space of *n_domain_ids*.
@@ -141,14 +155,43 @@ def label_domain_ids(
     out-of-core build where present-domain ids come from merged per-shard
     degree counts rather than a materialized graph.  Ids not listed stay
     ``UNKNOWN`` — exactly how absent ids behave in :func:`label_domains`.
+
+    The two lists are resolved to ids, never the day's names to strings:
+    each whitelisted e2LD to its id in ``e2ld_index.e2lds`` and one boolean
+    gather over ``e2ld_index.map_array()``; each blacklist entry published
+    by *as_of_day* to its id in *domains*.  ``MALWARE`` wins over
+    ``BENIGN``.  An interned name that is not in canonical form
+    (``Evil.COM.``) never equals a list entry as a string, so the index
+    hands over those few ids with their canonical spelling
+    (:attr:`E2ldIndex.noncanonical`) and they are matched through it.
+
+    *e2ld_index* must be built over *domains*.  The e2LD of a domain is the
+    index's: where the whitelist was constructed on a different public
+    suffix list than the index (only a hand-assembled context can do that)
+    the index's reading decides, as it does for R4 and F2, and the
+    whitelist's own per-name membership check may disagree.
     """
+    domain_ids = np.asarray(domain_ids, dtype=np.int64)
     labels = np.zeros(n_domain_ids, dtype=np.int8)
-    for domain_id in domain_ids:
-        name = domains.name(int(domain_id))
-        if blacklist.contains(name, as_of_day=as_of_day):
-            labels[domain_id] = MALWARE
-        elif whitelist.is_whitelisted(name):
-            labels[domain_id] = BENIGN
+
+    e2ld_map = e2ld_index.map_array()  # first: brings the index up to date
+    e2lds = e2ld_index.e2lds
+    whitelisted = np.zeros(len(e2lds), dtype=bool)
+    whitelisted[
+        [eid for eid in map(e2lds.lookup, whitelist) if eid is not None]
+    ] = True
+    labels[domain_ids[whitelisted[e2ld_map[domain_ids]]]] = BENIGN
+
+    listed = blacklist.domains(as_of_day)
+    malware = [did for did in map(domains.lookup, listed) if did is not None]
+    for canonical, ids in e2ld_index.noncanonical.items():
+        if canonical in listed:
+            malware.extend(ids)
+    malware_ids = np.asarray(malware, dtype=np.int64)
+    present = np.zeros(n_domain_ids, dtype=bool)
+    present[domain_ids] = True
+    malware_ids = malware_ids[malware_ids < n_domain_ids]
+    labels[malware_ids[present[malware_ids]]] = MALWARE
     return labels
 
 
@@ -214,10 +257,13 @@ def label_graph(
     graph: BehaviorGraph,
     blacklist: CncBlacklist,
     whitelist: DomainWhitelist,
+    e2ld_index: E2ldIndex,
     as_of_day: Optional[int] = None,
 ) -> GraphLabels:
     """Full labeling pass: domains from ground truth, machines derived."""
-    domain_labels = label_domains(graph, blacklist, whitelist, as_of_day)
+    domain_labels = label_domains(
+        graph, blacklist, whitelist, e2ld_index, as_of_day
+    )
     return derive_machine_labels(graph, domain_labels)
 
 

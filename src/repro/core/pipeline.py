@@ -78,6 +78,7 @@ from repro.obs.resources import (
 from repro.obs.tracing import Stopwatch, current_tracer
 from repro.pdns.abuse import AbuseOracle
 from repro.pdns.database import PassiveDNSDatabase
+from repro.utils.arrays import sorted_unique
 
 DEFAULT_PDNS_WINDOW_DAYS = 150  # ~ the paper's five months
 
@@ -266,7 +267,7 @@ def _hidden_ids(hide_domains: Optional[Iterable[int]]) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if not isinstance(hide_domains, np.ndarray):
         hide_domains = list(hide_domains)
-    return np.unique(np.asarray(hide_domains, dtype=np.int64))
+    return sorted_unique(np.asarray(hide_domains, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,7 +433,11 @@ class Segugio:
             )
             with watch.phase("label_nodes"):
                 domain_labels = label_domains(
-                    graph, context.blacklist, context.whitelist, as_of_day=context.day
+                    graph,
+                    context.blacklist,
+                    context.whitelist,
+                    context.e2ld_index,
+                    as_of_day=context.day,
                 )
                 domain_labels[hidden] = UNKNOWN
                 labels = derive_machine_labels(graph, domain_labels)

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.graph import BehaviorGraph
 from repro.core.labeling import MALWARE, GraphLabels
 from repro.dns.e2ld import E2ldIndex
+from repro.utils.arrays import sorted_unique
 
 # Per-node rule-attribution codes (int8 arrays indexed by global id).
 # A node is attributed to the *first* rule that removed it; ORPHANED marks
@@ -123,7 +124,7 @@ def count_e2ld_machines(
     per-shard counts sum to the global ones.
     """
     pair_keys = edge_machines * np.int64(n_e2lds) + e2ld_map[edge_domains]
-    unique_pairs = np.unique(pair_keys)
+    unique_pairs = sorted_unique(pair_keys)
     return np.bincount(
         (unique_pairs % n_e2lds).astype(np.int64), minlength=n_e2lds
     )

@@ -25,9 +25,17 @@ ladder as the forest hot path, and fault plans can target the three
 Determinism: machines are partitioned by ``machine_id % n_shards``, so
 per-shard degree and distinct-pair aggregates are *exact* (not
 approximate) restrictions of the global ones; merged arrays are ordered
-by global id; and the final kept-edge merge lexsorts by (machine,
-domain), reproducing the in-memory edge order byte for byte.  The
-equivalence is enforced by tests at shard counts {1, 2, 7}.
+by global id; and the final kept-edge merge orders the concatenated
+shards by one packed ``machine * n_domain_ids + domain`` key — pairs are
+globally unique, so that is the in-memory (machine, domain) edge order
+byte for byte, and each shard arrives sorted, so the stable sort only
+merges runs.  The equivalence is enforced by tests at shard counts
+{1, 2, 7}.
+
+The coordinator's own work between the passes is id-space array
+arithmetic: domains are labeled by resolving the two ground-truth lists to
+ids (:func:`~repro.core.labeling.label_domain_ids`), never by parsing the
+day's names, so the pool is not left waiting on a Python loop.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from repro.obs.resources import (
 )
 from repro.obs.tracing import Stopwatch, current_tracer
 from repro.runtime.supervisor import supervised_map
+from repro.utils.arrays import sorted_unique
 
 #: coordinator-written sidecars the shard workers mmap (kept out of the
 #: task tuples so a 4M-domain map is not pickled once per shard)
@@ -124,7 +133,7 @@ def _shard_labels(
     domain_labels = np.asarray(
         np.load(os.path.join(directory, DOMAIN_LABELS_NAME), mmap_mode="r")
     )
-    machine_ids = np.unique(em)
+    machine_ids = sorted_unique(em)
     malware, benign = count_label_degrees(
         np.searchsorted(machine_ids, em), ed, domain_labels, machine_ids.size
     )
@@ -228,6 +237,7 @@ def build_day_sharded(
                 n_domain_ids,
                 context.blacklist,
                 context.whitelist,
+                context.e2ld_index,
                 context.day,
             )
             domain_labels[hidden] = UNKNOWN
@@ -288,12 +298,16 @@ def _kept_subgraph(
         [part[1] for part in kept_parts]
         or [np.empty(0, dtype=np.int64)]
     )
-    # Pairs are globally unique, so (machine, domain) lexsort reproduces
-    # the in-memory `_dedupe_edges` edge order exactly.
-    order = np.lexsort((ed_all, em_all))
+    # Pairs are globally unique, so ordering by the packed (machine,
+    # domain) key reproduces the in-memory `_dedupe_edges` edge order
+    # exactly; each shard arrives sorted, so the stable sort only merges.
+    n_domain_ids = keep_domains.size
+    order = np.argsort(em_all * n_domain_ids + ed_all, kind="stable")
     em_all = em_all[order]
     ed_all = ed_all[order]
-    resolutions = trace.resolutions_for(np.unique(ed_all))
+    kept_domains = np.zeros(n_domain_ids, dtype=bool)
+    kept_domains[ed_all] = True
+    resolutions = trace.resolutions_for(np.flatnonzero(kept_domains))
     return BehaviorGraph(
         trace.day, trace.machines, trace.domains, em_all, ed_all, resolutions
     )

@@ -27,7 +27,7 @@ in-memory one):
   equals global deduplication restricted to the shard;
 * each shard's edges are sorted by ``(machine, domain)`` exactly like
   :func:`repro.dns.trace._dedupe_edges` orders the in-memory arrays, so
-  concatenating shards and lexsorting by ``(machine, domain)`` rebuilds
+  concatenating shards and ordering by ``(machine, domain)`` rebuilds
   the in-memory edge order byte for byte;
 * resolutions are globally deduplicated to per-domain sorted unique IP
   arrays — the same values ``sorted(set(ips))`` produces in memory.
@@ -45,6 +45,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.retry import atomic_file
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import FormatVersionError
 from repro.utils.ids import Interner
 
@@ -214,7 +215,7 @@ def _dedupe_pairs(
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     base = int(right.max()) + 1
     keys = left * base + right
-    unique_keys = np.unique(keys)
+    unique_keys = sorted_unique(keys)
     return unique_keys // base, unique_keys % base
 
 
@@ -231,7 +232,7 @@ def _pack_resolutions(
     keys = (domain_ids.astype(np.uint64) << np.uint64(32)) | ips.astype(
         np.uint64
     )
-    unique_keys = np.unique(keys)
+    unique_keys = sorted_unique(keys)
     did = (unique_keys >> np.uint64(32)).astype(np.int64)
     ip = (unique_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     res_domains, starts = np.unique(did, return_index=True)
@@ -330,23 +331,30 @@ class EdgeStore:
 
     def resolved_ips(self, domain_id: int) -> np.ndarray:
         """IPs the domain resolved to this day (empty array if none seen)."""
-        res_domains, res_offsets, res_ips = self._resolution_arrays()
-        index = int(np.searchsorted(res_domains, domain_id))
-        if index >= res_domains.size or res_domains[index] != domain_id:
-            return np.empty(0, dtype=np.uint32)
-        return np.asarray(
-            res_ips[res_offsets[index] : res_offsets[index + 1]],
-            dtype=np.uint32,
-        )
+        found = self.resolutions_for(np.array([domain_id]))
+        return found.get(int(domain_id), np.empty(0, dtype=np.uint32))
 
     def resolutions_for(self, domain_ids: np.ndarray) -> Dict[int, np.ndarray]:
         """Resolution dict for the given ids — the in-memory trace shape."""
-        out: Dict[int, np.ndarray] = {}
-        for did in np.asarray(domain_ids):
-            ips = self.resolved_ips(int(did))
-            if ips.size:
-                out[int(did)] = ips
-        return out
+        res_domains, res_offsets, res_ips = self._resolution_arrays()
+        ids = np.asarray(domain_ids, dtype=np.int64)
+        if not ids.size or not res_domains.size:
+            return {}
+        index = np.minimum(
+            np.searchsorted(res_domains, ids), res_domains.size - 1
+        )
+        found = res_domains[index] == ids
+        index = index[found]
+        res_ips = np.asarray(res_ips, dtype=np.uint32)  # plain slices below
+        return {
+            did: res_ips[lo:hi]
+            for did, lo, hi in zip(
+                ids[found].tolist(),
+                res_offsets[index].tolist(),
+                res_offsets[index + 1].tolist(),
+            )
+            if hi > lo
+        }
 
 
 class ShardedDayTrace:
@@ -428,9 +436,9 @@ class ShardedDayTrace:
             chunks = []
             for shard in range(self.store.n_shards):
                 em, _ = self.store.shard_edges(shard)
-                chunks.append(np.unique(em))
+                chunks.append(sorted_unique(em))
             self._unique_machines = (
-                np.unique(np.concatenate(chunks))
+                sorted_unique(np.concatenate(chunks))
                 if chunks
                 else np.empty(0, dtype=np.int64)
             )
@@ -441,9 +449,9 @@ class ShardedDayTrace:
             chunks = []
             for shard in range(self.store.n_shards):
                 _, ed = self.store.shard_edges(shard)
-                chunks.append(np.unique(ed))
+                chunks.append(sorted_unique(ed))
             self._unique_domains = (
-                np.unique(np.concatenate(chunks))
+                sorted_unique(np.concatenate(chunks))
                 if chunks
                 else np.empty(0, dtype=np.int64)
             )

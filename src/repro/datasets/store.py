@@ -40,6 +40,7 @@ from repro.core.pipeline import DEFAULT_PDNS_WINDOW_DAYS, ObservationContext
 from repro.dns.activity import ActivityIndex
 from repro.pdns.database import PassiveDNSDatabase
 from repro.runtime.retry import atomic_directory
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import FormatVersionError, IngestError
 from repro.utils.ids import Interner
 
@@ -220,7 +221,7 @@ def build_pdns(
 ) -> PassiveDNSDatabase:
     """Replay (day, domain, ip) columns into a fresh pDNS store."""
     pdns = PassiveDNSDatabase()
-    for unique_day in np.unique(days):
+    for unique_day in sorted_unique(days):
         mask = days == unique_day
         pdns.observe_day(int(unique_day), domains[mask], ips[mask])
     return pdns
@@ -235,6 +236,6 @@ def load_activity_arrays(directory: str) -> tuple:
 def build_activity_index(pairs: np.ndarray) -> ActivityIndex:
     """Replay (day, key) rows into a fresh activity index."""
     index = ActivityIndex()
-    for unique_day in np.unique(pairs[:, 0]) if pairs.size else []:
+    for unique_day in sorted_unique(pairs[:, 0]) if pairs.size else []:
         index.record(int(unique_day), pairs[pairs[:, 0] == unique_day, 1])
     return index

@@ -1,8 +1,21 @@
 """Domain-name normalization and validation.
 
-All domain strings entering the system pass through :func:`normalize_domain`
-so that graph nodes, blacklist entries, and whitelist entries agree on a
-canonical form (lowercase, no trailing dot).
+:func:`normalize_domain` defines the canonical form (lowercase, no trailing
+dot, no surrounding whitespace) on which blacklist entries, whitelist
+entries and e2LDs agree.  Who applies it:
+
+* the ground-truth lists canonicalise every entry when it is added and
+  every name they are asked about (:mod:`repro.intel`), and the public
+  suffix list every name it parses;
+* the trace and interner loaders do **not**: ``TraceReader`` and
+  ``load_interner`` intern a queried name exactly as the feed wrote it, so
+  a graph node's name may be non-canonical (``Evil.COM.``), and two
+  spellings of one name are two nodes;
+* :class:`repro.dns.e2ld.E2ldIndex`, the one reader of every interned
+  name, canonicalises it for the PSL — all spellings share an e2LD id —
+  and records the ids whose interned spelling is not canonical, which is
+  how the id-space label pass (:mod:`repro.core.labeling`) still matches
+  them against the blacklist.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ dynamic-DNS zones are added.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.dns.names import domain_labels, normalize_domain
 
@@ -117,6 +117,8 @@ class PublicSuffixList:
     def __init__(self, rules: Optional[Iterable[str]] = None) -> None:
         # rule (without markers) -> kind: "normal" | "wildcard" | "exception"
         self._rules: Dict[str, str] = {}
+        # labels in the longest rule: no longer suffix of a name can match
+        self._max_rule_labels = 0
         lines = rules if rules is not None else _DEFAULT_RULES.splitlines()
         for line in lines:
             line = line.strip()
@@ -128,11 +130,13 @@ class PublicSuffixList:
         """Add one PSL rule (``suffix``, ``*.suffix``, or ``!exception``)."""
         rule = rule.strip().lower()
         if rule.startswith("!"):
-            self._rules[rule[1:]] = "exception"
+            rule, kind = rule[1:], "exception"
         elif rule.startswith("*."):
-            self._rules[rule[2:]] = "wildcard"
+            rule, kind = rule[2:], "wildcard"
         else:
-            self._rules[rule] = "normal"
+            kind = "normal"
+        self._rules[rule] = kind
+        self._max_rule_labels = max(self._max_rule_labels, rule.count(".") + 1)
 
     def add_private_suffixes(self, suffixes: Iterable[str]) -> None:
         """Augment the list, e.g. with dynamic-DNS provider zones.
@@ -147,40 +151,47 @@ class PublicSuffixList:
 
     def is_public_suffix(self, domain: str) -> bool:
         """True if *domain* itself is a public suffix."""
-        domain = normalize_domain(domain)
-        return self.public_suffix(domain) == domain
+        labels = domain_labels(normalize_domain(domain))
+        return self._suffix_length(labels) == len(labels)
 
-    def public_suffix(self, domain: str) -> str:
-        """Return the public suffix of *domain* per the PSL algorithm."""
-        domain = normalize_domain(domain)
-        labels = domain_labels(domain)
+    def _suffix_length(self, labels: List[str]) -> int:
+        """How many trailing *labels* of a normalized name form its public
+        suffix — the one copy of the matching algorithm."""
         n = len(labels)
+        rules = self._rules
         best_len = 0  # number of labels in the winning rule's suffix
         exception_len: Optional[int] = None
-        for i in range(n):
-            candidate = ".".join(labels[i:])
-            kind = self._rules.get(candidate)
+        candidate = labels[-1]
+        # Suffixes from the top label down, so the longest match is the
+        # last one seen and each candidate extends the previous string.
+        for suffix_labels in range(1, min(n, self._max_rule_labels) + 1):
+            if suffix_labels > 1:
+                candidate = f"{labels[n - suffix_labels]}.{candidate}"
+            kind = rules.get(candidate)
             if kind is None:
                 continue
-            suffix_labels = n - i
             if kind == "exception":
                 # Exception rule: the public suffix is one label shorter.
-                exception_len = suffix_labels - 1
-            elif kind == "wildcard":
-                # "*.foo" matches "<anything>.foo": suffix is one label longer.
-                if i > 0:
-                    best_len = max(best_len, suffix_labels + 1)
-                else:
-                    # The domain *is* "foo"; the wildcard does not extend it.
-                    best_len = max(best_len, suffix_labels)
+                # (Of several matching exceptions the shortest decides.)
+                if exception_len is None:
+                    exception_len = suffix_labels - 1
+            elif kind == "wildcard" and suffix_labels < n:
+                # "*.foo" matches "<anything>.foo": suffix is one label
+                # longer — unless the domain *is* "foo", which the wildcard
+                # does not extend.
+                best_len = suffix_labels + 1
             else:
-                best_len = max(best_len, suffix_labels)
+                best_len = suffix_labels
         if exception_len is not None:
             best_len = exception_len
         if best_len == 0:
             best_len = 1  # default rule: "*"
-        best_len = min(best_len, n)
-        return ".".join(labels[n - best_len:])
+        return min(best_len, n)
+
+    def public_suffix(self, domain: str) -> str:
+        """Return the public suffix of *domain* per the PSL algorithm."""
+        labels = domain_labels(normalize_domain(domain))
+        return ".".join(labels[len(labels) - self._suffix_length(labels):])
 
     def e2ld(self, domain: str) -> Optional[str]:
         """Effective 2LD (a.k.a. registered domain): suffix plus one label.
@@ -188,17 +199,20 @@ class PublicSuffixList:
         Returns ``None`` when *domain* is itself a public suffix (it has no
         registrant-level name).
         """
-        domain = normalize_domain(domain)
-        suffix = self.public_suffix(domain)
-        if domain == suffix:
+        labels = domain_labels(normalize_domain(domain))
+        suffix_length = self._suffix_length(labels)
+        if suffix_length == len(labels):
             return None
-        labels = domain_labels(domain)
-        suffix_label_count = len(domain_labels(suffix))
-        return ".".join(labels[-(suffix_label_count + 1):])
+        return ".".join(labels[-(suffix_length + 1):])
 
     def e2ld_or_self(self, domain: str) -> str:
         """Like :meth:`e2ld` but falls back to the domain itself."""
-        return self.e2ld(domain) or normalize_domain(domain)
+        domain = normalize_domain(domain)
+        labels = domain_labels(domain)
+        suffix_length = self._suffix_length(labels)
+        if suffix_length == len(labels):
+            return domain
+        return ".".join(labels[-(suffix_length + 1):])
 
     def __len__(self) -> int:
         return len(self._rules)

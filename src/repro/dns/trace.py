@@ -34,6 +34,7 @@ from typing import (
 import numpy as np
 
 from repro.dns.records import AResponse, format_ipv4, parse_ipv4
+from repro.utils.arrays import sorted_unique
 from repro.utils.errors import FeedFormatError
 from repro.utils.ids import Interner
 
@@ -304,7 +305,7 @@ def _pack_resolutions(
     """Per-domain sorted unique uint32 IPs from flattened observation rows."""
     if not domain_ids.size:
         return {}
-    keys = np.unique(
+    keys = sorted_unique(
         (domain_ids.astype(np.uint64) << np.uint64(32)) | ips.astype(np.uint64)
     )
     dids = (keys >> np.uint64(32)).astype(np.int64)
@@ -381,10 +382,10 @@ class DayTrace:
         return int(self.edge_machines.shape[0])
 
     def unique_machine_ids(self) -> np.ndarray:
-        return np.unique(self.edge_machines)
+        return sorted_unique(self.edge_machines)
 
     def unique_domain_ids(self) -> np.ndarray:
-        return np.unique(self.edge_domains)
+        return sorted_unique(self.edge_domains)
 
     def resolved_ips(self, domain_id: int) -> np.ndarray:
         """IPs the domain resolved to this day (empty array if none seen)."""
@@ -602,5 +603,5 @@ def _dedupe_edges(
     max_domain = int(edge_domains.max()) + 1
     keys = edge_machines * max_domain + edge_domains
     if not (keys[1:] > keys[:-1]).all():  # a saved trace is already sorted
-        keys = np.unique(keys)
+        keys = sorted_unique(keys)
     return keys // max_domain, keys % max_domain

@@ -54,7 +54,11 @@ def cross_validate_day(
     rng = np.random.default_rng(seed)
     graph = BehaviorGraph.from_trace(context.trace)
     domain_labels = label_domains(
-        graph, context.blacklist, context.whitelist, as_of_day=context.day
+        graph,
+        context.blacklist,
+        context.whitelist,
+        context.e2ld_index,
+        as_of_day=context.day,
     )
     present = graph.domain_ids()
     degrees = graph.domain_degrees()

@@ -186,7 +186,7 @@ def evasion_popular_cover(
     context = world.context("isp1", day)
     graph = BehaviorGraph.from_trace(context.trace)
     labels = label_domains(
-        graph, context.blacklist, context.whitelist, as_of_day=day
+        graph, context.blacklist, context.whitelist, context.e2ld_index, as_of_day=day
     )
     active = world.malware.active_mask(day)
     active_ids = world.malware.fqd_ids[active]

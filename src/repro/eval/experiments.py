@@ -83,7 +83,11 @@ def table1_dataset_summary(
             labels = derive_machine_labels(
                 graph,
                 label_domains(
-                    graph, context.blacklist, context.whitelist, as_of_day=day
+                    graph,
+                    context.blacklist,
+                    context.whitelist,
+                    context.e2ld_index,
+                    as_of_day=day,
                 ),
             )
             counts = labels.counts(graph)
@@ -115,7 +119,13 @@ def fig3_infection_behavior(
     graph = BehaviorGraph.from_trace(context.trace)
     labels = derive_machine_labels(
         graph,
-        label_domains(graph, context.blacklist, context.whitelist, as_of_day=day),
+        label_domains(
+            graph,
+            context.blacklist,
+            context.whitelist,
+            context.e2ld_index,
+            as_of_day=day,
+        ),
     )
     infected = labels.machine_ids_with_label(MALWARE)
     counts = labels.machine_malware_degree[infected]
@@ -153,7 +163,11 @@ def pruning_statistics(
             labels = derive_machine_labels(
                 graph,
                 label_domains(
-                    graph, context.blacklist, context.whitelist, as_of_day=day
+                    graph,
+                    context.blacklist,
+                    context.whitelist,
+                    context.e2ld_index,
+                    as_of_day=day,
                 ),
             )
             result = prune_graph(graph, labels, context.e2ld_index, config.prune)
@@ -303,7 +317,11 @@ def fig8_cross_family(
     # Known (family-labeled) malware domains present in the test graph.
     test_graph = BehaviorGraph.from_trace(test_ctx.trace)
     test_labels = label_domains(
-        test_graph, test_ctx.blacklist, test_ctx.whitelist, as_of_day=test_ctx.day
+        test_graph,
+        test_ctx.blacklist,
+        test_ctx.whitelist,
+        test_ctx.e2ld_index,
+        as_of_day=test_ctx.day,
     )
     present = test_graph.domain_ids()
     degrees = test_graph.domain_degrees()
@@ -519,7 +537,11 @@ def cross_blacklist_test(
 
     rng = np.random.default_rng(seed)
     labels = label_domains(
-        graph, test_ctx.blacklist, test_ctx.whitelist, as_of_day=test_ctx.day
+        graph,
+        test_ctx.blacklist,
+        test_ctx.whitelist,
+        test_ctx.e2ld_index,
+        as_of_day=test_ctx.day,
     )
     all_present = graph.domain_ids()
     benign = all_present[
@@ -853,7 +875,11 @@ def graph_inference_comparison(
     test_ctx = scenario.context(isp, scenario.eval_day(gap))
     graph = BehaviorGraph.from_trace(test_ctx.trace)
     domain_labels = label_domains(
-        graph, test_ctx.blacklist, test_ctx.whitelist, as_of_day=test_ctx.day
+        graph,
+        test_ctx.blacklist,
+        test_ctx.whitelist,
+        test_ctx.e2ld_index,
+        as_of_day=test_ctx.day,
     )
     domain_labels[split.all_ids] = UNKNOWN
     labels = derive_machine_labels(graph, domain_labels)

@@ -105,7 +105,11 @@ def select_test_split(
     rng = rng if rng is not None else np.random.default_rng(0)
     graph = BehaviorGraph.from_trace(context.trace)
     domain_labels = label_domains(
-        graph, context.blacklist, context.whitelist, as_of_day=context.day
+        graph,
+        context.blacklist,
+        context.whitelist,
+        context.e2ld_index,
+        as_of_day=context.day,
     )
     present = graph.domain_ids()
     degrees = graph.domain_degrees()

@@ -15,7 +15,7 @@ full day of candidate domains is scored in seconds.
 
 :meth:`AbuseOracle.abuse_features_many` batches the whole candidate set:
 every candidate's IPs are concatenated into one array tagged with segment
-(candidate) offsets, deduplicated per segment in a single ``np.unique``
+(candidate) offsets, deduplicated per segment in a single sort-based unique
 over packed ``(segment, ip)`` keys, matched with one ``searchsorted`` per
 abuse set, and reduced back to per-candidate counts with ``np.bincount`` —
 one NumPy pass over the day instead of four searches per domain.
@@ -29,10 +29,7 @@ import numpy as np
 
 from repro.dns.records import prefix24
 from repro.pdns.database import PassiveDNSDatabase
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    return np.unique(values)
+from repro.utils.arrays import sorted_unique
 
 
 def _membership_count(candidates: np.ndarray, sorted_set: np.ndarray) -> int:
@@ -62,12 +59,12 @@ class AbuseOracle:
         start_day = max(end_day - window_days + 1, 0)
         _, domains, ips = pdns.window_records(start_day, end_day)
 
-        malware_set = np.unique(
+        malware_set = sorted_unique(
             np.fromiter((int(d) for d in malware_domain_ids), dtype=np.int64)
             if not isinstance(malware_domain_ids, np.ndarray)
             else malware_domain_ids
         )
-        benign_set = np.unique(
+        benign_set = sorted_unique(
             np.fromiter((int(d) for d in benign_domain_ids), dtype=np.int64)
             if not isinstance(benign_domain_ids, np.ndarray)
             else benign_domain_ids
@@ -83,8 +80,8 @@ class AbuseOracle:
         self._malware_prefixes, self._malware_prefix_sole_owner = _value_owners(
             prefix24(ips[is_malware]), domains[is_malware]
         )
-        self._unknown_ips = _sorted_unique(ips[is_unknown])
-        self._unknown_prefixes = _sorted_unique(prefix24(ips[is_unknown]))
+        self._unknown_ips = sorted_unique(ips[is_unknown])
+        self._unknown_prefixes = sorted_unique(prefix24(ips[is_unknown]))
 
     # ------------------------------------------------------------------ #
     # F3 feature queries (per candidate domain)
@@ -109,10 +106,10 @@ class AbuseOracle:
         IP/prefix whose sole known-malware user is the candidate itself is
         therefore ignored (abuse evidence must come from *other* domains).
         """
-        ips = np.unique(np.asarray(resolved_ips, dtype=np.uint32))
+        ips = sorted_unique(np.asarray(resolved_ips, dtype=np.uint32))
         if ips.size == 0:
             return 0.0, 0.0, 0.0, 0.0
-        prefixes = np.unique(prefix24(ips))
+        prefixes = sorted_unique(prefix24(ips))
         ip_hits = _membership_count_excluding(
             ips, self._malware_ips, self._malware_ip_sole_owner, exclude_domain
         )
@@ -232,14 +229,15 @@ def _value_owners(
     if values.size == 0:
         empty_vals = np.empty(0, dtype=values.dtype)
         return empty_vals, np.empty(0, dtype=np.int64)
-    pairs = np.stack(
-        [values.astype(np.int64), owners.astype(np.int64)], axis=1
-    )
-    unique_pairs = np.unique(pairs, axis=0)
+    # Distinct (value, owner) pairs through one packed int64 key, value
+    # high: values are IPv4-sized and owner ids dense, far below 2**31.
+    owners = owners.astype(np.int64, copy=False)
+    base = int(owners.max()) + 1
+    unique_pairs = sorted_unique(values.astype(np.int64) * base + owners)
     unique_values, first_index, counts = np.unique(
-        unique_pairs[:, 0], return_index=True, return_counts=True
+        unique_pairs // base, return_index=True, return_counts=True
     )
-    sole_owner = np.where(counts == 1, unique_pairs[first_index, 1], -1)
+    sole_owner = np.where(counts == 1, unique_pairs[first_index] % base, -1)
     return unique_values.astype(values.dtype), sole_owner
 
 
@@ -267,12 +265,12 @@ def _unique_per_segment(
     """Unique ``values`` within each segment, with their segment ids.
 
     Packs ``(segment, value)`` into one int64 key (segment high, value low)
-    so a single ``np.unique`` both deduplicates within segments and leaves
-    the result ordered by segment — the layout every downstream
+    so a single :func:`sorted_unique` both deduplicates within segments and
+    leaves the result ordered by segment — the layout every downstream
     ``np.bincount`` reduction relies on.
     """
     packed = (segments.astype(np.int64) << np.int64(32)) | values.astype(np.int64)
-    packed = np.unique(packed)
+    packed = sorted_unique(packed)
     out_segments = (packed >> np.int64(32)).astype(np.int64)
     out_values = (packed & np.int64(0xFFFFFFFF)).astype(values.dtype)
     return out_values, out_segments

@@ -17,6 +17,8 @@ from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 
 class PassiveDNSDatabase:
     """Time-indexed (day, domain, ip) resolution history."""
@@ -105,7 +107,7 @@ class PassiveDNSDatabase:
     ) -> np.ndarray:
         """Unique IPs a single domain resolved to within the window."""
         _, domains, ips = self.window_records(start_day, end_day)
-        return np.unique(ips[domains == domain_id])
+        return sorted_unique(ips[domains == domain_id])
 
     @property
     def n_records(self) -> int:

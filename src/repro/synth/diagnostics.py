@@ -84,7 +84,7 @@ def diagnose(scenario: Scenario, isp: str, day: int) -> WorldDiagnostics:
     context = scenario.context(isp, day)
     graph = BehaviorGraph.from_trace(context.trace)
     labels = label_graph(
-        graph, context.blacklist, context.whitelist, as_of_day=day
+        graph, context.blacklist, context.whitelist, context.e2ld_index, as_of_day=day
     )
     pop = scenario.populations[isp]
     mw = scenario.malware

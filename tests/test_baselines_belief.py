@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.belief import BeliefConfig, LoopyBeliefPropagation
 from repro.core.graph import BehaviorGraph
 from repro.core.labeling import label_graph
+from repro.dns.e2ld import E2ldIndex
 from repro.dns.trace import DayTrace
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
@@ -20,7 +21,9 @@ def build(edges, blacklisted=(), whitelisted=()):
     blacklist = CncBlacklist()
     for name in blacklisted:
         blacklist.add(name, 0)
-    labels = label_graph(graph, blacklist, DomainWhitelist(whitelisted))
+    labels = label_graph(
+        graph, blacklist, DomainWhitelist(whitelisted), E2ldIndex(domains)
+    )
     return graph, labels
 
 
@@ -59,7 +62,9 @@ class TestInference:
     def test_empty_graph_returns_priors(self):
         machines, domains = Interner(), Interner()
         graph = BehaviorGraph.from_trace(DayTrace.build(0, machines, domains, [], []))
-        labels = label_graph(graph, CncBlacklist(), DomainWhitelist([]))
+        labels = label_graph(
+            graph, CncBlacklist(), DomainWhitelist([]), E2ldIndex(domains)
+        )
         scores = LoopyBeliefPropagation().score_domains(graph, labels)
         assert scores.size == 0
 

@@ -11,6 +11,7 @@ from repro.core.anomalies import (
 from repro.core.graph import BehaviorGraph
 from repro.core.labeling import label_graph
 from repro.dns.activity import ActivityIndex
+from repro.dns.e2ld import E2ldIndex
 from repro.dns.trace import DayTrace
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
@@ -38,7 +39,9 @@ def build_world(probe_queries=30, bot_queries=3, dead_feed=True):
     em = [machines.intern(m) for m, _ in edges]
     ed = [domains.intern(d) for _, d in edges]
     graph = BehaviorGraph.from_trace(DayTrace.build(DAY, machines, domains, em, ed))
-    labels = label_graph(graph, blacklist, DomainWhitelist([]))
+    labels = label_graph(
+        graph, blacklist, DomainWhitelist([]), E2ldIndex(domains)
+    )
 
     activity = ActivityIndex()
     live_ids = [domains.lookup(f"live{i}.bad") for i in range(bot_queries)]
@@ -107,6 +110,7 @@ class TestOnScenario:
             graph,
             train_context.blacklist,
             train_context.whitelist,
+            train_context.e2ld_index,
             as_of_day=train_context.day,
         )
         probes = detect_probe_machines(

@@ -62,11 +62,11 @@ def build_extractor():
     blacklist.add("cc.old.com", 0)
     blacklist.add("cc.other.com", 0)
     whitelist = DomainWhitelist(["good.com"])
-    labels = label_graph(graph, blacklist, whitelist)
+    e2ld_index = E2ldIndex(domains)
+    labels = label_graph(graph, blacklist, whitelist, e2ld_index)
 
     fqd_activity = ActivityIndex()
     e2ld_activity = ActivityIndex()
-    e2ld_index = E2ldIndex(domains)
     e2ld_map = e2ld_index.map_array()
     target = domains.lookup("target.evil.net")
     good = domains.lookup("www.good.com")

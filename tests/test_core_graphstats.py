@@ -14,6 +14,7 @@ from repro.core.graphstats import (
     to_networkx,
 )
 from repro.core.labeling import label_graph
+from repro.dns.e2ld import E2ldIndex
 from repro.dns.trace import DayTrace
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
@@ -72,7 +73,9 @@ class TestNetworkx:
         graph = build(EDGES)
         blacklist = CncBlacklist()
         blacklist.add("a.com", 0)
-        labels = label_graph(graph, blacklist, DomainWhitelist([]))
+        labels = label_graph(
+            graph, blacklist, DomainWhitelist([]), E2ldIndex(graph.domains)
+        )
         g = to_networkx(graph, labels)
         a = ("d", graph.domains.lookup("a.com"))
         assert g.nodes[a]["label"] == "malware"
@@ -134,7 +137,9 @@ class TestSummary:
         graph = build(EDGES)
         blacklist = CncBlacklist()
         blacklist.add("a.com", 0)
-        labels = label_graph(graph, blacklist, DomainWhitelist([]))
+        labels = label_graph(
+            graph, blacklist, DomainWhitelist([]), E2ldIndex(graph.domains)
+        )
         text = summarize(graph, labels)
         assert "components" in text
         assert "malware" in text

@@ -12,6 +12,7 @@ from repro.core.labeling import (
     label_domains,
     label_graph,
 )
+from repro.dns.e2ld import E2ldIndex
 from repro.dns.trace import DayTrace
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
@@ -41,58 +42,58 @@ def build_world():
     blacklist = CncBlacklist()
     blacklist.add("cc.evil.net", added_day=3)
     whitelist = DomainWhitelist(["good.com"])
-    return graph, blacklist, whitelist
+    return graph, blacklist, whitelist, E2ldIndex(domains)
 
 
 class TestDomainLabeling:
     def test_blacklist_whole_string(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_domains(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_domains(graph, blacklist, whitelist, index)
         assert labels[graph.domains.lookup("cc.evil.net")] == MALWARE
 
     def test_whitelist_via_e2ld(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_domains(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_domains(graph, blacklist, whitelist, index)
         assert labels[graph.domains.lookup("www.good.com")] == BENIGN
         assert labels[graph.domains.lookup("cdn.good.com")] == BENIGN
 
     def test_unknown_default(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_domains(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_domains(graph, blacklist, whitelist, index)
         assert labels[graph.domains.lookup("odd.xyz")] == UNKNOWN
 
     def test_as_of_day_respects_blacklist_timestamps(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_domains(graph, blacklist, whitelist, as_of_day=2)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_domains(graph, blacklist, whitelist, index, as_of_day=2)
         assert labels[graph.domains.lookup("cc.evil.net")] == UNKNOWN
 
     def test_blacklist_beats_whitelist(self):
-        graph, blacklist, whitelist = build_world()
+        graph, blacklist, whitelist, index = build_world()
         blacklist.add("www.good.com", added_day=0)
-        labels = label_domains(graph, blacklist, whitelist)
+        labels = label_domains(graph, blacklist, whitelist, index)
         assert labels[graph.domains.lookup("www.good.com")] == MALWARE
 
 
 class TestMachinePropagation:
     def test_labels(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         m = graph.machines
         assert labels.machine_labels[m.lookup("m_clean")] == BENIGN
         assert labels.machine_labels[m.lookup("m_bot")] == MALWARE
         assert labels.machine_labels[m.lookup("m_maybe")] == UNKNOWN
 
     def test_degree_counts(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         bot = graph.machines.lookup("m_bot")
         assert labels.machine_malware_degree[bot] == 1
         assert labels.machine_benign_degree[bot] == 1
         assert labels.machine_total_degree[bot] == 3
 
     def test_counts_summary(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         counts = labels.counts(graph)
         assert counts["domains_total"] == 4
         assert counts["domains_malware"] == 1
@@ -101,8 +102,8 @@ class TestMachinePropagation:
         assert counts["machines_benign"] == 1
 
     def test_label_id_queries(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         assert labels.domain_ids_with_label(MALWARE).tolist() == [
             graph.domains.lookup("cc.evil.net")
         ]
@@ -112,8 +113,8 @@ class TestHiding:
     def test_hiding_malware_relabels_machine(self):
         """Fig. 5: hiding the only C&C domain a machine queries makes that
         machine unknown again."""
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         hidden = labels.with_hidden(
             graph, [graph.domains.lookup("cc.evil.net")]
         )
@@ -122,8 +123,8 @@ class TestHiding:
         assert hidden.domain_labels[graph.domains.lookup("cc.evil.net")] == UNKNOWN
 
     def test_hiding_benign_breaks_all_benign(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         hidden = labels.with_hidden(
             graph, [graph.domains.lookup("cdn.good.com")]
         )
@@ -131,14 +132,14 @@ class TestHiding:
         assert hidden.machine_labels[clean] == UNKNOWN
 
     def test_hiding_does_not_mutate_original(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         labels.with_hidden(graph, [graph.domains.lookup("cc.evil.net")])
         assert labels.domain_labels[graph.domains.lookup("cc.evil.net")] == MALWARE
 
     def test_hiding_empty_set_is_noop(self):
-        graph, blacklist, whitelist = build_world()
-        labels = label_graph(graph, blacklist, whitelist)
+        graph, blacklist, whitelist, index = build_world()
+        labels = label_graph(graph, blacklist, whitelist, index)
         hidden = labels.with_hidden(graph, [])
         assert (hidden.machine_labels == labels.machine_labels).all()
 
@@ -151,6 +152,8 @@ class TestHiding:
         blacklist = CncBlacklist()
         blacklist.add("cc1.com", 0)
         blacklist.add("cc2.com", 0)
-        labels = label_graph(graph, blacklist, DomainWhitelist([]))
+        labels = label_graph(
+            graph, blacklist, DomainWhitelist([]), E2ldIndex(domains)
+        )
         hidden = labels.with_hidden(graph, [domains.lookup("cc1.com")])
         assert hidden.machine_labels[machines.lookup("bot")] == MALWARE

@@ -66,7 +66,7 @@ class TestClassify:
         graph = BehaviorGraph.from_trace(test_context.trace)
         dl = label_domains(
             graph, test_context.blacklist, test_context.whitelist,
-            as_of_day=test_context.day,
+            test_context.e2ld_index, as_of_day=test_context.day,
         )
         present = graph.domain_ids()
         degrees = graph.domain_degrees()
@@ -172,13 +172,13 @@ class TestLeakFreedom:
         graph = BehaviorGraph.from_trace(test_context.trace)
         dl_before = label_domains(
             graph, test_context.blacklist, test_context.whitelist,
-            as_of_day=test_context.day,
+            test_context.e2ld_index, as_of_day=test_context.day,
         )
         some = graph.domain_ids()[:20]
         model.classify(test_context, hide_domains=some)
         dl_after = label_domains(
             graph, test_context.blacklist, test_context.whitelist,
-            as_of_day=test_context.day,
+            test_context.e2ld_index, as_of_day=test_context.day,
         )
         assert (dl_before == dl_after).all()
 

@@ -21,8 +21,10 @@ def build(edges, blacklisted=(), whitelisted=()):
     blacklist = CncBlacklist()
     for name in blacklisted:
         blacklist.add(name, 0)
-    labels = label_graph(graph, blacklist, DomainWhitelist(whitelisted))
     e2ld_index = E2ldIndex(domains)
+    labels = label_graph(
+        graph, blacklist, DomainWhitelist(whitelisted), e2ld_index
+    )
     return graph, labels, e2ld_index
 
 
@@ -165,6 +167,9 @@ class TestStats:
     def test_empty_graph(self):
         machines, domains = Interner(), Interner()
         graph = BehaviorGraph.from_trace(DayTrace.build(0, machines, domains, [], []))
-        labels = label_graph(graph, CncBlacklist(), DomainWhitelist([]))
-        result = prune_graph(graph, labels, E2ldIndex(domains))
+        e2ld_index = E2ldIndex(domains)
+        labels = label_graph(
+            graph, CncBlacklist(), DomainWhitelist([]), e2ld_index
+        )
+        result = prune_graph(graph, labels, e2ld_index)
         assert result.graph.n_edges == 0

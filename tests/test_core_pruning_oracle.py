@@ -239,7 +239,7 @@ def test_both_paths_match_the_literal_rules(world):
     expected_labels = oracle_labels(kept_edges, blacklisted, whitelisted)
 
     graph = BehaviorGraph.from_trace(trace)
-    labels = label_graph(graph, blacklist, whitelist)
+    labels = label_graph(graph, blacklist, whitelist, e2ld_index)
     assert _labels_named(labels, graph, machines, domains) == oracle_labels(
         edges, blacklisted, whitelisted
     )

@@ -15,8 +15,10 @@ import pytest
 
 from repro.core.pipeline import Segugio, SegugioConfig
 from repro.core.pruning import PruneConfig
+from repro.core.sharded import _kept_subgraph
 from repro.core.tracker import DomainTracker
 from repro.datasets.edgestore import ShardedDayTrace
+from repro.dns.trace import DayTrace
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.runtime.supervisor import (
@@ -156,6 +158,49 @@ class TestPrepareDayBitIdentity:
         model = Segugio(SegugioConfig(n_estimators=5, filter_probes=True))
         with pytest.raises(ValueError, match="filter_probes"):
             model.prepare_day(context)
+
+
+class TestKeptEdgeMerge:
+    """`_kept_subgraph` orders the shards' kept edges by one packed
+    (machine, domain) key; the in-memory order is the (machine, domain)
+    lexsort."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 7])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_order_equals_lexsort(self, tmp_path, n_shards, seed):
+        rng = np.random.default_rng(seed)
+        n_machines, n_domains = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+        machines = Interner(f"m{i}" for i in range(n_machines))
+        domains = Interner(f"d{i}.com" for i in range(n_domains))
+        n_rows = int(rng.integers(0, 400))
+        trace = ShardedDayTrace.from_day_trace(
+            DayTrace.build(
+                0,
+                machines,
+                domains,
+                rng.integers(0, n_machines, n_rows),
+                rng.integers(0, n_domains, n_rows),
+            ),
+            str(tmp_path / "store"),
+            n_shards=n_shards,
+            batch_size=64,
+        )
+        keep_machines = rng.random(n_machines) < 0.8
+        keep_domains = rng.random(n_domains) < 0.8
+        graph = _kept_subgraph(trace, keep_machines, keep_domains, jobs=1)
+
+        em, ed = (
+            np.concatenate(columns)
+            for columns in zip(
+                *(trace.store.shard_edges(shard) for shard in range(n_shards))
+            )
+        )
+        kept = keep_machines[em] & keep_domains[ed]
+        em, ed = em[kept], ed[kept]
+        order = np.lexsort((ed, em))
+        np.testing.assert_array_equal(graph.edge_machines, em[order])
+        np.testing.assert_array_equal(graph.edge_domains, ed[order])
+        assert graph.domain_ids().tolist() == np.unique(ed).tolist()
 
 
 class TestScoresBitIdentity:

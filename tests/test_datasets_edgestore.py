@@ -120,6 +120,38 @@ class TestWriterRoundtrip:
         for did in want:
             np.testing.assert_array_equal(got[did], want[did])
 
+    def test_resolutions_for_equals_the_in_memory_lookup(self, tmp_path):
+        """One vectorised search: same dict as asking the in-memory trace
+        id by id, in the order asked, ids past either end or without
+        resolutions left out."""
+        trace = _tiny_trace()
+        store = ShardedDayTrace.from_day_trace(
+            trace, str(tmp_path / "store"), n_shards=2, batch_size=64
+        ).store
+        rng = np.random.default_rng(11)
+        ids = rng.permutation(np.arange(-2, len(trace.domains) + 40))
+        got = store.resolutions_for(ids)
+        want = {
+            int(d): trace.resolved_ips(int(d))
+            for d in ids
+            if trace.resolved_ips(int(d)).size
+        }
+        assert list(got) == list(want) and len(want) == 9
+        for did, ips in want.items():
+            np.testing.assert_array_equal(got[did], ips)
+            assert got[did].dtype == np.uint32
+        assert all(type(did) is int for did in got)
+        assert store.resolutions_for(np.empty(0, dtype=np.int64)) == {}
+
+    def test_resolutions_for_on_a_store_without_resolutions(self, tmp_path):
+        bare = DayTrace.build(
+            7, Interner(["h0"]), Interner(["d0.example"]), [0], [0]
+        )
+        store = ShardedDayTrace.from_day_trace(
+            bare, str(tmp_path / "store"), n_shards=1
+        ).store
+        assert store.resolutions_for(np.array([0, 1])) == {}
+
     def test_shard_arrays_are_memory_mapped(self, tmp_path):
         trace = _tiny_trace()
         sharded = ShardedDayTrace.from_day_trace(

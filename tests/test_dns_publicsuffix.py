@@ -1,7 +1,7 @@
 """Tests for the public-suffix list and e2LD computation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dns.publicsuffix import PublicSuffixList
@@ -119,3 +119,58 @@ def test_property_e2ld_one_label_longer(labels):
     assert e2ld is not None
     assert e2ld.endswith("." + suffix)
     assert len(e2ld.split(".")) == len(suffix.split(".")) + 1
+
+
+# ---------------------------------------------------------------------- #
+# the matcher against publicsuffix.org's algorithm read rule by rule
+# ---------------------------------------------------------------------- #
+
+
+def reference_public_suffix(rules, domain):
+    """Every suffix of *domain* tried against *rules* (``{suffix: kind}``),
+    longest first: the longest normal/wildcard match wins, an exception
+    rule overrides it, no match means the top label."""
+    labels = domain.split(".")
+    n = len(labels)
+    best_len = 0
+    exception_len = None
+    for i in range(n):
+        kind = rules.get(".".join(labels[i:]))
+        if kind is None:
+            continue
+        if kind == "exception":
+            exception_len = n - i - 1
+        elif kind == "wildcard" and i > 0:
+            best_len = max(best_len, n - i + 1)
+        else:
+            best_len = max(best_len, n - i)
+    if exception_len is not None:
+        best_len = exception_len
+    return ".".join(labels[n - min(max(best_len, 1), n):])
+
+
+_LABELS = st.sampled_from(["a", "b", "www", "ck", "co", "uk", "com", "x"])
+_NAMES = st.lists(_LABELS, min_size=1, max_size=6).map(".".join)
+_RULES = st.lists(
+    st.tuples(
+        st.sampled_from(["", "*.", "!"]),
+        st.lists(_LABELS, min_size=1, max_size=4).map(".".join),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NAMES, _RULES, st.sampled_from([str, str.upper, "{}.".format, " {}".format]))
+def test_matcher_equals_the_rule_by_rule_reading(name, extra_rules, spell):
+    psl = PublicSuffixList()
+    for marker, suffix in extra_rules:  # rules longer than any built in
+        psl.add_rule(marker + suffix)
+    suffix = reference_public_suffix(psl._rules, name)
+    is_suffix = suffix == name
+    registered = ".".join(name.split(".")[-(suffix.count(".") + 2):])
+    written = spell(name)
+    assert psl.public_suffix(written) == suffix
+    assert psl.is_public_suffix(written) == is_suffix
+    assert psl.e2ld(written) == (None if is_suffix else registered)
+    assert psl.e2ld_or_self(written) == (name if is_suffix else registered)

@@ -38,6 +38,7 @@ class TestCrossValidation:
             graph,
             train_context.blacklist,
             train_context.whitelist,
+            train_context.e2ld_index,
             as_of_day=train_context.day,
         )
         present = graph.domain_ids()

@@ -26,7 +26,7 @@ class TestSelectTestSplit:
         graph = BehaviorGraph.from_trace(test_context.trace)
         labels = label_domains(
             graph, test_context.blacklist, test_context.whitelist,
-            as_of_day=test_context.day,
+            test_context.e2ld_index, as_of_day=test_context.day,
         )
         assert (labels[split.malware_ids] == MALWARE).all()
 

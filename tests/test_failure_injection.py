@@ -119,7 +119,11 @@ class TestHostileInputs:
         conflicted = CncBlacklist("conflict")
         conflicted.add(core_fqd, added_day=0)
         labels = label_domains(
-            graph, conflicted, context.whitelist, as_of_day=context.day
+            graph,
+            conflicted,
+            context.whitelist,
+            context.e2ld_index,
+            as_of_day=context.day,
         )
         domain_id = context.domain_id(core_fqd)
         if domain_id is not None and graph.domain_degrees()[domain_id] > 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dns.records import parse_ipv4
-from repro.pdns.abuse import AbuseOracle, _in_sorted
+from repro.pdns.abuse import AbuseOracle, _in_sorted, _value_owners
 from repro.pdns.database import PassiveDNSDatabase
 
 MAL = 1  # domain ids
@@ -133,6 +133,38 @@ class TestHidingExclusion:
             np.array([IP_MAL], dtype=np.uint32), exclude_domain=12345
         )
         assert features[0] == 1.0
+
+
+class TestValueOwners:
+    """The packed-key pass against distinct (value, owner) rows taken
+    literally."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_row_wise_reading(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        # few distinct values so that owners collide, top of uint32 included
+        pool = np.array([0, 1, 7, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+        values = rng.choice(pool, size=n)
+        owners = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        got_values, got_owner = _value_owners(values, owners)
+
+        owners_of = {}
+        for value, owner in zip(values.tolist(), owners.tolist()):
+            owners_of.setdefault(value, set()).add(owner)
+        assert got_values.tolist() == sorted(owners_of)
+        assert got_values.dtype == np.uint32 and got_owner.dtype == np.int64
+        assert got_owner.tolist() == [
+            min(owners_of[v]) if len(owners_of[v]) == 1 else -1
+            for v in sorted(owners_of)
+        ]
+
+    def test_empty(self):
+        values, owner = _value_owners(
+            np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64)
+        )
+        assert values.size == 0 and values.dtype == np.uint32
+        assert owner.size == 0 and owner.dtype == np.int64
 
 
 class TestInSorted:

@@ -60,7 +60,9 @@ def build_world(pairs, truth):
             blacklist.add(name, 0)
         elif kind == 1:
             whitelisted.append(name)
-    labels = label_graph(graph, blacklist, DomainWhitelist(whitelisted))
+    labels = label_graph(
+        graph, blacklist, DomainWhitelist(whitelisted), E2ldIndex(graph.domains)
+    )
     return graph, labels
 
 
