@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Standalone runner for the end-to-end baseline (`segugio bench --e2e`).
+"""Standalone runner for the end-to-end baseline (`segugio bench`).
 
 Writes ``BENCH_e2e.json`` — sustained throughput of a pinned multi-day
 tracking campaign (trace rows/s, graph edges/s, domains scored/s), its
@@ -11,7 +11,7 @@ Not a pytest module (no ``test_`` prefix): run it directly, or prefer the
 equivalent CLI form so flags stay in one place::
 
     PYTHONPATH=src python benchmarks/bench_e2e.py
-    PYTHONPATH=src python -m repro.cli bench --e2e --days 3 --jobs 2
+    PYTHONPATH=src python -m repro.cli bench --days 3 --jobs 2
 """
 
 import sys
@@ -19,4 +19,4 @@ import sys
 from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main(["bench", "--e2e"] + sys.argv[1:]))
+    sys.exit(main(["bench"] + sys.argv[1:]))

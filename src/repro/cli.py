@@ -15,7 +15,7 @@ Examples::
     segugio inspect /tmp/telemetry --html report.html
     segugio inspect /tmp/telemetry --view profile
     segugio inspect /tmp/run1 /tmp/run2 --view health --reference rolling:7
-    segugio bench --e2e --out BENCH_e2e.json
+    segugio bench --out BENCH_e2e.json
     segugio explain --telemetry-dir /tmp/telemetry --domain evil.example
     segugio chaos --plan examples/fault-plan.json --out /tmp/chaos
     segugio export-day /tmp/obs --day-offset 2
@@ -1100,12 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="CI smoke mode: small scale, single repeat",
-    )
-    bench.add_argument(
-        "--e2e",
-        action="store_true",
-        help="accepted for compatibility: the end-to-end gate is the only "
-        "mode (per-layer cost: python3 benchmarks/segbench/run.py)",
     )
     bench.add_argument(
         "--days",

@@ -61,7 +61,6 @@ from repro.intel.whitelist import DomainWhitelist
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.obs.logs import get_logger
-from repro.obs.metrics import SCORE_BUCKETS, MetricsRegistry, get_registry
 from repro.obs.provenance import (
     VERDICT_LABELED,
     VERDICT_PRUNED,
@@ -83,77 +82,6 @@ from repro.utils.arrays import sorted_unique
 DEFAULT_PDNS_WINDOW_DAYS = 150  # ~ the paper's five months
 
 _log = get_logger("pipeline")
-
-
-def _emit_graph_metrics(
-    registry: MetricsRegistry,
-    machine_degrees: np.ndarray,
-    domain_degrees: np.ndarray,
-    n_edges: int,
-    stage: str,
-) -> None:
-    """Node/edge counts and degree stats of one graph, from its degrees
-    (so the sharded build, which never holds the raw graph, emits them too)."""
-    if not registry.enabled:
-        return
-    nodes = registry.gauge(
-        "segugio_graph_nodes", "graph node counts", labels=("kind", "stage")
-    )
-    nodes.set(int(np.count_nonzero(machine_degrees)), kind="machine", stage=stage)
-    nodes.set(int(np.count_nonzero(domain_degrees)), kind="domain", stage=stage)
-    registry.gauge(
-        "segugio_graph_edges", "graph edge count", labels=("stage",)
-    ).set(n_edges, stage=stage)
-    degree = registry.gauge(
-        "segugio_graph_degree",
-        "degree distribution stats",
-        labels=("kind", "stat", "stage"),
-    )
-    for kind, degrees in (
-        ("machine", machine_degrees),
-        ("domain", domain_degrees),
-    ):
-        present = degrees[degrees > 0]
-        mean = float(present.mean()) if present.size else 0.0
-        peak = int(present.max()) if present.size else 0
-        degree.set(mean, kind=kind, stat="mean", stage=stage)
-        degree.set(peak, kind=kind, stat="max", stage=stage)
-
-
-def _emit_label_metrics(
-    registry: MetricsRegistry, graph: BehaviorGraph, labels: GraphLabels
-) -> None:
-    """How many present domains carry each ground-truth label."""
-    if not registry.enabled:
-        return
-    counts = labels.counts(graph)
-    gauge = registry.gauge(
-        "segugio_labels_domains", "labeled domain counts", labels=("label",)
-    )
-    for label in ("malware", "benign", "unknown"):
-        gauge.set(counts[f"domains_{label}"], label=label)
-
-
-def _emit_prune_metrics(registry: MetricsRegistry, stats: Dict[str, float]) -> None:
-    """Per-rule node removals and aggregate reductions (paper §III)."""
-    if not registry.enabled:
-        return
-    removed = registry.gauge(
-        "segugio_pruning_removed",
-        "nodes removed per pruning rule",
-        labels=("rule", "kind"),
-    )
-    removed.set(stats.get("removed_r1_machines", 0.0), rule="r1", kind="machines")
-    removed.set(stats.get("removed_r2_machines", 0.0), rule="r2", kind="machines")
-    removed.set(stats.get("removed_r3_domains", 0.0), rule="r3", kind="domains")
-    removed.set(stats.get("removed_r4_domains", 0.0), rule="r4", kind="domains")
-    pct = registry.gauge(
-        "segugio_pruning_removed_pct",
-        "percentage of the graph removed by pruning",
-        labels=("dimension",),
-    )
-    for dimension in ("domains", "machines", "edges"):
-        pct.set(stats.get(f"{dimension}_removed_pct", 0.0), dimension=dimension)
 
 
 def context_degradations(
@@ -394,7 +322,6 @@ class Segugio:
         hidden set, so the day is built once.
         """
         watch = watch if watch is not None else Stopwatch()
-        registry = get_registry()
         hidden = _hidden_ids(hide_domains)
         if getattr(context.trace, "is_sharded", False):
             if self.config.filter_probes:
@@ -409,7 +336,6 @@ class Segugio:
             result, labels, domain_labels = build_day_sharded(
                 context,
                 self.config,
-                registry,
                 hidden=hidden,
                 watch=watch,
             )
@@ -424,13 +350,6 @@ class Segugio:
             # the trace and the raw graph once.
             count_units(UNIT_TRACE_ROWS, int(context.trace.n_edges))
             count_units(UNIT_GRAPH_EDGES, int(graph.n_edges))
-            _emit_graph_metrics(
-                registry,
-                graph.machine_degrees(),
-                graph.domain_degrees(),
-                graph.n_edges,
-                "raw",
-            )
             with watch.phase("label_nodes"):
                 domain_labels = label_domains(
                     graph,
@@ -456,15 +375,6 @@ class Segugio:
                 # Degrees changed; rederive machine labels on the pruned graph.
                 labels = derive_machine_labels(result.graph, domain_labels)
         pruned = result.graph
-        _emit_prune_metrics(registry, result.stats)
-        _emit_graph_metrics(
-            registry,
-            pruned.machine_degrees(),
-            pruned.domain_degrees(),
-            pruned.n_edges,
-            "pruned",
-        )
-        _emit_label_metrics(registry, pruned, labels)
         with watch.phase("build_abuse_oracle"):
             known_malware = np.flatnonzero(domain_labels == MALWARE)
             known_benign = np.flatnonzero(domain_labels == BENIGN)
@@ -574,15 +484,6 @@ class Segugio:
             n_train_malware=float(training.n_malware),
             n_train_benign=float(training.n_benign),
         )
-        registry = get_registry()
-        if registry.enabled:
-            samples = registry.gauge(
-                "segugio_train_samples",
-                "training-set size by class",
-                labels=("label",),
-            )
-            samples.set(training.n_malware, label="malware")
-            samples.set(training.n_benign, label="benign")
         _log.info(
             "fit_complete",
             day=context.day,
@@ -638,17 +539,6 @@ class Segugio:
                 else np.empty(0, dtype=np.float64)
             )
         count_units(UNIT_DOMAINS_SCORED, int(unknown_ids.size))
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "segugio_classified_domains_total",
-                "unknown domains scored",
-            ).inc(int(unknown_ids.size))
-            registry.histogram(
-                "segugio_classify_score",
-                "malware-score distribution over scored domains",
-                buckets=SCORE_BUCKETS,
-            ).observe_many(scores)
         self._emit_decisions(prepared, unknown_ids, scores, X_full, X)
         _log.info(
             "classify_complete", day=context.day, n_scored=int(unknown_ids.size)
@@ -753,11 +643,6 @@ class Segugio:
                         label_source=source,
                         pruning=pruning_of[code],
                     )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "segugio_decisions_total", "decision records emitted"
-            ).inc(int(present.size))
 
     # ------------------------------------------------------------------ #
     # convenience

@@ -57,7 +57,6 @@ from repro.core.labeling import (
 from repro.core.pipeline import (  # it imports this module lazily: no cycle
     ObservationContext,
     SegugioConfig,
-    _emit_graph_metrics,
 )
 from repro.core.pruning import (
     PruneResult,
@@ -67,7 +66,6 @@ from repro.core.pruning import (
 )
 from repro.datasets.edgestore import EdgeStore
 from repro.ml.forest import resolve_n_jobs
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.resources import (
     UNIT_EDGE_BATCHES,
     UNIT_GRAPH_EDGES,
@@ -167,7 +165,6 @@ def _shard_kept_edges(
 def build_day_sharded(
     context: ObservationContext,
     config: SegugioConfig,
-    registry: MetricsRegistry,
     hidden: np.ndarray,
     watch: Optional[Stopwatch] = None,
 ) -> Tuple[PruneResult, GraphLabels, np.ndarray]:
@@ -225,9 +222,6 @@ def build_day_sharded(
         count_units(UNIT_TRACE_ROWS, int(store.n_edges))
         count_units(UNIT_GRAPH_EDGES, int(store.n_edges))
         count_units(UNIT_EDGE_BATCHES, int(store.n_batches))
-        _emit_graph_metrics(
-            registry, machine_degrees, domain_degrees, store.n_edges, "raw"
-        )
 
         with watch.phase("label_nodes"):
             present_domain_ids = np.flatnonzero(domain_degrees > 0)

@@ -33,7 +33,6 @@ from repro.ml.drift import feature_drift, ks_statistic, population_stability_ind
 from repro.ml.metrics import threshold_for_fpr
 from repro.obs.events import current_event_log
 from repro.obs.logs import get_logger
-from repro.obs.metrics import get_registry
 from repro.obs.monitor import AlertRule, STATUS_OK, evaluate_health
 from repro.obs.provenance import current_decision_log
 from repro.obs.tracing import current_tracer
@@ -178,7 +177,7 @@ class DomainTracker:
         monitor armed (see :func:`repro.runtime.checkpoint.save_drift_sidecar`)."""
         self.telemetry = telemetry
         """Optional :class:`repro.obs.run.RunTelemetry`: when set, every
-        :meth:`process_day` records spans, metric deltas, and a day record
+        :meth:`process_day` records spans and a day record
         into it, ready to be written as a run manifest."""
 
     # ------------------------------------------------------------------ #
@@ -289,36 +288,6 @@ class DomainTracker:
         self.days_processed.append(context.day)
         self.day_thresholds[context.day] = threshold
 
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "segugio_tracker_days_total", "days processed by the tracker"
-            ).inc()
-            found = registry.counter(
-                "segugio_tracker_detections_total",
-                "domains detected, by first-sighting status",
-                labels=("kind",),
-            )
-            if day_report.new_detections:
-                found.inc(len(day_report.new_detections), kind="new")
-            if day_report.repeat_detections:
-                found.inc(len(day_report.repeat_detections), kind="repeat")
-            registry.gauge(
-                "segugio_tracker_threshold",
-                "per-day detection threshold calibrated to the FP target",
-            ).set(threshold)
-            registry.gauge(
-                "segugio_tracker_ledger_size", "domains in the tracked ledger"
-            ).set(len(self.tracked))
-            if drift is not None and "score" in drift:
-                registry.gauge(
-                    "segugio_drift_score_psi",
-                    "PSI of the malware-score distribution vs the previous day",
-                ).set(float(drift["score"]["psi"]))  # type: ignore[index]
-            registry.gauge(
-                "segugio_health_rank",
-                "day health as a rank (0 ok, 1 warn, 2 alert)",
-            ).set({"ok": 0, "warn": 1, "alert": 2}.get(str(day_health["status"]), 0))
         _log.info(
             "day_processed",
             day=context.day,

@@ -23,10 +23,10 @@ from repro.obs.manifest import TelemetryRun
 from repro.runtime.supervisor import world_days
 from repro.synth.scenario import Scenario
 
-#: schema of the ``BENCH_e2e.json`` payload emitted by ``bench --e2e``
+#: schema of the ``BENCH_e2e.json`` payload emitted by ``segugio bench``
 E2E_SCHEMA_VERSION = 3
 
-#: regression gate: profiling overhead above this trips ``bench --e2e``
+#: regression gate: profiling overhead above this trips ``segugio bench``
 E2E_OVERHEAD_GATE_PCT = 3.0
 
 #: minimum rounds feeding the median per-round overhead estimate — a
@@ -131,7 +131,7 @@ def run_e2e_bench(
     batch_size: Optional[int] = None,
     max_rounds: Optional[int] = None,
 ) -> Dict[str, object]:
-    """The end-to-end baseline behind ``segugio bench --e2e``.
+    """The end-to-end baseline behind ``segugio bench``.
 
     Runs the same pinned tracking campaign three times — profiling off
     (baseline), profiling on, and profiling on over *n_shards* out-of-core

@@ -42,7 +42,7 @@ from repro.eval.profile import (
     worker_task_attribution,
 )
 from repro.eval.trace import STRAGGLER_FACTOR, build_timeline
-from repro.obs.manifest import TEST_PHASES, TRAIN_PHASES, TelemetryRun
+from repro.obs.manifest import LEDGER_PHASES, TEST_PHASES, TRAIN_PHASES, TelemetryRun
 from repro.obs.monitor import worst_status
 
 #: the views, in the order ``segugio inspect`` prints them
@@ -142,6 +142,9 @@ def cost_view(run: TelemetryRun) -> Document:
     rows = [[name] + across(values, ".3f") for name, values in seconds.items()]
     rows.append(["learning total"] + across(train, ".3f"))
     rows.append(["classification total"] + across(test, ".3f"))
+    if any(name in seconds for name in LEDGER_PHASES):
+        ledger = group_total(LEDGER_PHASES)
+        rows.append(["decision ledger"] + across(ledger, ".3f"))
     if sum(test) > 0:
         ratios = zip(train + [sum(train)], test + [sum(test)])
         rows.append(
@@ -239,7 +242,6 @@ def cost_view(run: TelemetryRun) -> Document:
     artifacts = [f"trace {run.trace_file}"]
     if run.decisions_file:
         artifacts.append(f"decisions {run.decisions_file}")
-    artifacts.append(f"{len(run.metrics)} metric series")
     document.add("artifacts: " + ", ".join(artifacts))
     return document
 

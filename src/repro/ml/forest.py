@@ -37,7 +37,6 @@ import numpy as np
 from repro.ml.preprocessing import BinMapper
 from repro.ml.tree import DecisionTreeClassifier
 from repro.obs.events import current_event_log
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import current_tracer
 from repro.utils.validation import as_1d_int_array, as_2d_float_array, check_same_length
 
@@ -199,14 +198,6 @@ class RandomForestClassifier:
             n_degraded = len(events) - events_mark
             if span is not None and n_degraded:
                 span.set_attribute("n_supervisor_events", n_degraded)
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge(
-                "segugio_forest_trees", "trees in the fitted ensemble"
-            ).set(len(self.trees_))
-            registry.gauge(
-                "segugio_forest_train_samples", "rows the ensemble trained on"
-            ).set(int(n))
         return self
 
     def _fit_parallel(

@@ -1,9 +1,7 @@
-"""Pipeline-wide observability: metrics, span tracing, structured logging.
+"""Pipeline-wide observability: span tracing and structured logging.
 
-Three coordinated zero-dependency layers (stdlib only):
+Two coordinated zero-dependency layers (stdlib only):
 
-* :mod:`repro.obs.metrics` — a registry of labeled counters, gauges, and
-  histograms with snapshot/delta export to JSON;
 * :mod:`repro.obs.tracing` — nested, timed spans over the pipeline's call
   tree (plus the accumulate-by-name ``Stopwatch`` that feeds them),
   exported as a span tree and a per-run ``trace.jsonl``;
@@ -27,15 +25,15 @@ bench/chaos gates.
 :mod:`repro.obs.workerctx` carries the ambient pattern across process
 boundaries: the supervised executor injects a picklable
 :class:`TaskContext` into every pool task, workers open real spans and
-record events/metrics into per-process sidecar files, and the parent
+record events into per-process sidecar files, and the parent
 merges the sidecars back into the main span tree after each pool call —
 so a profiled multi-process run yields one unified timeline
 (``segugio inspect --view timeline``).
 
-All three layers are **ambient and off by default**: library code
-instruments unconditionally against :func:`get_registry` /
-:func:`current_tracer` / :func:`get_logger`, and pays (only) a
-context-variable lookup per site until a run activates telemetry.
+Both layers are **ambient and off by default**: library code instruments
+unconditionally against :func:`current_tracer` / :func:`get_logger`, and
+pays (only) a context-variable lookup per site until a run activates
+telemetry.
 """
 
 from repro.obs.events import (
@@ -76,15 +74,6 @@ from repro.obs.provenance import (
     render_decision,
     use_decision_log,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-    get_registry,
-    use_registry,
-)
 from repro.obs.spans import SPAN_NAMES
 from repro.obs.resources import (
     RESOURCES_SCHEMA_VERSION,
@@ -118,18 +107,13 @@ from repro.obs.workerctx import (
 __all__ = [
     "AlertRule",
     "AlertRuleError",
-    "Counter",
     "DECISIONS_FILENAME",
     "DECISION_SCHEMA_VERSION",
     "DEFAULT_ALERT_RULES",
     "DecisionLog",
-    "Gauge",
-    "Histogram",
     "MANIFEST_FILENAME",
     "MANIFEST_VERSION",
     "ManifestError",
-    "MetricsError",
-    "MetricsRegistry",
     "ProvenanceError",
     "RESOURCES_SCHEMA_VERSION",
     "ResourceBudget",
@@ -162,7 +146,6 @@ __all__ = [
     "evaluate_budgets",
     "evaluate_health",
     "get_logger",
-    "get_registry",
     "load_alert_rules",
     "load_decisions",
     "load_manifest",
@@ -175,7 +158,6 @@ __all__ = [
     "use_decision_log",
     "use_event_log",
     "use_monitor",
-    "use_registry",
     "use_tracer",
     "worst_status",
     "write_manifest",

@@ -10,8 +10,8 @@ log of small structured events (``worker_lost``, ``task_hang``,
 ``pool_shrunk``, ``serial_fallback``, …), each a plain dict with a ``kind``
 plus context fields.
 
-Like the tracer, metrics registry, and :class:`~repro.obs.provenance.DecisionLog`,
-the log is **ambient**: library code calls :func:`current_event_log` and
+Like the tracer and :class:`~repro.obs.provenance.DecisionLog`, the log
+is **ambient**: library code calls :func:`current_event_log` and
 records unconditionally; :class:`repro.obs.run.RunTelemetry` installs its
 own log via :func:`use_event_log` so events land in the manifest.  Unlike
 those layers the module default is *enabled* — degradations are rare and

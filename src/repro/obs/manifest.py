@@ -15,10 +15,10 @@ bench/chaos gates all read through it, so the layout, the version check
 and every shape check live here once (lint rule SEG103 names this module
 as the manifest's single consumer).
 
-Manifest layout (``manifest_version`` 2)::
+Manifest layout (``manifest_version`` 3)::
 
     {
-      "manifest_version": 2,
+      "manifest_version": 3,
       "run_id": "…", "command": "track", "created_unix": 1754450000.0,
       "config": {…} | null,          # SegugioConfig as a dict
       "config_sha256": "…" | null,   # hash of the canonical config JSON
@@ -31,10 +31,8 @@ Manifest layout (``manifest_version`` 2)::
          "health": {"status": "…", "reasons": […]},
          "runtime_events": [{…}],    # execution-layer degradations, this day
                                      # (absent when the day ran clean)
-         "phases": {"build_graph": 0.41, …},       # span seconds, this day
-         "metrics": {…}}                            # registry delta, this day
+         "phases": {"build_graph": 0.41, …}}       # span seconds, this day
       ],
-      "metrics": {…},                # final whole-run registry snapshot
       "spans": […],                  # nested span tree
       "ingest": [{…}],               # IngestReport.to_dict() per loaded source
       "degradations": ["…"],         # union of day provenance tags
@@ -58,13 +56,17 @@ Manifest layout (``manifest_version`` 2)::
                                      # "n/a" when absent)
     }
 
-**Additive keys.**  ``runtime_events`` (run-level and per-day),
-``resources`` (run-level and per-day) and ``resources.workers`` were added
-to version 2 without a bump: writers emit them only when they apply
-(``resources`` only on ``--profile`` runs) and the reader treats a missing
-key as empty, so every v2 manifest ever written stays readable.  Version 1
-(no ``health``/``drift``/``decisions_file``, dotted span names) has had no
-writer since the bump and is rejected by version like any other.
+**Versions.**  Version 3 dropped version 2's ``metrics`` key (a
+run-level snapshot and a per-day delta of a metrics registry nothing
+read).  The reader opens both with the same code: a v2 manifest's
+``metrics`` passes through unread, and every number it held is also a
+day-record field, an ``ingest[]`` counter or a span attribute.
+``runtime_events`` (run-level and per-day), ``resources`` (run-level and
+per-day) and ``resources.workers`` are additive: writers emit them only
+when they apply (``resources`` only on ``--profile`` runs) and the reader
+treats a missing key as empty.  Version 1 (no ``health``/``drift``/
+``decisions_file``, dotted span names) has had no writer since the v2 bump
+and is rejected by version like any other.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ from repro.obs.provenance import (
     load_decisions,
 )
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
+#: versions :func:`load_manifest` opens; they differ only in a key it skips
+READABLE_VERSIONS = (2, MANIFEST_VERSION)
 MANIFEST_FILENAME = "manifest.json"
 TRACE_FILENAME = "trace.jsonl"
 
@@ -109,6 +113,9 @@ TRAIN_PHASES = (
     "train_classifier",
 )
 TEST_PHASES = ("measure_test_features", "score_domains")
+#: writing the day's decision records (``--telemetry-dir`` runs only): an
+#: operator's cost of the day, but neither learning nor classification
+LEDGER_PHASES = ("segugio_decisions_emit",)
 
 
 class TelemetryError(ValueError):
@@ -152,12 +159,13 @@ def load_manifest(path: str) -> Dict[str, Any]:
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     version = manifest.get("manifest_version")
-    if version != MANIFEST_VERSION:
+    if version not in READABLE_VERSIONS:
         raise ManifestError(
             f"{path}: manifest version {version!r} is not supported "
-            f"(this library reads version {MANIFEST_VERSION})"
+            "(this library reads versions "
+            f"{' and '.join(map(str, READABLE_VERSIONS))})"
         )
-    for key in ("run_id", "command", "days", "metrics", "spans"):
+    for key in ("run_id", "command", "days", "spans"):
         if key not in manifest:
             raise ManifestError(f"{path}: manifest is missing {key!r}")
     return manifest
@@ -235,7 +243,6 @@ _MANIFEST = {
     "created_unix": _NUM,
     "health": _HEALTH,
     "days": [_DAY],
-    "metrics": {"*": _ANY},
     "spans": [_SPAN],
     "ingest": [
         {"n_ok": _INT, "n_quarantined": _INT, "counters": {"*": _INT}}
@@ -353,7 +360,6 @@ class TelemetryRun:
         self.created = _utc_stamp(manifest.get("created_unix"))
         self.health: Dict[str, Any] = manifest["health"]
         self.days: List[Dict[str, Any]] = manifest["days"]
-        self.metrics: Dict[str, Any] = manifest["metrics"]
         self.spans: List[Dict[str, Any]] = manifest["spans"]
         self.ingest: List[Dict[str, Any]] = manifest["ingest"]
         self.degradations: List[Any] = manifest["degradations"]

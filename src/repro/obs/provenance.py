@@ -19,7 +19,7 @@ object per line, keys sorted), next to ``manifest.json`` and
 ``trace.jsonl``.  ``segugio explain <domain> --telemetry-dir …`` replays a
 verdict from these artifacts alone — no model, no traffic, no recompute.
 
-Like the metrics registry and the tracer, the :class:`DecisionLog` is
+Like the tracer, the :class:`DecisionLog` is
 **ambient and off by default**: instrumented code calls
 :func:`current_decision_log` and pays only a context-variable lookup until
 a run activates one via :func:`use_decision_log` (normally through

@@ -10,9 +10,7 @@ active) and attributes to each pipeline phase:
 * peak RSS, from a low-overhead ``/proc/self/status`` watermark sampler
   (``VmRSS`` sampled on a background thread, ``VmHWM`` as the floor) with
   a ``resource.getrusage`` fallback off-Linux;
-* I/O bytes from ``/proc/self/io`` (gracefully ``None`` off-Linux);
-* optional ``tracemalloc`` allocation deltas (off by default — it is the
-  one sampler with real overhead).
+* I/O bytes from ``/proc/self/io`` (gracefully ``None`` off-Linux).
 
 Throughput gauges (trace rows/s, graph edges/s, domains scored/s) are
 derived from unit counters the pipeline reports via :func:`count_units`
@@ -36,7 +34,7 @@ alert rules.
 
 This module is the **only** place in the library allowed to read raw
 resource primitives (``resource.getrusage``, ``os.times``,
-``/proc/self/*``, ``tracemalloc``) — lint rule SEG012 enforces the
+``/proc/self/*``) — lint rule SEG012 enforces the
 containment, mirroring SEG004/SEG011.
 """
 
@@ -48,7 +46,6 @@ import os
 import sys
 import threading
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -211,9 +208,7 @@ class ResourceReader:
 class _Frame:
     """One open span's resource baseline (closed into a delta dict)."""
 
-    __slots__ = (
-        "name", "wall0", "cpu0", "io0", "rss_peak", "alloc0",
-    )
+    __slots__ = ("name", "wall0", "cpu0", "io0", "rss_peak")
 
     def __init__(
         self,
@@ -222,14 +217,12 @@ class _Frame:
         cpu0: float,
         io0: Optional[Tuple[int, int]],
         rss0: Optional[float],
-        alloc0: Optional[int],
     ) -> None:
         self.name = name
         self.wall0 = wall0
         self.cpu0 = cpu0
         self.io0 = io0
         self.rss_peak = rss0
-        self.alloc0 = alloc0
 
 
 class ResourceMonitor:
@@ -246,12 +239,10 @@ class ResourceMonitor:
         enabled: bool = True,
         reader: Optional[ResourceReader] = None,
         sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
-        trace_allocations: bool = False,
     ) -> None:
         self.enabled = bool(enabled)
         self.reader = reader if reader is not None else ResourceReader()
         self.sample_interval = float(sample_interval)
-        self.trace_allocations = bool(trace_allocations)
         self._lock = threading.Lock()
         self._open_frames: List[_Frame] = []
         self.phases: Dict[str, Dict[str, object]] = {}
@@ -264,7 +255,6 @@ class ResourceMonitor:
         self._last_rss_mb: Optional[float] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._started_tracemalloc = False
         if self.enabled:
             self._wall0 = self.reader.clock()
             self._cpu0 = self.reader.cpu_seconds()
@@ -292,9 +282,6 @@ class ResourceMonitor:
             self.reader.cpu_seconds(),
             self.reader.io_bytes(),
             self._last_rss_mb,
-            tracemalloc.get_traced_memory()[0]
-            if self.trace_allocations and tracemalloc.is_tracing()
-            else None,
         )
         with self._lock:
             self._open_frames.append(frame)
@@ -339,10 +326,6 @@ class ResourceMonitor:
         if io1 is not None and frame.io0 is not None:
             delta["io_read_bytes"] = max(io1[0] - frame.io0[0], 0)
             delta["io_write_bytes"] = max(io1[1] - frame.io0[1], 0)
-        if frame.alloc0 is not None and tracemalloc.is_tracing():
-            delta["alloc_kb"] = round(
-                (tracemalloc.get_traced_memory()[0] - frame.alloc0) / 1024.0, 3
-            )
         stats = self.phases.setdefault(
             frame.name,
             {"wall_s": 0.0, "cpu_s": 0.0, "n": 0},
@@ -358,10 +341,6 @@ class ResourceMonitor:
         for key in ("io_read_bytes", "io_write_bytes"):
             if key in delta:
                 stats[key] = int(stats.get(key, 0)) + int(delta[key])  # type: ignore[arg-type]
-        if "alloc_kb" in delta:
-            stats["alloc_kb"] = round(
-                float(stats.get("alloc_kb", 0.0)) + float(delta["alloc_kb"]), 3  # type: ignore[arg-type]
-            )
         return delta
 
     # ------------------------------------------------------------------ #
@@ -393,13 +372,10 @@ class ResourceMonitor:
 
     @contextmanager
     def running(self):
-        """Run the watermark sampler (and optional tracemalloc) while open."""
+        """Run the watermark sampler while open."""
         if not self.enabled:
             yield self
             return
-        if self.trace_allocations and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
         thread: Optional[threading.Thread] = None
         # seed the sampled-RSS cache so frames closed before the first
         # background tick still see a real value
@@ -419,9 +395,6 @@ class ResourceMonitor:
                 self._stop.set()
                 thread.join(timeout=5.0)
                 self._thread = None
-            if self._started_tracemalloc and tracemalloc.is_tracing():
-                tracemalloc.stop()
-                self._started_tracemalloc = False
 
     # ------------------------------------------------------------------ #
     # throughput units
@@ -635,10 +608,6 @@ class ResourceMonitor:
         if io1 is not None and self._io0 is not None:
             process["io_read_bytes"] = max(io1[0] - self._io0[0], 0)
             process["io_write_bytes"] = max(io1[1] - self._io0[1], 0)
-        if self.trace_allocations and tracemalloc.is_tracing():
-            process["alloc_peak_kb"] = round(
-                tracemalloc.get_traced_memory()[1] / 1024.0, 3
-            )
         payload: Dict[str, object] = {
             "schema_version": RESOURCES_SCHEMA_VERSION,
             "platform": {

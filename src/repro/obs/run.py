@@ -1,19 +1,20 @@
-"""Per-run telemetry capture: one object that owns all three layers.
+"""Per-run telemetry capture: one object that owns the run's tracing,
+decision log, runtime events and resource monitor.
 
-:class:`RunTelemetry` bundles a :class:`~repro.obs.metrics.MetricsRegistry`
-and a :class:`~repro.obs.tracing.Tracer`, binds the run id into the
-structured-logging context, and accumulates per-day records so a
-``track``/``bigday`` run can be written out as a run manifest plus a
-span-trace JSONL (see :mod:`repro.obs.manifest` for the schema)::
+:class:`RunTelemetry` owns a :class:`~repro.obs.tracing.Tracer`, binds the
+run id into the structured-logging context, and accumulates per-day
+records so a ``track``/``bigday`` run can be written out as a run manifest
+plus a span-trace JSONL (see :mod:`repro.obs.manifest` for the schema)::
 
     telemetry = RunTelemetry(command="track", config=config_to_dict(cfg))
     tracker = DomainTracker(cfg, telemetry=telemetry)
     for context in days:
-        tracker.process_day(context)          # records spans/metrics/day rows
+        tracker.process_day(context)          # records spans and day rows
     manifest_path, trace_path = telemetry.write(out_dir)
 
-The object is inert until :meth:`activate` installs its registry and tracer
-as the ambient instances; instrumented library code never sees it directly.
+The object is inert until :meth:`activate` installs its tracer, decision
+log and event log as the ambient instances; instrumented library code
+never sees it directly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.obs import logs as _logs
 from repro.obs import manifest as _manifest
 from repro.obs import monitor as _monitor
 from repro.obs.events import RuntimeEventLog, use_event_log
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.provenance import DECISIONS_FILENAME, DecisionLog, use_decision_log
 from repro.obs.resources import (
     ResourceBudget,
@@ -43,7 +43,7 @@ def _new_run_id() -> str:
 
 
 class RunTelemetry:
-    """Collects metrics, spans, day records, and warnings for one run."""
+    """Collects spans, day records, decisions, and warnings for one run."""
 
     def __init__(
         self,
@@ -59,7 +59,6 @@ class RunTelemetry:
         self.command = command
         self.config = dict(config) if config is not None else None
         self.enabled = bool(enabled)
-        self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled)
         self.decisions = DecisionLog(enabled=enabled)
         self.events = RuntimeEventLog(enabled=enabled)
@@ -83,9 +82,8 @@ class RunTelemetry:
 
     @contextmanager
     def activate(self) -> Iterator["RunTelemetry"]:
-        """Install this run's registry/tracer as the ambient telemetry."""
+        """Install this run's tracer and logs as the ambient telemetry."""
         with ExitStack() as stack:
-            stack.enter_context(use_registry(self.registry))
             stack.enter_context(use_tracer(self.tracer))
             stack.enter_context(use_decision_log(self.decisions))
             stack.enter_context(use_event_log(self.events))
@@ -98,10 +96,9 @@ class RunTelemetry:
     @contextmanager
     def day_scope(self, day: int) -> Iterator[Dict[str, object]]:
         """Record one day: spans nest under ``segugio_run_day``, and the day
-        record receives the phase-seconds and registry deltas produced
-        inside the block.  The caller fills outcome fields (threshold,
-        detection counts, provenance) into the yielded dict."""
-        metrics_before = self.registry.snapshot()
+        record receives the phase-seconds produced inside the block.  The
+        caller fills outcome fields (threshold, detection counts,
+        provenance) into the yielded dict."""
         phases_before = self.tracer.phase_totals()
         events_mark = self.events.mark()
         resources_mark = self.resources.day_mark()
@@ -119,9 +116,6 @@ class RunTelemetry:
             if name != "segugio_run_day"
             and seconds - phases_before.get(name, 0.0) > 0
         }
-        record["metrics"] = MetricsRegistry.delta(
-            self.registry.snapshot(), metrics_before
-        )
         resources_delta = self.resources.day_delta(resources_mark)
         if resources_delta is not None:
             record["resources"] = resources_delta
@@ -220,7 +214,6 @@ class RunTelemetry:
             "config_sha256": _manifest.config_hash(self.config),
             "health": health,
             "days": self.days,
-            "metrics": self.registry.snapshot(),
             "spans": self.tracer.span_tree(),
             "ingest": self.ingest_reports,
             "degradations": self.degradations(),

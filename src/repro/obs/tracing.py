@@ -11,7 +11,7 @@ wall-clock-timed sections that nest (``process_day`` > ``fit`` >
 Spans are exception-safe: a raise inside the ``with`` block marks the span
 ``status="error"`` with the exception repr, closes it, and re-raises.
 
-Like the metrics registry, tracing is ambient and off by default:
+Like the decision log, tracing is ambient and off by default:
 instrumented code opens spans on :func:`current_tracer`, which is a
 permanently disabled tracer (``span()`` returns a shared null context
 manager) unless a run activated one via :func:`use_tracer`.
@@ -304,7 +304,7 @@ class Stopwatch:
         ``Stopwatch`` predates :mod:`repro.obs`; it survives as a shim so
         the efficiency benchmark and ``Segugio.timings_`` keep their API.
         New instrumentation should open spans on :func:`current_tracer`
-        (and get metrics/manifest integration for free) instead of holding
+        (and get manifest integration for free) instead of holding
         a private stopwatch.
 
     Every :meth:`phase` also opens a span on the ambient tracer, so

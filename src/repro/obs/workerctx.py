@@ -17,7 +17,7 @@ This module closes the gap with an explicit context hand-off:
   runs the callable under :func:`execute`, which installs a full worker
   telemetry stack (tracer on the *parent's* epoch — ``perf_counter`` is
   CLOCK_MONOTONIC, shared across processes on Linux — resource monitor,
-  metrics registry, event log) and wraps the call in a real
+  event log) and wraps the call in a real
   ``segugio_worker_task`` span;
 * the finished record is spilled to ``trace.worker-<pid>.jsonl`` in the
   spool directory — the whole file is rewritten to a staging path and
@@ -52,7 +52,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import logs as _logs
 from repro.obs.events import RuntimeEventLog, current_event_log, use_event_log
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.resources import ResourceMonitor, current_monitor, use_monitor
 from repro.obs.tracing import Tracer, current_tracer, use_tracer
 
@@ -128,12 +127,10 @@ def execute(
     """
     tracer = Tracer(enabled=True, epoch=ctx.epoch)
     monitor = _worker_monitor()
-    registry = MetricsRegistry(enabled=True)
     events = RuntimeEventLog(enabled=True)
     with ExitStack() as stack:
         stack.enter_context(use_tracer(tracer))
         stack.enter_context(use_monitor(monitor))
-        stack.enter_context(use_registry(registry))
         stack.enter_context(use_event_log(events))
         bound = {
             key: value
@@ -158,9 +155,6 @@ def execute(
         record["day"] = ctx.day
     if events.records:
         record["events"] = events.to_list()
-    metrics = registry.snapshot()
-    if metrics:
-        record["metrics"] = metrics
     return result, record
 
 

@@ -41,7 +41,6 @@ from repro.core.pipeline import SegugioConfig
 from repro.core.pruning import PruneConfig
 from repro.obs.events import current_event_log
 from repro.obs.logs import get_logger
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import current_tracer
 from repro.runtime.faults import maybe_fault
 from repro.runtime.retry import atomic_file, retry
@@ -139,14 +138,6 @@ def save_checkpoint(tracker: "DomainTracker", path: str) -> None:
             _log.warning(
                 "drift_sidecar_save_failed", path=path, error=str(error)
             )
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(
-            "segugio_checkpoint_saves_total", "checkpoints written"
-        ).inc()
-        registry.gauge(
-            "segugio_checkpoint_bytes", "size of the last checkpoint"
-        ).set(len(header) + len(body) + 2)
     _log.info(
         "checkpoint_saved",
         path=path,
@@ -332,11 +323,6 @@ def resume_tracker(
         )
         if reference is not None:
             tracker.restore_drift_reference(reference)
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(
-            "segugio_checkpoint_resumes_total", "checkpoints resumed from"
-        ).inc()
     _log.info(
         "checkpoint_resumed",
         path=path,

@@ -38,7 +38,6 @@ from typing import List
 from repro.core.features import DEFAULT_ACTIVITY_WINDOW
 from repro.core.pipeline import DEFAULT_PDNS_WINDOW_DAYS, ObservationContext
 from repro.obs.logs import get_logger
-from repro.obs.metrics import get_registry
 
 _log = get_logger("health")
 
@@ -236,15 +235,6 @@ def check_context(
     if not report.findings:
         add(HealthFinding("all", OK, "all checks passed", "none"))
 
-    registry = get_registry()
-    if registry.enabled:
-        outcomes = registry.counter(
-            "segugio_health_findings_total",
-            "health-check findings by check and severity",
-            labels=("check", "severity"),
-        )
-        for finding in report.findings:
-            outcomes.inc(1, check=finding.check, severity=finding.severity)
     for finding in report.findings:
         if finding.severity == WARNING:
             _log.warning(

@@ -44,7 +44,6 @@ from repro.dns.trace import (
 from repro.intel.blacklist import CncBlacklist, parse_blacklist_line
 from repro.intel.whitelist import DomainWhitelist, parse_whitelist_line
 from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import current_tracer
 from repro.utils.errors import FeedFormatError, IngestError
 from repro.utils.ids import Interner
@@ -202,37 +201,6 @@ class IngestReport:
                 for record in self.quarantined
             ],
         }
-
-    def emit_metrics(self, registry: Optional[MetricsRegistry] = None) -> None:
-        """Publish this load's accounting as ``segugio_ingest_*`` metrics.
-
-        Called by :func:`load_observation_checked` *before* the error-rate
-        cap can fail the load, so a day that quarantined 30% of its records
-        is visible in the run's metrics and manifest after the fact — not
-        only in the one-shot :class:`IngestError` message.
-        """
-        registry = registry if registry is not None else get_registry()
-        if not registry.enabled:
-            return
-        records = registry.counter(
-            "segugio_ingest_records_total",
-            "records seen by ingest, by outcome",
-            labels=("outcome",),
-        )
-        records.inc(self.n_ok, outcome="kept")
-        if self.n_quarantined:
-            records.inc(self.n_quarantined, outcome="quarantined")
-            per_category = registry.counter(
-                "segugio_ingest_quarantined_total",
-                "quarantined records per category",
-                labels=("category",),
-            )
-            for category, count in self.counters.items():
-                per_category.inc(count, category=category)
-        registry.gauge(
-            "segugio_ingest_error_rate",
-            "malformed fraction of the most recent load",
-        ).set(self.error_rate)
 
 
 # ---------------------------------------------------------------------- #
@@ -624,18 +592,6 @@ def _load_observation_checked(
     fqd_activity = store.build_activity_index(fqd_pairs)
     e2ld_activity = store.build_activity_index(e2ld_pairs)
 
-    registry = get_registry()
-    if registry.enabled:
-        report.emit_metrics(registry)
-        bytes_read = registry.counter(
-            "segugio_ingest_bytes_total",
-            "bytes read from observation files",
-            labels=("file",),
-        )
-        for name in store.OBSERVATION_FILES:
-            path = os.path.join(directory, name)
-            if os.path.exists(path):
-                bytes_read.inc(os.path.getsize(path), file=name)
     if report.n_quarantined:
         _log.warning(
             "records_quarantined",

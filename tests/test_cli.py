@@ -186,7 +186,7 @@ class TestFaultToleranceFlags:
 
 
 class TestProfilingFlags:
-    """`track --profile/--budgets`, `inspect --view profile`, `bench --e2e`."""
+    """`track --profile/--budgets`, `inspect --view profile`, `bench`."""
 
     def test_profile_requires_telemetry_dir(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -278,7 +278,7 @@ class TestProfilingFlags:
 
         monkeypatch.chdir(tmp_path)
         try:
-            main(["bench", "--e2e", "--days", "1", "--quick"])
+            main(["bench", "--days", "1", "--quick"])
         except SystemExit as error:
             # the wall-clock gate may trip on a noisy box; bit-identity
             # must not be the reason

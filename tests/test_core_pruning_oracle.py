@@ -30,7 +30,6 @@ from repro.dns.e2ld import E2ldIndex
 from repro.dns.trace import DayTrace
 from repro.intel.blacklist import CncBlacklist
 from repro.intel.whitelist import DomainWhitelist
-from repro.obs.metrics import get_registry
 from repro.pdns.database import PassiveDNSDatabase
 from repro.utils.ids import Interner
 
@@ -262,7 +261,6 @@ def test_both_paths_match_the_literal_rules(world):
         sharded, sharded_labels, _ = build_day_sharded(
             context,
             SegugioConfig(prune=config),
-            get_registry(),
             hidden=np.empty(0, dtype=np.int64),
         )
     assert _as_named(sharded, machines, domains) == expected

@@ -19,7 +19,6 @@ from repro.core.sharded import _kept_subgraph
 from repro.core.tracker import DomainTracker
 from repro.datasets.edgestore import ShardedDayTrace
 from repro.dns.trace import DayTrace
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.runtime.supervisor import (
     SupervisorPolicy,
@@ -98,35 +97,6 @@ class TestPrepareDayBitIdentity:
         for n_shards in (1, 2, 7):
             context = _sharded(train_context, tmp_path / str(n_shards), n_shards)
             _assert_same_day(Segugio(config).prepare_day(context), ref)
-
-    def test_graph_label_and_pruning_gauges_identical(
-        self, tmp_path, train_context
-    ):
-        """One function emits the gauges on both paths: same series, same
-        values, for the raw and the pruned graph."""
-
-        def gauges(context):
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                Segugio(FAST).prepare_day(context)
-            return {
-                name: series
-                for name, series in registry.snapshot().items()
-                if name.startswith(
-                    ("segugio_graph_", "segugio_labels_", "segugio_pruning_")
-                )
-            }
-
-        in_memory = gauges(train_context)
-        assert {
-            "segugio_graph_nodes",
-            "segugio_graph_edges",
-            "segugio_graph_degree",
-            "segugio_labels_domains",
-            "segugio_pruning_removed",
-            "segugio_pruning_removed_pct",
-        } <= set(in_memory)
-        assert gauges(_sharded(train_context, tmp_path / "store", 3)) == in_memory
 
     def test_resolutions_identical(self, tmp_path, train_context, reference):
         ref_graph = reference.graph

@@ -213,6 +213,32 @@ class TestSameContent:
         assert 'class="lane-block"' in page and 'class="badge ok"' in page
 
 
+#: a profiled two-day run of a tiny world, written by the version-2 writer:
+#: its manifest still carries the metrics-registry snapshot (run level)
+#: and deltas (per day) that version 3 dropped
+V2_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "telemetry_v2")
+
+
+class TestVersion2Directory:
+    def test_fixture_carries_metrics_at_run_and_day_level(self):
+        with open(os.path.join(V2_DIR, "manifest.json")) as stream:
+            manifest = json.load(stream)
+        assert manifest["manifest_version"] == 2
+        assert manifest["metrics"]
+        assert all(day["metrics"] for day in manifest["days"])
+
+    def test_opens_and_renders_all_four_views(self, capsys):
+        documents = inspect_runs([TelemetryRun.open(V2_DIR)])
+        assert [d.title.split(" — ")[0] for d in documents] == [
+            f"segugio inspect: {view}" for view in VIEW_NAMES
+        ]
+        text, _page = assert_same_content(documents)
+        assert "234 decision record(s)" in text
+        assert "peak rss" in text and "resources: n/a" not in text
+        assert "metric series" not in text
+        assert inspect_text(capsys, V2_DIR) == text + "\n"
+
+
 def test_help_lists_inspect_and_none_of_the_four_it_replaced(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

@@ -100,7 +100,7 @@ class TestSeededRegressions:
         assert "repro.eval" in seg003[0].message
 
     def test_seg003_catches_obs_growing_dependencies(self, tmp_path):
-        target = _copy_module(tmp_path, os.path.join("repro", "obs", "metrics.py"))
+        target = _copy_module(tmp_path, os.path.join("repro", "obs", "events.py"))
         target.write_text(
             target.read_text() + "\nfrom repro.core.graph import BehaviorGraph\n"
         )

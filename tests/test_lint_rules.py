@@ -99,8 +99,8 @@ class TestSEG003Layering:
         src = "from repro.obs import run\n"
         assert "SEG003" in rules_hit(src, module="repro.dns.trace")
 
-    def test_core_may_import_obs_metrics(self):
-        src = "from repro.obs.metrics import get_registry\n"
+    def test_core_may_import_obs_tracing(self):
+        src = "from repro.obs.tracing import current_tracer\n"
         assert rules_hit(src, module="repro.core.graph") == []
 
     def test_eval_may_import_core(self):
@@ -109,7 +109,7 @@ class TestSEG003Layering:
 
     def test_obs_must_not_import_repro(self):
         src = "from repro.core.graph import BehaviorGraph\n"
-        assert "SEG003" in rules_hit(src, module="repro.obs.metrics")
+        assert "SEG003" in rules_hit(src, module="repro.obs.tracing")
 
     def test_obs_may_import_itself(self):
         src = "from repro.obs.logs import get_logger\n"
@@ -199,29 +199,13 @@ class TestSEG005MutableDefault:
 
 
 class TestSEG006TelemetryNames:
-    def test_flags_off_convention_metric_literal(self):
+    def test_flags_computed_span_name(self):
         src = """
-        from repro.obs.metrics import get_registry
-        registry = get_registry()
-        registry.counter("requests_total", "help")
+        from repro.obs.tracing import current_tracer
+        with current_tracer().span("segugio_" + area):
+            pass
         """
         assert "SEG006" in rules_hit(src)
-
-    def test_flags_computed_metric_name(self):
-        src = """
-        from repro.obs.metrics import get_registry
-        registry = get_registry()
-        registry.counter("segugio_" + area, "help")
-        """
-        assert "SEG006" in rules_hit(src)
-
-    def test_allows_conventional_metric_name(self):
-        src = """
-        from repro.obs.metrics import get_registry
-        registry = get_registry()
-        registry.counter("segugio_ingest_records_total", "help")
-        """
-        assert rules_hit(src) == []
 
     def test_flags_off_convention_span(self):
         src = """

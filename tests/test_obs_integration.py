@@ -24,13 +24,6 @@ def render_telemetry(manifest):
     return render_text(cost_view(TelemetryRun(manifest)))
 
 
-def gauge_value(metrics, name, **labels):
-    for series in metrics[name]["series"]:
-        if series["labels"] == {k: str(v) for k, v in labels.items()}:
-            return series["value"]
-    raise AssertionError(f"no series {labels} in {name}: {metrics[name]}")
-
-
 @pytest.fixture(scope="module")
 def tracked_run(scenario):
     """Two tracked days under telemetry, plus the reports they returned."""
@@ -62,56 +55,41 @@ class TestTrackRunManifest:
             assert record["provenance"] == report.provenance
 
     def test_scored_counter_delta_matches_reports(self, tracked_run):
+        """Each day's ``n_scored`` equals its scored decision records."""
         telemetry, _tracker, reports = tracked_run
         for record, report in zip(telemetry.build_manifest()["days"], reports):
-            [series] = record["metrics"]["segugio_classified_domains_total"][
-                "series"
+            scored = [
+                decision
+                for decision in telemetry.decisions.day_records(report.day)
+                if decision["verdict"] == "scored"
             ]
-            assert series["value"] == report.n_scored
+            assert record["n_scored"] == len(scored) == report.n_scored > 0
 
     def test_detection_counters_match_ledger(self, tracked_run):
         telemetry, tracker, reports = tracked_run
-        metrics = telemetry.build_manifest()["metrics"]
-        total_new = sum(len(r.new_detections) for r in reports)
-        total_repeat = sum(len(r.repeat_detections) for r in reports)
-        assert (
-            gauge_value(metrics, "segugio_tracker_detections_total", kind="new")
-            == total_new
-        )
-        if total_repeat:
-            assert (
-                gauge_value(
-                    metrics, "segugio_tracker_detections_total", kind="repeat"
-                )
-                == total_repeat
-            )
-        assert (
-            gauge_value(metrics, "segugio_tracker_ledger_size")
-            == len(tracker)
-            == total_new
-        )
+        days = telemetry.build_manifest()["days"]
+        total_new = sum(record["n_new_detections"] for record in days)
+        total_repeat = sum(record["n_repeat_detections"] for record in days)
+        assert total_new == sum(len(r.new_detections) for r in reports)
+        assert total_repeat == sum(len(r.repeat_detections) for r in reports)
+        assert len(tracker) == total_new
 
     def test_pruning_gauges_match_an_independent_fit(self, tracked_run, scenario):
-        """Manifest pruning numbers equal Segugio's own train_stats_."""
+        """The last day's pruning volumes in the manifest's drift block
+        equal Segugio's own train_stats_ for that day."""
         telemetry, _tracker, reports = tracked_run
-        metrics = telemetry.build_manifest()["metrics"]
-        # Gauges hold the last day's values; refit that day untelemetered.
+        pruning = telemetry.build_manifest()["days"][-1]["drift"]["pruning"]
         model = Segugio().fit(
             scenario.context("isp1", reports[-1].day)
         )
         stats = model.train_stats_
-        assert gauge_value(
-            metrics, "segugio_pruning_removed", rule="r1", kind="machines"
-        ) == stats["removed_r1_machines"]
-        assert gauge_value(
-            metrics, "segugio_pruning_removed", rule="r3", kind="domains"
-        ) == stats["removed_r3_domains"]
-        assert gauge_value(
-            metrics, "segugio_pruning_removed", rule="r4", kind="domains"
-        ) == stats["removed_r4_domains"]
-        assert gauge_value(
-            metrics, "segugio_train_samples", label="malware"
-        ) == stats["n_train_malware"]
+        for rule, key in (
+            ("r1", "removed_r1_machines"),
+            ("r2", "removed_r2_machines"),
+            ("r3", "removed_r3_domains"),
+            ("r4", "removed_r4_domains"),
+        ):
+            assert pruning[rule]["current"] == stats[key], rule
 
     def test_span_tree_has_one_day_root_per_day(self, tracked_run):
         telemetry, _tracker, reports = tracked_run
@@ -133,6 +111,19 @@ class TestTrackRunManifest:
             phases = record["phases"]
             for name in ("build_graph", "train_classifier", "score_domains"):
                 assert phases[name] > 0
+
+    def test_cost_view_totals_the_decision_ledger(self, tracked_run):
+        """The run logged decisions: the cost view totals what writing
+        them cost per day, beside (not inside) the classification total."""
+        telemetry, _, _ = tracked_run
+        manifest = telemetry.build_manifest()
+        seconds = [day["phases"]["segugio_decisions_emit"] for day in manifest["days"]]
+        lines = render_telemetry(manifest).splitlines()
+        [row] = [i for i, line in enumerate(lines) if "decision ledger" in line]
+        assert "classification total" in lines[row - 1]
+        assert lines[row].split()[2:] == [
+            format(value, ".3f") for value in seconds + [sum(seconds)]
+        ]
 
     def test_degradations_are_union_of_day_provenance(self, tracked_run):
         telemetry, _tracker, reports = tracked_run
@@ -186,23 +177,6 @@ class TestIngestManifest:
         assert entry["n_ok"] == ingest.n_ok
         assert entry["n_quarantined"] == ingest.n_quarantined == 1
         assert entry["mode"] == "lenient"
-
-        metrics = manifest["metrics"]
-        assert gauge_value(
-            metrics, "segugio_ingest_records_total", outcome="quarantined"
-        ) == ingest.n_quarantined
-        assert gauge_value(
-            metrics, "segugio_ingest_records_total", outcome="kept"
-        ) == ingest.n_ok
-        assert gauge_value(
-            metrics,
-            "segugio_ingest_quarantined_total",
-            category="trace:bad_ipv4",
-        ) == 1
-        # Bytes accounting covers the trace file we just appended to.
-        assert gauge_value(
-            metrics, "segugio_ingest_bytes_total", file="trace.tsv"
-        ) > 0
         text = render_telemetry(manifest)
         assert "trace:bad_ipv4: 1" in text
 
@@ -239,6 +213,40 @@ class TestCliRoundTrip:
         rendered = capsys.readouterr().out
         assert "cf. paper §IV-G" in rendered
         assert "unknown domains scored" in rendered
+
+    def test_sharded_profiled_run_writes_no_metrics(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Neither the manifest nor any worker sidecar record carries a
+        ``metrics`` key, and the manifest is version 3."""
+        from repro.cli import main
+        from repro.obs.workerctx import WorkerMergeBox, read_sidecars
+
+        records = []
+        merge = WorkerMergeBox.merge
+
+        def spy(box):
+            records.extend(read_sidecars(box.sidecar_dir)[0])
+            records.extend(box._serial_records.values())
+            return merge(box)
+
+        monkeypatch.setattr(WorkerMergeBox, "merge", spy)
+        out_dir = str(tmp_path / "telemetry")
+        argv = ["track", "--scale", "small", "--days", "2", "--shards", "2"]
+        argv += ["--jobs", "2", "--profile", "--telemetry-dir", out_dir]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        manifest = load_manifest(f"{out_dir}/manifest.json")
+        assert manifest["manifest_version"] == 3
+        assert "metrics" not in manifest
+        assert len(manifest["days"]) == 2
+        assert all("metrics" not in day for day in manifest["days"])
+        assert {record["label"] for record in records} >= {
+            "shard_scan",
+            "shard_labels",
+        }
+        assert all("metrics" not in record for record in records)
 
     def test_telemetry_subcommand_rejects_garbage(self, tmp_path):
         from repro.cli import main

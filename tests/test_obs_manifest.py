@@ -29,7 +29,6 @@ def minimal_manifest(**overrides):
         "config": {"n_trees": 100},
         "config_sha256": config_hash({"n_trees": 100}),
         "days": [],
-        "metrics": {},
         "spans": [],
         "ingest": [],
         "degradations": [],
@@ -87,12 +86,24 @@ class TestWriteLoad:
 
     def test_v1_manifest_is_rejected_by_version(self, tmp_path):
         # no writer has produced version 1 since the bump to 2; the reader
-        # names the version it found instead of guessing at an upgrade
+        # names the version it found and the ones it reads
         path = str(tmp_path / "v1.json")
         write_manifest(minimal_manifest(manifest_version=1), path)
         with pytest.raises(ManifestError, match="version 1 is not supported") as excinfo:
             load_manifest(path)
         assert str(excinfo.value).startswith(path)
+        assert "reads versions 2 and 3" in str(excinfo.value)
+
+    def test_v2_manifest_opens_with_its_metrics_unread(self, tmp_path):
+        path = str(tmp_path / "v2.json")
+        manifest = minimal_manifest(
+            manifest_version=2,
+            metrics={"segugio_tracker_days_total": {"type": "counter"}},
+            days=[{"day": 21, "phases": {}, "metrics": {"segugio_x": {}}}],
+        )
+        write_manifest(manifest, path)
+        assert load_manifest(path) == manifest
+        assert TelemetryRun.open(path).days[0]["day"] == 21
 
     def test_missing_required_key(self, tmp_path):
         path = str(tmp_path / "partial.json")
@@ -121,7 +132,6 @@ class TestRenderTelemetry:
                         "measure_test_features": 0.6,
                         "score_domains": 0.4,
                     },
-                    "metrics": {},
                 },
                 {
                     "day": 22,
@@ -137,7 +147,6 @@ class TestRenderTelemetry:
                         "measure_test_features": 0.4,
                         "score_domains": 0.6,
                     },
-                    "metrics": {},
                 },
             ],
             ingest=[
@@ -169,6 +178,22 @@ class TestRenderTelemetry:
         assert "2.000" in learning and "4.000" in learning
         assert "1.000" in classification and "2.000" in classification
         assert "2.0x" in ratio  # 4.0 / 2.0 overall
+        # no decision log on this run: no ledger row
+        assert not any("decision ledger" in l for l in lines)
+
+    def test_decision_ledger_total_row(self):
+        manifest = self.make_manifest()
+        for day, seconds in zip(manifest["days"], (0.25, 0.75)):
+            day["phases"]["segugio_decisions_emit"] = seconds
+        lines = render_telemetry(manifest).splitlines()
+        ledger = next(l for l in lines if "decision ledger" in l)
+        assert ledger.split()[2:] == ["0.250", "0.750", "1.000"]
+        # the ledger follows the classification total and stays out of it
+        classification = next(
+            i for i, l in enumerate(lines) if "classification total" in l
+        )
+        assert "decision ledger" in lines[classification + 1]
+        assert lines[classification].split()[2:] == ["1.000", "1.000", "2.000"]
 
     def test_outcome_counters_summed(self):
         text = render_telemetry(self.make_manifest())
@@ -267,16 +292,10 @@ class TestRenderTelemetryArtifacts:
 
     def test_artifacts_footer_lists_companions(self):
         text = render_telemetry(
-            minimal_manifest(
-                decisions_file="decisions.jsonl",
-                metrics={"segugio_run_days_total": {}, "segugio_x": {}},
-            )
+            minimal_manifest(decisions_file="decisions.jsonl")
         )
         footer = text.splitlines()[-1]
-        assert footer.startswith("artifacts: ")
-        assert "trace trace.jsonl" in footer
-        assert "decisions decisions.jsonl" in footer
-        assert "2 metric series" in footer
+        assert footer == "artifacts: trace trace.jsonl, decisions decisions.jsonl"
 
     def test_artifacts_footer_without_decisions(self):
         text = render_telemetry(minimal_manifest())

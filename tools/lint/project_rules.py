@@ -108,7 +108,6 @@ AMBIENT_GETTERS = frozenset(
         ("repro.obs.tracing", "current_tracer"),
         ("repro.obs.events", "current_event_log"),
         ("repro.obs.resources", "current_monitor"),
-        ("repro.obs.metrics", "get_registry"),
         ("repro.obs.provenance", "current_decision_log"),
     }
 )

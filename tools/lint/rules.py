@@ -420,9 +420,9 @@ class MutableDefaultRule(Rule):
 
 
 class TelemetryNameRule(Rule):
-    """SEG006 — metric/span names must be ``segugio_<area>_<name>`` literals.
+    """SEG006 — span names must be ``segugio_<area>_<name>`` literals.
 
-    The run manifest pins per-day numbers by metric/span name; a name
+    The run manifest pins per-day phase seconds by span name; a name
     computed at runtime (or off-convention) silently forks the telemetry
     namespace and breaks manifest diffing across runs.
     """
@@ -435,8 +435,6 @@ class TelemetryNameRule(Rule):
     )
     node_types = (ast.Call,)
 
-    _METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
-
     def check_node(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         # repro.obs itself forwards caller-supplied names (Stopwatch shim,
         # Tracer internals) — the contract binds call sites, not the plumbing.
@@ -446,20 +444,8 @@ class TelemetryNameRule(Rule):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        if func.attr in self._METRIC_METHODS and self._is_registry(func.value):
-            yield from self._check_name(node, ctx, kind=f"metric ({func.attr})")
-        elif func.attr == "span" and self._is_tracer(func.value):
-            yield from self._check_name(node, ctx, kind="span")
-
-    @staticmethod
-    def _is_registry(receiver: ast.AST) -> bool:
-        name = dotted_name(receiver)
-        if name is not None:
-            return name == "registry" or name.endswith("_registry") or name.endswith(".registry")
-        if isinstance(receiver, ast.Call):
-            callee = dotted_name(receiver.func)
-            return callee is not None and callee.split(".")[-1] == "get_registry"
-        return False
+        if func.attr == "span" and self._is_tracer(func.value):
+            yield from self._check_name(node, ctx)
 
     @staticmethod
     def _is_tracer(receiver: ast.AST) -> bool:
@@ -471,7 +457,7 @@ class TelemetryNameRule(Rule):
             return callee is not None and callee.split(".")[-1] == "current_tracer"
         return False
 
-    def _check_name(self, node: ast.Call, ctx: ModuleContext, kind: str) -> Iterator[Finding]:
+    def _check_name(self, node: ast.Call, ctx: ModuleContext) -> Iterator[Finding]:
         name_arg: Optional[ast.expr] = None
         if node.args:
             name_arg = node.args[0]
@@ -486,7 +472,7 @@ class TelemetryNameRule(Rule):
             yield self.finding(
                 ctx,
                 name_arg,
-                f"{kind} name must be a string literal — computed names "
+                "span name must be a string literal — computed names "
                 "fork the telemetry namespace at runtime",
             )
             return
@@ -494,7 +480,7 @@ class TelemetryNameRule(Rule):
             yield self.finding(
                 ctx,
                 name_arg,
-                f"{kind} name {name_arg.value!r} does not match "
+                f"span name {name_arg.value!r} does not match "
                 "segugio_<area>_<name>",
             )
 
