@@ -1,10 +1,12 @@
-"""Command-line interface: run experiments, demos, and deployments.
+"""Command-line interface: deployments and the paper's experiments.
 
 Examples::
 
-    segugio demo --seed 7
-    segugio experiment fig6 --scale small
-    segugio experiment table1 --scale benchmark
+    segugio track --days 1 --seed 7
+    segugio report --sections fig6 --scale small
+    segugio report --sections table1 --scale benchmark
+    segugio report --out report.md
+    segugio explain --seed 7
     segugio track --days 3 --checkpoint /tmp/run.ckpt
     segugio track --days 5 --resume /tmp/run.ckpt --checkpoint /tmp/run.ckpt
     segugio track --days 3 --telemetry-dir /tmp/telemetry
@@ -32,119 +34,16 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.eval import experiments as E
-from repro.eval.figures import ascii_roc
-from repro.eval.reporting import ascii_table, histogram, roc_series_table
 from repro.eval.views import VIEW_NAMES, inspect_runs
 from repro.obs import load_alert_rules, load_resource_budgets
 from repro.runtime.faults import load_fault_plan
 from repro.synth.scenario import Scenario
-
-
-def _run_demo(args: argparse.Namespace) -> None:
-    from repro import Segugio
-    from repro.core.pipeline import SegugioConfig
-
-    scenario = Scenario.at_scale(args.scale, args.seed)
-    train_ctx = scenario.context("isp1", scenario.eval_day(0))
-    test_ctx = scenario.context("isp1", scenario.eval_day(5))
-    model = Segugio(SegugioConfig(n_jobs=_jobs(args))).fit(train_ctx)
-    report = model.classify(test_ctx)
-    print(f"trained on day {train_ctx.day}: {model.training_set_}")
-    print(f"scored {len(report)} unknown domains on day {test_ctx.day}")
-    print("top detections:")
-    for name, score in report.detections(threshold=0.0)[:15]:
-        truth = "MALWARE" if scenario.is_true_malware(name) else "benign?"
-        print(f"  {score:6.3f}  {name:<40s} [{truth}]")
-
-
-def _run_experiment(args: argparse.Namespace) -> None:
-    scenario = Scenario.at_scale(args.scale, args.seed)
-    name = args.name
-    if name == "table1":
-        rows = E.table1_dataset_summary(scenario)
-        print(
-            ascii_table(
-                list(rows[0].keys()),
-                [list(r.values()) for r in rows],
-                title="Table I: experiment data (before graph pruning)",
-            )
-        )
-    elif name == "fig3":
-        result = E.fig3_infection_behavior(scenario, "isp1", scenario.eval_day(0))
-        print("Fig. 3: malware domains queried per infected machine")
-        for count, n in result["counts"].items():
-            print(f"  {count:3d} domains: {n}")
-        print(f"  query >1 domain: {result['frac_query_more_than_one']:.1%}")
-    elif name == "pruning":
-        print(E.pruning_statistics(scenario))
-    elif name == "fig6":
-        results = E.fig6_cross_day_and_network(scenario)
-        curves = {e.name: e.roc for e in results.values()}
-        print(roc_series_table(curves, title="Fig. 6: cross-day / cross-network"))
-        print()
-        print(ascii_roc(curves, max_fpr=0.01))
-    elif name == "fig7":
-        results = E.fig7_feature_ablation(scenario)
-        print(
-            roc_series_table(
-                {label: e.roc for label, e in results.items()},
-                title="Fig. 7: feature ablation",
-            )
-        )
-    elif name == "fig8":
-        result = E.fig8_cross_family(scenario)
-        print(result.summary())
-    elif name == "fig10":
-        print(E.fig10_public_blacklist(scenario).summary())
-    elif name == "crossbl":
-        result = E.cross_blacklist_test(scenario)
-        print({k: v for k, v in result.items() if k != "roc"})
-    elif name == "fig11":
-        result = E.fig11_early_detection(scenario, n_days=2)
-        print(
-            histogram(
-                result["gaps"],
-                bins=list(range(0, 36, 5)),
-                title="Fig. 11: days from detection to blacklisting",
-            )
-        )
-    elif name == "fig12":
-        result = E.fig12_notos_comparison(scenario)
-        print(result.summary())
-        print("Table IV: Notos FP breakdown:", result.notos_fp_breakdown)
-        curves = {"Segugio": result.segugio_roc, "Notos": result.notos_roc}
-        if result.exposure_roc is not None:
-            curves["Exposure"] = result.exposure_roc
-        print()
-        print(ascii_roc(curves, max_fpr=0.05))
-    elif name == "lbp":
-        result = E.graph_inference_comparison(scenario)
-        print(
-            roc_series_table(
-                result["curves"], title="Graph-inference comparison"
-            )
-        )
-    elif name == "perf":
-        timing = E.performance_timing(scenario)
-        for phase, seconds in timing.items():
-            print(f"  {phase:<28s} {seconds:8.3f}s")
-
-
-EXPERIMENT_NAMES: List[str] = [
-    "table1",
-    "fig3",
-    "pruning",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig10",
-    "crossbl",
-    "fig11",
-    "fig12",
-    "lbp",
-    "perf",
-]
+from repro.utils.errors import (
+    CheckpointError,
+    FeedFormatError,
+    FormatVersionError,
+    IngestError,
+)
 
 
 def _flag_file(path: Optional[str], load):
@@ -337,48 +236,27 @@ def _print_confirmations(tracker, blacklist, horizon: int) -> None:
 
 
 def _run_report(args: argparse.Namespace) -> None:
-    from repro.eval.fullreport import SECTIONS, write_report
+    from repro.eval import fullreport
 
-    sections = args.sections.split(",") if args.sections else None
-    if sections is not None:
-        unknown = [s for s in sections if s not in SECTIONS]
-        if unknown:
-            raise SystemExit(
-                f"unknown sections {unknown}; options: {', '.join(SECTIONS)}"
-            )
+    names = fullreport.SECTIONS
+    sections = args.sections.split(",") if args.sections else names
+    unknown = [s for s in sections if s not in names]
+    if unknown:
+        raise SystemExit(
+            f"unknown sections {unknown}; options: {', '.join(names)}"
+        )
     # the world is built only once the names are known to be good
-    write_report(Scenario.at_scale(args.scale, args.seed), args.out, sections)
-    print(f"wrote report to {args.out}")
-
-
-def _run_diagnose(args: argparse.Namespace) -> None:
-    from repro.synth.diagnostics import diagnose
-
     scenario = Scenario.at_scale(args.scale, args.seed)
-    result = diagnose(scenario, args.isp, scenario.eval_day(args.day_offset))
-    print(result.report())
-    if not result.healthy():
-        raise SystemExit("world diagnostics failed")
-
-
-def _run_graph_stats(args: argparse.Namespace) -> None:
-    from repro import Segugio
-    from repro.core.graph import BehaviorGraph
-    from repro.core.graphstats import degree_histogram, summarize
-
-    scenario = Scenario.at_scale(args.scale, args.seed)
-    context = scenario.context(args.isp, scenario.eval_day(args.day_offset))
-    raw = BehaviorGraph.from_trace(context.trace)
-    prepared = Segugio().prepare_day(context)
-    pruned = prepared.graph
-    print("=== raw graph ===")
-    print(summarize(raw))
-    print("\n=== after pruning R1-R4 ===")
-    print(summarize(pruned, prepared.labels))
-    print(
-        "\ndomain degree histogram (pruned, <=15):",
-        degree_histogram(pruned, "domain", max_bucket=15),
-    )
+    if args.out is None:
+        print(fullreport.generate_report(scenario, sections))
+    else:
+        fullreport.write_report(scenario, args.out, sections)
+        print(f"wrote report to {args.out}")
+    if "diagnostics" in sections:
+        # measured again rather than threaded out of the renderer: one
+        # ISP-day, small beside any report that carries it
+        if not fullreport.world_diagnostics(scenario).healthy():
+            raise SystemExit("world diagnostics failed")
 
 
 def _run_explain(args: argparse.Namespace) -> None:
@@ -682,48 +560,6 @@ def _run_chaos(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _run_lint(lint_args: List[str]) -> int:
-    """Dev helper: run segugio-lint from a repository checkout.
-
-    The linter lives in ``tools/lint`` (repo tooling, not part of the
-    installed package), so this walks up from the working directory to
-    find the checkout and re-invokes ``python -m tools.lint`` there.
-    """
-    import os
-    import subprocess
-
-    def _checkout_above(start: str) -> Optional[str]:
-        candidate = start
-        while True:
-            if os.path.isfile(os.path.join(candidate, "tools", "lint", "__init__.py")):
-                return candidate
-            parent = os.path.dirname(candidate)
-            if parent == candidate:
-                return None
-            candidate = parent
-
-    # prefer the working directory; fall back to the checkout this very
-    # module was imported from (PYTHONPATH=src development), so the
-    # command works from any directory
-    root = _checkout_above(os.getcwd()) or _checkout_above(
-        os.path.dirname(os.path.abspath(__file__))
-    )
-    if root is None:
-        raise SystemExit(
-            "segugio lint: not inside a repository checkout "
-            "(tools/lint not found above the working directory or the "
-            "imported repro package)"
-        )
-    command = [sys.executable, "-m", "tools.lint"] + list(lint_args)
-    return subprocess.call(command, cwd=root)
-
-
-def _run_lint_namespace(args: argparse.Namespace) -> None:
-    returncode = _run_lint(args.lint_args)
-    if returncode:
-        raise SystemExit(returncode)
-
-
 def _add_ingest_flags(parser: argparse.ArgumentParser) -> None:
     """--strict/--lenient ingest mode plus the lenient error-rate cap."""
     from repro.runtime.ingest import DEFAULT_MAX_ERROR_RATE
@@ -849,7 +685,8 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segugio",
-        description="Segugio (DSN 2015) reproduction: experiments and demos",
+        description="Segugio (DSN 2015) reproduction: deployment tracking "
+        "and the paper's experiments",
     )
     parser.add_argument(
         "--log-json",
@@ -857,16 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit structured JSON logs on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    demo = sub.add_parser("demo", help="train + classify on a synthetic ISP")
-    _add_world_flags(demo)
-    _add_jobs_flag(demo)
-    demo.set_defaults(func=_run_demo)
-
-    exp = sub.add_parser("experiment", help="run a named paper experiment")
-    exp.add_argument("name", choices=EXPERIMENT_NAMES, help="experiment id")
-    _add_world_flags(exp)
-    exp.set_defaults(func=_run_experiment)
 
     track = sub.add_parser(
         "track",
@@ -954,26 +781,22 @@ def build_parser() -> argparse.ArgumentParser:
     bigday.set_defaults(func=_run_bigday, shards=8)
 
     report = sub.add_parser(
-        "report", help="run experiments and write a Markdown report"
+        "report",
+        help="run the paper's experiments and render them as Markdown",
     )
-    report.add_argument("--out", default="segugio-report.md")
+    report.add_argument(
+        "--out",
+        default=None,
+        help="write the report to this file (default: print it)",
+    )
     _add_world_flags(report)
     report.add_argument(
         "--sections",
         default=None,
-        help="comma-separated subset (default: all); see repro.eval.fullreport",
+        help="comma-separated subset of the paper's tables and figures "
+        "(default: all); an unknown name lists them all",
     )
     report.set_defaults(func=_run_report)
-
-    diag = sub.add_parser(
-        "diagnose", help="check the paper's preconditions on a world"
-    )
-    _add_world_flags(diag, isp=True, day_offset=True)
-    diag.set_defaults(func=_run_diagnose)
-
-    stats = sub.add_parser("graph-stats", help="behavior-graph structure report")
-    _add_world_flags(stats, isp=True, day_offset=True)
-    stats.set_defaults(func=_run_graph_stats)
 
     explain = sub.add_parser(
         "explain", help="feature attribution for a scored domain"
@@ -1116,38 +939,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shard_flags(bench)
     bench.set_defaults(func=_run_bench)
 
-    # Handled in main() before parsing so every flag forwards verbatim
-    # to ``python -m tools.lint`` (argparse's REMAINDER mishandles a
-    # leading option token like `segugio lint --format json`).
-    lint = sub.add_parser(
-        "lint",
-        help="run segugio-lint: per-file rules (SEG001-SEG012) plus "
-        "whole-program analyses (SEG101-SEG105) over the checkout",
-        description="Static analysis enforcing the repo's determinism, "
-        "layering, and telemetry contracts (DESIGN.md §9). All flags "
-        "forward verbatim to `python -m tools.lint`: --format "
-        "{human,json,github}, --select RULES, --graph {dot,json}, "
-        "--explain SEGxxx, --stats, --baseline PATH, --write-baseline, "
-        "--list-rules.",
-    )
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    lint.set_defaults(func=_run_lint_namespace)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "lint":
-        # forwarded verbatim: argparse's REMAINDER mishandles a leading
-        # option token (e.g. `segugio lint --format json`)
-        return _run_lint(raw[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "log_json", False):
         from repro.obs import logs
 
         logs.configure(sys.stderr)
-    args.func(args)
+    try:
+        args.func(args)
+    except (
+        CheckpointError,
+        FeedFormatError,
+        FormatVersionError,
+        IngestError,
+    ) as error:
+        # each already names the file or record at fault: one line, not a
+        # traceback
+        raise SystemExit(str(error))
     return 0
 
 

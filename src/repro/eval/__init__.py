@@ -10,7 +10,7 @@
 * :mod:`repro.eval.sweeps` — sensitivity sweeps over the fixed design
   parameters (train/test gap, activity lookback n, pDNS window W).
 * :mod:`repro.eval.reporting` — ASCII rendering of tables, ROC series, and
-  histograms; :mod:`repro.eval.figures` — ASCII ROC plots and sparklines.
+  histograms; :mod:`repro.eval.figures` — the ASCII ROC plot.
 """
 
 from repro.eval.crossval import CrossValidationResult, cross_validate_day

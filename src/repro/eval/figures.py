@@ -8,7 +8,7 @@ crossovers the benchmarks assert numerically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -63,18 +63,3 @@ def ascii_roc(
     lines.append("      " + legend)
     return "\n".join(lines)
 
-
-def sparkline(values: Sequence[float], width: int = 40) -> str:
-    """A one-line trend of values (resampled to *width* columns)."""
-    blocks = " ▁▂▃▄▅▆▇█"
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return ""
-    if arr.size > width:
-        positions = np.linspace(0, arr.size - 1, width).astype(int)
-        arr = arr[positions]
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi - lo < 1e-12:
-        return blocks[4] * arr.size
-    scaled = (arr - lo) / (hi - lo) * (len(blocks) - 1)
-    return "".join(blocks[int(round(v))] for v in scaled)

@@ -1,21 +1,26 @@
 """One-shot reproduction report: every experiment, one Markdown file.
 
 ``generate_report`` runs a configurable subset of the paper's experiments
-on a scenario and writes a self-contained Markdown report with the same
-paper-vs-measured framing as EXPERIMENTS.md — the single command a
-reviewer runs to regenerate the evaluation:
+on a scenario and renders a self-contained Markdown report with the same
+paper-vs-measured framing as EXPERIMENTS.md.  It is the one renderer of
+the paper's results: the whole evaluation, or one experiment by name.
 
     segugio report --out report.md --scale benchmark
+    segugio report --sections fig6
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.core.graph import BehaviorGraph
+from repro.core.graphstats import degree_histogram, summarize
+from repro.core.pipeline import Segugio
 from repro.eval import experiments as E
+from repro.eval.figures import ascii_roc
 from repro.eval.reporting import ascii_table, histogram, roc_series_table
 from repro.obs.tracing import Stopwatch
-from repro.synth.diagnostics import diagnose
+from repro.synth.diagnostics import WorldDiagnostics, diagnose
 from repro.synth.scenario import Scenario
 
 SECTIONS: List[str] = [
@@ -23,6 +28,7 @@ SECTIONS: List[str] = [
     "table1",
     "fig3",
     "pruning",
+    "graph",
     "fig6",
     "fig7",
     "fig8",
@@ -36,9 +42,13 @@ SECTIONS: List[str] = [
 ]
 
 
+def world_diagnostics(scenario: Scenario) -> WorldDiagnostics:
+    """The diagnostics section's measurement: isp1 on evaluation day 0."""
+    return diagnose(scenario, "isp1", scenario.eval_day(0))
+
+
 def _section_diagnostics(scenario: Scenario) -> str:
-    result = diagnose(scenario, "isp1", scenario.eval_day(0))
-    return "```\n" + result.report() + "\n```"
+    return "```\n" + world_diagnostics(scenario).report() + "\n```"
 
 
 def _section_table1(scenario: Scenario) -> str:
@@ -50,11 +60,15 @@ def _section_table1(scenario: Scenario) -> str:
 
 def _section_fig3(scenario: Scenario) -> str:
     result = E.fig3_infection_behavior(scenario, "isp1", scenario.eval_day(0))
+    distribution = "\n".join(
+        f"{count:3d} domains: {n}" for count, n in result["counts"].items()
+    )
     return (
         f"{result['frac_query_more_than_one']:.0%} of infected machines "
         f"query more than one C&C domain (paper: ~70%); "
         f"{result['frac_query_more_than_twenty']:.1%} query more than "
-        f"twenty (paper: extremely unlikely)."
+        f"twenty (paper: extremely unlikely).\n\nInfected machines by "
+        f"the number of C&C domains they query:\n\n```\n{distribution}\n```"
     )
 
 
@@ -68,10 +82,28 @@ def _section_pruning(scenario: Scenario) -> str:
     )
 
 
+def _section_graph(scenario: Scenario) -> str:
+    context = scenario.context("isp1", scenario.eval_day(0))
+    raw = BehaviorGraph.from_trace(context.trace)
+    prepared = Segugio().prepare_day(context)
+    pruned = prepared.graph
+    return (
+        "```\n=== raw graph ===\n"
+        f"{summarize(raw)}\n"
+        "\n=== after pruning R1-R4 ===\n"
+        f"{summarize(pruned, prepared.labels)}\n"
+        "\ndomain degree histogram (pruned, <=15): "
+        f"{degree_histogram(pruned, 'domain', max_bucket=15)}\n```"
+    )
+
+
 def _section_fig6(scenario: Scenario) -> str:
     results = E.fig6_cross_day_and_network(scenario)
-    table = roc_series_table({e.name: e.roc for e in results.values()})
-    return "Paper: consistently >=92% TP @ 0.1% FP.\n\n```\n" + table + "\n```"
+    curves = {e.name: e.roc for e in results.values()}
+    return (
+        "Paper: consistently >=92% TP @ 0.1% FP.\n\n```\n"
+        f"{roc_series_table(curves)}\n\n{ascii_roc(curves, max_fpr=0.01)}\n```"
+    )
 
 
 def _section_fig7(scenario: Scenario) -> str:
@@ -123,7 +155,8 @@ def _section_crossbl(scenario: Scenario) -> str:
     points = result["operating_points"]
     return (
         f"{result['n_public_only']} public-only domains in traffic "
-        f"(paper: 53); TP @ (0.1%, 0.5%, 0.9%) FP = "
+        f"(paper: 53), of {result['n_public_matched']} public-blacklist "
+        f"domains seen; TP @ (0.1%, 0.5%, 0.9%) FP = "
         f"({points[0.001]:.2f}, {points[0.005]:.2f}, {points[0.009]:.2f}) "
         f"(paper: 0.57, 0.74, 0.77)."
     )
@@ -142,10 +175,14 @@ def _section_fig11(scenario: Scenario) -> str:
 
 def _section_perf(scenario: Scenario) -> str:
     timing = E.performance_timing(scenario, n_days=1)
+    phases = ascii_table(
+        ["phase", "seconds"],
+        [[phase, f"{seconds:.3f}"] for phase, seconds in timing.items()],
+    )
     return (
         f"learning {timing['train_total']:.1f}s, classification "
         f"{timing['test_total']:.1f}s per day at this scale (paper: ~60 min "
-        f"and ~3 min on 320M-edge graphs)."
+        f"and ~3 min on 320M-edge graphs).\n\n```\n{phases}\n```"
     )
 
 
@@ -159,7 +196,8 @@ def _section_fig12(scenario: Scenario) -> str:
         ["evidence", "count"], list(result.notos_fp_breakdown.items())
     )
     return (
-        f"{result.summary()}\n\n```\n{table}\n```\n\nNotos FP breakdown "
+        f"{result.summary()}\n\n```\n{table}\n\n"
+        f"{ascii_roc(curves, max_fpr=0.05)}\n```\n\nNotos FP breakdown "
         f"(Table IV):\n\n```\n{breakdown}\n```"
     )
 
@@ -182,6 +220,7 @@ _RENDERERS: Dict[str, Callable[[Scenario], str]] = {
     "table1": _section_table1,
     "fig3": _section_fig3,
     "pruning": _section_pruning,
+    "graph": _section_graph,
     "fig6": _section_fig6,
     "fig7": _section_fig7,
     "fig8": _section_fig8,
@@ -199,6 +238,7 @@ _TITLES: Dict[str, str] = {
     "table1": "Table I — dataset summary",
     "fig3": "Fig. 3 — C&C domains per infected machine",
     "pruning": "§III — graph pruning",
+    "graph": "§III — behavior-graph structure, raw vs. pruned",
     "fig6": "Table II + Fig. 6 — cross-day & cross-network",
     "fig7": "Fig. 7 — feature ablation",
     "fig8": "Fig. 8 — cross-malware-family",
@@ -249,5 +289,6 @@ def write_report(
     path: str,
     sections: Optional[Sequence[str]] = None,
 ) -> None:
+    """Render the chosen *sections* (default: all) into the file *path*."""
     with open(path, "w") as stream:
         stream.write(generate_report(scenario, sections))

@@ -68,14 +68,14 @@ def config_to_dict(config: SegugioConfig) -> dict:
 def config_from_dict(payload: dict) -> SegugioConfig:
     """Rebuild a :class:`SegugioConfig` from :func:`config_to_dict`."""
     payload = dict(payload)
-    prune = payload.get("prune")
-    if isinstance(prune, dict):
-        payload["prune"] = PruneConfig(**prune)
     if payload.get("feature_columns") is not None:
         payload["feature_columns"] = tuple(payload["feature_columns"])
     try:
+        prune = payload.get("prune")
+        if isinstance(prune, dict):
+            payload["prune"] = PruneConfig(**prune)
         return SegugioConfig(**payload)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise CheckpointError(
             f"checkpoint config does not match this library's "
             f"SegugioConfig ({error}); the checkpoint was written by an "

@@ -2,25 +2,55 @@
 
 import pytest
 
-from repro.cli import EXPERIMENT_NAMES, build_parser, main
+from repro.cli import build_parser, main
+from repro.eval import experiments as E
+from repro.eval.fullreport import SECTIONS
+
+#: the subcommands that were folded into others, or deleted outright
+REMOVED_COMMANDS = {"demo", "experiment", "diagnose", "graph-stats", "lint"}
+
+
+def _measured(name, scenario):
+    """What the experiment *name* measures, as the report must print it."""
+    if name == "table1":
+        rows = E.table1_dataset_summary(scenario, days_per_isp=2)
+        return list(rows[0]) + [str(v) for row in rows for v in row.values()]
+    if name == "fig3":
+        result = E.fig3_infection_behavior(scenario, "isp1", scenario.eval_day(0))
+        return [
+            f"{count:3d} domains: {n}" for count, n in result["counts"].items()
+        ] + [f"{result['frac_query_more_than_one']:.0%} of infected machines"]
+    stats = E.pruning_statistics(scenario, days_per_isp=1)
+    return [
+        f"{stats[f'avg_{side}_removed_pct']:.1f}% of {side}"
+        for side in ("domains", "machines", "edges")
+    ]
+
+
+@pytest.fixture(scope="module")
+def scenario_seed5():
+    from repro.synth.scenario import Scenario
+
+    return Scenario.at_scale("small", 5)
 
 
 class TestParser:
-    def test_demo_defaults(self):
-        args = build_parser().parse_args(["demo"])
+    def test_report_defaults(self):
+        args = build_parser().parse_args(["report"])
         assert args.scale == "small"
         assert args.seed == 7
+        assert args.out is None
 
     def test_experiment_args(self):
         args = build_parser().parse_args(
-            ["experiment", "fig6", "--scale", "small", "--seed", "3"]
+            ["report", "--sections", "fig6", "--scale", "small", "--seed", "3"]
         )
-        assert args.name == "fig6"
+        assert args.sections == "fig6"
         assert args.seed == 3
 
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", "--scale", "huge"])
+            build_parser().parse_args(["report", "--scale", "huge"])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -28,23 +58,21 @@ class TestParser:
 
 
 class TestCommands:
-    def test_list(self, capsys):
-        # the names are listed where they are chosen: `experiment --help`
+    def test_list(self):
+        # an unknown name is answered with every name there is
         with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENT_NAMES:
-            assert name in out
+            main(["report", "--sections", "fig99"])
+        for name in SECTIONS:
+            assert name in str(excinfo.value)
 
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
-            main(["experiment", "nonsense"])
+            main(["report", "--sections", "nonsense"])
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["experiment", "nosuch", "--scale", "benchmark"],
+            ["report", "--sections", "table1,nosuch", "--scale", "benchmark"],
             ["report", "--sections", "nosuch", "--scale", "benchmark"],
         ],
     )
@@ -59,24 +87,37 @@ class TestCommands:
             main(argv)
         assert excinfo.value.code not in (0, None)
 
-    def test_help_lists_fourteen_subcommands_and_neither_removed_one(self, capsys):
+    def test_help_lists_nine_subcommands_and_no_removed_one(self, capsys):
         import re
 
         with pytest.raises(SystemExit):
             main(["--help"])
         commands = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
-        assert len(commands) == 14
-        assert not {"classify-dir", "list"} & set(commands)
+        assert len(commands) == 9
+        assert not (REMOVED_COMMANDS | {"classify-dir", "list"}) & set(commands)
 
     def test_pruning_experiment_runs(self, capsys):
         # The cheapest end-to-end command: builds a small world and prints.
-        assert main(["experiment", "pruning", "--seed", "5"]) == 0
+        assert main(["report", "--sections", "pruning", "--seed", "5"]) == 0
         out = capsys.readouterr().out
-        assert "avg_domains_removed_pct" in out
+        assert "graph pruning" in out
+        assert "of domains" in out
 
     def test_table1_runs(self, capsys):
-        assert main(["experiment", "table1", "--seed", "5"]) == 0
+        assert main(["report", "--sections", "table1", "--seed", "5"]) == 0
         assert "Table I" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["table1", "fig3", "pruning"])
+    def test_a_section_prints_what_its_experiment_measures(
+        self, name, scenario_seed5, capsys
+    ):
+        # `report --sections NAME` without --out prints the section, and the
+        # section carries every quantity the experiment's driver measures
+        assert main(["report", "--sections", name, "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# Segugio reproduction report")
+        for quantity in _measured(name, scenario_seed5):
+            assert quantity in out, quantity
 
     def test_track_runs(self, capsys):
         assert main(["track", "--days", "1", "--seed", "5"]) == 0
@@ -84,12 +125,35 @@ class TestCommands:
         assert "tracked" in out
 
     def test_diagnose_runs(self, capsys):
-        assert main(["diagnose", "--seed", "5"]) == 0
+        assert main(["report", "--sections", "diagnostics", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "intuition 1" in out
 
+    def test_unhealthy_world_writes_the_report_then_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.synth.diagnostics import WorldDiagnostics
+
+        monkeypatch.setattr(WorldDiagnostics, "healthy", lambda self: False)
+        path = tmp_path / "r.md"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "report",
+                    "--sections",
+                    "diagnostics",
+                    "--seed",
+                    "5",
+                    "--out",
+                    str(path),
+                ]
+            )
+        assert str(excinfo.value) == "world diagnostics failed"
+        assert "intuition 1" in path.read_text()
+        assert "wrote report to" in capsys.readouterr().out
+
     def test_graph_stats_runs(self, capsys):
-        assert main(["graph-stats", "--seed", "5"]) == 0
+        assert main(["report", "--sections", "graph", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "after pruning" in out
         assert "components" in out
@@ -110,6 +174,32 @@ class TestCommands:
         assert main(["track", directory]) == 0
         out = capsys.readouterr().out
         assert "unknown domains" in out
+
+
+class TestOperatorErrors:
+    """Errors that name their file or record exit with one line.
+
+    A malformed trace line under --strict is the same case through ingest:
+    test_runtime_track_days pins its ``trace.tsv:N`` exit message.
+    """
+
+    def test_resume_from_a_missing_checkpoint(self, tmp_path):
+        missing = str(tmp_path / "missing.ckpt")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["track", "--days", "1", "--resume", missing])
+        assert str(excinfo.value) == (
+            f"{missing}: checkpoint file does not exist"
+        )
+
+    def test_a_bare_value_error_is_not_swallowed(self, monkeypatch):
+        import repro.cli as cli
+
+        def broken(args):
+            raise ValueError("a bug, not an operator error")
+
+        monkeypatch.setattr(cli, "_run_health", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["health", "anywhere"])
 
 
 class TestFaultToleranceFlags:

@@ -1,18 +1,15 @@
-"""Tests for pipeline-config persistence."""
+"""Pipeline-config persistence: the config payload a checkpoint carries."""
 
 import io
 import json
 
 import pytest
 
-from repro.core.configio import (
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
 from repro.core.pipeline import SegugioConfig
 from repro.core.pruning import PruneConfig
+from repro.core.tracker import DomainTracker
+from repro.runtime.checkpoint import config_from_dict, config_to_dict
+from repro.utils.errors import CheckpointError
 
 
 class TestRoundTrip:
@@ -39,15 +36,15 @@ class TestRoundTrip:
     def test_stream_round_trip(self):
         config = SegugioConfig(n_estimators=5)
         buffer = io.StringIO()
-        save_config(config, buffer)
+        json.dump(config_to_dict(config), buffer)
         buffer.seek(0)
-        assert load_config(buffer) == config
+        assert config_from_dict(json.load(buffer)) == config
 
     def test_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "config.json")
+        path = str(tmp_path / "run.ckpt")
         config = SegugioConfig(max_bins=16)
-        save_config(config, path)
-        assert load_config(path) == config
+        DomainTracker(config=config).save_checkpoint(path)
+        assert DomainTracker.resume(path).config == config
 
     def test_json_is_plain(self):
         text = json.dumps(config_to_dict(SegugioConfig()))
@@ -58,19 +55,19 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         payload = config_to_dict(SegugioConfig())
         payload["banana"] = 1
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(CheckpointError, match="banana"):
             config_from_dict(payload)
 
     def test_unknown_prune_key_rejected(self):
         payload = config_to_dict(SegugioConfig())
         payload["prune"]["r9_magic"] = True
-        with pytest.raises(ValueError, match="prune"):
+        with pytest.raises(CheckpointError, match="r9_magic"):
             config_from_dict(payload)
 
-    def test_bad_version_rejected(self):
+    def test_bad_prune_value_rejected(self):
         payload = config_to_dict(SegugioConfig())
-        payload["format_version"] = 42
-        with pytest.raises(ValueError, match="version"):
+        payload["prune"]["r2_percentile"] = 250.0
+        with pytest.raises(CheckpointError, match="r2_percentile"):
             config_from_dict(payload)
 
     def test_missing_prune_defaults(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.figures import ascii_roc, sparkline
+from repro.eval.figures import ascii_roc
 from repro.ml.metrics import roc_curve
 
 
@@ -47,21 +47,3 @@ class TestAsciiRoc:
         with pytest.raises(ValueError):
             ascii_roc(too_many)
 
-
-class TestSparkline:
-    def test_length_capped(self):
-        assert len(sparkline(range(100), width=40)) == 40
-
-    def test_short_input_kept(self):
-        assert len(sparkline([1, 2, 3])) == 3
-
-    def test_monotone_ramp(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7, 8])
-        assert line[0] < line[-1]
-
-    def test_constant_series(self):
-        line = sparkline([5, 5, 5])
-        assert len(set(line)) == 1
-
-    def test_empty(self):
-        assert sparkline([]) == ""

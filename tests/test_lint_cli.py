@@ -160,21 +160,6 @@ class TestModuleInvocation:
         assert result.returncode == 0
         assert "SEG001" in result.stdout
 
-    def test_segugio_lint_subcommand_forwards(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "--list-rules"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert result.returncode == 0
-        assert "SEG008" in result.stdout
-
 
 class TestWholeProgramPhase:
     """Two-phase orchestration: default runs add SEG101-SEG104, explicit

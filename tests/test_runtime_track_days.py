@@ -296,7 +296,7 @@ class TestTrackDirectories:
             n_lines = sum(1 for _ in stream)
         with open(os.path.join(damaged, "trace.tsv"), "a") as stream:
             stream.write("mX\tbroken.example\t10.0.0.999\n")
-        with pytest.raises(ValueError, match=rf"trace\.tsv:{n_lines + 1}"):
+        with pytest.raises(SystemExit, match=rf"trace\.tsv:{n_lines + 1}"):
             main(["track", damaged])
         capsys.readouterr()
         assert main(["track", damaged, "--lenient"]) == 0
