@@ -1,14 +1,13 @@
 # Developer entry points (all zero-dependency beyond the dev extras).
 #
 #   make lint        — byte-compile + segugio-lint, both phases (the CI gate)
-#   make lint-tests  — determinism hygiene (SEG002) over tests/ (CI lint-tests)
-#   make graph       — whole-program import/call graph as DOT on stdout
+#   make lint-tests  — determinism hygiene (SEG002) over tests/ (CI lint job)
 #   make test        — tier-1 suite
 #   make check       — lint + lint-tests + test
 
 PYTHON ?= python
 
-.PHONY: lint lint-tests graph test check
+.PHONY: lint lint-tests test check
 
 lint:
 	$(PYTHON) -m compileall -q src
@@ -16,9 +15,6 @@ lint:
 
 lint-tests:
 	$(PYTHON) -m tools.lint --select SEG002 tests
-
-graph:
-	$(PYTHON) -m tools.lint --graph dot
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

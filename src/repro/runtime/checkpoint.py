@@ -67,10 +67,10 @@ def config_to_dict(config: SegugioConfig) -> dict:
 
 def config_from_dict(payload: dict) -> SegugioConfig:
     """Rebuild a :class:`SegugioConfig` from :func:`config_to_dict`."""
-    payload = dict(payload)
-    if payload.get("feature_columns") is not None:
-        payload["feature_columns"] = tuple(payload["feature_columns"])
     try:
+        payload = dict(payload)
+        if payload.get("feature_columns") is not None:
+            payload["feature_columns"] = tuple(payload["feature_columns"])
         prune = payload.get("prune")
         if isinstance(prune, dict):
             payload["prune"] = PruneConfig(**prune)
@@ -303,18 +303,27 @@ def resume_tracker(
 
     The persisted config is used unless *config* overrides it (overriding
     forfeits the bit-identical-resume guarantee and is for experiments
-    only).
+    only).  A checksum-valid payload whose config or state cannot be
+    rebuilt raises :class:`CheckpointError` naming *path*.
     """
     from repro.core.tracker import DomainTracker
 
     with current_tracer().span("segugio_checkpoint_resume", path=path):
         payload = load_checkpoint(path)
-        resolved = (
-            config
-            if config is not None
-            else config_from_dict(payload["config"])
-        )
-        tracker = DomainTracker.from_state(payload["state"], config=resolved)
+        try:
+            resolved = (
+                config
+                if config is not None
+                else config_from_dict(payload["config"])
+            )
+            tracker = DomainTracker.from_state(payload["state"], config=resolved)
+        except CheckpointError as error:
+            raise CheckpointError(f"{path}: {error}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"{path}: checkpoint state does not match this library's "
+                f"DomainTracker ({type(error).__name__}: {error})"
+            ) from None
         reference = load_drift_sidecar(
             path,
             expected_day=(

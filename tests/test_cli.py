@@ -191,6 +191,34 @@ class TestOperatorErrors:
             f"{missing}: checkpoint file does not exist"
         )
 
+    def test_resume_from_an_unbuildable_checkpoint(self, tmp_path):
+        import hashlib
+        import json
+
+        from repro.core.pipeline import SegugioConfig
+        from repro.runtime.checkpoint import CHECKPOINT_VERSION, config_to_dict
+
+        bad = str(tmp_path / "bad.ckpt")
+        body = json.dumps(
+            {
+                "checkpoint_version": CHECKPOINT_VERSION,
+                "config": config_to_dict(SegugioConfig()),
+                "state": {},
+            },
+            sort_keys=True,
+        )
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with open(bad, "w") as stream:
+            stream.write(
+                f"segugio-checkpoint v{CHECKPOINT_VERSION} sha256={digest}\n"
+                f"{body}\n"
+            )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["track", "--days", "1", "--resume", bad])
+        message = str(excinfo.value)
+        assert message.startswith(f"{bad}: ")
+        assert "\n" not in message
+
     def test_a_bare_value_error_is_not_swallowed(self, monkeypatch):
         import repro.cli as cli
 

@@ -1,9 +1,9 @@
-"""Lint-engine edge cases: parse failures, empty files, suppression on
-multi-line statements, and SEG012 smuggled-from-import variants."""
+"""Lint-engine edge cases: parse failures, empty files, and SEG012
+smuggled-from-import variants."""
 
 import pytest
 
-from tools.lint.engine import Engine, statement_extents
+from tools.lint.engine import Engine
 from tools.lint.rules import build_rules
 
 
@@ -23,10 +23,9 @@ class TestSyntaxErrors:
         assert "does not parse" in finding.message
         assert finding.line == 1
 
-    def test_syntax_error_snippet_points_at_offending_line(self, engine):
+    def test_syntax_error_points_at_offending_line(self, engine):
         (finding,) = lint(engine, "x = 1\ndef broken(:\n")
         assert finding.line == 2
-        assert finding.snippet == "def broken(:"
 
     def test_null_byte_reported_not_raised(self, engine):
         findings = lint(engine, "x = 1\x00\n")
@@ -48,60 +47,6 @@ class TestEmptyFiles:
 
     def test_docstring_only_file_is_clean(self, engine):
         assert lint(engine, '"""Just a docstring."""\n') == []
-
-
-class TestSuppressionOnContinuationLines:
-    """``# seg: ignore`` anywhere inside a multi-line statement covers
-    the statement; comments in a *compound* statement's body do not leak
-    up to the header."""
-
-    def test_ignore_on_last_line_of_multiline_call(self, engine):
-        source = (
-            "print(\n"
-            "    'noisy'\n"
-            ")  # seg: ignore[SEG001]\n"
-        )
-        assert lint(engine, source) == []
-
-    def test_ignore_on_middle_line_of_multiline_call(self, engine):
-        source = (
-            "print(\n"
-            "    'noisy',  # seg: ignore[SEG001]\n"
-            "    'again',\n"
-            ")\n"
-        )
-        assert lint(engine, source) == []
-
-    def test_ignore_on_header_line_still_works(self, engine):
-        source = "print(  # seg: ignore[SEG001]\n    'noisy'\n)\n"
-        assert lint(engine, source) == []
-
-    def test_wrong_rule_id_does_not_suppress(self, engine):
-        source = "print(\n    'noisy'\n)  # seg: ignore[SEG002]\n"
-        findings = lint(engine, source)
-        assert [f.rule for f in findings] == ["SEG001"]
-
-    def test_bare_ignore_suppresses_all_rules(self, engine):
-        source = "print(\n    'noisy'\n)  # seg: ignore\n"
-        assert lint(engine, source) == []
-
-    def test_body_comment_does_not_suppress_def_header(self, engine):
-        # SEG007 (annotations) fires on the def line; an ignore buried in
-        # the body must not cover the header
-        source = (
-            "def fit(x):\n"
-            "    y = 1  # seg: ignore[SEG007]\n"
-            "    return y\n"
-        )
-        findings = lint(engine, source)
-        assert "SEG007" in {f.rule for f in findings}
-
-    def test_multiline_string_statement_extent(self):
-        import ast
-
-        tree = ast.parse("x = (\n    1\n    + 2\n)\n")
-        (extent,) = [e for e in statement_extents(tree) if e[0] == 1]
-        assert extent == (1, 4)
 
 
 class TestSEG012SmuggledImports:

@@ -1,18 +1,11 @@
-"""Engine mechanics: dispatch, suppression, line channel, module naming."""
+"""Engine mechanics: dispatch, line channel, parse errors, module naming."""
 
 import ast
 import textwrap
 
 import pytest
 
-from tools.lint.engine import (
-    Engine,
-    Finding,
-    LintConfigError,
-    Rule,
-    module_name_for,
-    suppressed_rules,
-)
+from tools.lint.engine import Engine, LintConfigError, Rule, module_name_for
 from tools.lint.rules import build_rules
 
 
@@ -61,7 +54,7 @@ class TestDispatch:
         assert findings[0].rule == "TST002"
         assert findings[0].col == "a = 1  # XXX fix".index("XXX") + 1
 
-    def test_findings_sorted_and_carry_snippets(self):
+    def test_findings_sorted_in_line_order(self):
         findings = lint(
             """
             def f(x=[]):
@@ -70,9 +63,7 @@ class TestDispatch:
         )
         assert [f.rule for f in findings] == ["SEG005", "SEG001"]  # line order
         assert findings[0].sort_key() <= findings[1].sort_key()
-        by_rule = {f.rule: f for f in findings}
-        assert by_rule["SEG005"].snippet == "def f(x=[]):"
-        assert by_rule["SEG001"].snippet == "print(x)"
+        assert [f.line for f in findings] == [2, 3]
 
     def test_duplicate_rule_ids_rejected(self):
         with pytest.raises(LintConfigError):
@@ -103,34 +94,6 @@ class TestParseErrors:
         assert {f.rule for f in findings} == {"SEG000", "SEG001"}
 
 
-class TestSuppression:
-    def test_blanket_ignore(self):
-        findings = lint("print('x')  # seg: ignore\n")
-        assert findings == []
-
-    def test_targeted_ignore_matching_rule(self):
-        findings = lint("print('x')  # seg: ignore[SEG001]\n")
-        assert findings == []
-
-    def test_targeted_ignore_other_rule_keeps_finding(self):
-        findings = lint("print('x')  # seg: ignore[SEG005]\n")
-        assert [f.rule for f in findings] == ["SEG001"]
-
-    def test_multiple_rule_ids(self):
-        findings = lint("def f(x=[]): print(x)  # seg: ignore[SEG001, SEG005]\n")
-        assert findings == []
-
-    def test_suppression_only_covers_its_line(self):
-        findings = lint("# seg: ignore[SEG001]\nprint('x')\n")
-        assert [f.rule for f in findings] == ["SEG001"]
-
-    def test_suppressed_rules_table(self):
-        table = suppressed_rules(
-            ["x = 1", "y  # seg: ignore", "z  # seg: ignore[SEG004]"]
-        )
-        assert table == {2: None, 3: frozenset({"SEG004"})}
-
-
 class TestModuleNaming:
     def test_plain_module(self, tmp_path):
         path = tmp_path / "src" / "repro" / "core" / "graph.py"
@@ -159,9 +122,3 @@ class TestTreeWalk:
         assert count == 1
         assert [f.path for f in findings] == ["src/repro/deep/mod.py"]
         assert findings[0].path.count("\\") == 0  # posix paths in reports
-
-    def test_to_dict_round_trip(self):
-        finding = Finding(
-            path="src/x.py", line=3, col=1, rule="SEG001", message="m", snippet="s"
-        )
-        assert finding.to_dict()["rule"] == "SEG001"

@@ -1,18 +1,8 @@
-"""Phase-1 project index: summaries, caching, resolution, graphs."""
-
-import json
-import os
+"""Phase-1 project index: summaries and call resolution."""
 
 import pytest
 
-from tools.lint.index import (
-    ProjectIndex,
-    build_index,
-    render_graph_dot,
-    render_graph_json,
-    summarize_expr,
-    summarize_module,
-)
+from tools.lint.index import build_index, summarize_expr, summarize_module
 
 
 def write(tmp_path, rel, text):
@@ -48,14 +38,14 @@ def project(tmp_path, monkeypatch):
 
 class TestModuleSummary:
     def test_imports_and_functions(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
+        index = build_index(roots=("src",))
         summary = index.modules["repro.alpha"]
         assert summary["imports"]["helper"] == "repro.beta.helper"
         assert "entry" in summary["functions"]
         assert summary["functions"]["entry"]["params"] == ["seed"]
 
     def test_call_sites_carry_arg_summaries(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
+        index = build_index(roots=("src",))
         entry = index.function("repro.alpha", "entry")
         (call,) = [c for c in entry["calls"] if c["fn"] == "helper"]
         assert call["args"][0] == {"k": "name", "id": "seed"}
@@ -64,7 +54,7 @@ class TestModuleSummary:
         write(tmp_path, "src/repro/__init__.py", "")
         write(tmp_path, "src/repro/broken.py", "def oops(:\n")
         monkeypatch.chdir(tmp_path)
-        index, _ = build_index(roots=("src",), cache_path=None)
+        index = build_index(roots=("src",))
         summary = index.modules["repro.broken"]
         assert summary["parse_error"] is True
         assert summary["functions"] == {}
@@ -166,102 +156,19 @@ class TestExprSummaries:
 
 class TestResolution:
     def test_from_import_resolution(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
+        index = build_index(roots=("src",))
         assert index.resolve_call("repro.alpha", "helper") == (
             "repro.beta",
             "helper",
         )
 
     def test_unknown_name_unresolved(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
+        index = build_index(roots=("src",))
         assert index.resolve_call("repro.alpha", "os.path.join") is None
 
     def test_callers_of(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
+        index = build_index(roots=("src",))
         (site,) = index.callers_of("repro.beta", "helper")
         assert site["module"] == "repro.alpha"
         assert site["function"] == "entry"
         assert site["call"]["args"][0] == {"k": "name", "id": "seed"}
-
-
-class TestGraphs:
-    def test_import_graph_edges(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
-        graph = index.import_graph()
-        assert "repro.beta" in graph["repro.alpha"]
-
-    def test_dot_render(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
-        dot = render_graph_dot(index)
-        assert '"repro.alpha" -> "repro.beta";' in dot
-        assert "digraph calls {" in dot
-
-    def test_json_render(self, project):
-        index, _ = build_index(roots=("src",), cache_path=None)
-        payload = json.loads(render_graph_json(index))
-        assert "repro.beta" in payload["imports"]["repro.alpha"]
-        assert "repro.beta:helper" in payload["calls"]["repro.alpha:entry"]
-
-
-class TestIncrementalCache:
-    def test_cold_then_warm(self, project):
-        cache = str(project / "cache.json")
-        _, cold = build_index(roots=("src",), cache_path=cache)
-        assert cold["parsed"] > 0 and cold["reused"] == 0
-        _, warm = build_index(roots=("src",), cache_path=cache)
-        assert warm["parsed"] == 0
-        assert warm["reused"] == cold["parsed"]
-
-    def test_edited_file_reparsed(self, project):
-        cache = str(project / "cache.json")
-        build_index(roots=("src",), cache_path=cache)
-        write(project, "src/repro/beta.py", "def helper(n):\n    return n\n")
-        _, stats = build_index(roots=("src",), cache_path=cache)
-        assert stats["parsed"] == 1
-        assert stats["reused"] == stats["files"] - 1
-
-    def test_corrupt_cache_rebuilt(self, project):
-        cache = str(project / "cache.json")
-        build_index(roots=("src",), cache_path=cache)
-        with open(cache, "w") as stream:
-            stream.write("{not json")
-        _, stats = build_index(roots=("src",), cache_path=cache)
-        assert stats["parsed"] == stats["files"]
-
-    def test_version_mismatch_rebuilt(self, project):
-        cache = str(project / "cache.json")
-        build_index(roots=("src",), cache_path=cache)
-        with open(cache) as stream:
-            payload = json.load(stream)
-        payload["version"] = 999
-        with open(cache, "w") as stream:
-            json.dump(payload, stream)
-        _, stats = build_index(roots=("src",), cache_path=cache)
-        assert stats["parsed"] == stats["files"]
-
-    def test_deleted_file_dropped_from_index(self, project):
-        cache = str(project / "cache.json")
-        index, _ = build_index(roots=("src",), cache_path=cache)
-        assert "repro.beta" in index.modules
-        os.remove(project / "src" / "repro" / "beta.py")
-        index, _ = build_index(roots=("src",), cache_path=cache)
-        assert "repro.beta" not in index.modules
-
-    def test_cache_disabled(self, project):
-        index, stats = build_index(roots=("src",), cache_path=None)
-        assert isinstance(index, ProjectIndex)
-        assert not os.path.exists(project / "cache.json")
-
-
-class TestSuppressionTables:
-    def test_index_honors_seg_ignore(self, tmp_path, monkeypatch):
-        write(tmp_path, "src/repro/__init__.py", "")
-        write(
-            tmp_path,
-            "src/repro/m.py",
-            "x = 1  # seg: ignore[SEG101]\n",
-        )
-        monkeypatch.chdir(tmp_path)
-        index, _ = build_index(roots=("src",), cache_path=None)
-        assert index.is_suppressed("src/repro/m.py", 1, "SEG101")
-        assert not index.is_suppressed("src/repro/m.py", 1, "SEG102")

@@ -9,13 +9,11 @@ assert the lint pass refuses it.
 import os
 import shutil
 
-from tools.lint.baseline import apply_baseline, load_baseline
 from tools.lint.engine import Engine
-from tools.lint.rules import ALL_RULE_IDS, build_rules
+from tools.lint.rules import build_rules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
-BASELINE = os.path.join(REPO_ROOT, "tools", "lint", "baseline.json")
 
 
 def lint_src():
@@ -25,30 +23,12 @@ def lint_src():
 
 
 class TestLiveTree:
-    def test_src_is_clean_modulo_baseline(self):
+    def test_src_is_clean(self):
         findings, count = lint_src()
         assert count > 80  # the whole library was actually walked
-        kept, stale = apply_baseline(findings, load_baseline(BASELINE))
-        assert kept == [], "\n".join(
-            f"{f.path}:{f.line}: {f.rule} {f.message}" for f in kept
+        assert findings == [], "\n".join(
+            f"{f.path}:{f.line}: {f.rule} {f.message}" for f in findings
         )
-        assert stale == [], "stale baseline entries: " + ", ".join(
-            f"{e.rule}:{e.path}" for e in stale
-        )
-
-    def test_every_baseline_entry_is_documented(self):
-        for entry in load_baseline(BASELINE):
-            assert entry.reason and "TODO" not in entry.reason, (
-                f"baseline entry {entry.rule} for {entry.path} lacks a "
-                "documented reason"
-            )
-            assert entry.rule in ALL_RULE_IDS
-
-    def test_baseline_is_empty(self):
-        # the pre-SEG006 dotted span names were migrated to the
-        # segugio_<area>_<name> namespace at the MANIFEST_VERSION 2 bump;
-        # any entry appearing here again needs a fresh justification
-        assert load_baseline(BASELINE) == []
 
 
 def _copy_module(tmp_path, rel):
@@ -137,7 +117,7 @@ class TestSeededRegressions:
         assert [f for f in findings if f.rule == "SEG010"] == []
 
     def test_clean_copies_stay_clean(self, tmp_path):
-        # control: the same copied modules produce only baselined findings
+        # control: the same copied modules produce no findings
         for rel in (
             os.path.join("repro", "core", "graph.py"),
             os.path.join("repro", "ml", "tree.py"),

@@ -1,5 +1,7 @@
 """Checkpoint format: round trips, and refusal of every corruption mode."""
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -12,6 +14,7 @@ from repro.runtime.checkpoint import (
     config_from_dict,
     config_to_dict,
     load_checkpoint,
+    resume_tracker,
     save_checkpoint,
 )
 from repro.utils.errors import CheckpointError
@@ -32,6 +35,20 @@ def make_tracker() -> DomainTracker:
             best_score=0.9375,
         )
     return tracker
+
+
+def rewrite_payload(path: str, edit) -> None:
+    """Apply *edit* to the checkpoint's JSON payload and re-checksum it,
+    so only the payload's meaning is wrong, never its integrity."""
+    with open(path) as stream:
+        header, body = stream.read().split("\n", 1)
+    payload = json.loads(body)
+    edit(payload)
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    prefix = header.rsplit("sha256=", 1)[0]
+    with open(path, "w") as stream:
+        stream.write(f"{prefix}sha256={digest}\n{body}\n")
 
 
 @pytest.fixture
@@ -141,3 +158,20 @@ class TestCorruptionRefusal:
             stream.write("garbage\n")
         with pytest.raises(CheckpointError):
             DomainTracker.resume(ckpt)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.update(config=5),
+            lambda p: p["config"].update(feature_columns=3),
+            lambda p: p.update(state={}),
+            lambda p: p["config"]["prune"].update(r9_magic=True),
+        ],
+        ids=["config-int", "feature-columns-int", "state-empty", "prune-key"],
+    )
+    def test_unbuildable_payload_names_the_file(self, ckpt, edit):
+        rewrite_payload(ckpt, edit)
+        load_checkpoint(ckpt)  # checksum-valid: only the contents are wrong
+        with pytest.raises(CheckpointError) as excinfo:
+            resume_tracker(ckpt)
+        assert str(excinfo.value).startswith(f"{ckpt}: ")

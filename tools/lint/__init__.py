@@ -3,20 +3,15 @@
 Runnable as ``python -m tools.lint`` from the repository root (zero
 dependencies, stdlib only). Two phases: per-file rules (SEG001–SEG012)
 machine-check the determinism, layering, exception-hygiene, and
-telemetry-naming invariants; whole-program rules (SEG101–SEG104) run on
-an incrementally cached project index (import graph + call graph +
-symbol summaries) and check interprocedural contracts — seed taint,
-pool-callable picklability, the manifest producer/consumer contract, and
-the span-name registry. See DESIGN.md §9 for the rule catalogue and
-``# seg: ignore[SEGxxx]`` suppression syntax.
+telemetry-naming invariants; whole-program rules (SEG101–SEG105) run on
+a project index (import table + call sites + symbol summaries, built in
+memory on every run) and check interprocedural contracts — seed taint,
+pool-callable picklability, the manifest producer/consumer contract, the
+span-name registry, and worker-telemetry isolation. There is no
+suppression mechanism: a false positive is fixed in the rule's scope.
+See DESIGN.md §9 for the rule catalogue.
 """
 
-from tools.lint.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
 from tools.lint.engine import (
     Engine,
     Finding,
@@ -37,7 +32,6 @@ from tools.lint.rules import ALL_RULE_IDS, build_rules
 
 __all__ = [
     "ALL_RULE_IDS",
-    "BaselineEntry",
     "Engine",
     "FORMATS",
     "Finding",
@@ -47,13 +41,10 @@ __all__ = [
     "ProjectIndex",
     "ProjectRule",
     "Rule",
-    "apply_baseline",
     "build_index",
     "build_project_rules",
     "build_rules",
-    "load_baseline",
     "module_name_for",
     "render",
-    "render_baseline",
     "run_project_rules",
 ]

@@ -1,15 +1,12 @@
 """Command-line entry point: ``python -m tools.lint`` from the repo root.
 
-Two phases. The per-file phase walks each target with the SEG0xx rules
-(exactly as before). The whole-program phase builds the project index
-(phase 1, incrementally cached on file content hashes) over ``src`` +
-``tools`` + ``benchmarks`` and runs the interprocedural SEG1xx rules on
-it; it runs on full (default-target) invocations and is skipped for
-explicit partial targets unless ``--graph``/``--explain`` asks for it.
+Two phases. The per-file phase walks each target with the SEG0xx rules.
+The whole-program phase builds the project index over ``src`` + ``tools``
++ ``benchmarks`` and runs the interprocedural SEG1xx rules on it; it runs
+on default-target invocations and is skipped for explicit targets.
 
-Exit codes: 0 = clean (modulo baseline; warnings alone do not fail),
-1 = error findings or stale baseline entries, 2 = usage/configuration
-error (bad baseline file, bad target, unknown rule).
+Exit codes: 0 = clean (warnings alone do not fail), 1 = error findings,
+2 = usage error (bad target, unknown rule).
 """
 
 from __future__ import annotations
@@ -17,27 +14,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
-from tools.lint.baseline import apply_baseline, load_baseline, render_baseline
 from tools.lint.engine import Engine, Finding, LintConfigError
-from tools.lint.index import (
-    DEFAULT_CACHE_PATH,
-    INDEX_ROOTS,
-    build_index,
-    render_graph_dot,
-    render_graph_json,
-)
+from tools.lint.index import INDEX_ROOTS, build_index
 from tools.lint.project_rules import (
     PROJECT_RULE_IDS,
     build_project_rules,
     run_project_rules,
 )
-from tools.lint.reporting import FORMATS, render, render_explain
+from tools.lint.reporting import FORMATS, render
 from tools.lint.rules import ALL_RULE_IDS, build_rules
-
-DEFAULT_BASELINE = os.path.join("tools", "lint", "baseline.json")
 
 #: trees outside the package that still carry the determinism contract:
 #: benchmark numbers and example transcripts must be reproducible, but
@@ -115,61 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         "default: all rules",
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of documented intentional findings "
-        f"(default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings and exit "
-        "(entries for files outside this run's scope are preserved)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--graph",
-        choices=("dot", "json"),
-        default=None,
-        help="dump the whole-program import and call graphs and exit",
-    )
-    parser.add_argument(
-        "--explain",
-        metavar="SEGXXX",
-        default=None,
-        help="run the lint and render each finding of the given rule with "
-        "its interprocedural flow path",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print phase timing and index-cache statistics to stderr "
-        "(always embedded in --format json output)",
-    )
-    parser.add_argument(
-        "--index-cache",
-        default=DEFAULT_CACHE_PATH,
-        metavar="PATH",
-        help=f"project-index cache file (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-index-cache",
-        action="store_true",
-        help="rebuild the project index from scratch, ignoring the cache",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the whole-program phase (SEG101-SEG105) entirely",
     )
     return parser
 
@@ -194,40 +129,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    explain_rule: Optional[str] = None
-    if args.explain is not None:
-        explain_rule = args.explain.strip().upper()
-        if explain_rule not in set(ALL_RULE_IDS) | set(PROJECT_RULE_IDS):
-            print(f"error: unknown rule id: {args.explain}", file=sys.stderr)
-            return 2
-
-    cache_path = None if args.no_index_cache else args.index_cache
-    stats: Dict[str, object] = {}
-
-    # --graph needs only phase 1
-    if args.graph is not None:
-        index, index_stats = build_index(INDEX_ROOTS, cache_path=cache_path)
-        stats["index"] = index_stats
-        print(
-            render_graph_dot(index)
-            if args.graph == "dot"
-            else render_graph_json(index)
-        )
-        if args.stats:
-            print(f"segugio-lint stats: {stats}", file=sys.stderr)
-        return 0
-
-    explicit_targets = bool(args.targets)
-    run_project = not args.no_project and (
-        not explicit_targets or explain_rule in PROJECT_RULE_IDS
-    )
-
     # ------------------------------ per-file phase -------------------- #
-    t0 = time.perf_counter()
     findings: List[Finding] = []
-    scanned_paths: Set[str] = set()
     files_scanned = 0
-    for target in args.targets if args.targets else _default_targets():
+    for target in args.targets or _default_targets():
         if os.path.isdir(target):
             batch, count = engine.lint_tree(
                 target, package_root=_package_root_for(target)
@@ -245,118 +150,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         if _determinism_only(target):
             batch = [f for f in batch if f.rule in DETERMINISM_ONLY_RULES]
         findings.extend(batch)
-    scanned_paths.update(f.path for f in findings)
-    scanned_paths.update(_scanned_tree_paths(args.targets or _default_targets()))
-    stats["per_file_seconds"] = round(time.perf_counter() - t0, 6)
 
     # ------------------------------ whole-program phase --------------- #
-    if run_project:
-        t1 = time.perf_counter()
-        index, index_stats = build_index(INDEX_ROOTS, cache_path=cache_path)
-        project_findings = run_project_rules(index, select=None)
-        project_findings = [
+    if not args.targets:
+        findings.extend(
             f
-            for f in project_findings
+            for f in run_project_rules(build_index(INDEX_ROOTS))
             if not (
                 _determinism_only(f.path)
                 and f.rule not in DETERMINISM_ONLY_PROJECT_RULES
             )
-        ]
-        findings.extend(project_findings)
-        scanned_paths.update(index.files)
-        stats["index"] = index_stats
-        stats["project_seconds"] = round(time.perf_counter() - t1, 6)
-    stats["total_seconds"] = round(time.perf_counter() - t0, 6)
+        )
 
     if select is not None:
         findings = [f for f in findings if f.rule in select]
     findings.sort(key=Finding.sort_key)
 
-    # ------------------------------ baseline -------------------------- #
-    if args.write_baseline:
-        existing_reasons = {}
-        preserved = []
-        if os.path.isfile(args.baseline):
-            try:
-                previous = load_baseline(args.baseline)
-                existing_reasons = {
-                    entry.key(): entry.reason for entry in previous
-                }
-                # a partial run must not truncate entries it never scanned
-                preserved = [
-                    Finding(
-                        path=e.path,
-                        line=0,
-                        col=0,
-                        rule=e.rule,
-                        message="",
-                        snippet=e.snippet,
-                    )
-                    for e in previous
-                    if e.path not in scanned_paths and os.path.exists(e.path)
-                ]
-            except LintConfigError:
-                pass  # rewriting a corrupt baseline from scratch is the point
-        combined = findings + preserved
-        with open(args.baseline, "w", encoding="utf-8") as stream:
-            stream.write(render_baseline(combined, existing_reasons))
-        n = len({(f.rule, f.path, f.snippet) for f in combined})
-        print(f"wrote {args.baseline}: {n} entr{'y' if n == 1 else 'ies'}")
-        return 0
-
-    stale = []
-    if not args.no_baseline and os.path.isfile(args.baseline):
-        try:
-            entries = load_baseline(args.baseline)
-        except LintConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        findings, stale = apply_baseline(findings, entries, scanned_paths)
-
-    # ------------------------------ report ---------------------------- #
-    if explain_rule is not None:
-        print(render_explain(findings, explain_rule))
-    else:
-        print(
-            render(
-                args.format,
-                findings,
-                stale,
-                files_scanned,
-                stats if args.format == "json" else None,
-            )
-        )
-    if args.stats:
-        print(f"segugio-lint stats: {stats}", file=sys.stderr)
-    errors = [f for f in findings if f.severity == "error"]
-    return 1 if errors or stale else 0
-
-
-def _scanned_tree_paths(targets: List[str]) -> Set[str]:
-    """Every ``.py`` report path under the scanned targets (for baseline
-    scope awareness — findings alone miss clean files)."""
-    paths: Set[str] = set()
-    for target in targets:
-        if os.path.isfile(target):
-            paths.add(os.path.relpath(target).replace(os.sep, "/"))
-            continue
-        for dirpath, dirnames, filenames in os.walk(target):
-            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-            for name in filenames:
-                if name.endswith(".py"):
-                    paths.add(
-                        os.path.relpath(os.path.join(dirpath, name)).replace(
-                            os.sep, "/"
-                        )
-                    )
-    return paths
+    print(render(args.format, findings, files_scanned))
+    return 1 if any(f.severity == "error" for f in findings) else 0
 
 
 if __name__ == "__main__":
     try:
         sys.exit(main())
     except BrokenPipeError:
-        # stdout went away mid-report (e.g. `--graph dot | head`); the
+        # stdout went away mid-report (e.g. piped into `head`); the
         # truncation was the reader's choice, not a lint failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)

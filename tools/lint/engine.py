@@ -8,9 +8,7 @@ A single pass over every Python file under a target tree:
    on the :class:`ModuleContext` for structural rules;
 3. every raw source line is dispatched to rules that opted into the line
    channel (``Rule.wants_lines``) — for invariants that live outside the
-   AST (whitespace, encoding cruft);
-4. findings on a line carrying ``# seg: ignore[SEGxxx]`` (or a blanket
-   ``# seg: ignore``) are dropped before reporting.
+   AST (whitespace, encoding cruft).
 
 Rules are plain classes; the engine owns traversal so each rule stays a
 few lines of "what is wrong", not "how to walk". Parse failures are
@@ -23,18 +21,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import os
-import re
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 PARSE_ERROR_RULE = "SEG000"
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*seg:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
-)
-
 
 class LintConfigError(Exception):
-    """Bad engine configuration or an unreadable baseline file."""
+    """Bad engine configuration or an unknown rule id."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,7 +38,7 @@ class Finding:
     (reported, annotated in CI, but exit-code neutral — used by the
     contract rules for "produced but never consumed" findings).
     ``trace`` is the interprocedural flow path behind a whole-program
-    finding, one hop per line, rendered by ``--explain``.
+    finding, one hop per line, printed indented under the finding.
     """
 
     path: str
@@ -53,17 +46,11 @@ class Finding:
     col: int
     rule: str
     message: str
-    snippet: str
     severity: str = "error"
     trace: Tuple[str, ...] = ()
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def to_dict(self) -> Dict[str, object]:
-        payload = dataclasses.asdict(self)
-        payload["trace"] = list(self.trace)
-        return payload
 
 
 class ModuleContext:
@@ -84,11 +71,6 @@ class ModuleContext:
         """Top-two dotted segments (``repro.core``) — the layering unit."""
         parts = self.module.split(".")
         return ".".join(parts[:2])
-
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def parent(self) -> Optional[ast.AST]:
         return self.stack[-1] if self.stack else None
@@ -149,7 +131,6 @@ class Rule:
             col=int(col),
             rule=self.rule_id,
             message=message,
-            snippet=ctx.snippet(int(line)),
         )
 
 
@@ -170,90 +151,6 @@ def module_name_for(path: str, package_root: str) -> str:
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(p for p in parts if p)
-
-
-def suppressed_rules(lines: Sequence[str]) -> Dict[int, Optional[frozenset]]:
-    """Map 1-based line number → suppressed rule ids (``None`` = all rules).
-
-    Recognizes ``# seg: ignore`` (blanket) and ``# seg: ignore[SEG001]`` /
-    ``# seg: ignore[SEG001, SEG005]`` (targeted) trailing comments.
-    """
-    table: Dict[int, Optional[frozenset]] = {}
-    for idx, text in enumerate(lines, start=1):
-        if "seg:" not in text:
-            continue
-        match = _SUPPRESS_RE.search(text)
-        if match is None:
-            continue
-        raw = match.group("rules")
-        if raw is None:
-            table[idx] = None
-        else:
-            ids = frozenset(part.strip().upper() for part in raw.split(",") if part.strip())
-            table[idx] = ids if ids else None
-    return table
-
-
-def statement_extents(tree: ast.AST) -> List[Tuple[int, int]]:
-    """``(first_line, last_line)`` of every statement, innermost-friendly.
-
-    Sorted by (start, -end) so a linear scan finds the *innermost*
-    statement containing a line last.  Used to honor ``# seg: ignore``
-    comments on any physical line of a multi-line statement — a finding
-    anchors at the statement's first line, but black-style call wrapping
-    puts the trailing comment on the closing-paren line.
-    """
-    extents: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or not hasattr(node, "lineno"):
-            continue
-        end = node.end_lineno or node.lineno
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and body and isinstance(body[0], ast.stmt):
-            # compound statement (def/if/for/with/...): only its *header*
-            # lines count as one logical statement — a comment inside the
-            # body must not suppress a finding on the header
-            end = max(node.lineno, body[0].lineno - 1)
-        extents.append((node.lineno, end))
-    extents.sort(key=lambda pair: (pair[0], -pair[1]))
-    return extents
-
-
-def innermost_extent(
-    extents: Sequence[Tuple[int, int]], line: int
-) -> Tuple[int, int]:
-    """Smallest statement span containing *line* (falls back to the line)."""
-    best = (line, line)
-    best_size = None
-    for start, end in extents:
-        if start > line:
-            break
-        if start <= line <= end:
-            size = end - start
-            if best_size is None or size <= best_size:
-                best = (start, end)
-                best_size = size
-    return best
-
-
-def is_suppressed(
-    table: Dict[int, Optional[frozenset]],
-    extents: Sequence[Tuple[int, int]],
-    line: int,
-    rule: str,
-) -> bool:
-    """True when *rule* is ignored on *line* or any continuation line of
-    the innermost statement containing it."""
-    if not table:
-        return False
-    start, end = innermost_extent(extents, line)
-    for candidate in range(start, end + 1):
-        ids = table.get(candidate, "absent")
-        if ids == "absent":
-            continue
-        if ids is None or rule in ids:
-            return True
-    return False
 
 
 class Engine:
@@ -284,8 +181,6 @@ class Engine:
         except SyntaxError as error:
             line = error.lineno or 1
             col = (error.offset or 1)
-            lines = source.splitlines()
-            snippet = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
             return [
                 Finding(
                     path=path,
@@ -293,7 +188,6 @@ class Engine:
                     col=col,
                     rule=PARSE_ERROR_RULE,
                     message=f"file does not parse: {error.msg}",
-                    snippet=snippet,
                 )
             ]
         ctx = ModuleContext(path=path, module=module, source=source, tree=tree)
@@ -306,7 +200,6 @@ class Engine:
                 findings.extend(rule.check_line(lineno, text, ctx))
         for rule in self.rules:
             findings.extend(rule.finish_module(ctx))
-        findings = self._apply_suppressions(ctx, findings)
         findings.sort(key=Finding.sort_key)
         return findings
 
@@ -323,7 +216,7 @@ class Engine:
 
         ``package_root`` anchors dotted module names (defaults to ``root``);
         ``relative_to`` anchors the paths used in findings (defaults to the
-        current directory), so baselines stay stable across machines.
+        current directory), so reports stay stable across machines.
         """
         package_root = package_root or root
         relative_to = relative_to or os.getcwd()
@@ -353,15 +246,3 @@ class Engine:
             ctx.stack.append(child)
             self._walk(child, ctx, findings)
             ctx.stack.pop()
-
-    @staticmethod
-    def _apply_suppressions(ctx: ModuleContext, findings: Iterable[Finding]) -> List[Finding]:
-        table = suppressed_rules(ctx.lines)
-        if not table:
-            return list(findings)
-        extents = statement_extents(ctx.tree)
-        return [
-            finding
-            for finding in findings
-            if not is_suppressed(table, extents, finding.line, finding.rule)
-        ]

@@ -1,39 +1,26 @@
 """Phase 1 of the whole-program analyzer: the project index.
 
 One pass over every Python file under the index roots (``src`` + ``tools``
-+ ``benchmarks``) extracts a compact, JSON-serializable *module summary*:
-the import table, every function with its parameters / call sites /
-assignment provenance, span-name literals, manifest key reads and writes,
-and the file's ``# seg: ignore`` table.  Phase 2 (the SEG101–SEG104
-project rules in :mod:`tools.lint.project_rules`) runs entirely on these
-summaries — it never re-reads source.
-
-The index is cached incrementally: summaries are keyed on the SHA-256 of
-each file's content, so an unchanged file is never re-parsed.  Derived
-structures (the import graph, the call graph, the reverse call index) are
-cheap and rebuilt from summaries on every run.  The cache is a plain JSON
-file (atomic stage+rename write); a corrupt or version-mismatched cache
-is silently discarded and rebuilt.
++ ``benchmarks``) extracts a compact *module summary*: the import table,
+every function with its parameters / call sites / assignment provenance,
+span-name literals, and manifest key reads and writes.  Phase 2 (the
+SEG101–SEG105 project rules in :mod:`tools.lint.project_rules`) runs
+entirely on these summaries — it never re-reads source.  The index is
+built in memory on every run.
 
 Expression provenance is recorded as bounded-depth "expression summaries"
 (dicts with a ``k`` kind tag) — enough structure for the determinism
 taint and pool-safety rules to trace a seed or a callable across function
-boundaries, without persisting ASTs.
+boundaries, without keeping ASTs.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import os
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from tools.lint.engine import module_name_for, statement_extents, suppressed_rules
-
-INDEX_CACHE_VERSION = 1
-DEFAULT_CACHE_PATH = os.path.join("tools", "lint", ".index-cache.json")
+from tools.lint.engine import module_name_for
 
 #: trees the whole-program index covers (package_root applies to ``src``)
 INDEX_ROOTS = ("src", "tools", "benchmarks")
@@ -141,7 +128,6 @@ class _ModuleWalker(ast.NodeVisitor):
         self.module = module
         self.path = path
         self.imports: Dict[str, str] = {}
-        self.imported_modules: Set[str] = set()
         self.functions: Dict[str, Dict[str, object]] = {}
         self.module_assigns: Dict[str, Dict[str, object]] = {}
         self.span_literals: List[Dict[str, object]] = []
@@ -185,7 +171,6 @@ class _ModuleWalker(ast.NodeVisitor):
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             self.imports[alias.asname or alias.name.split(".")[0]] = alias.name
-            self.imported_modules.add(alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -194,8 +179,6 @@ class _ModuleWalker(ast.NodeVisitor):
             parts = self.module.split(".")
             anchor = parts[: len(parts) - node.level]
             base = ".".join(anchor + ([base] if base else []))
-        if base:
-            self.imported_modules.add(base)
         for alias in node.names:
             if alias.name == "*":
                 continue
@@ -453,29 +436,20 @@ def summarize_module(source: str, path: str, module: str) -> Dict[str, object]:
             "path": path,
             "parse_error": True,
             "imports": {},
-            "imported_modules": [],
             "functions": {},
             "module_assigns": {},
             "span_literals": [],
             "key_reads": [],
             "key_writes": [],
             "dict_literals": [],
-            "suppressed": {},
-            "extents": [],
         }
     walker = _ModuleWalker(module, path)
     walker.visit(tree)
-    lines = source.splitlines()
-    suppressed = {
-        str(line): (None if ids is None else sorted(ids))
-        for line, ids in suppressed_rules(lines).items()
-    }
     return {
         "module": module,
         "path": path,
         "parse_error": False,
         "imports": walker.imports,
-        "imported_modules": sorted(walker.imported_modules),
         "functions": walker.functions,
         "module_assigns": walker.module_assigns,
         "span_literals": walker.span_literals,
@@ -485,8 +459,6 @@ def summarize_module(source: str, path: str, module: str) -> Dict[str, object]:
             {"recv": recv, "key": key, "lineno": lineno}
             for recv, key, lineno in _dict_literal_keys(tree)
         ],
-        "suppressed": suppressed,
-        "extents": statement_extents(tree),
     }
 
 
@@ -574,50 +546,6 @@ class ProjectIndex:
             return None
         return summary["functions"].get(qualname)  # type: ignore[union-attr]
 
-    def is_suppressed(self, path: str, line: int, rule: str) -> bool:
-        """Honor ``# seg: ignore`` tables recorded in the summaries."""
-        summary = self.files.get(path)
-        if summary is None:
-            return False
-        table = {
-            int(lineno): (None if ids is None else frozenset(ids))
-            for lineno, ids in summary["suppressed"].items()  # type: ignore[union-attr]
-        }
-        if not table:
-            return False
-        extents = [tuple(pair) for pair in summary["extents"]]  # type: ignore[union-attr]
-        from tools.lint.engine import is_suppressed as _is_suppressed
-
-        return _is_suppressed(table, extents, line, rule)
-
-    # ------------------------------ graphs --------------------------- #
-
-    def import_graph(self) -> Dict[str, List[str]]:
-        """Edges between *indexed* modules only (external imports dropped)."""
-        graph: Dict[str, List[str]] = {}
-        for module, summary in sorted(self.modules.items()):
-            targets = sorted(
-                t
-                for t in summary["imported_modules"]  # type: ignore[union-attr]
-                if t in self.modules and t != module
-            )
-            graph[module] = targets
-        return graph
-
-    def call_graph(self) -> Dict[str, List[str]]:
-        """``module:function`` -> sorted resolved callees."""
-        graph: Dict[str, List[str]] = {}
-        for module, summary in sorted(self.modules.items()):
-            functions: Dict[str, Dict[str, object]] = summary["functions"]  # type: ignore[assignment]
-            for qualname, info in sorted(functions.items()):
-                callees: Set[str] = set()
-                for call in info["calls"]:  # type: ignore[union-attr]
-                    resolved = self.resolve_call(module, str(call["fn"]))
-                    if resolved is not None:
-                        callees.add(f"{resolved[0]}:{resolved[1]}")
-                graph[f"{module}:{qualname}"] = sorted(callees)
-        return graph
-
     def span_sites(self) -> List[Tuple[str, str, int]]:
         """Every ``span("segugio_*")`` literal as ``(path, name, line)``."""
         sites: List[Tuple[str, str, int]] = []
@@ -627,37 +555,8 @@ class ProjectIndex:
         return sites
 
 
-def render_graph_dot(index: ProjectIndex) -> str:
-    """Both graphs as DOT (two digraphs in one document)."""
-    lines = ["digraph imports {"]
-    for module, targets in index.import_graph().items():
-        if not targets:
-            lines.append(f'  "{module}";')
-        for target in targets:
-            lines.append(f'  "{module}" -> "{target}";')
-    lines.append("}")
-    lines.append("digraph calls {")
-    for source, targets in index.call_graph().items():
-        for target in targets:
-            lines.append(f'  "{source}" -> "{target}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def render_graph_json(index: ProjectIndex) -> str:
-    return json.dumps(
-        {
-            "version": INDEX_CACHE_VERSION,
-            "imports": index.import_graph(),
-            "calls": index.call_graph(),
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
 # -------------------------------------------------------------------- #
-# building & caching
+# building
 # -------------------------------------------------------------------- #
 
 
@@ -669,61 +568,14 @@ def _iter_python_files(root: str) -> Iterator[str]:
                 yield os.path.join(dirpath, name)
 
 
-def _load_cache(path: str) -> Dict[str, Dict[str, object]]:
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return {}
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != INDEX_CACHE_VERSION
-        or not isinstance(payload.get("files"), dict)
-    ):
-        return {}
-    return payload["files"]
-
-
-def _save_cache(path: str, files: Dict[str, Dict[str, object]]) -> None:
-    payload = {"version": INDEX_CACHE_VERSION, "files": files}
-    staging = f"{path}.tmp.{os.getpid()}"
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    try:
-        with open(staging, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
-        os.replace(staging, path)
-    except OSError:
-        # a read-only checkout must not fail the lint run; the cache is
-        # purely an acceleration
-        try:
-            os.remove(staging)
-        except OSError:
-            pass
-
-
 def build_index(
     roots: Sequence[str] = INDEX_ROOTS,
     relative_to: Optional[str] = None,
-    cache_path: Optional[str] = DEFAULT_CACHE_PATH,
     package_root: str = "src",
-) -> Tuple[ProjectIndex, Dict[str, object]]:
-    """Build (or incrementally refresh) the project index.
-
-    Returns ``(index, stats)`` where stats records file counts, cache
-    reuse, and wall-clock — surfaced by ``--stats`` and the CI timing
-    gate.  ``cache_path=None`` disables caching entirely.
-    """
-    started = time.perf_counter()
+) -> ProjectIndex:
+    """Summarize every Python file under ``roots`` into a project index."""
     relative_to = relative_to or os.getcwd()
-    cached: Dict[str, Dict[str, object]] = {}
-    if cache_path is not None:
-        cached = _load_cache(cache_path)
     summaries: Dict[str, Dict[str, object]] = {}
-    fresh_cache: Dict[str, Dict[str, object]] = {}
-    n_parsed = 0
-    n_reused = 0
     for root in roots:
         root_abs = os.path.join(relative_to, root)
         if not os.path.isdir(root_abs):
@@ -737,31 +589,11 @@ def build_index(
             report_path = os.path.relpath(path, relative_to).replace(os.sep, "/")
             try:
                 with open(path, "rb") as stream:
-                    raw = stream.read()
+                    source = stream.read().decode("utf-8", errors="replace")
             except OSError:
                 continue
-            digest = hashlib.sha256(raw).hexdigest()
-            entry = cached.get(report_path)
-            if entry is not None and entry.get("sha256") == digest:
-                summary = entry["summary"]
-                n_reused += 1
-            else:
-                source = raw.decode("utf-8", errors="replace")
-                module = module_name_for(path, anchor)
-                if not module:
-                    module = report_path[: -len(".py")].replace("/", ".")
-                summary = summarize_module(source, report_path, module)
-                n_parsed += 1
-            summaries[report_path] = summary  # type: ignore[assignment]
-            fresh_cache[report_path] = {"sha256": digest, "summary": summary}
-    if cache_path is not None:
-        _save_cache(cache_path, fresh_cache)
-    elapsed = time.perf_counter() - started
-    stats: Dict[str, object] = {
-        "files": len(summaries),
-        "parsed": n_parsed,
-        "reused": n_reused,
-        "build_seconds": round(elapsed, 6),
-        "cold": n_reused == 0,
-    }
-    return ProjectIndex(summaries), stats
+            module = module_name_for(path, anchor)
+            if not module:
+                module = report_path[: -len(".py")].replace("/", ".")
+            summaries[report_path] = summarize_module(source, report_path, module)
+    return ProjectIndex(summaries)

@@ -31,8 +31,8 @@ phase 1 — never on raw source — so they see across file boundaries:
   parent span tree.  Worker-side telemetry goes through the worker
   context API (the one module allowlisted here).
 
-Each finding carries a ``trace`` — the hop-by-hop flow path — rendered
-by ``python -m tools.lint --explain SEGxxx``.
+Each finding carries a ``trace`` — the hop-by-hop flow path — printed
+indented under the finding.
 """
 
 from __future__ import annotations
@@ -117,35 +117,12 @@ AMBIENT_GETTERS = frozenset(
 WORKER_TELEMETRY_MODULES = frozenset({"repro.obs.workerctx"})
 
 
-class _SnippetCache:
-    """Lazy source-line lookup for finding snippets (findings are rare;
-    summaries deliberately do not retain source text)."""
-
-    def __init__(self) -> None:
-        self._lines: Dict[str, List[str]] = {}
-
-    def line(self, path: str, lineno: int) -> str:
-        if path not in self._lines:
-            try:
-                with open(path, "r", encoding="utf-8", errors="replace") as stream:
-                    self._lines[path] = stream.read().splitlines()
-            except OSError:
-                self._lines[path] = []
-        lines = self._lines[path]
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].strip()
-        return ""
-
-
 class ProjectRule:
     """Base class for whole-program rules (phase 2)."""
 
     rule_id: str = ""
     name: str = ""
     rationale: str = ""
-
-    def __init__(self) -> None:
-        self._snippets = _SnippetCache()
 
     def run(self, index: ProjectIndex) -> Iterator[Finding]:
         raise NotImplementedError
@@ -164,7 +141,6 @@ class ProjectRule:
             col=1,
             rule=self.rule_id,
             message=message,
-            snippet=self._snippets.line(path, int(lineno)),
             severity=severity,
             trace=tuple(trace),
         )
@@ -245,8 +221,6 @@ class DeterminismTaintRule(ProjectRule):
                     if verdict.ok:
                         continue
                     lineno = int(call["lineno"])
-                    if index.is_suppressed(str(summary["path"]), lineno, self.rule_id):
-                        continue
                     yield self.finding(
                         str(summary["path"]),
                         lineno,
@@ -586,8 +560,6 @@ class PoolCallableRule(ProjectRule):
                     for problem in self._check_callable(
                         index, module, info, submitted, trace, set(), 0
                     ):
-                        if index.is_suppressed(path, lineno, self.rule_id):
-                            continue
                         yield self.finding(
                             path, lineno, problem, trace=trace
                         )
@@ -798,8 +770,6 @@ class ManifestContractRule(ProjectRule):
             if key in produced:
                 continue
             path, lineno = consumed[key]
-            if index.is_suppressed(path, lineno, self.rule_id):
-                continue
             yield self.finding(
                 path,
                 lineno,
@@ -817,8 +787,6 @@ class ManifestContractRule(ProjectRule):
             if key in MANIFEST_ARCHIVAL_KEYS:
                 continue
             path, lineno = produced[key]
-            if index.is_suppressed(path, lineno, self.rule_id):
-                continue
             yield self.finding(
                 path,
                 lineno,
@@ -875,8 +843,6 @@ class SpanRegistryRule(ProjectRule):
             used.add(name)
             if name in names:
                 continue
-            if index.is_suppressed(path, lineno, self.rule_id):
-                continue
             yield self.finding(
                 path,
                 lineno,
@@ -890,8 +856,6 @@ class SpanRegistryRule(ProjectRule):
             )
         for name in sorted(names - used):
             lineno = self._registry_line(registry_path, name)
-            if index.is_suppressed(registry_path, lineno, self.rule_id):
-                continue
             yield self.finding(
                 registry_path,
                 lineno,
@@ -1026,8 +990,6 @@ class WorkerTelemetryRule(ProjectRule):
                     if key in reported:
                         continue
                     reported.add(key)
-                    if index.is_suppressed(path, lineno, self.rule_id):
-                        continue
                     yield self.finding(
                         path,
                         lineno,
@@ -1070,15 +1032,10 @@ def build_project_rules() -> Tuple[ProjectRule, ...]:
 PROJECT_RULE_IDS = tuple(r.rule_id for r in build_project_rules())
 
 
-def run_project_rules(
-    index: ProjectIndex,
-    select: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Run all (or ``select``-ed) phase-2 rules over the index."""
+def run_project_rules(index: ProjectIndex) -> List[Finding]:
+    """Run every phase-2 rule over the index."""
     findings: List[Finding] = []
     for rule in build_project_rules():
-        if select is not None and rule.rule_id not in select:
-            continue
         findings.extend(rule.run(index))
     findings.sort(key=Finding.sort_key)
     return findings

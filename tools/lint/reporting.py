@@ -1,80 +1,44 @@
-"""Output formats for segugio-lint: human, JSON, GitHub annotations.
+"""Output formats for segugio-lint: human and GitHub annotations.
 
 Severity shapes the output: ``error`` findings keep the classic
 ``path:line:col: RULE message`` shape (and ``::error`` annotations),
 ``warning`` findings are marked as such (and ``::warning`` annotations)
-so CI surfaces them without failing the job.
+so CI surfaces them without failing the job.  The human format prints a
+whole-program finding's flow path (``Finding.trace``) indented under it.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from tools.lint.baseline import BaselineEntry
 from tools.lint.engine import Finding
 
-FORMATS = ("human", "json", "github")
+FORMATS = ("human", "github")
 
 
-def _severity_counts(findings: Sequence[Finding]) -> Dict[str, int]:
-    counts = {"error": 0, "warning": 0}
-    for finding in findings:
-        counts[finding.severity] = counts.get(finding.severity, 0) + 1
-    return counts
-
-
-def render_human(
-    findings: Sequence[Finding],
-    stale: Sequence[BaselineEntry],
-    files_scanned: int,
-    stats: Optional[Dict[str, object]] = None,
-) -> str:
+def render_human(findings: Sequence[Finding], files_scanned: int) -> str:
     lines: List[str] = []
+    n_warnings = 0
     for finding in findings:
         marker = "" if finding.severity == "error" else f"{finding.severity}: "
+        n_warnings += finding.severity == "warning"
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col}: "
             f"{finding.rule} {marker}{finding.message}"
         )
-    for entry in stale:
-        lines.append(
-            f"baseline: stale entry {entry.rule} for {entry.path} "
-            f"({entry.snippet!r}) matches nothing — remove it"
-        )
-    if findings or stale:
-        counts = _severity_counts(findings)
-        breakdown = (
-            f" ({counts['error']} error(s), {counts['warning']} warning(s))"
-            if counts["warning"]
-            else ""
-        )
-        lines.append(
-            f"segugio-lint: {len(findings)} finding(s){breakdown}, "
-            f"{len(stale)} stale "
-            f"baseline entr{'y' if len(stale) == 1 else 'ies'} "
-            f"across {files_scanned} file(s)"
-        )
-    else:
-        lines.append(f"segugio-lint: OK ({files_scanned} files clean)")
+        lines.extend(f"    {hop}" for hop in finding.trace)
+    if not findings:
+        return f"segugio-lint: OK ({files_scanned} files clean)"
+    breakdown = (
+        f" ({len(findings) - n_warnings} error(s), {n_warnings} warning(s))"
+        if n_warnings
+        else ""
+    )
+    lines.append(
+        f"segugio-lint: {len(findings)} finding(s){breakdown} "
+        f"across {files_scanned} file(s)"
+    )
     return "\n".join(lines)
-
-
-def render_json(
-    findings: Sequence[Finding],
-    stale: Sequence[BaselineEntry],
-    files_scanned: int,
-    stats: Optional[Dict[str, object]] = None,
-) -> str:
-    payload = {
-        "version": 1,
-        "files_scanned": files_scanned,
-        "findings": [finding.to_dict() for finding in findings],
-        "stale_baseline": [entry.to_dict() for entry in stale],
-    }
-    if stats is not None:
-        payload["stats"] = stats
-    return json.dumps(payload, indent=2)
 
 
 def _escape_annotation(text: str) -> str:
@@ -82,12 +46,7 @@ def _escape_annotation(text: str) -> str:
     return text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
 
 
-def render_github(
-    findings: Sequence[Finding],
-    stale: Sequence[BaselineEntry],
-    files_scanned: int,
-    stats: Optional[Dict[str, object]] = None,
-) -> str:
+def render_github(findings: Sequence[Finding], files_scanned: int) -> str:
     lines: List[str] = []
     for finding in findings:
         command = "error" if finding.severity == "error" else "warning"
@@ -96,54 +55,16 @@ def render_github(
             f"col={finding.col},title={finding.rule}::"
             + _escape_annotation(finding.message)
         )
-    for entry in stale:
-        lines.append(
-            f"::error file={entry.path},title=stale-baseline::"
-            + _escape_annotation(
-                f"stale baseline entry {entry.rule} ({entry.snippet!r}) "
-                "matches nothing — remove it from tools/lint/baseline.json"
-            )
-        )
     lines.append(
-        f"segugio-lint: {len(findings)} finding(s), {len(stale)} stale, "
+        f"segugio-lint: {len(findings)} finding(s), "
         f"{files_scanned} file(s) scanned"
     )
     return "\n".join(lines)
 
 
-def render_explain(findings: Sequence[Finding], rule: str) -> str:
-    """The ``--explain SEGxxx`` view: each finding with its flow path."""
-    matched = [f for f in findings if f.rule == rule]
-    if not matched:
-        return f"segugio-lint: no {rule} findings to explain"
-    lines: List[str] = []
-    for finding in matched:
-        lines.append(
-            f"{finding.path}:{finding.line}:{finding.col}: "
-            f"{finding.rule} [{finding.severity}] {finding.message}"
-        )
-        if finding.trace:
-            lines.append("  flow path:")
-            for hop in finding.trace:
-                lines.append(f"    {hop}")
-        else:
-            lines.append("  (no interprocedural flow recorded)")
-        lines.append("")
-    lines.append(f"{len(matched)} {rule} finding(s) explained")
-    return "\n".join(lines)
-
-
-def render(
-    fmt: str,
-    findings: Sequence[Finding],
-    stale: Sequence[BaselineEntry],
-    files_scanned: int,
-    stats: Optional[Dict[str, object]] = None,
-) -> str:
+def render(fmt: str, findings: Sequence[Finding], files_scanned: int) -> str:
     if fmt == "human":
-        return render_human(findings, stale, files_scanned, stats)
-    if fmt == "json":
-        return render_json(findings, stale, files_scanned, stats)
+        return render_human(findings, files_scanned)
     if fmt == "github":
-        return render_github(findings, stale, files_scanned, stats)
+        return render_github(findings, files_scanned)
     raise ValueError(f"unknown format {fmt!r} (expected one of {FORMATS})")

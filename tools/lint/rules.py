@@ -540,16 +540,15 @@ class AnnotationRule(Rule):
 class WhitespaceRule(Rule):
     """SEG008 — no tab indentation or trailing whitespace (raw-line rule).
 
-    Keeps diffs reviewable and baseline snippets stable: baseline matching
-    keys on stripped source lines, and invisible whitespace churn would
-    expire entries for no semantic change.
+    Keeps diffs reviewable: invisible whitespace churn shows up as changed
+    lines with no semantic change.
     """
 
     rule_id = "SEG008"
     name = "whitespace"
     rationale = (
-        "tab indents and trailing whitespace churn diffs and destabilize "
-        "baseline snippet matching"
+        "tab indents and trailing whitespace churn diffs with changes "
+        "nobody can see"
     )
     wants_lines = True
 
@@ -605,7 +604,7 @@ class AnnotationNameRule(Rule):
         Deliberately over-approximates (function-local bindings count):
         postponed evaluation means an annotation may legally reference a
         name bound later, and a false "undefined" on a real name would
-        train people to suppress the rule.
+        train people to distrust the rule.
         """
         bound: Set[str] = set()
         star = False
