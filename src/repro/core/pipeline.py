@@ -47,10 +47,10 @@ from repro.core.labeling import (
 from repro.core.pruning import (
     RULE_ABSENT,
     RULE_KEPT,
+    RULE_NAMES,
     PruneConfig,
     PruneResult,
     prune_graph,
-    rule_name,
 )
 from repro.core.training import TrainingSet, build_training_set
 from repro.dns.activity import ActivityIndex
@@ -62,10 +62,8 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.obs.logs import get_logger
 from repro.obs.provenance import (
-    VERDICT_LABELED,
-    VERDICT_PRUNED,
-    VERDICT_SCORED,
     VOTE_BINS,
+    DecisionBlock,
     current_decision_log,
 )
 from repro.obs.resources import (
@@ -82,6 +80,11 @@ from repro.utils.arrays import sorted_unique
 DEFAULT_PDNS_WINDOW_DAYS = 150  # ~ the paper's five months
 
 _log = get_logger("pipeline")
+
+#: the decision ledger's words for a pruning-rule code (None: kept) and a
+#: known label code; an unknown domain is sourced by the hidden mask
+_LEDGER_RULES = {int(RULE_KEPT): None, **RULE_NAMES}
+_LEDGER_LABELS = {MALWARE: ("malware", "blacklist"), BENIGN: ("benign", "whitelist")}
 
 
 def context_degradations(
@@ -561,7 +564,8 @@ class Segugio:
         X_full: np.ndarray,
         X_selected: np.ndarray,
     ) -> None:
-        """Record one decision-provenance record per domain in the day's graph.
+        """Hand the decision log one column block: a record per domain in
+        the day's graph, written when the log flushes.
 
         No-op unless a :class:`repro.obs.provenance.DecisionLog` is active
         (i.e. the run asked for ``--telemetry-dir``).  Thresholds are
@@ -570,79 +574,43 @@ class Segugio:
         log = current_decision_log()
         if not log.enabled:
             return
-        graph, labels, prune = prepared.graph, prepared.labels, prepared.prune
-        hidden = set(prepared.hidden.tolist())
-        present = np.flatnonzero(prune.domain_rule != RULE_ABSENT)
-        # one bulk conversion per array: the loop below touches only
-        # Python scalars, never a numpy element at a time
-        codes = prune.domain_rule[present].tolist()
-        label_values = labels.domain_labels[present].tolist()
-        names = graph.domains.names(present.tolist())
-        score_index = {d: i for i, d in enumerate(unknown_ids.tolist())}
-        features = np.asarray(X_full, dtype=float).tolist()
-        score_values = np.asarray(scores, dtype=float).tolist()
-        kept_code = int(RULE_KEPT)
-        pruning_of = {  # the log copies it into each record
-            code: {"kept": code == kept_code, "removed_by": rule_name(code)}
-            for code in set(codes)
-        }
-        histograms = margins = None
-        if unknown_ids.size and hasattr(self.classifier_, "tree_vote_histogram"):
-            histogram, margin = self.classifier_.tree_vote_histogram(
-                X_selected, n_bins=VOTE_BINS
-            )
-            histograms = np.asarray(histogram, dtype=np.int64).tolist()
-            margins = np.asarray(margin, dtype=float).tolist()
-            n_trees = len(self.classifier_.trees_)
+        present = np.flatnonzero(prepared.prune.domain_rule != RULE_ABSENT)
         with current_tracer().span(
             "segugio_decisions_emit", n_domains=int(present.size)
         ):
-            for domain_id, name, code, label_value in zip(
-                present.tolist(), names, codes, label_values
+            # every scored domain is kept, so it is present
+            score_rows = np.full(present.size, -1, dtype=np.int64)
+            score_rows[np.searchsorted(present, unknown_ids)] = np.arange(
+                unknown_ids.size
+            )
+            histograms = margins = None
+            n_trees = 0
+            if unknown_ids.size and hasattr(
+                self.classifier_, "tree_vote_histogram"
             ):
-                if label_value == MALWARE:
-                    label, source = "malware", "blacklist"
-                elif label_value == BENIGN:
-                    label, source = "benign", "whitelist"
-                elif domain_id in hidden:
-                    label, source = "unknown", "hidden_for_evaluation"
-                else:
-                    label, source = "unknown", "none"
-                row = score_index.get(domain_id)
-                if row is not None:
-                    votes = None
-                    if histograms is not None:
-                        votes = {
-                            "n_trees": n_trees,
-                            "bins": VOTE_BINS,
-                            "histogram": histograms[row],
-                            "margin": margins[row],
-                        }
-                    log.record(
-                        day=prepared.day,
-                        domain=name,
-                        verdict=VERDICT_SCORED,
-                        label=label,
-                        label_source=source,
-                        pruning=pruning_of[code],
-                        features=dict(zip(FEATURE_NAMES, features[row])),
-                        votes=votes,
-                        score=score_values[row],
-                    )
-                else:
-                    verdict = (
-                        VERDICT_LABELED
-                        if code == kept_code
-                        else VERDICT_PRUNED
-                    )
-                    log.record(
-                        day=prepared.day,
-                        domain=name,
-                        verdict=verdict,
-                        label=label,
-                        label_source=source,
-                        pruning=pruning_of[code],
-                    )
+                histograms, margins = self.classifier_.tree_vote_histogram(
+                    X_selected, n_bins=VOTE_BINS
+                )
+                n_trees = len(self.classifier_.trees_)
+            log.add_block(
+                DecisionBlock(
+                    day=prepared.day,
+                    domain_ids=present,
+                    names=prepared.graph.domains.names(present.tolist()),
+                    rules=prepared.prune.domain_rule[present],
+                    labels=prepared.labels.domain_labels[present],
+                    hidden=np.isin(present, prepared.hidden),
+                    score_rows=score_rows,
+                    features=X_full,
+                    scores=scores,
+                    feature_names=FEATURE_NAMES,
+                    rule_names=_LEDGER_RULES,
+                    label_names=_LEDGER_LABELS,
+                    histograms=histograms,
+                    margins=margins,
+                    n_trees=n_trees,
+                )
+            )
 
     # ------------------------------------------------------------------ #
     # convenience

@@ -113,9 +113,10 @@ TRAIN_PHASES = (
     "train_classifier",
 )
 TEST_PHASES = ("measure_test_features", "score_domains")
-#: writing the day's decision records (``--telemetry-dir`` runs only): an
-#: operator's cost of the day, but neither learning nor classification
-LEDGER_PHASES = ("segugio_decisions_emit",)
+#: the day's decision records (``--telemetry-dir`` runs only), handed to the
+#: log and then written: an operator's cost of the day, but neither
+#: learning nor classification
+LEDGER_PHASES = ("segugio_decisions_emit", "segugio_decisions_flush")
 
 
 class TelemetryError(ValueError):

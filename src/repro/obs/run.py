@@ -106,6 +106,13 @@ class RunTelemetry:
         with _logs.bound(day=int(day)):
             with self.tracer.span("segugio_run_day", day=int(day)):
                 yield record
+                # A finalized day's decision records are immutable; when
+                # the log streams, append them to disk now instead of
+                # holding every domain's record for the whole campaign.
+                # Not in a ``finally``: a day that raised must not flush
+                # the records of its failed attempt.
+                with self.tracer.span("segugio_decisions_flush"):
+                    self.decisions.flush_pending()
         runtime_events = self.events.since(events_mark)
         if runtime_events:
             record["runtime_events"] = runtime_events
@@ -120,10 +127,6 @@ class RunTelemetry:
         if resources_delta is not None:
             record["resources"] = resources_delta
         self.days.append(record)
-        # A finalized day's decision records are immutable; when the log
-        # streams, append them to disk now instead of holding every
-        # domain's record in memory for the whole campaign.
-        self.decisions.flush_pending()
 
     # ------------------------------------------------------------------ #
     # accumulation

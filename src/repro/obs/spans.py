@@ -46,6 +46,7 @@ SPAN_NAMES = frozenset(
         "segugio_forest_predict",
         # decision provenance
         "segugio_decisions_emit",
+        "segugio_decisions_flush",
         # evaluation harness
         "segugio_experiment_select_split",
         "segugio_experiment_fit",

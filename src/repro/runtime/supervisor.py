@@ -528,7 +528,7 @@ def supervised_process_day(
     decisions = (
         telemetry.decisions if telemetry is not None else current_decision_log()
     )
-    decisions_mark = len(decisions.records)
+    decisions_mark = decisions.mark()
     for attempt, delay in enumerate(delays):
         try:
             return tracker.process_day(context)
@@ -537,7 +537,7 @@ def supervised_process_day(
                 raise
             # discard any decision records the failed attempt emitted, so
             # the retried day's decisions.jsonl stays bit-identical
-            del decisions.records[decisions_mark:]
+            decisions.rollback(decisions_mark)
             events.record(
                 EVENT_DAY_RETRY,
                 day=int(context.day),

@@ -6,15 +6,23 @@ pin the exact record shape — the golden key set must only change together
 with a DECISION_SCHEMA_VERSION bump.
 """
 
+import io
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import FEATURE_NAMES
-from repro.core.pipeline import Segugio
-from repro.core.pruning import RULE_NAMES
+from repro.core.labeling import BENIGN, MALWARE, UNKNOWN
+from repro.core.pipeline import _LEDGER_LABELS, _LEDGER_RULES, Segugio
+from repro.core.pruning import RULE_KEPT, RULE_NAMES
+from repro.obs import provenance
 from repro.obs.provenance import (
     DECISION_SCHEMA_VERSION,
+    DecisionBlock,
     DecisionLog,
     ProvenanceError,
     VERDICT_LABELED,
@@ -99,9 +107,9 @@ class TestGoldenSchema:
     def test_scored_payload_equals_a_value_at_a_time_conversion(
         self, decision_run
     ):
-        """``_emit_decisions`` converts each array with one ``tolist()``; the
-        per-value ``float()``/``int()`` it replaced is the oracle, and the
-        serialized lines must agree byte for byte."""
+        """The writer renders each column in bulk; a per-value
+        ``float()``/``int()`` conversion is the oracle, and the serialized
+        lines must agree byte for byte."""
         log, model, report = decision_run
         histogram, margin = model.classifier_.tree_vote_histogram(
             report.features[:, model.config.columns()], n_bins=VOTE_BINS
@@ -154,18 +162,30 @@ class TestGoldenSchema:
         assert list(json.loads(first)) == sorted(GOLDEN_KEYS)
 
 
+def one_domain_block(day, name="a.example", score=0.5):
+    """A day with one scored domain and no vote histogram."""
+    return DecisionBlock(
+        day=day,
+        domain_ids=np.array([0]),
+        names=[name],
+        rules=np.array([0], dtype=np.int8),
+        labels=np.array([0], dtype=np.int8),
+        hidden=np.array([False]),
+        score_rows=np.array([0]),
+        features=np.zeros((1, len(FEATURE_NAMES))),
+        scores=np.array([score]),
+        feature_names=FEATURE_NAMES,
+        rule_names=_LEDGER_RULES,
+        label_names=_LEDGER_LABELS,
+    )
+
+
 class TestDecisionLogUnit:
     def test_disabled_log_records_nothing(self):
         log = DecisionLog(enabled=False)
-        log.record(1, "x.example", VERDICT_SCORED, "unknown", "none", {"kept": True})
+        log.add_block(one_domain_block(1))
         assert len(log) == 0
         assert log.finalize_day(1, 0.5) == 0
-
-    def test_unknown_verdict_rejected(self):
-        with pytest.raises(ProvenanceError, match="verdict"):
-            DecisionLog().record(
-                1, "x.example", "guessed", "unknown", "none", {"kept": True}
-            )
 
     def test_ambient_default_is_disabled(self):
         assert not current_decision_log().enabled
@@ -178,18 +198,216 @@ class TestDecisionLogUnit:
 
     def test_finalize_only_touches_the_given_day(self):
         log = DecisionLog()
-        log.record(
-            1, "a.example", VERDICT_SCORED, "unknown", "none",
-            {"kept": True}, score=0.9,
-        )
-        log.record(
-            2, "a.example", VERDICT_SCORED, "unknown", "none",
-            {"kept": True}, score=0.2,
-        )
+        log.add_block(one_domain_block(1, score=0.9))
+        log.add_block(one_domain_block(2, score=0.2))
         assert log.finalize_day(2, 0.5) == 1
         day1, day2 = log.records
         assert day1["threshold"] is None and day1["detected"] is None
         assert day2["threshold"] == 0.5 and day2["detected"] is False
+
+    def test_rollback_drops_the_blocks_added_since_the_mark(self):
+        log = DecisionLog()
+        log.add_block(one_domain_block(1, name="kept.example"))
+        mark = log.mark()
+        log.add_block(one_domain_block(2, name="failed.example"))
+        log.rollback(mark)
+        assert [r["domain"] for r in log.records] == ["kept.example"]
+        assert len(log) == 1
+
+
+def oracle_lines(block):
+    """The block's lines the way the per-record writer made them: one
+    dict per domain, ``json.dumps(record, sort_keys=True, default=str)``."""
+    lines = []
+    for i, (name, rule, label) in enumerate(
+        zip(block.names, block.rules.tolist(), block.labels.tolist())
+    ):
+        if label == MALWARE:
+            label, source = "malware", "blacklist"
+        elif label == BENIGN:
+            label, source = "benign", "whitelist"
+        elif block.hidden[i]:
+            label, source = "unknown", "hidden_for_evaluation"
+        else:
+            label, source = "unknown", "none"
+        kept = rule == int(RULE_KEPT)
+        record = {
+            "schema": DECISION_SCHEMA_VERSION,
+            "day": int(block.day),
+            "domain": str(name),
+            "verdict": VERDICT_LABELED if kept else VERDICT_PRUNED,
+            "label": label,
+            "label_source": source,
+            "pruning": {"kept": kept, "removed_by": RULE_NAMES.get(rule)},
+            "features": None,
+            "votes": None,
+            "score": None,
+            "threshold": None,
+            "detected": None,
+        }
+        row = int(block.score_rows[i])
+        if row >= 0:
+            score = float(block.scores[row])
+            record.update(
+                verdict=VERDICT_SCORED,
+                features={
+                    feature: float(value)
+                    for feature, value in zip(FEATURE_NAMES, block.features[row])
+                },
+                score=score,
+            )
+            if block.histograms is not None:
+                record["votes"] = {
+                    "n_trees": block.n_trees,
+                    "bins": VOTE_BINS,
+                    "histogram": [int(v) for v in block.histograms[row]],
+                    "margin": float(block.margins[row]),
+                }
+            if block.threshold is not None:
+                record["threshold"] = float(block.threshold)
+                record["detected"] = bool(score >= float(block.threshold))
+        lines.append(json.dumps(record, sort_keys=True, default=str) + "\n")
+    return lines
+
+
+def written_lines(block, finalize):
+    log = DecisionLog()
+    log.add_block(block)
+    if finalize is not None:
+        log.finalize_day(block.day, finalize)
+    stream = io.StringIO()
+    assert log.write_jsonl(stream) == len(block)
+    return stream.getvalue().splitlines(keepends=True)
+
+
+#: rows every generated day holds: each verdict, each label source, each
+#: rule, a hidden domain, names JSON must escape, and two scored rows (one
+#: with NaN and infinite features)
+#: (name, rule code, label code, hidden, scored)
+COVERING_ROWS = [
+    ('quote"d.example', 0, UNKNOWN, False, True),
+    ("back\\slash.example", 0, UNKNOWN, True, True),
+    ("ctrl\x00\x1f\n\t.example", 0, MALWARE, False, False),
+    ("b\u00fccher.example", 0, BENIGN, False, False),
+    ("\u043f\u0440\u0438\u043c\u0435\u0440.\U0001f600", 0, UNKNOWN, True, False),
+] + [
+    (f"{name}-{i}.example", code, label, False, False)
+    for i, (code, name) in enumerate(sorted(RULE_NAMES.items()))
+    for label in (UNKNOWN, MALWARE)
+]
+
+feature_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-310, 0.1, 1.0 / 3.0, 1e300]),
+)
+
+
+@st.composite
+def day_blocks(draw):
+    extra = draw(
+        st.lists(
+            st.tuples(
+                st.text(max_size=12),
+                st.sampled_from(sorted(_LEDGER_RULES)),
+                st.sampled_from([UNKNOWN, BENIGN, MALWARE]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            max_size=20,
+        )
+    )
+    rows = draw(st.permutations(COVERING_ROWS + extra))
+    n_scored = sum(1 for row in rows if row[4])
+    n_features = len(FEATURE_NAMES)
+    features = np.array(
+        draw(st.lists(feature_value, min_size=n_scored * n_features,
+                      max_size=n_scored * n_features)),
+        dtype=float,
+    ).reshape(n_scored, n_features)
+    # always: a row with NaN and infinities, and -0.0 beside 0.0
+    features[0, :4] = (np.nan, np.inf, -np.inf, -0.0)
+    features[1, 3] = 0.0
+    score_rows = np.full(len(rows), -1)
+    scored_at = [i for i, row in enumerate(rows) if row[4]]
+    score_rows[scored_at] = draw(st.permutations(range(n_scored)))
+    with_votes = draw(st.booleans())
+    return DecisionBlock(
+        day=draw(st.integers(0, 400)),
+        domain_ids=np.arange(len(rows)),
+        names=[row[0] for row in rows],
+        rules=np.array([row[1] for row in rows], dtype=np.int8),
+        labels=np.array([row[2] for row in rows], dtype=np.int8),
+        hidden=np.array([row[3] for row in rows]),
+        score_rows=score_rows,
+        features=features,
+        scores=np.array(
+            draw(st.lists(feature_value, min_size=n_scored, max_size=n_scored))
+        ),
+        feature_names=FEATURE_NAMES,
+        rule_names=_LEDGER_RULES,
+        label_names=_LEDGER_LABELS,
+        histograms=(
+            np.array(
+                draw(st.lists(st.integers(0, 500), min_size=n_scored * VOTE_BINS,
+                              max_size=n_scored * VOTE_BINS)),
+                dtype=np.int64,
+            ).reshape(n_scored, VOTE_BINS)
+            if with_votes
+            else None
+        ),
+        margins=(
+            np.array(
+                draw(st.lists(feature_value, min_size=n_scored, max_size=n_scored))
+            )
+            if with_votes
+            else None
+        ),
+        n_trees=draw(st.integers(1, 500)) if with_votes else 0,
+    )
+
+
+class TestByteIdentityOracle:
+    """The column writer against the per-record ``json.dumps`` it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=day_blocks(),
+        threshold=st.one_of(st.none(), feature_value),
+        chunk_rows=st.sampled_from([1, 3, 1 << 16]),
+    )
+    def test_lines_equal_json_dumps_of_each_record(
+        self, block, threshold, chunk_rows
+    ):
+        with mock.patch.object(provenance, "_CHUNK_ROWS", chunk_rows):
+            written = written_lines(block, threshold)
+        expected = oracle_lines(
+            block if threshold is None
+            else DecisionBlock(**{**vars(block), "threshold": float(threshold)})
+        )
+        assert len(written) == len(expected) == len(block)
+        for line, oracle in zip(written, expected):
+            assert line == oracle
+
+    @settings(max_examples=5, deadline=None)
+    @given(block=day_blocks())
+    def test_every_verdict_source_and_rule_is_written(self, block):
+        records = [json.loads(line) for line in written_lines(block, None)]
+        assert {r["verdict"] for r in records} == {
+            VERDICT_SCORED, VERDICT_PRUNED, VERDICT_LABELED
+        }
+        assert {r["label_source"] for r in records} == {
+            "blacklist", "whitelist", "hidden_for_evaluation", "none"
+        }
+        assert {r["pruning"]["removed_by"] for r in records} == (
+            set(RULE_NAMES.values()) | {None}
+        )
+        # a day flushed without finalize_day writes null threshold/detected
+        assert all(
+            r["threshold"] is None and r["detected"] is None for r in records
+        )
+        assert any(
+            r["features"] and "NaN" in json.dumps(r["features"]) for r in records
+        )
 
 
 class TestLoadValidation:

@@ -260,21 +260,40 @@ class TestStreamedDecisionsByteIdentity:
         assert plan.fired  # the fault must actually have fired
         assert retried == clean
 
+    def test_a_failed_attempt_after_classify_is_neither_kept_nor_flushed(
+        self, tmp_path, monkeypatch
+    ):
+        """A transient error after classify emitted the day's block: the
+        retry drops that block (``DecisionLog.rollback``), and the failed
+        attempt never reached the flush."""
+        contexts = day_contexts(n_days=2)
+        clean = self.run_tracked(
+            str(tmp_path / "clean"), stream=True, contexts=contexts
+        )
+        check_quality = DomainTracker._check_quality
+        failures = []
+
+        def fail_once(tracker, *args, **kwargs):
+            if not failures:
+                failures.append(True)
+                raise OSError("transient, after classify")
+            return check_quality(tracker, *args, **kwargs)
+
+        monkeypatch.setattr(DomainTracker, "_check_quality", fail_once)
+        retried = self.run_tracked(
+            str(tmp_path / "retried"), stream=True, contexts=contexts
+        )
+        assert failures  # the error must actually have been raised
+        assert retried == clean
+
     def test_finalize_stream_is_idempotent(self, tmp_path):
         from repro.obs.provenance import DecisionLog
+        from tests.test_obs_provenance import one_domain_block
 
         log = DecisionLog(enabled=True)
         path = str(tmp_path / "decisions.jsonl")
         log.stream_to(path)
-        log.record(
-            day=1,
-            domain="a.example",
-            verdict="scored",
-            label="unknown",
-            label_source="none",
-            pruning={},
-            score=0.5,
-        )
+        log.add_block(one_domain_block(1, score=0.5))
         log.finalize_day(1, threshold=0.4)
         log.flush_pending()
         assert log.finalize_stream() == path
