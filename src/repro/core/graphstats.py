@@ -5,10 +5,6 @@ distributions (Fig. 3 is one of these), connected-component structure,
 and machine-overlap similarity between domains — the raw quantity behind
 the paper's intuition (2), "machines infected with the same malware family
 tend to query partially overlapping sets of malware-control domains".
-
-The heavier analyses convert to a :mod:`networkx` bipartite graph, so the
-full networkx toolbox is available on the result of
-:func:`to_networkx`.
 """
 
 from __future__ import annotations
@@ -16,11 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.graph import BehaviorGraph
-from repro.core.labeling import LABEL_NAMES, GraphLabels
+from repro.core.labeling import GraphLabels
 
 
 def degree_histogram(
@@ -41,43 +36,37 @@ def degree_histogram(
     return dict(sorted(Counter(int(d) for d in clipped).items()))
 
 
-def to_networkx(
-    graph: BehaviorGraph, labels: Optional[GraphLabels] = None
-) -> nx.Graph:
-    """The behavior graph as a networkx bipartite graph.
-
-    Machine nodes are ``("m", id)``, domain nodes ``("d", id)``; when
-    *labels* is given each node carries a ``label`` attribute
-    (benign/malware/unknown).
-    """
-    g = nx.Graph()
-    for machine_id in graph.machine_ids():
-        attrs = {"bipartite": 0, "name": graph.machines.name(int(machine_id))}
-        if labels is not None:
-            attrs["label"] = LABEL_NAMES[int(labels.machine_labels[machine_id])]
-        g.add_node(("m", int(machine_id)), **attrs)
-    for domain_id in graph.domain_ids():
-        attrs = {"bipartite": 1, "name": graph.domains.name(int(domain_id))}
-        if labels is not None:
-            attrs["label"] = LABEL_NAMES[int(labels.domain_labels[domain_id])]
-        g.add_node(("d", int(domain_id)), **attrs)
-    for machine_id, domain_id in zip(graph.edge_machines, graph.edge_domains):
-        g.add_edge(("m", int(machine_id)), ("d", int(domain_id)))
-    return g
-
-
 def component_summary(graph: BehaviorGraph) -> Dict[str, float]:
-    """Connected-component structure of the (pruned) behavior graph."""
-    g = to_networkx(graph)
-    if g.number_of_nodes() == 0:
+    """Connected-component structure of the (pruned) behavior graph.
+
+    Counts the nodes present in the graph (degree > 0): machines and
+    domains share one id space, domains offset past the machines.
+    """
+    if graph.n_edges == 0:
         return {"n_components": 0, "giant_fraction": 0.0, "n_isolated": 0}
-    components = sorted(
-        (len(c) for c in nx.connected_components(g)), reverse=True
+    # imported here: `import repro.cli` must not load scipy
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_machines = graph.n_machine_ids
+    n_nodes = n_machines + graph.n_domain_ids
+    adjacency = csr_matrix(
+        (
+            np.ones(graph.n_edges, dtype=np.int8),
+            (graph.edge_machines, graph.edge_domains + n_machines),
+        ),
+        shape=(n_nodes, n_nodes),
     )
+    _, component_of = connected_components(adjacency, directed=False)
+    present = np.concatenate(
+        [graph.machine_degrees() > 0, graph.domain_degrees() > 0]
+    )
+    sizes = np.bincount(component_of[present])
+    sizes = sizes[sizes > 0]
     return {
-        "n_components": float(len(components)),
-        "giant_fraction": components[0] / g.number_of_nodes(),
-        "n_isolated": float(sum(1 for size in components if size == 1)),
+        "n_components": float(sizes.size),
+        "giant_fraction": int(sizes.max()) / int(present.sum()),
+        "n_isolated": float(np.count_nonzero(sizes == 1)),
     }
 
 

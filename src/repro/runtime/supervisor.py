@@ -598,4 +598,8 @@ def world_days(
     for offset in range(n_days):
         day = world.eval_day(offset)
         if after is None or day > after:
-            yield world.context(day=day, **context_args)
+            # the span a directory source loads under, so the trace has
+            # no gap between days
+            with current_tracer().span("segugio_ingest_load_observation", day=day):
+                context = world.context(day=day, **context_args)
+            yield context

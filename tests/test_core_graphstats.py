@@ -1,6 +1,5 @@
 """Tests for behavior-graph structural analysis."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -11,7 +10,6 @@ from repro.core.graphstats import (
     domain_overlap,
     intra_family_overlap,
     summarize,
-    to_networkx,
 )
 from repro.core.labeling import label_graph
 from repro.dns.e2ld import E2ldIndex
@@ -59,28 +57,6 @@ class TestDegreeHistogram:
             degree_histogram(build(EDGES), "edge")
 
 
-class TestNetworkx:
-    def test_bipartite_structure(self):
-        graph = build(EDGES)
-        g = to_networkx(graph)
-        assert g.number_of_nodes() == 3 + 3
-        assert g.number_of_edges() == 5
-        machines = {n for n, d in g.nodes(data=True) if d["bipartite"] == 0}
-        assert len(machines) == 3
-        assert nx.is_bipartite(g)
-
-    def test_labels_attached(self):
-        graph = build(EDGES)
-        blacklist = CncBlacklist()
-        blacklist.add("a.com", 0)
-        labels = label_graph(
-            graph, blacklist, DomainWhitelist([]), E2ldIndex(graph.domains)
-        )
-        g = to_networkx(graph, labels)
-        a = ("d", graph.domains.lookup("a.com"))
-        assert g.nodes[a]["label"] == "malware"
-
-
 class TestComponents:
     def test_two_components(self):
         summary = component_summary(build(EDGES))
@@ -93,6 +69,38 @@ class TestComponents:
             DayTrace.build(0, machines, domains, [], [])
         )
         assert component_summary(graph)["n_components"] == 0
+
+    def test_matches_a_breadth_first_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n_m, n_d = rng.integers(1, 30, size=2)
+            n_e = int(rng.integers(1, 40))
+            edges = [
+                (f"m{m}", f"d{d}")
+                for m, d in zip(rng.integers(0, n_m, n_e), rng.integers(0, n_d, n_e))
+            ]
+            neighbours = {}
+            for m, d in edges:
+                neighbours.setdefault(m, set()).add(d)
+                neighbours.setdefault(d, set()).add(m)
+            sizes, seen = [], set()
+            for start in neighbours:
+                if start in seen:
+                    continue
+                seen.add(start)
+                frontier, size = [start], 0
+                while frontier:
+                    node = frontier.pop()
+                    size += 1
+                    for other in neighbours[node] - seen:
+                        seen.add(other)
+                        frontier.append(other)
+                sizes.append(size)
+            assert component_summary(build(edges)) == {
+                "n_components": len(sizes),
+                "giant_fraction": max(sizes) / len(neighbours),
+                "n_isolated": 0,
+            }
 
 
 class TestOverlap:

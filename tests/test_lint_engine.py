@@ -1,4 +1,4 @@
-"""Engine mechanics: dispatch, line channel, parse errors, module naming."""
+"""Engine mechanics: dispatch, parse errors, module naming."""
 
 import ast
 import textwrap
@@ -23,23 +23,9 @@ class CallCounterRule(Rule):
     def __init__(self):
         self.calls = 0
 
-    def start_module(self, ctx):
-        self.calls = 0
-
     def check_node(self, node, ctx):
         self.calls += 1
         return iter(())
-
-
-class LineRule(Rule):
-    rule_id = "TST002"
-    name = "no-xxx-lines"
-    rationale = "test raw-line channel"
-    wants_lines = True
-
-    def check_line(self, lineno, text, ctx):
-        if "XXX" in text:
-            yield self.finding(ctx, (lineno, text.index("XXX") + 1), "XXX marker")
 
 
 class TestDispatch:
@@ -47,12 +33,6 @@ class TestDispatch:
         rule = CallCounterRule()
         lint("f()\ng(h())\n", rules=[rule])
         assert rule.calls == 3
-
-    def test_line_rule_sees_raw_lines(self):
-        findings = lint("a = 1  # XXX fix\nb = 2\n", rules=[LineRule()])
-        assert [f.line for f in findings] == [1]
-        assert findings[0].rule == "TST002"
-        assert findings[0].col == "a = 1  # XXX fix".index("XXX") + 1
 
     def test_findings_sorted_in_line_order(self):
         findings = lint(

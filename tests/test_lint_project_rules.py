@@ -6,6 +6,8 @@ lambda submitted to the pool, a manifest key read but never written)
 plus a clean twin proving the rule stays quiet on conforming code.
 """
 
+import re
+
 import pytest
 
 from tools.lint.index import build_index
@@ -408,6 +410,60 @@ class TestSEG104SpanRegistry:
         (finding,) = lint(tmp_path, monkeypatch, SpanRegistryRule)
         assert "registry module" in finding.message
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'current_tracer().span("segugio_" + area)',
+            "self._tracer.span(area)",
+            "tracer.span(name=area)",
+        ],
+        ids=["current_tracer", "self_tracer", "name_keyword"],
+    )
+    def test_computed_span_name_is_error(self, tmp_path, monkeypatch, call):
+        self._registry(tmp_path, ["segugio_known_phase"])
+        write(
+            tmp_path,
+            "src/repro/core.py",
+            f"def run(self, tracer, area):\n    with {call}:\n        pass\n",
+        )
+        errors = [
+            f for f in lint(tmp_path, monkeypatch, SpanRegistryRule)
+            if f.severity == "error"
+        ]
+        assert [(f.path, f.line) for f in errors] == [("src/repro/core.py", 2)]
+        assert "string literal" in errors[0].message
+
+    def test_off_convention_literal_is_unregistered(self, tmp_path, monkeypatch):
+        self._registry(tmp_path, ["segugio_known_phase"])
+        write(
+            tmp_path,
+            "src/repro/core.py",
+            "def run():\n    with current_tracer().span('fit'):\n        pass\n",
+        )
+        errors = [
+            f for f in lint(tmp_path, monkeypatch, SpanRegistryRule)
+            if f.severity == "error"
+        ]
+        assert [(f.line, "'fit'" in f.message) for f in errors] == [(2, True)]
+
+    def test_obs_forwards_names_and_other_spans_are_ignored(self, tmp_path, monkeypatch):
+        # Stopwatch.phase hands its caller's name to the tracer; a regex
+        # match's .span(group) is not a tracer call at all
+        self._registry(tmp_path, ["segugio_known_phase"])
+        write(
+            tmp_path,
+            "src/repro/obs/tracing.py",
+            "def phase(name):\n    with current_tracer().span(name):\n        pass\n",
+        )
+        write(
+            tmp_path,
+            "src/repro/core.py",
+            "def run(match, group):\n"
+            "    with current_tracer().span('segugio_known_phase'):\n"
+            "        return match.span(group)\n",
+        )
+        assert lint(tmp_path, monkeypatch, SpanRegistryRule) == []
+
 
 class TestSEG105WorkerTelemetry:
     def _tree(self, tmp_path):
@@ -550,3 +606,11 @@ class TestLiveRepoContracts:
         # every literal in the tree is registered (SEG104 proper), and the
         # registry carries no dead names (the warning channel stays quiet)
         assert names <= SPAN_NAMES
+
+    def test_registered_names_follow_the_convention(self):
+        from repro.obs.spans import SPAN_NAMES
+
+        # the registry is the one place a span name is spelled out, so the
+        # segugio_<area>_<name> convention is checked here, once
+        convention = re.compile(r"^segugio_[a-z0-9]+_[a-z0-9_]+$")
+        assert sorted(n for n in SPAN_NAMES if not convention.match(n)) == []

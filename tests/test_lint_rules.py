@@ -3,13 +3,17 @@
 Each test lints a small snippet as if it lived at a given module path —
 the rules are path-sensitive (layering, exemptions), so the fixtures
 exercise both the violating and the sanctioned placement of the same
-code.
+code.  ``TestBanTable`` walks every row and every name of the call-ban
+table; the per-rule classes pin the cases a name list cannot state
+(docstring mentions, seeded constructors, the row predicates).
 """
 
 import textwrap
 
+import pytest
+
 from tools.lint.engine import Engine
-from tools.lint.rules import build_rules
+from tools.lint.rules import BANS, build_rules
 
 
 def findings_for(source, module="repro.core.fake", path=None):
@@ -198,44 +202,6 @@ class TestSEG005MutableDefault:
         assert rules_hit(src, module="repro.synth.fake") == []
 
 
-class TestSEG006TelemetryNames:
-    def test_flags_computed_span_name(self):
-        src = """
-        from repro.obs.tracing import current_tracer
-        with current_tracer().span("segugio_" + area):
-            pass
-        """
-        assert "SEG006" in rules_hit(src)
-
-    def test_flags_off_convention_span(self):
-        src = """
-        from repro.obs.tracing import current_tracer
-        with current_tracer().span("fit"):
-            pass
-        """
-        assert "SEG006" in rules_hit(src)
-
-    def test_allows_conventional_span(self):
-        src = """
-        from repro.obs.tracing import current_tracer
-        with current_tracer().span("segugio_tracker_fit"):
-            pass
-        """
-        assert rules_hit(src) == []
-
-    def test_obs_internals_exempt(self):
-        src = """
-        def span(self, name):
-            with self.tracer.span(name):
-                pass
-        """
-        assert rules_hit(src, module="repro.obs.tracing") == []
-
-    def test_unrelated_histogram_calls_not_matched(self):
-        src = "import numpy as np\ncounts = np.histogram([1.0], bins=3)\n"
-        assert rules_hit(src, module="repro.eval.reporting") == []
-
-
 class TestSEG007Annotations:
     def test_flags_missing_return(self):
         src = "def public(x: int):\n    return x\n"
@@ -285,103 +251,6 @@ class TestSEG007Annotations:
     def test_other_packages_exempt(self):
         src = "def public(x):\n    return x\n"
         assert rules_hit(src, module="repro.synth.naming") == []
-
-
-class TestSEG008Whitespace:
-    def test_flags_tab_indent(self):
-        assert "SEG008" in rules_hit("if True:\n\tx = 1\n")
-
-    def test_flags_trailing_whitespace(self):
-        assert "SEG008" in rules_hit("x = 1   \n")
-
-    def test_clean_lines_pass(self):
-        assert rules_hit("x = 1\n") == []
-
-
-class TestSEG009AnnotationNames:
-    def test_flags_unimported_optional(self):
-        # the exact latent bug this rule exists for: Optional used with only
-        # other typing names imported, masked by postponed evaluation
-        src = """
-        from __future__ import annotations
-        from typing import Iterable, Tuple
-
-        def f(x: Optional[int]) -> Tuple[int, ...]:
-            return (x,)
-        """
-        assert rules_hit(src) == ["SEG009"]
-
-    def test_flags_undefined_in_annassign(self):
-        src = """
-        from __future__ import annotations
-
-        class C:
-            field: Missing = None
-        """
-        assert rules_hit(src) == ["SEG009"]
-
-    def test_flags_undefined_forward_ref_string(self):
-        src = """
-        def g(y: "Undefined") -> None:
-            pass
-        """
-        assert rules_hit(src) == ["SEG009"]
-
-    def test_allows_imported_names(self):
-        src = """
-        from __future__ import annotations
-        from typing import Optional, Tuple
-
-        def f(x: Optional[int]) -> Tuple[int, ...]:
-            return (x,)
-        """
-        assert rules_hit(src) == []
-
-    def test_allows_names_defined_later(self):
-        # postponed evaluation makes forward use of a later class legal
-        src = """
-        from __future__ import annotations
-
-        def make() -> Widget:
-            return Widget()
-
-        class Widget:
-            pass
-        """
-        assert rules_hit(src) == []
-
-    def test_literal_string_values_are_not_forward_refs(self):
-        src = """
-        from __future__ import annotations
-        from typing import Literal
-
-        def h(z: Literal["forest"]) -> None:
-            pass
-        """
-        assert rules_hit(src) == []
-
-    def test_dotted_annotations_check_only_the_base(self):
-        src = """
-        import numpy as np
-
-        def f(x: np.ndarray) -> np.ndarray:
-            return x
-        """
-        assert rules_hit(src) == []
-
-    def test_star_import_silences_module(self):
-        # a wildcard import can bind anything; no way to resolve statically
-        src = """
-        from os.path import *
-
-        def f(x: Anything) -> None:
-            pass
-        """
-        assert rules_hit(src) == []
-
-    def test_builtins_are_known(self):
-        src = "def f(x: int, y: list) -> dict:\n    return {}\n"
-        assert rules_hit(src) == []
 
 
 class TestSEG011FaultContainment:
@@ -445,3 +314,67 @@ class TestSEG012ResourceReadContainment:
     def test_allows_non_literal_open(self):
         src = "def read(path):\n    return open(path).read()\n"
         assert rules_hit(src, module="repro.synth.fake") == []
+
+
+def _module_of(entry):
+    """A concrete module an ``in_modules`` entry lists."""
+    return entry.rstrip(".")
+
+
+def _concrete(name):
+    """A concrete dotted name for a table entry (``random.`` -> ``random.seed``)."""
+    return name + "seed" if name.endswith(".") else name
+
+
+def _disallowed_module(ban):
+    return _module_of(ban.within[0]) + ".fake" if ban.within else "repro.core.fake"
+
+
+def _cases(field):
+    return [
+        pytest.param(ban, _concrete(name), id=f"{ban.rule_id}:{name}")
+        for ban in BANS
+        for name in sorted(getattr(ban, field))
+    ]
+
+
+def _unrelated_cases():
+    """``module.unrelated_helper`` for every module a row bans names of,
+    unless the row bans that whole module (``random.``)."""
+    return [
+        pytest.param(ban, f"{module}.unrelated_helper", id=f"{ban.rule_id}:{module}")
+        for ban in BANS
+        for module in sorted({name.rpartition(".")[0] for name in ban.calls | ban.imports} - {""})
+        if module + "." not in ban.calls | ban.imports
+    ]
+
+
+class TestBanTable:
+    @pytest.mark.parametrize("ban,name", _cases("calls"))
+    def test_call_flagged_outside_allowed_modules(self, ban, name):
+        assert ban.rule_id in rules_hit(f"x = {name}(1)\n", module=_disallowed_module(ban))
+
+    @pytest.mark.parametrize("ban,name", _cases("calls"))
+    def test_call_allowed_in_allowed_modules(self, ban, name):
+        for entry in ban.allowed:
+            assert ban.rule_id not in rules_hit(f"x = {name}(1)\n", module=_module_of(entry))
+
+    @pytest.mark.parametrize("ban,name", _cases("imports"))
+    def test_smuggled_from_import_flagged(self, ban, name):
+        module, _, attr = name.rpartition(".")
+        source = f"from {module} import {attr} as alias\n"
+        assert ban.rule_id in rules_hit(source, module=_disallowed_module(ban))
+        for entry in ban.allowed:
+            assert ban.rule_id not in rules_hit(source, module=_module_of(entry))
+
+    @pytest.mark.parametrize("ban,name", _unrelated_cases())
+    def test_unrelated_attribute_not_flagged(self, ban, name):
+        module, _, attr = name.rpartition(".")
+        source = f"x = {name}(1)\nfrom {module} import {attr}\n"
+        assert ban.rule_id not in rules_hit(source, module=_disallowed_module(ban))
+
+    def test_every_row_has_cases(self):
+        # a row whose lists went empty would pass the matrix vacuously
+        assert {ban.rule_id for ban in BANS} == {"SEG001", "SEG002", "SEG010", "SEG011", "SEG012"}
+        assert all(ban.calls for ban in BANS)
+        assert {p.values[0].rule_id for p in _unrelated_cases()} == {"SEG002", "SEG010", "SEG011", "SEG012"}

@@ -8,7 +8,6 @@ The run manifest is only trustworthy if the numbers it carries are the
 
 import json
 import shutil
-import time
 
 import pytest
 
@@ -20,7 +19,8 @@ from repro.obs import RunTelemetry, TelemetryRun, load_manifest
 from repro.obs.manifest import LEDGER_PHASES
 from repro.runtime.checkpoint import config_to_dict
 from repro.runtime.ingest import load_observation_checked
-from repro.runtime.supervisor import track_days
+from repro.runtime.supervisor import track_days, world_days
+from repro.synth.scenario import Scenario
 
 
 def render_telemetry(manifest):
@@ -280,29 +280,22 @@ def covered_seconds(spans, first, last):
 
 
 class TestTraceCoversTheCampaign:
-    def test_spans_cover_the_wall_clock_between_days(self, scenario, tmp_path):
+    def test_spans_cover_the_wall_clock_between_days(self, tmp_path):
         """From the first day's start to the last day's end, the trace's
         spans account for at least 95% of the wall clock, the streamed
-        ledger's flush included.
+        ledger's flush and the synthetic source building each next day's
+        context (under ``segugio_ingest_load_observation``) included.
 
-        One gap stays untraced by design: the synthetic source building
-        the next day's context (``Scenario.context``; a directory source
-        runs under ``segugio_ingest_load_observation``).  It is timed here
-        and set aside.
+        The scenario is built here, not taken from the session fixture:
+        a scenario caches the days it has built, and days other tests
+        already built would cost nothing to build again, hiding the gap.
         """
+        scenario = Scenario.small(seed=7)
         telemetry = RunTelemetry(command="track")
         telemetry.stream_decisions(str(tmp_path))
         tracker = DomainTracker(telemetry=telemetry)
-        source_s = []
-
-        def days():
-            for offset in range(3):
-                started = time.perf_counter()
-                context = scenario.context("isp1", scenario.eval_day(offset))
-                source_s.append(time.perf_counter() - started)
-                yield context
-
-        assert len(list(track_days(tracker, days()))) == 3
+        days = world_days(scenario, 3, isp="isp1")
+        assert len(list(track_days(tracker, days))) == 3
         telemetry.write(str(tmp_path))
         with open(tmp_path / "trace.jsonl") as stream:
             spans = [json.loads(line) for line in stream]
@@ -311,7 +304,5 @@ class TestTraceCoversTheCampaign:
         assert [s["parent_id"] for s in flushes] == [s["id"] for s in run_days]
         first = run_days[0]["start"]
         last = run_days[-1]["start"] + run_days[-1]["duration"]
-        # the first context is built before the first day starts
-        untraced = sum(source_s[1:])
         covered = covered_seconds(spans, first, last)
-        assert covered / (last - first - untraced) >= 0.95
+        assert covered / (last - first) >= 0.95

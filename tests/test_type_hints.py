@@ -6,8 +6,10 @@ with ``Optional`` never imported — survives the import of the module,
 the full test suite, and deployment, then explodes the first time
 anything calls :func:`typing.get_type_hints` (dataclass introspection,
 schema generation, debugging tooling).  That exact bug shipped in
-``repro.pdns.abuse``; this test makes the whole class impossible, and
-segugio-lint rule SEG009 catches it statically at the same time.
+``repro.pdns.abuse``; this test makes the whole class impossible.  It
+sweeps every class and function each module defines, private ones
+included, and every method, property, static method and class method
+of those classes, dunders too.
 
 Names imported only under ``if TYPE_CHECKING:`` (the sanctioned pattern
 for breaking import cycles, e.g. ``DomainTracker`` in
@@ -63,15 +65,23 @@ def _type_checking_namespace(module):
     return namespace
 
 
-def _public_objects(module):
-    """Public classes/functions *defined* in the module (not re-exports)."""
+def _defined_objects(module):
+    """``(label, object)`` for every class and function the module defines
+    (not re-exports), then each class's own methods and properties."""
     for name, obj in sorted(vars(module).items()):
-        if name.startswith("_"):
-            continue
         if getattr(obj, "__module__", None) != module.__name__:
             continue
-        if inspect.isclass(obj) or inspect.isfunction(obj):
-            yield name, obj
+        if not (inspect.isclass(obj) or inspect.isfunction(obj)):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for member_name, member in sorted(vars(obj).items()):
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{member_name}", member
 
 
 @pytest.mark.parametrize("module_name", _module_names())
@@ -79,19 +89,15 @@ def test_public_annotations_resolve(module_name):
     module = importlib.import_module(module_name)
     localns = _type_checking_namespace(module)
     problems = []
-    for name, obj in _public_objects(module):
-        targets = [(name, obj)]
-        if inspect.isclass(obj):
-            targets.extend(
-                (f"{name}.{member_name}", member)
-                for member_name, member in sorted(vars(obj).items())
-                if not member_name.startswith("__") and inspect.isfunction(member)
-            )
-        for label, target in targets:
-            try:
-                typing.get_type_hints(target, localns=localns)
-            except Exception as error:  # noqa: BLE001 - collecting for report
-                problems.append(f"{module_name}.{label}: {error!r}")
+    for label, target in _defined_objects(module):
+        # a function's annotations were written against this module's
+        # globals, including methods a NamedTuple or dataclass generated
+        # in a namespace of their own
+        globalns = vars(module) if inspect.isfunction(target) else None
+        try:
+            typing.get_type_hints(target, globalns=globalns, localns=localns)
+        except Exception as error:  # noqa: BLE001 - collecting for report
+            problems.append(f"{module_name}.{label}: {error!r}")
     assert not problems, "unresolvable annotations:\n" + "\n".join(problems)
 
 

@@ -5,10 +5,7 @@ A single pass over every Python file under a target tree:
 1. the file is read and parsed **once** into an AST;
 2. every AST node is dispatched to each rule that registered interest in
    that node type (``Rule.node_types``), with the ancestor stack available
-   on the :class:`ModuleContext` for structural rules;
-3. every raw source line is dispatched to rules that opted into the line
-   channel (``Rule.wants_lines``) — for invariants that live outside the
-   AST (whitespace, encoding cruft).
+   on the :class:`ModuleContext` for structural rules.
 
 Rules are plain classes; the engine owns traversal so each rule stays a
 few lines of "what is wrong", not "how to walk". Parse failures are
@@ -56,12 +53,9 @@ class Finding:
 class ModuleContext:
     """Everything a rule may ask about the file being linted."""
 
-    def __init__(self, path: str, module: str, source: str, tree: ast.AST) -> None:
+    def __init__(self, path: str, module: str) -> None:
         self.path = path
         self.module = module
-        self.source = source
-        self.lines: List[str] = source.splitlines()
-        self.tree = tree
         #: ancestor nodes of the node currently being dispatched (outermost
         #: first, excluding the node itself); maintained by the engine walk.
         self.stack: List[ast.AST] = []
@@ -71,9 +65,6 @@ class ModuleContext:
         """Top-two dotted segments (``repro.core``) — the layering unit."""
         parts = self.module.split(".")
         return ".".join(parts[:2])
-
-    def parent(self) -> Optional[ast.AST]:
-        return self.stack[-1] if self.stack else None
 
     def enclosing(self, *types: type) -> Optional[ast.AST]:
         """Innermost ancestor that is an instance of ``types``, if any."""
@@ -86,9 +77,10 @@ class ModuleContext:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``rule_id``/``name``/``rationale`` and implement any of
-    the three visitor channels. The engine instantiates one rule object per
-    run and reuses it across files (``start_module`` resets per-file state).
+    Subclasses set ``rule_id``/``name``/``rationale`` and ``node_types``
+    and implement :meth:`check_node`. The engine instantiates one rule
+    object per run and reuses it across files, so rules keep no per-file
+    state.
     """
 
     rule_id: str = ""
@@ -97,38 +89,16 @@ class Rule:
     rationale: str = ""
     #: AST node classes this rule wants dispatched to :meth:`check_node`
     node_types: Tuple[Type[ast.AST], ...] = ()
-    #: opt into the raw-line channel (:meth:`check_line`)
-    wants_lines: bool = False
-
-    def start_module(self, ctx: ModuleContext) -> None:
-        """Reset per-file state before a new file is walked."""
 
     def check_node(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         return iter(())
 
-    def check_line(self, lineno: int, text: str, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def finish_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Emit findings that need the whole file to have been seen."""
-        return iter(())
-
-    def finding(
-        self,
-        ctx: ModuleContext,
-        where: object,
-        message: str,
-    ) -> Finding:
-        """Build a finding anchored at an AST node or an ``(line, col)`` pair."""
-        if isinstance(where, ast.AST):
-            line = getattr(where, "lineno", 1)
-            col = getattr(where, "col_offset", 0) + 1
-        else:
-            line, col = where  # type: ignore[misc]
+    def finding(self, ctx: ModuleContext, node: ast.AST, message: str) -> Finding:
+        """Build a finding anchored at ``node``."""
         return Finding(
             path=ctx.path,
-            line=int(line),
-            col=int(col),
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
             rule=self.rule_id,
             message=message,
         )
@@ -168,9 +138,6 @@ class Engine:
         self._node_rules: List[Tuple[Tuple[Type[ast.AST], ...], Rule]] = [
             (rule.node_types, rule) for rule in self.rules if rule.node_types
         ]
-        self._line_rules: Tuple[Rule, ...] = tuple(
-            rule for rule in self.rules if rule.wants_lines
-        )
 
     # ------------------------------------------------------------------ #
 
@@ -190,16 +157,8 @@ class Engine:
                     message=f"file does not parse: {error.msg}",
                 )
             ]
-        ctx = ModuleContext(path=path, module=module, source=source, tree=tree)
         findings: List[Finding] = []
-        for rule in self.rules:
-            rule.start_module(ctx)
-        self._walk(tree, ctx, findings)
-        for lineno, text in enumerate(ctx.lines, start=1):
-            for rule in self._line_rules:
-                findings.extend(rule.check_line(lineno, text, ctx))
-        for rule in self.rules:
-            findings.extend(rule.finish_module(ctx))
+        self._walk(tree, ModuleContext(path=path, module=module), findings)
         findings.sort(key=Finding.sort_key)
         return findings
 

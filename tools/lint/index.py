@@ -58,6 +58,14 @@ def dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _is_tracer(receiver: ast.AST) -> bool:
+    """``tracer``, ``self._tracer``, ``x.tracer`` or ``current_tracer()``."""
+    if isinstance(receiver, ast.Call):
+        return (dotted(receiver.func) or "").split(".")[-1] == "current_tracer"
+    name = dotted(receiver) or ""
+    return name == "tracer" or name.endswith(("_tracer", ".tracer"))
+
+
 def summarize_expr(node: ast.AST, depth: int = 0) -> Dict[str, object]:
     """Bounded-depth provenance summary of an expression.
 
@@ -131,6 +139,7 @@ class _ModuleWalker(ast.NodeVisitor):
         self.functions: Dict[str, Dict[str, object]] = {}
         self.module_assigns: Dict[str, Dict[str, object]] = {}
         self.span_literals: List[Dict[str, object]] = []
+        self.other_spans: List[Dict[str, object]] = []
         self.key_reads: List[Dict[str, object]] = []
         self.key_writes: List[Dict[str, object]] = []
         self._scope: List[str] = []
@@ -320,6 +329,16 @@ class _ModuleWalker(ast.NodeVisitor):
             self.span_literals.append(
                 {"name": node.args[0].value, "lineno": node.lineno}
             )
+        elif isinstance(func, ast.Attribute) and func.attr == "span" and _is_tracer(func.value):
+            # any other name handed to a tracer: a computed one (``None``)
+            # or a literal outside the segugio_ namespace or passed by keyword
+            name_arg = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "name"), None
+            )
+            if name_arg is not None:
+                literal = isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str)
+                name = name_arg.value if literal else None  # type: ignore[union-attr]
+                self.other_spans.append({"name": name, "lineno": name_arg.lineno})
         if isinstance(func, ast.Attribute):
             receiver = dotted(func.value)
             if (
@@ -439,6 +458,7 @@ def summarize_module(source: str, path: str, module: str) -> Dict[str, object]:
             "functions": {},
             "module_assigns": {},
             "span_literals": [],
+            "other_spans": [],
             "key_reads": [],
             "key_writes": [],
             "dict_literals": [],
@@ -453,6 +473,7 @@ def summarize_module(source: str, path: str, module: str) -> Dict[str, object]:
         "functions": walker.functions,
         "module_assigns": walker.module_assigns,
         "span_literals": walker.span_literals,
+        "other_spans": walker.other_spans,
         "key_reads": walker.key_reads,
         "key_writes": walker.key_writes,
         "dict_literals": [

@@ -20,8 +20,10 @@ phase 1 — never on raw source — so they see across file boundaries:
   error; a key produced but never read is a warning (unless allowlisted
   as archival).
 * **SEG104** — span-name registry: every ``span("segugio_*")`` literal
-  must be declared in :data:`repro.obs.spans.SPAN_NAMES`; registry
-  entries with no call site are warnings.
+  must be declared in :data:`repro.obs.spans.SPAN_NAMES`, and outside
+  ``repro.obs`` (which forwards its callers' names) every name handed to
+  a tracer must be a literal, so it too is held to the registry;
+  registry entries with no call site are warnings.
 * **SEG105** — worker-telemetry isolation: code transitively reachable
   from a pool-submitted callable must not call the ambient telemetry
   getters (``current_tracer`` and friends).  Inside a worker those
@@ -42,10 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from tools.lint.engine import Finding
 from tools.lint.index import ProjectIndex
-from tools.lint.rules import (
-    DETERMINISM_EXEMPT_MODULES,
-    DETERMINISM_EXEMPT_PREFIXES,
-)
+from tools.lint.rules import DETERMINISM, in_modules
 
 #: parameter/attribute names allowed to carry seed material
 SEED_NAME_RE = re.compile(r"(^|_)(seed|seeds|random_state|entropy)($|_)")
@@ -157,12 +156,7 @@ def canonical_name(name: str, imports: Dict[str, str]) -> str:
 
 
 def _determinism_scoped(module: str) -> bool:
-    if module in DETERMINISM_EXEMPT_MODULES:
-        return False
-    return not any(
-        module == p or module.startswith(p + ".")
-        for p in DETERMINISM_EXEMPT_PREFIXES
-    )
+    return not in_modules(module, DETERMINISM.allowed)
 
 
 class _Taint:
@@ -802,19 +796,33 @@ class ManifestContractRule(ProjectRule):
 
 
 class SpanRegistryRule(ProjectRule):
-    """SEG104 — every span literal must appear in the central registry."""
+    """SEG104 — span names are literals found in the central registry."""
 
     rule_id = "SEG104"
     name = "span-registry"
     rationale = (
-        "the manifest and dashboards key on span names; one central "
-        "registry (repro.obs.spans.SPAN_NAMES) makes renames reviewable "
-        "diffs instead of silent telemetry forks"
+        "the manifest and dashboards key on span names; literal names in "
+        "one central registry (repro.obs.spans.SPAN_NAMES) make renames "
+        "reviewable diffs instead of silent telemetry forks"
     )
 
     def run(self, index: ProjectIndex) -> Iterator[Finding]:
-        registry = index.modules.get(SPAN_REGISTRY_MODULE)
         sites = index.span_sites()
+        for path, summary in sorted(index.files.items()):
+            if in_modules(str(summary["module"]), ("repro.obs.",)):
+                continue  # the telemetry layer forwards its callers' names
+            for site in summary["other_spans"]:  # type: ignore[union-attr]
+                if site["name"] is None:
+                    yield self.finding(
+                        path,
+                        int(site["lineno"]),
+                        "span name must be a string literal — a computed "
+                        "name forks the telemetry namespace at runtime and "
+                        "no registry can hold it",
+                    )
+                else:
+                    sites.append((path, str(site["name"]), int(site["lineno"])))
+        registry = index.modules.get(SPAN_REGISTRY_MODULE)
         if registry is None:
             if sites:
                 path, _, lineno = sites[0]
