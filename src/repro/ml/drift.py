@@ -47,20 +47,20 @@ def population_stability_index(
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
 
-    quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(reference, quantiles))
-    ref_counts = np.bincount(
-        np.searchsorted(edges, reference, side="left"),
-        minlength=edges.size + 1,
-    ).astype(np.float64)
-    cur_counts = np.bincount(
-        np.searchsorted(edges, current, side="left"),
-        minlength=edges.size + 1,
-    ).astype(np.float64)
+    deciles = np.quantile(reference, np.linspace(0, 1, n_bins + 1)[1:-1])
+    return _psi(deciles, np.sort(reference), np.sort(current))
 
-    eps = 1e-6
-    ref_frac = np.maximum(ref_counts / ref_counts.sum(), eps)
-    cur_frac = np.maximum(cur_counts / cur_counts.sum(), eps)
+
+def _psi(deciles: np.ndarray, reference: np.ndarray, current: np.ndarray) -> float:
+    """PSI of two *sorted* samples: a bin's count is the step in a sample's
+    rank between the bin's edges (the reference deciles, ties collapsed)."""
+    edges = np.unique(deciles)
+    fractions = [
+        np.diff(np.searchsorted(sample, edges, "right"), prepend=0, append=sample.size)
+        / sample.size
+        for sample in (reference, current)
+    ]
+    ref_frac, cur_frac = np.maximum(fractions, 1e-6)  # empty bins stay finite
     return float(np.sum((cur_frac - ref_frac) * np.log(cur_frac / ref_frac)))
 
 
@@ -105,15 +105,19 @@ def feature_drift(
         raise ValueError("feature_names must match the column count")
     if reference.shape[0] == 0 or current.shape[0] == 0:
         raise ValueError("both samples must be non-empty")
-    out: Dict[str, Dict[str, float]] = {}
-    for column, name in enumerate(feature_names):
-        ref_col = reference[:, column]
-        cur_col = current[:, column]
-        out[str(name)] = {
-            "psi": population_stability_index(ref_col, cur_col, n_bins=n_bins),
-            "ks": ks_statistic(ref_col, cur_col),
+    if n_bins < 2:
+        raise ValueError("n_bins must be >= 2")
+    # each column sorted once, as a row; every column's deciles in one call
+    reference = np.sort(reference.T, axis=1)
+    current = np.sort(current.T, axis=1)
+    deciles = np.quantile(reference, np.linspace(0, 1, n_bins + 1)[1:-1], axis=1).T
+    return {
+        str(name): {
+            "psi": _psi(deciles[column], reference[column], current[column]),
+            "ks": ks_statistic(reference[column], current[column]),
         }
-    return out
+        for column, name in enumerate(feature_names)
+    }
 
 
 @dataclass

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.ml.preprocessing import BinMapper
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, fit_trees
 from repro.obs.events import current_event_log
 from repro.obs.tracing import current_tracer
 from repro.utils.validation import as_1d_int_array, as_2d_float_array, check_same_length
@@ -70,28 +70,28 @@ def _fit_tree_batch(
     y: np.ndarray,
     base_weight: np.ndarray,
 ) -> List[DecisionTreeClassifier]:
-    """Grow one tree per seed, serially, in seed order.
+    """Grow one tree per seed, all in lock-step (see ``fit_trees``).
 
     Module-level so it pickles into worker processes; the serial fit path
     calls it too, keeping both paths byte-for-byte the same code.
     """
     n = y.shape[0]
-    bootstrap = bool(params["bootstrap"])
-    trees: List[DecisionTreeClassifier] = []
-    for seed in seeds:
-        rng = np.random.default_rng(int(seed))
-        if bootstrap:
-            sample = rng.integers(0, n, size=n)
-        else:
-            sample = np.arange(n)
-        tree = DecisionTreeClassifier(
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    # a generator: no bootstrap draw outlives its tree's root
+    samples = (
+        rng.integers(0, n, size=n) if params["bootstrap"] else np.arange(n)
+        for rng in rngs
+    )
+    trees = [
+        DecisionTreeClassifier(
             max_depth=int(params["max_depth"]),
             min_samples_leaf=int(params["min_samples_leaf"]),
             max_features=params["max_features"],  # type: ignore[arg-type]
             rng=rng,
         )
-        tree.fit(X_binned[sample], y[sample], base_weight[sample])
-        trees.append(tree)
+        for rng in rngs
+    ]
+    fit_trees(trees, X_binned, y, base_weight, samples)
     return trees
 
 

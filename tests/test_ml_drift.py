@@ -14,6 +14,26 @@ from repro.ml.drift import (
 )
 
 
+def psi_by_bincount(reference, current, n_bins=10):
+    """PSI binned value by value: the reference the rank-based one must
+    match bit for bit."""
+    quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
+    edges = np.unique(np.quantile(reference, quantiles))
+    ref_counts = np.bincount(
+        np.searchsorted(edges, reference, side="left"),
+        minlength=edges.size + 1,
+    ).astype(np.float64)
+    cur_counts = np.bincount(
+        np.searchsorted(edges, current, side="left"),
+        minlength=edges.size + 1,
+    ).astype(np.float64)
+
+    eps = 1e-6
+    ref_frac = np.maximum(ref_counts / ref_counts.sum(), eps)
+    cur_frac = np.maximum(cur_counts / cur_counts.sum(), eps)
+    return float(np.sum((cur_frac - ref_frac) * np.log(cur_frac / ref_frac)))
+
+
 class TestPsi:
     def test_identical_samples_near_zero(self):
         rng = np.random.default_rng(0)
@@ -126,6 +146,44 @@ class TestFeatureDrift:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             feature_drift(np.zeros((0, 2)), np.zeros((3, 2)), ["a", "b"])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 300), st.integers(1, 300), st.integers(1, 12)
+        ),
+        levels=st.sampled_from([2, 5, 0]),
+        n_bins=st.sampled_from([2, 3, 10]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_statistics_of_each_unsorted_column(
+        self, shape, levels, n_bins, seed
+    ):
+        """Sorted columns, deciles taken for all columns at once and bin
+        counts read off ranks change no bit of either statistic; ``levels``
+        > 0 makes ties, 0 continuous values."""
+        n_ref, n_cur, n_features = shape
+        rng = np.random.default_rng(seed)
+
+        def sample(n):
+            if levels:
+                return rng.integers(0, levels, size=(n, n_features)) * 0.1
+            return rng.standard_normal((n, n_features))
+
+        ref, cur = sample(n_ref), sample(n_cur)
+        names = [f"f{j}" for j in range(n_features)]
+        want = {
+            name: {
+                "psi": psi_by_bincount(ref[:, j], cur[:, j], n_bins),
+                "ks": ks_statistic(ref[:, j], cur[:, j]),
+            }
+            for j, name in enumerate(names)
+        }
+        assert feature_drift(ref, cur, names, n_bins=n_bins) == want
+        assert [
+            population_stability_index(ref[:, j], cur[:, j], n_bins)
+            for j in range(n_features)
+        ] == [stats["psi"] for stats in want.values()]
 
 
 class TestMonitor:

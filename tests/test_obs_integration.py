@@ -302,6 +302,20 @@ class TestTraceCoversTheCampaign:
         run_days = [s for s in spans if s["name"] == "segugio_run_day"]
         flushes = [s for s in spans if s["name"] == "segugio_decisions_flush"]
         assert [s["parent_id"] for s in flushes] == [s["id"] for s in run_days]
+        # Each day's context is built under its own root load span, after
+        # the previous day and before its own (rounding: 1e-6 s per field).
+        loads = [
+            s
+            for s in spans
+            if s["name"] == "segugio_ingest_load_observation" and s["depth"] == 0
+        ]
+        assert len(loads) == len(run_days)
+        previous_end = float("-inf")
+        for load, day in zip(loads, run_days):
+            assert load["attributes"]["day"] == day["attributes"]["day"]
+            assert previous_end <= load["start"] + 2e-6
+            assert load["start"] + load["duration"] <= day["start"] + 2e-6
+            previous_end = day["start"] + day["duration"]
         first = run_days[0]["start"]
         last = run_days[-1]["start"] + run_days[-1]["duration"]
         covered = covered_seconds(spans, first, last)
