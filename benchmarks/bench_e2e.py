@@ -11,7 +11,7 @@ Not a pytest module (no ``test_`` prefix): run it directly, or prefer the
 equivalent CLI form so flags stay in one place::
 
     PYTHONPATH=src python benchmarks/bench_e2e.py
-    PYTHONPATH=src python -m repro.cli bench --days 3 --jobs 2
+    PYTHONPATH=src python -m repro.cli bench --days 3
 """
 
 import sys

@@ -12,7 +12,7 @@ Examples::
     segugio track --days 3 --telemetry-dir /tmp/telemetry
     segugio track --days 3 --telemetry-dir /tmp/telemetry --profile \\
         --budgets examples/budgets.json
-    segugio track --days 3 --alert-rules rules.json --task-timeout 120
+    segugio track --days 3 --alert-rules rules.json
     segugio track /tmp/day0 /tmp/day1 --lenient --checkpoint /tmp/run.ckpt
     segugio inspect /tmp/telemetry --html report.html
     segugio inspect /tmp/telemetry --view profile
@@ -106,7 +106,6 @@ _SYNTHETIC_WORLD = {"scale": "small", "seed": 7, "isp": "isp1", "days": 3}
 
 def _run_track(args: argparse.Namespace) -> None:
     from contextlib import nullcontext
-    from dataclasses import replace
 
     from repro.core.pipeline import SegugioConfig
     from repro.core.tracker import DomainTracker
@@ -124,20 +123,13 @@ def _run_track(args: argparse.Namespace) -> None:
         )
     alert_rules = _flag_file(args.alert_rules, load_alert_rules)
     plan = _flag_file(args.inject_faults, load_fault_plan)
-    overrides = dict(plan.policy) if plan is not None else {}
-    if args.task_timeout is not None:
-        overrides["task_timeout"] = args.task_timeout
-    policy = policy_from_overrides(overrides)
+    policy = policy_from_overrides(dict(plan.policy) if plan is not None else {})
 
     if not args.directories:
         args = argparse.Namespace(**{**_SYNTHETIC_WORLD, **vars(args)})
         scenario = Scenario.at_scale(args.scale, args.seed)
     if args.resume:
         tracker = DomainTracker.resume(args.resume)
-        if args.jobs is not None:
-            # execution knob only: any worker count yields bit-identical
-            # scores, so overriding it cannot fork a resumed ledger
-            tracker.config = replace(tracker.config, n_jobs=args.jobs)
         if alert_rules is not None:
             tracker.alert_rules = alert_rules
         print(
@@ -147,7 +139,7 @@ def _run_track(args: argparse.Namespace) -> None:
         )
     else:
         tracker = DomainTracker(
-            config=SegugioConfig(n_jobs=_jobs(args)),
+            config=SegugioConfig(),
             fp_target=args.fp_target,
             alert_rules=alert_rules,
         )
@@ -417,7 +409,7 @@ def _run_bigday(args: argparse.Namespace) -> None:
         f"{world.n_rows_per_day} raw rows/day"
     )
     tracker = DomainTracker(
-        config=SegugioConfig(n_jobs=_jobs(args), n_estimators=args.estimators),
+        config=SegugioConfig(n_estimators=args.estimators),
         fp_target=args.fp_target,
         alert_rules=alert_rules,
     )
@@ -457,7 +449,7 @@ def _verify_bigday(world, args: argparse.Namespace) -> None:
     from repro.core.pipeline import SegugioConfig
 
     day = world.eval_day(0)
-    cfg = SegugioConfig(n_jobs=_jobs(args), n_estimators=args.estimators)
+    cfg = SegugioConfig(n_estimators=args.estimators)
 
     def score(context):
         model = Segugio(cfg)
@@ -498,7 +490,6 @@ def _run_bench(args: argparse.Namespace) -> None:
     payload = run_e2e_bench(
         scale="small" if args.quick else args.scale,
         seed=args.seed,
-        n_jobs=_jobs(args),
         repeats=repeats,
         n_days=args.days,
         n_shards=args.shards if args.shards is not None else 2,
@@ -521,10 +512,6 @@ def _run_bench(args: argparse.Namespace) -> None:
             reason = "profiling perturbed decision outputs"
         elif not payload["sharded"]["outputs_bit_identical"]:
             reason = "sharded execution perturbed decision outputs"
-        elif not payload["worker_tracing"]["complete"]:
-            reason = "worker span coverage incomplete"
-        elif not payload["sharded"]["worker_tracing"]["complete"]:
-            reason = "sharded worker span coverage incomplete"
         else:
             reason = (
                 f"profiling overhead {profiling['overhead_pct']:.2f}% "
@@ -548,7 +535,6 @@ def _run_chaos(args: argparse.Namespace) -> None:
         seed=args.seed,
         isp=args.isp,
         days=args.days,
-        jobs=2 if args.jobs is None else args.jobs,
         estimators=args.estimators,
         fp_target=args.fp_target,
         kill_day_offset=args.kill_day,
@@ -601,11 +587,6 @@ def _add_world_flags(
         parser.add_argument("--day-offset", type=int, default=0)
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    """The --jobs value with the absent flag meaning serial."""
-    return 1 if args.jobs is None else args.jobs
-
-
 def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -622,9 +603,9 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         type=_at_least_one,
         default=None,
         help="partition each day's edges by machine id into this many "
-        "shards and run the out-of-core graph build through the "
-        "supervised pool (outputs are bit-identical to the in-memory "
-        "path at any shard count)",
+        "shards and build the graph out of core, one shard at a time "
+        "(outputs are bit-identical to the in-memory path at any shard "
+        "count)",
     )
     parser.add_argument(
         "--batch-size",
@@ -653,8 +634,8 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="record per-phase CPU/peak-RSS/IO, throughput, and pool "
-        "stats into the manifest's resources key (needs --telemetry-dir; "
+        help="record per-phase CPU/peak-RSS/IO and throughput into the "
+        "manifest's resources key (needs --telemetry-dir; "
         "observation only — decision outputs stay bit-identical)",
     )
     parser.add_argument(
@@ -665,21 +646,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
         "into run health (needs --profile; see "
         "repro.obs.resources.load_resource_budgets)",
     )
-    _add_jobs_flag(parser)
     _add_shard_flags(parser)
-
-
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    # default None = "not given": lets `track --resume` distinguish an
-    # explicit --jobs 1 (override the checkpointed value back to serial)
-    # from the flag simply being absent (keep the checkpointed value)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for classifier fit/scoring (-1 = all "
-        "cores, default 1); scores are bit-identical for any value",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -732,13 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fault-plan JSON to inject deterministic failures "
         "(testing/drills; see repro.runtime.faults)",
-    )
-    track.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="seconds without any parallel-task progress before the "
-        "supervisor declares a hang and degrades (default: no watchdog)",
     )
     _add_campaign_flags(track)
     track.set_defaults(func=_run_track)
@@ -815,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser(
         "inspect",
         help="read a run's telemetry: cost (the paper's §IV-G table), "
-        "health dashboard, resource profile, worker timeline",
+        "health dashboard, resource profile, span timeline",
     )
     inspect.add_argument(
         "paths",
@@ -836,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="OUT",
         help="additionally write the same views as one self-contained "
-        "HTML page (the timeline becomes a per-lane flamegraph)",
+        "HTML page (the timeline becomes a flamegraph)",
     )
     inspect.add_argument(
         "--reference",
@@ -855,8 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--plan",
         default=None,
-        help="fault-plan JSON (default: a built-in plan exercising worker "
-        "kill, day retry, and a torn checkpoint write)",
+        help="fault-plan JSON (default: a built-in plan exercising day "
+        "retries and a torn checkpoint write)",
     )
     _add_world_flags(chaos, isp=True)
     chaos.add_argument("--days", type=int, default=3)
@@ -864,8 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimators",
         type=int,
         default=24,
-        help="forest size for the drill (>= 17 keeps the parallel predict "
-        "path multi-chunk so forest_predict faults can fire)",
+        help="forest size for the drill",
     )
     chaos.add_argument("--fp-target", type=float, default=0.01)
     chaos.add_argument(
@@ -892,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record resource accounting during the chaos run; the "
         "bit-identity invariants then also prove profiling is inert",
     )
-    _add_jobs_flag(chaos)
     chaos.set_defaults(func=_run_chaos)
 
     export = sub.add_parser(
@@ -914,8 +872,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="end-to-end profiling gate: a pinned tracking campaign "
         "profiled off vs. on vs. sharded -> BENCH_e2e.json (rows/s, "
-        "edges/s, peak RSS), gated on bit-identical outputs, complete "
-        "worker spans and <3%% overhead",
+        "edges/s, peak RSS), gated on bit-identical outputs and <3%% "
+        "overhead",
     )
     _add_world_flags(bench)
     bench.add_argument("--repeats", type=int, default=3)
@@ -935,7 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="payload path (default BENCH_e2e.json)",
     )
-    _add_jobs_flag(bench)
     _add_shard_flags(bench)
     bench.set_defaults(func=_run_bench)
 

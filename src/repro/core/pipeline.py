@@ -163,10 +163,11 @@ class SegugioConfig:
     max_benign_train: Optional[int] = None
     seed: int = 0
     n_jobs: int = 1
-    """Worker processes for the classifier hot path (fit + scoring); -1
-    uses every core.  Purely an execution knob: any value produces
-    bit-identical scores (trees are keyed on pre-derived seeds and score
-    reduction uses fixed chunk boundaries — DESIGN.md §10)."""
+    """Read by nothing and starts no process: every day runs in one
+    process.  The field stays only because existing checkpoints carry it
+    (``config_from_dict`` rebuilds the config with
+    ``SegugioConfig(**payload)``) and the benchmark harness still sets
+    it; the benchmark's next revision removes it."""
 
     def make_classifier(self) -> Union[RandomForestClassifier, LogisticRegression]:
         if self.classifier == "forest":
@@ -176,7 +177,6 @@ class SegugioConfig:
                 max_bins=self.max_bins,
                 class_weight="balanced",
                 random_state=self.seed,
-                n_jobs=self.n_jobs,
             )
         if self.classifier == "logistic":
             return LogisticRegression(class_weight="balanced")
@@ -223,6 +223,10 @@ class PreparedDay:
     hidden: np.ndarray
     """Sorted int64 ids relabeled UNKNOWN before anything was measured
     (§IV-A); empty in deployment."""
+
+    degradations: List[str]
+    """:func:`context_degradations` of the day, computed once for both
+    the fit's ``degradations_`` and the classify report's provenance."""
 
     @property
     def graph(self) -> BehaviorGraph:
@@ -326,6 +330,8 @@ class Segugio:
         """
         watch = watch if watch is not None else Stopwatch()
         hidden = _hidden_ids(hide_domains)
+        # first: its temporaries are freed before the day's graph exists
+        degradations = context_degradations(context, self.config)
         if getattr(context.trace, "is_sharded", False):
             if self.config.filter_probes:
                 raise ValueError(
@@ -404,6 +410,7 @@ class Segugio:
             extractor=extractor,
             prune=result,
             hidden=hidden,
+            degradations=degradations,
         )
 
     def _prepared_for(
@@ -462,10 +469,10 @@ class Segugio:
 
         maybe_fault("pipeline_fit", task=int(context.day))
         watch = self.timings_ = Stopwatch()
-        self.degradations_ = context_degradations(context, self.config)
         prepared = self._prepared_for(
             "fit", context, exclude_domains, prepared, watch
         )
+        self.degradations_ = list(prepared.degradations)
         with watch.phase("measure_training_features"):
             rng = np.random.default_rng(self.config.seed)
             training = build_training_set(
@@ -552,7 +559,7 @@ class Segugio:
             scores=scores,
             graph=graph,
             labels=labels,
-            provenance=context_degradations(context, self.config),
+            provenance=list(prepared.degradations),
             features=X_full,
         )
 

@@ -3,24 +3,19 @@
 The in-memory path (:meth:`repro.core.pipeline.Segugio.prepare_day`)
 builds both CSR directions of the full behavior graph before pruning —
 impossible at the paper's ~320M edges/day.  This module prepares the same
-day from three passes of per-shard workers over a
-:class:`~repro.datasets.edgestore.EdgeStore`.  It owns *how to count per
+day from three passes over a :class:`~repro.datasets.edgestore.EdgeStore`,
+one shard at a time, in one process: shards bound memory (a pass holds one
+shard's memory-mapped columns), not cores.  It owns *how to count per
 shard, how to merge, and how to extract*; what the counts mean is decided
 by the one copy of each rule in :mod:`repro.core.labeling` and
 :mod:`repro.core.pruning`, which the in-memory path calls too:
 
-* **scan** (``shard_scan``) — per-shard machine/domain degree counts and
+* **scan** — per-shard machine/domain degree counts and
   :func:`~repro.core.pruning.count_e2ld_machines`;
-* **labels** (``shard_labels``) — per-shard
-  :func:`~repro.core.labeling.count_label_degrees` against the
-  coordinator-labeled domain array;
-* **prune** (``shard_prune``) — per-shard kept-edge extraction under the
-  keep masks :func:`~repro.core.pruning.decide_pruning` returned.
-
-Every pass runs through :func:`repro.runtime.supervisor.supervised_map`,
-so worker loss, hangs, and memory pressure walk the same degradation
-ladder as the forest hot path, and fault plans can target the three
-``shard_*`` sites.
+* **labels** — per-shard :func:`~repro.core.labeling.count_label_degrees`
+  against the labeled domain array;
+* **prune** — per-shard kept-edge extraction under the keep masks
+  :func:`~repro.core.pruning.decide_pruning` returned.
 
 Determinism: machines are partitioned by ``machine_id % n_shards``, so
 per-shard degree and distinct-pair aggregates are *exact* (not
@@ -32,15 +27,14 @@ byte for byte, and each shard arrives sorted, so the stable sort only
 merges runs.  The equivalence is enforced by tests at shard counts
 {1, 2, 7}.
 
-The coordinator's own work between the passes is id-space array
-arithmetic: domains are labeled by resolving the two ground-truth lists to
-ids (:func:`~repro.core.labeling.label_domain_ids`), never by parsing the
-day's names, so the pool is not left waiting on a Python loop.
+Between the passes the work is id-space array arithmetic: domains are
+labeled by resolving the two ground-truth lists to ids
+(:func:`~repro.core.labeling.label_domain_ids`), never by parsing the
+day's names.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -65,7 +59,6 @@ from repro.core.pruning import (
     finish_pruning,
 )
 from repro.datasets.edgestore import EdgeStore
-from repro.ml.forest import resolve_n_jobs
 from repro.obs.resources import (
     UNIT_EDGE_BATCHES,
     UNIT_GRAPH_EDGES,
@@ -73,43 +66,32 @@ from repro.obs.resources import (
     count_units,
 )
 from repro.obs.tracing import Stopwatch, current_tracer
-from repro.runtime.supervisor import supervised_map
 from repro.utils.arrays import sorted_unique
 
-#: coordinator-written sidecars the shard workers mmap (kept out of the
-#: task tuples so a 4M-domain map is not pickled once per shard)
-E2LD_MAP_NAME = "e2ld_map.npy"
-DOMAIN_LABELS_NAME = "domain_labels.npy"
-
-
 # ---------------------------------------------------------------------- #
-# pool workers — module-level and picklable (SEG102); read-only
+# per-shard passes — read-only over one shard's edge columns
 # ---------------------------------------------------------------------- #
 
 
-def _shard_columns(directory: str, shard: int) -> Tuple[np.ndarray, np.ndarray]:
+def _shard_columns(store: EdgeStore, shard: int) -> Tuple[np.ndarray, np.ndarray]:
     """One shard's deduped (machine, domain) edge columns."""
-    em, ed = EdgeStore.open(directory).shard_edges(shard)
+    em, ed = store.shard_edges(shard)
     return np.asarray(em), np.asarray(ed)
 
 
 def _shard_scan(
-    directory: str, shard: int, n_e2lds: int, apply_r4: bool
+    em: np.ndarray, ed: np.ndarray, e2ld_map: Optional[np.ndarray], n_e2lds: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Degree and e2LD-popularity aggregates for one shard.
 
     Edges in a shard are deduplicated, so per-machine counts *are* the
     distinct-domain degrees; machines live wholly in one shard, so the
     counts are final.  Domain degrees are partial and summed by the
-    coordinator.
+    caller.  ``e2ld_map`` is None when R4 is off.
     """
-    em, ed = _shard_columns(directory, shard)
     machine_ids, machine_counts = np.unique(em, return_counts=True)
     domain_ids, domain_counts = np.unique(ed, return_counts=True)
-    if apply_r4:
-        e2ld_map = np.asarray(
-            np.load(os.path.join(directory, E2LD_MAP_NAME), mmap_mode="r")
-        )
+    if e2ld_map is not None:
         e2ld_counts = count_e2ld_machines(em, ed, e2ld_map, n_e2lds)
     else:
         e2ld_counts = np.zeros(n_e2lds, dtype=np.int64)
@@ -123,14 +105,9 @@ def _shard_scan(
 
 
 def _shard_labels(
-    directory: str, shard: int
+    em: np.ndarray, ed: np.ndarray, domain_labels: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shard malware/benign degree of each of the shard's machines,
-    against the coordinator's ``domain_labels.npy`` sidecar."""
-    em, ed = _shard_columns(directory, shard)
-    domain_labels = np.asarray(
-        np.load(os.path.join(directory, DOMAIN_LABELS_NAME), mmap_mode="r")
-    )
+    """Per-shard malware/benign degree of each of the shard's machines."""
     machine_ids = sorted_unique(em)
     malware, benign = count_label_degrees(
         np.searchsorted(machine_ids, em), ed, domain_labels, machine_ids.size
@@ -138,27 +115,8 @@ def _shard_labels(
     return machine_ids, malware, benign
 
 
-def _shard_kept_edges(
-    directory: str,
-    shard: int,
-    keep_machines_packed: np.ndarray,
-    keep_domains_packed: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Edges of one shard surviving the coordinator's keep masks.
-
-    Masks ride in bit-packed (8 ids/byte) so a 4M-machine mask pickles
-    at ~500 KB per task instead of 4 MB; the padding bits past the last
-    id are never indexed.
-    """
-    em, ed = _shard_columns(directory, shard)
-    keep_m = np.unpackbits(keep_machines_packed).astype(bool)
-    keep_d = np.unpackbits(keep_domains_packed).astype(bool)
-    kept = keep_m[em] & keep_d[ed]
-    return em[kept], ed[kept]
-
-
 # ---------------------------------------------------------------------- #
-# coordinator
+# the day: scan, labels, prune
 # ---------------------------------------------------------------------- #
 
 
@@ -182,8 +140,6 @@ def build_day_sharded(
     any shard count; phase names match ``prepare_day`` so wall-clock and
     throughput attribution stay comparable across the two paths.
     """
-    jobs = resolve_n_jobs(config.n_jobs)  # a bad value fails before shard work
-    watch = watch if watch is not None else Stopwatch()
     trace = context.trace
     store: EdgeStore = trace.store
     prune_config = config.prune
@@ -191,6 +147,7 @@ def build_day_sharded(
     n_domain_ids = len(trace.domains)
     n_e2lds = len(context.e2ld_index)
     n_shards = store.n_shards
+    watch = watch if watch is not None else Stopwatch()
 
     with current_tracer().span(
         "segugio_sharded_build",
@@ -200,21 +157,15 @@ def build_day_sharded(
     ):
         with watch.phase("build_graph"):
             e2ld_map = context.e2ld_index.map_array()
-            if prune_config.apply_r4:
-                np.save(os.path.join(trace.directory, E2LD_MAP_NAME), e2ld_map)
-            scans = supervised_map(
-                _shard_scan,
-                [
-                    (trace.directory, shard, n_e2lds, prune_config.apply_r4)
-                    for shard in range(n_shards)
-                ],
-                max_workers=jobs,
-                label="shard_scan",
-            )
             machine_degrees = np.zeros(n_machine_ids, dtype=np.int64)
             domain_degrees = np.zeros(n_domain_ids, dtype=np.int64)
             e2ld_machine_counts = np.zeros(n_e2lds, dtype=np.int64)
-            for mids, mdeg, dids, ddeg, e2c in scans:
+            for shard in range(n_shards):
+                mids, mdeg, dids, ddeg, e2c = _shard_scan(
+                    *_shard_columns(store, shard),
+                    e2ld_map if prune_config.apply_r4 else None,
+                    n_e2lds,
+                )
                 # machines are partitioned by shard: direct assignment
                 machine_degrees[mids] = mdeg
                 np.add.at(domain_degrees, dids, ddeg)
@@ -235,19 +186,12 @@ def build_day_sharded(
                 context.day,
             )
             domain_labels[hidden] = UNKNOWN
-            np.save(
-                os.path.join(trace.directory, DOMAIN_LABELS_NAME),
-                domain_labels,
-            )
-            label_parts = supervised_map(
-                _shard_labels,
-                [(trace.directory, shard) for shard in range(n_shards)],
-                max_workers=jobs,
-                label="shard_labels",
-            )
             malware_degree = np.zeros(n_machine_ids, dtype=np.int64)
             benign_degree = np.zeros(n_machine_ids, dtype=np.int64)
-            for mids, malware, benign in label_parts:
+            for shard in range(n_shards):
+                mids, malware, benign = _shard_labels(
+                    *_shard_columns(store, shard), domain_labels
+                )
                 malware_degree[mids] = malware
                 benign_degree[mids] = benign
             machine_labels = machine_labels_from_degrees(
@@ -265,7 +209,7 @@ def build_day_sharded(
                 prune_config,
             )
             pruned = _kept_subgraph(
-                trace, decision.keep_machines, decision.keep_domains, jobs
+                trace, decision.keep_machines, decision.keep_domains
             )
             result = finish_pruning(decision, pruned, store.n_edges)
             labels = derive_machine_labels(result.graph, domain_labels)
@@ -273,17 +217,15 @@ def build_day_sharded(
 
 
 def _kept_subgraph(
-    trace, keep_machines: np.ndarray, keep_domains: np.ndarray, jobs: int
+    trace, keep_machines: np.ndarray, keep_domains: np.ndarray
 ) -> BehaviorGraph:
     """The sharded ``BehaviorGraph.subgraph``: kept edges of every shard,
     merged into the in-memory edge order."""
-    packed = (np.packbits(keep_machines), np.packbits(keep_domains))  # once
-    kept_parts = supervised_map(
-        _shard_kept_edges,
-        [(trace.directory, shard, *packed) for shard in range(trace.n_shards)],
-        max_workers=jobs,
-        label="shard_prune",
-    )
+    kept_parts = []
+    for shard in range(trace.n_shards):
+        em, ed = _shard_columns(trace.store, shard)
+        kept = keep_machines[em] & keep_domains[ed]
+        kept_parts.append((em[kept], ed[kept]))
     em_all = np.concatenate(
         [part[0] for part in kept_parts]
         or [np.empty(0, dtype=np.int64)]

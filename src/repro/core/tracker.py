@@ -92,10 +92,9 @@ class DayReport:
     tripped rules as reasons."""
 
     runtime_events: List[Dict[str, object]] = field(default_factory=list)
-    """Execution-layer degradation events recorded while this day ran
-    (worker lost, task hang, pool shrunk, serial fallback, retries) — the
-    supervisor's provenance that results are correct but were computed the
-    hard way.  Empty on a fault-free day."""
+    """Runtime degradation events recorded while this day ran (day and
+    checkpoint-write retries) — the provenance that results are correct
+    but were computed the hard way.  Empty on a fault-free day."""
 
     def summary(self) -> str:
         degraded = (

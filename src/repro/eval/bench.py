@@ -3,8 +3,8 @@
 Runs one pinned tracking campaign with profiling off, with profiling on,
 and with profiling on over a sharded edge store, and gates on what only
 this comparison can show: the three runs' ledgers and ``decisions.jsonl``
-are byte-identical, every supervised pool task contributed its worker
-span, and profiling costs under :data:`E2E_OVERHEAD_GATE_PCT` of wall.
+are byte-identical, and profiling costs under
+:data:`E2E_OVERHEAD_GATE_PCT` of wall.
 Per-layer cost is not measured here — ``python3 benchmarks/segbench/run.py``
 is the benchmark.  Timings use ``time.perf_counter`` (durations, not
 wall-clock identity; same policy as the stopwatch).
@@ -42,17 +42,10 @@ E2E_MAX_ROUNDS = 20
 
 
 def _profiled_leg(manifest: Mapping[str, object]) -> Dict[str, object]:
-    """What one profiled campaign's manifest contributes to the payload.
-
-    Throughput headlines and peak RSS from its ``resources`` summary, and
-    worker-span coverage: ``complete`` is True when every supervised pool
-    task contributed exactly one merged ``segugio_worker_task`` span and
-    nothing was quarantined or went missing (DESIGN.md §15) — the
-    cross-process tracing analogue of the bit-identity checks.
-    """
+    """Throughput headlines and peak RSS from one profiled campaign's
+    ``resources`` summary."""
     run = TelemetryRun(manifest)
     resources = run.resources or {"throughput": {}, "units": {}, "process": {}}
-    counts = run.worker_accounting()
     return {
         "throughput": {
             key: resources["throughput"].get(key)
@@ -64,19 +57,6 @@ def _profiled_leg(manifest: Mapping[str, object]) -> Dict[str, object]:
         },
         "units": dict(resources["units"]),
         "peak_rss_mb": resources["process"].get("peak_rss_mb"),
-        "worker_tracing": {
-            "n_worker_spans": counts["n_worker_spans"],
-            "n_pool_tasks": counts["n_pool_tasks"],
-            "n_quarantined": counts["n_quarantined"],
-            "n_missing": counts["n_missing"],
-            "complete": (
-                counts["n_worker_spans"]
-                == counts["n_merged"]
-                == counts["n_pool_tasks"]
-                and counts["n_quarantined"] == 0
-                and counts["n_missing"] == 0
-            ),
-        },
     }
 
 
@@ -121,7 +101,6 @@ def _tracked_campaign(
 def run_e2e_bench(
     scale: str = "small",
     seed: int = 7,
-    n_jobs: int = 1,
     repeats: int = 2,
     isp: str = "isp1",
     n_days: int = 2,
@@ -154,22 +133,16 @@ def run_e2e_bench(
       both estimators to the true value, and still fails.  At least
       max(*repeats*, :data:`E2E_MIN_ROUNDS`) rounds run; rounds then
       continue until the estimate drops below the gate (capped at
-      :data:`E2E_MAX_ROUNDS`).  Profiled runs carry the full
-      worker-side tracing stack (sidecar spill + merge, DESIGN.md §15),
-      so the overhead gate prices that in too;
+      :data:`E2E_MAX_ROUNDS`);
     * whether the decision ledger and ``decisions.jsonl`` stream are
       **bit-identical** across all three runs — the observation-only
       guarantee of :mod:`repro.obs.resources` and the determinism
-      contract of :mod:`repro.core.sharded`, measured, not assumed; and
-    * **worker-span coverage**: every supervised pool task of the
-      profiled runs must have contributed exactly one merged worker
-      span, none quarantined or missing.
+      contract of :mod:`repro.core.sharded`, measured, not assumed.
 
-    ``gate.passed`` is False when any outputs diverge, worker-span
-    coverage is incomplete, or overhead reaches
+    ``gate.passed`` is False when any outputs diverge or overhead reaches
     :data:`E2E_OVERHEAD_GATE_PCT`; the CLI turns that into a non-zero
-    exit, making this the regression gate for the profiling layer, the
-    cross-process tracing layer, and the sharded execution path.  When
+    exit, making this the regression gate for the profiling layer and
+    the sharded execution path.  When
     *max_rounds* caps the run below :data:`E2E_MIN_ROUNDS` (the CLI's
     ``--quick`` smoke mode runs a single round), the overhead term is
     advisory — still reported, but a lone noisy sample cannot fail the
@@ -180,7 +153,7 @@ def run_e2e_bench(
     from repro.dns.trace import DEFAULT_BATCH_SIZE
 
     if config is None:
-        config = SegugioConfig(n_jobs=n_jobs)
+        config = SegugioConfig()
     if batch_size is None:
         batch_size = DEFAULT_BATCH_SIZE
     # the pinned days every leg replays, built (and resharded) untimed
@@ -283,8 +256,6 @@ def run_e2e_bench(
         identical
         and shard_identical
         and (overhead_pct < E2E_OVERHEAD_GATE_PCT or not overhead_gated)
-        and leg["worker_tracing"]["complete"]
-        and shard_leg["worker_tracing"]["complete"]
     )
     return {
         "schema_version": E2E_SCHEMA_VERSION,
@@ -292,7 +263,6 @@ def run_e2e_bench(
             "scale": scale,
             "seed": int(seed),
             "isp": isp,
-            "n_jobs": int(n_jobs),
             "repeats": int(repeats),
             "n_days": int(n_days),
             "fp_target": float(fp_target),
@@ -338,7 +308,7 @@ def render_e2e_bench(payload: Mapping[str, Any]) -> str:
     lines = [
         f"end-to-end benchmark (scale={params['scale']}, "
         f"seed={params['seed']}, days={params['n_days']}, "
-        f"jobs={params['n_jobs']}, repeats={params['repeats']})",
+        f"repeats={params['repeats']})",
         f"  baseline: {payload['baseline']['seconds']:.3f}s, "
         f"profiled: {payload['profiled']['seconds']:.3f}s "
         f"(overhead {profiling['overhead_pct']:+.2f}%)",
@@ -351,15 +321,9 @@ def render_e2e_bench(payload: Mapping[str, Any]) -> str:
         f"{profiling['outputs_bit_identical']} "
         f"({profiling['n_decision_records']} decision records)",
     ]
-    worker_tracing = payload["worker_tracing"]
     sharded = payload["sharded"]
     sh_peak = sharded["peak_rss_mb"]
     lines += [
-        f"  worker tracing: {worker_tracing['n_worker_spans']} span(s) "
-        f"merged for {worker_tracing['n_pool_tasks']} pool task(s), "
-        f"{worker_tracing['n_quarantined']} quarantined, "
-        f"{worker_tracing['n_missing']} missing "
-        f"(complete: {worker_tracing['complete']})",
         f"  sharded ({sharded['n_shards']} shards, "
         f"batch {sharded['batch_size']}): "
         f"{float(sharded['seconds']):.3f}s, "
@@ -378,7 +342,7 @@ def render_e2e_bench(payload: Mapping[str, Any]) -> str:
     )
     lines.append(
         f"  gate ({overhead_term}, "
-        f"bit-identical, worker spans complete): "
+        f"bit-identical): "
         f"{'PASS' if gate['passed'] else 'FAIL'}"
     )
     return "\n".join(lines)

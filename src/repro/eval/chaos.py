@@ -2,9 +2,9 @@
 
 Runs the same multi-day tracking campaign twice over one synthetic world:
 
-* a **baseline** run — serial, fault-free, the reference bytes;
-* a **chaos** run — parallel, under an injected :class:`FaultPlan`
-  (:mod:`repro.runtime.faults`), supervised by the degradation ladder
+* a **baseline** run — fault-free, the reference bytes;
+* a **chaos** run — under an injected :class:`FaultPlan`
+  (:mod:`repro.runtime.faults`), each day supervised by the day retry
   (:mod:`repro.runtime.supervisor`), checkpointed after every day, and
   optionally "crashed" after a chosen day and resumed from its checkpoint
   (which exercises the drift-monitor sidecar restore path).
@@ -52,16 +52,16 @@ from repro.synth.scenario import Scenario
 from repro.utils.errors import CheckpointError
 
 #: canned plan used when ``segugio chaos`` is run without ``--plan`` (and
-#: mirrored by ``examples/fault-plan.json``): one worker killed mid-fit,
-#: one transient I/O error failing a whole day's fit, and one torn
-#: checkpoint write.  Fast to run, touches all three recovery layers
-#: (ladder, day retry, atomic checkpoint write).
+#: mirrored by ``examples/fault-plan.json``): a transient I/O error
+#: failing a whole day's fit, another failing a day's classify, and one
+#: torn checkpoint write.  Fast to run, touches both recovery layers (day
+#: retry, atomic checkpoint write).
 DEFAULT_CHAOS_PLAN: Dict[str, object] = {
     "seed": 0,
     "policy": {"base_delay": 0.01, "max_retries": 1},
     "faults": [
-        {"kind": "worker_kill", "site": "forest_fit", "task": 0},
         {"kind": "io_error", "site": "pipeline_fit", "count": 1},
+        {"kind": "io_error", "site": "pipeline_classify", "count": 1},
         {"kind": "corrupt_intermediate", "site": "checkpoint_save", "count": 1},
     ],
 }
@@ -169,7 +169,6 @@ def run_chaos(
     seed: int = 7,
     isp: str = "isp1",
     days: int = 3,
-    jobs: int = 2,
     estimators: int = 24,
     fp_target: float = 0.01,
     kill_day_offset: Optional[int] = None,
@@ -183,8 +182,6 @@ def run_chaos(
     ``kill_day_offset`` simulates a coordinator crash *after* that day's
     checkpoint: the tracker object is discarded and resumed from disk,
     which must restore both the ledger and the drift-monitor sidecar.
-    ``estimators`` should be >= 17 so the parallel predict path has more
-    than one tree chunk and ``forest_predict`` fault sites can fire.
     ``profile`` turns on resource accounting for the chaos run: the
     manifest gains its additive ``resources`` key and the bit-identity
     invariants then double as proof that profiling perturbs nothing.
@@ -197,19 +194,19 @@ def run_chaos(
 
     contexts = list(world_days(Scenario.at_scale(scale, seed), days, isp=isp))
 
-    # --- baseline: serial, fault-free ---------------------------------- #
+    # --- baseline: fault-free ------------------------------------------ #
+    config = SegugioConfig(n_estimators=estimators)
     baseline = DomainTracker(
-        config=SegugioConfig(n_estimators=estimators, n_jobs=1),
+        config=config,
         fp_target=fp_target,
         alert_rules=alert_rules,
     )
     baseline_days = [_day_fingerprint(baseline.process_day(ctx)) for ctx in contexts]
     baseline_drift = baseline.drift_reference()
 
-    # --- chaos: parallel, faulted, checkpointed, optionally resumed ---- #
+    # --- chaos: faulted, checkpointed, optionally resumed -------------- #
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, CHECKPOINT_FILENAME)
-    config = SegugioConfig(n_estimators=estimators, n_jobs=jobs)
     telemetry = RunTelemetry(
         command="chaos", config=config_to_dict(config), profile=profile
     )
@@ -268,7 +265,7 @@ def run_chaos(
         Invariant(
             "ledger_bit_identical",
             completed and ledger_same,
-            "chaos ledger == serial fault-free ledger"
+            "chaos ledger == fault-free ledger"
             if ledger_same
             else "chaos tracker state diverged from the baseline",
         )
@@ -343,52 +340,4 @@ def run_chaos(
         )
     )
 
-    if profile:
-        add(_worker_span_invariant(run, completed))
     return report_out
-
-
-def _worker_span_invariant(run: TelemetryRun, completed: bool) -> Invariant:
-    """Worker spans survive faults or are cleanly quarantined.
-
-    A profiled chaos run must account for every supervised pool task: the
-    attempt that completed each task contributes exactly one merged
-    ``segugio_worker_task`` span (so merged span count == the pool's task
-    count, per label), nothing goes missing, and any quarantined sidecar
-    record (a retried attempt's spill, e.g. after ``worker_kill`` broke
-    the pool mid-round) is surfaced in run health as the
-    ``worker_spans_quarantined`` warning — degraded observability is
-    reported, never silent (DESIGN.md §15).
-    """
-    counts = run.worker_accounting()
-    n_spans, n_merged = counts["n_worker_spans"], counts["n_merged"]
-    n_quarantined, n_missing = counts["n_quarantined"], counts["n_missing"]
-    accounted = n_spans == n_merged and counts["merged_per_label"]
-    loss_flagged = any(
-        reason.get("rule") == "worker_spans_quarantined"
-        for reason in run.health["reasons"]
-    )
-    ok = (
-        completed
-        and n_merged > 0
-        and accounted
-        and n_missing == 0
-        and (n_quarantined == 0 or loss_flagged)
-    )
-    detail = (
-        f"{n_spans} worker span(s) merged, {n_quarantined} quarantined, "
-        f"{n_missing} missing"
-        + (
-            "; quarantine surfaced in run health"
-            if n_quarantined and loss_flagged
-            else ""
-        )
-    )
-    if not ok:
-        if not accounted:
-            detail += "; merged span count disagrees with pool task accounting"
-        if n_missing:
-            detail += "; completed task(s) lost their sidecar record"
-        if n_quarantined and not loss_flagged:
-            detail += "; quarantine not reflected in run health"
-    return Invariant("worker_spans_accounted", ok, detail)

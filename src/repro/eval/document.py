@@ -7,7 +7,7 @@ whose bodies are plain lines, :class:`Table` blocks and at most one
 :class:`Timeline`.  :func:`render_text` and :func:`render_html` are the
 only renderers, so the HTML page carries every section, row and cell the
 text does by construction; the one thing HTML adds is color and geometry
-(status badges, the timeline drawn as per-lane bars).
+(status badges, the timeline drawn as bars).
 
 Status is always *symbol + word* (``[+] ok`` / ``[!] warn`` /
 ``[x] alert``), never color alone: the HTML backend colors the same text.
@@ -78,34 +78,27 @@ class Table:
 
 @dataclass
 class Timeline:
-    """The result of :func:`repro.eval.trace.build_timeline`: spans of every
-    lane on one clock, in start order."""
+    """The result of :func:`repro.eval.views.build_timeline`: every span
+    on one clock, in start order."""
 
     timeline: Dict[str, Any]
     #: rows the text backend prints before pointing at the HTML page
     limit: int
 
-    def captions(self) -> Dict[str, str]:
-        """Each lane (parent, w0, w1, ..., serial) with its span count and
-        busy seconds."""
-        return {
-            lane: f"{stats['n_spans']} span(s), busy {stats['busy_s']:.3f}s"
-            for lane, stats in self.timeline["lanes"].items()
-        }
+    def caption(self) -> str:
+        """The span count and the busy seconds of the root spans."""
+        timeline = self.timeline
+        return f"{len(timeline['rows'])} span(s), busy {timeline['busy_s']:.3f}s"
 
     def labels(self) -> Iterator[Tuple[Dict[str, Any], str]]:
         """Each span with its name and annotations, e.g.
-        ``segugio_worker_task (label=forest_fit, task=3, STRAGGLER)``."""
+        ``segugio_run_day (day=162)``."""
         for entry in self.timeline["rows"]:
             notes = [
                 f"{key}={entry['attributes'][key]}"
                 for key in ("label", "task", "day", "shard")
                 if key in entry["attributes"]
             ]
-            if entry["straggler"]:
-                notes.append("STRAGGLER")
-            if entry["skew"]:
-                notes.append("skew-normalized")
             name = entry.get("name") or "?"
             yield entry, name + (f" ({', '.join(notes)})" if notes else "")
 
@@ -148,7 +141,7 @@ def _table_lines(table: Table) -> List[str]:
 
 
 def _timeline_lines(block: Timeline) -> List[str]:
-    lines = [f"  {'start s':>9} {'dur s':>9}  {'lane':<7} span"]
+    lines = [f"  {'start s':>9} {'dur s':>9}  span"]
     for shown, (entry, label) in enumerate(block.labels()):
         if shown == block.limit:
             remaining = len(block.timeline["rows"]) - shown
@@ -156,7 +149,7 @@ def _timeline_lines(block: Timeline) -> List[str]:
             break
         lines.append(
             f"  {entry.get('start') or 0.0:>9.3f} "
-            f"{entry.get('duration') or 0.0:>9.3f}  {entry['lane']:<7} "
+            f"{entry.get('duration') or 0.0:>9.3f}  "
             f"{'  ' * (entry.get('depth') or 0)}{label}"
         )
     return lines
@@ -201,17 +194,14 @@ _STYLE = """
   .badge { font-weight: 600; }
   .badge.ok { color: #2c6e49; } .badge.warn { color: #8a6d1a; }
   .badge.alert { color: #a23b3b; } .badge.unknown { color: #5a6172; }
-  .lane-block { margin: 0.6em 0; }
-  .lane-name { font-weight: 600; margin-bottom: 2px; }
+  .timeline-block { margin: 0.6em 0; }
+  .timeline-name { font-weight: 600; margin-bottom: 2px; }
   .track { position: relative; height: 18px; background: #f4f4f4;
            margin-bottom: 2px; }
   .bar { position: absolute; top: 1px; height: 16px; background: #7aa6c2;
          overflow: hidden; font-size: 10px; line-height: 16px;
          color: #fff; white-space: nowrap; box-sizing: border-box;
          border-right: 1px solid #fff; }
-  .bar.worker { background: #5b8c5a; }
-  .bar.straggler { background: #c2703a; }
-  .bar.skew { outline: 2px dashed #a04040; }
 """
 
 _BADGE_TEXT = re.compile(r"\[[+!x?]\] (ok|warn|alert|unknown)\b")
@@ -241,37 +231,28 @@ def _table_html(table: Table) -> List[str]:
 
 
 def _timeline_html(block: Timeline) -> List[str]:
-    """One block per lane, one track per span depth, one bar per span."""
+    """One track per span depth, one bar per span."""
     clock_s = block.timeline["clock_s"] or 1.0
-    tracks: Dict[str, Dict[int, List[str]]] = {}
+    tracks: Dict[int, List[str]] = {}
     for entry, label in block.labels():
         start, duration = entry.get("start") or 0.0, entry.get("duration") or 0.0
-        classes = "bar"
-        if entry["lane"] != "parent":
-            classes += " worker"
-        if entry["straggler"]:
-            classes += " straggler"
-        if entry["skew"]:
-            classes += " skew"
         title = f"{label} start={start:.3f}s dur={duration:.3f}s"
-        tracks.setdefault(entry["lane"], {}).setdefault(
-            entry.get("depth") or 0, []
-        ).append(
-            f'<div class="{classes}" '
+        tracks.setdefault(entry.get("depth") or 0, []).append(
+            f'<div class="bar" '
             f'style="left:{start / clock_s * 100.0:.3f}%;'
             f'width:{max(duration / clock_s * 100.0, 0.05):.3f}%" '
             f'title="{html.escape(title)}">'
             f"{html.escape(entry.get('name') or '?')}</div>"
         )
-    parts: List[str] = []
-    for lane, caption in block.captions().items():
-        parts.append('<div class="lane-block">')
-        parts.append(f'<div class="lane-name">{_esc(lane)} &mdash; {caption}</div>')
-        for depth in sorted(tracks.get(lane, {})):
-            parts.append('<div class="track">')
-            parts.extend(tracks[lane][depth])
-            parts.append("</div>")
+    parts = [
+        '<div class="timeline-block">',
+        f'<div class="timeline-name">{_esc(block.caption())}</div>',
+    ]
+    for depth in sorted(tracks):
+        parts.append('<div class="track">')
+        parts.extend(tracks[depth])
         parts.append("</div>")
+    parts.append("</div>")
     return parts
 
 

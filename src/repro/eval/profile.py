@@ -3,9 +3,8 @@
 The pieces of the phase-tree + hotspot breakdown that hide an algorithm,
 each a pure function of a run manifest: same-named span siblings merged
 into an aggregate tree (so multi-day runs stay readable), phases ranked
-by CPU seconds (the §IV-G table, ranked), per-shard / per-tree-block wall
-attribution from the merged worker spans, the p95 read of a pool's
-task-latency histogram, and the budget verdicts folded into run health.
+by CPU seconds (the §IV-G table, ranked), and the budget verdicts folded
+into run health.
 A manifest written without ``--profile`` has no ``resources`` key; CPU
 and RSS columns are then ``None`` rather than an error.  Keys may be
 missing, but what is present is expected in the shape
@@ -17,9 +16,6 @@ The view itself is :func:`repro.eval.views.profile_view`.
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.obs.manifest import WORKER_TASK_SPAN
-from repro.obs.resources import LATENCY_BUCKETS
 
 #: hotspot rows shown in the ranked table
 HOTSPOT_LIMIT = 12
@@ -135,64 +131,6 @@ def phase_hotspots(
     return rows[:limit]
 
 
-def worker_task_attribution(
-    manifest: Mapping[str, Any],
-) -> Dict[str, List[Dict[str, Any]]]:
-    """Per-task wall attribution from merged ``segugio_worker_task`` spans.
-
-    Groups the worker-side spans the supervisor merged back into the trace
-    (DESIGN.md §15) by pool label, then by task index — for ``shard_*``
-    labels the task index is the shard, for ``forest_*`` labels the
-    fixed-size tree block — summing wall seconds across pool calls (a
-    multi-day run executes each task index once per call).  Returns
-    ``{label: [{task, unit, n, wall_s, workers}]}`` with tasks in index
-    order; empty for manifests without worker spans (unprofiled or serial
-    runs).
-    """
-    per_label: Dict[str, Dict[int, Dict[str, Any]]] = {}
-
-    def visit(span: Mapping[str, Any]) -> None:
-        if span.get("name") == WORKER_TASK_SPAN:
-            attributes = span.get("attributes") or {}
-            label = str(attributes.get("label", "?"))
-            task = attributes.get("task")
-            task = -1 if task is None else task
-            entry = per_label.setdefault(label, {}).setdefault(
-                task,
-                {
-                    "task": task,
-                    "unit": (
-                        "shard"
-                        if label.startswith("shard_")
-                        else "tree block"
-                        if label.startswith("forest_")
-                        else "task"
-                    ),
-                    "n": 0,
-                    "wall_s": 0.0,
-                    "workers": set(),
-                },
-            )
-            entry["n"] += 1
-            entry["wall_s"] = round(
-                entry["wall_s"] + (span.get("duration") or 0.0), 6
-            )
-            if attributes.get("worker") is not None:
-                entry["workers"].add(str(attributes["worker"]))
-        for child in span.get("children") or ():
-            visit(child)
-
-    for span in manifest.get("spans") or ():
-        visit(span)
-    return {
-        label: [
-            {**entry, "workers": sorted(entry["workers"])}
-            for _task, entry in sorted(tasks.items())
-        ]
-        for label, tasks in sorted(per_label.items())
-    }
-
-
 def budget_verdicts(
     manifest: Mapping[str, Any],
 ) -> List[Mapping[str, Any]]:
@@ -203,26 +141,3 @@ def budget_verdicts(
         for reason in reasons
         if str(reason.get("path", "")).startswith("resources.")
     ]
-
-
-def latency_summary(
-    histogram: Mapping[str, Any],
-) -> Tuple[Optional[float], Optional[float]]:
-    """``(mean_s, p95_s)`` of a pool task-latency histogram.
-
-    p95 is the upper bound of the bucket containing the 95th percentile
-    (``None`` when it lands in the overflow bucket or the histogram is
-    empty) — a deterministic, conservative read of the bucketed data.
-    """
-    count = histogram.get("count") or 0
-    if count <= 0:
-        return None, None
-    mean = (histogram.get("sum") or 0.0) / count
-    buckets = histogram.get("buckets") or {}
-    target = 0.95 * count
-    cumulative = 0
-    for le in LATENCY_BUCKETS:
-        cumulative += buckets.get(f"{le:g}") or 0
-        if cumulative >= target:
-            return mean, float(le)
-    return mean, None

@@ -13,11 +13,10 @@ is worth showing:
 * :func:`health_view` — the multi-day quality dashboard over one or more
   runs: trends, sparklines, tripped alert rules, decision verdicts per
   day, per-feature drift, optional reference drift;
-* :func:`profile_view` — where a profiled run spent CPU, memory and pool
-  time: phase tree, hotspots, per-worker and per-shard attribution,
-  budget verdicts;
-* :func:`timeline_view` — parent and pool workers on one clock, with
-  stragglers, clock-skew repairs and degradation events.
+* :func:`profile_view` — where a profiled run spent CPU and memory:
+  phase tree, hotspots, budget verdicts;
+* :func:`timeline_view` — every span on one clock, with the degradation
+  events.
 
 All four are pure functions of the artifacts — deterministic and offline.
 """
@@ -36,20 +35,14 @@ from repro.eval.monitor import (
 from repro.eval.profile import (
     aggregate_spans,
     budget_verdicts,
-    latency_summary,
     phase_hotspots,
     tree_rows,
-    worker_task_attribution,
 )
-from repro.eval.trace import STRAGGLER_FACTOR, build_timeline
 from repro.obs.manifest import LEDGER_PHASES, TEST_PHASES, TRAIN_PHASES, TelemetryRun
 from repro.obs.monitor import worst_status
 
 #: the views, in the order ``segugio inspect`` prints them
 VIEW_NAMES = ("cost", "health", "profile", "timeline")
-
-#: per-task attribution rows shown per pool label
-ATTRIBUTION_LIMIT = 12
 
 #: timeline rows the text backend prints before pointing at the HTML page
 ROW_LIMIT = 400
@@ -400,7 +393,7 @@ def health_view(
 
 
 def profile_view(run: TelemetryRun) -> Document:
-    """Phase tree, hotspots and pool utilization of one run."""
+    """Phase tree, hotspots and budget verdicts of one run."""
     document = Document(
         f"segugio inspect: profile — {_headline(run)}, {len(run.days)} "
         f"day(s), health {badge(run.health.get('status'))}"
@@ -460,45 +453,6 @@ def profile_view(run: TelemetryRun) -> Document:
     if resources is None:
         return document
 
-    if resources["pool"]:
-        attribution = worker_task_attribution(run.manifest)
-        section = document.add("supervised pool utilization:")
-        for label, stats in sorted(resources["pool"].items()):
-            mean, p95 = latency_summary(stats["latency"])
-            n_tasks = stats.get("n_tasks") or 0
-            wait = stats.get("queue_wait_s")
-            mean_wait = wait / n_tasks if wait is not None and n_tasks else None
-            section.body.append(
-                f"  {label}: {n_tasks} task(s), "
-                f"busy {fmt(stats.get('busy_s'))}s, "
-                f"cpu {fmt(stats.get('cpu_s'))}s, "
-                f"queue wait mean {fmt(mean_wait)}s / "
-                f"max {fmt(stats.get('queue_wait_max_s'))}s, "
-                f"latency mean {fmt(mean)}s"
-                + (f" / p95 <= {fmt(p95)}s" if p95 is not None else "")
-            )
-            workers = stats["workers"]
-            busy_total = sum(w.get("busy_s") or 0.0 for w in workers.values())
-            for wid in sorted(workers):
-                busy = workers[wid].get("busy_s") or 0.0
-                share = busy / busy_total * 100.0 if busy_total > 0 else 0.0
-                section.body.append(
-                    f"    {wid}: {workers[wid].get('n_tasks') or 0} "
-                    f"task(s), busy {busy:.3f}s ({share:.0f}%)"
-                )
-            tasks = attribution.get(label, [])
-            for row in tasks[:ATTRIBUTION_LIMIT]:
-                on = ", ".join(row["workers"])
-                section.body.append(
-                    f"    {row['unit']} {row['task']}: {row['n']} run(s), "
-                    f"wall {row['wall_s']:.3f}s" + (f" ({on})" if on else "")
-                )
-            if len(tasks) > ATTRIBUTION_LIMIT:
-                section.body.append(
-                    f"    ... {len(tasks) - ATTRIBUTION_LIMIT} more "
-                    f"{tasks[0]['unit']}(s)"
-                )
-
     verdicts = [f"  {_reason(r)}" for r in budget_verdicts(run.manifest)]
     document.add(
         "resource budget verdicts:"
@@ -510,12 +464,45 @@ def profile_view(run: TelemetryRun) -> Document:
 
 
 # ---------------------------------------------------------------------- #
-# timeline — parent and workers on one clock
+# timeline — every span on one clock
 # ---------------------------------------------------------------------- #
 
 
+def build_timeline(
+    manifest: Mapping[str, Any], rows: Sequence[Mapping[str, Any]]
+) -> Dict[str, Any]:
+    """The trace rows on one clock: ``{clock_s, busy_s, rows, events}``.
+
+    *rows* come back ordered by ``(start, id)``; ``busy_s`` sums the
+    root spans' durations and ``events`` are the manifest's
+    ``runtime_events``.  Rows are in the shape
+    :class:`repro.obs.manifest.TelemetryRun` hands out.
+    """
+    ids = {row.get("id") for row in rows}
+    ordered = sorted(rows, key=lambda r: (r.get("start") or 0.0, r.get("id") or 0))
+    return {
+        "clock_s": round(
+            max(
+                ((r.get("start") or 0.0) + (r.get("duration") or 0.0) for r in rows),
+                default=0.0,
+            ),
+            6,
+        ),
+        "busy_s": round(
+            sum(
+                r.get("duration") or 0.0
+                for r in rows
+                if r.get("parent_id") is None or r.get("parent_id") not in ids
+            ),
+            6,
+        ),
+        "rows": ordered,
+        "events": [dict(event) for event in manifest.get("runtime_events") or ()],
+    }
+
+
 def timeline_view(run: TelemetryRun, limit: int = ROW_LIMIT) -> Document:
-    """The unified timeline of one run's trace."""
+    """The timeline of one run's trace."""
     rows, n_skipped = run.trace
     timeline = build_timeline(run.manifest, rows)
     block = Timeline(timeline, limit)
@@ -528,23 +515,7 @@ def timeline_view(run: TelemetryRun, limit: int = ROW_LIMIT) -> Document:
         document.lines.append(
             f"skipped {n_skipped} malformed line(s) in {run.trace_path}"
         )
-    if not any(lane != "parent" for lane in timeline["lanes"]):
-        document.lines.append(
-            "lanes: parent only (no worker spans — rerun with --profile "
-            "and --jobs > 1 to trace pool workers)"
-        )
-    document.lines.append(
-        "lanes: "
-        + ", ".join(
-            f"{lane} ({caption})" for lane, caption in block.captions().items()
-        )
-    )
-    if timeline["n_stragglers"] or timeline["n_skew"]:
-        document.lines.append(
-            f"annotations: {timeline['n_stragglers']} straggler task(s) "
-            f"(> {STRAGGLER_FACTOR:g}x label median), "
-            f"{timeline['n_skew']} skew-normalized span(s)"
-        )
+    document.lines.append(f"spans: {block.caption()}")
     document.add("timeline (one clock; indent = span depth):", block)
     events = []
     for event in timeline["events"]:

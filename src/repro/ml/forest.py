@@ -10,57 +10,34 @@ The model's score for a domain is the mean over trees of the leaf
 P(malware) — the "malware score" thresholded by the deployment (paper
 §II-A3, "Classifier Operation").
 
-**Parallel execution.** ``n_jobs`` fits trees in a process pool.  Every
-tree is keyed on a seed derived *once* from ``random_state`` before any
-work is scheduled, so a tree's content depends only on its seed and the
-training data — never on which worker grew it or in what order chunks
-completed.  Both fit and predict are chunked into *fixed-size* tree
-blocks (:data:`_FIT_TREE_CHUNK`, :data:`_PREDICT_TREE_CHUNK`) that do not
-depend on ``n_jobs``, and both always run through
-``repro.runtime.supervisor.supervised_map`` (which executes in-process
-when ``max_workers <= 1``).  That buys two invariants at once: the
-per-chunk partial sums combine in chunk order with identical
-float-addition association, so scores are bit-identical at any worker
-count; and the task list seen by the supervisor — and therefore the
-merged worker-span tree and per-tree-block attribution in a profiled
-run — is the same whether one worker or eight did the work (see
-DESIGN.md §10, §15).
+**Fixed tree batches.** Every tree is keyed on a seed derived *once* from
+``random_state`` before any tree is grown, so a tree's content depends
+only on its seed and the training data.  Fit grows the trees in fixed
+:data:`_FIT_TREE_CHUNK`-tree batches (one lock-step ``fit_trees`` call
+each) and predict sums per-tree scores over fixed
+:data:`_PREDICT_TREE_CHUNK`-tree chunks, then adds the chunk partials in
+chunk order: the float-addition association, and so every score, is a
+function of the forest alone (see DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.ml.preprocessing import BinMapper
 from repro.ml.tree import DecisionTreeClassifier, fit_trees
-from repro.obs.events import current_event_log
 from repro.obs.tracing import current_tracer
 from repro.utils.validation import as_1d_int_array, as_2d_float_array, check_same_length
 
-#: trees per partial-sum chunk in predict_proba — fixed (independent of
-#: n_jobs) so the reduction tree, and therefore the float rounding, is the
-#: same no matter how many workers computed the partials
+#: trees per partial-sum chunk in predict_proba — fixed, so the reduction
+#: tree, and therefore the float rounding, belongs to the forest
 _PREDICT_TREE_CHUNK = 16
 
-#: seeds per fit batch — fixed (independent of n_jobs) so the supervised
-#: task list, the per-tree-block attribution in profiled runs, and the
-#: merged worker-span tree are identical at any worker count
+#: seeds per lock-step fit batch — fixed, so a forest's trees do not
+#: depend on how its batches were scheduled
 _FIT_TREE_CHUNK = 16
-
-
-def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Worker count: None/1 → serial, -1 → all cores, n → n."""
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == -1:
-        return max(1, os.cpu_count() or 1)
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
-    return n_jobs
 
 
 def _fit_tree_batch(
@@ -70,11 +47,7 @@ def _fit_tree_batch(
     y: np.ndarray,
     base_weight: np.ndarray,
 ) -> List[DecisionTreeClassifier]:
-    """Grow one tree per seed, all in lock-step (see ``fit_trees``).
-
-    Module-level so it pickles into worker processes; the serial fit path
-    calls it too, keeping both paths byte-for-byte the same code.
-    """
+    """Grow one tree per seed, all in lock-step (see ``fit_trees``)."""
     n = y.shape[0]
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     # a generator: no bootstrap draw outlives its tree's root
@@ -123,13 +96,11 @@ class RandomForestClassifier:
         class_weight: Optional[str] = "balanced",
         bootstrap: bool = True,
         random_state: int = 0,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if class_weight not in (None, "balanced"):
             raise ValueError('class_weight must be None or "balanced"')
-        self.n_jobs = resolve_n_jobs(n_jobs)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -173,73 +144,23 @@ class RandomForestClassifier:
             "max_features": self.max_features,
             "bootstrap": self.bootstrap,
         }
-        n = y.shape[0]
-        jobs = min(self.n_jobs, self.n_estimators)
-        events = current_event_log()
-        events_mark = events.mark()
         with current_tracer().span(
             "segugio_forest_fit",
             n_trees=self.n_estimators,
-            n_samples=int(n),
-            n_jobs=jobs,
-        ) as span:
-            self.trees_ = self._fit_parallel(
-                seeds, params, X_binned, y, base_weight, jobs
-            )
-            if span is not None:
-                # Pool fan-out size: pairs with the supervisor's per-label
-                # task stats ("forest_fit") in the resource profile's
-                # pool-utilization table.  Chunking is fixed-size, so this
-                # count is the same at any worker count.
-                span.set_attribute(
-                    "n_pool_tasks",
-                    (self.n_estimators + _FIT_TREE_CHUNK - 1) // _FIT_TREE_CHUNK,
-                )
-            n_degraded = len(events) - events_mark
-            if span is not None and n_degraded:
-                span.set_attribute("n_supervisor_events", n_degraded)
-        return self
-
-    def _fit_parallel(
-        self,
-        seeds: List[int],
-        params: Dict[str, object],
-        X_binned: np.ndarray,
-        y: np.ndarray,
-        base_weight: np.ndarray,
-        jobs: int,
-    ) -> List[DecisionTreeClassifier]:
-        """Fit seed-keyed tree batches across a supervised process pool.
-
-        Seeds are split into fixed-size contiguous batches
-        (:data:`_FIT_TREE_CHUNK` trees each, independent of *jobs*); each
-        worker runs the same ``_fit_tree_batch`` as an in-process fit and
-        results are concatenated in batch order.  The supervisor absorbs
-        worker death, hangs, and transient errors by resubmitting the
-        seed-keyed batches on a shrinking pool (ultimately in-process), so
-        the returned ensemble is bit-identical to a serial fit even on a
-        degraded run (DESIGN.md §12), and the task list — hence the merged
-        worker-span tree — is the same at any worker count (§15).
-        """
-        from repro.runtime.supervisor import supervised_map
-
-        tasks = [
-            (list(batch), params, X_binned, y, base_weight)
-            for batch in _chunked(seeds, _FIT_TREE_CHUNK)
-        ]
-        trees: List[DecisionTreeClassifier] = []
-        for batch_trees in supervised_map(
-            _fit_tree_batch, tasks, max_workers=jobs, label="forest_fit"
+            n_samples=int(y.shape[0]),
         ):
-            trees.extend(batch_trees)
-        return trees
+            self.trees_ = []
+            for batch in _chunked(seeds, _FIT_TREE_CHUNK):
+                self.trees_.extend(
+                    _fit_tree_batch(batch, params, X_binned, y, base_weight)
+                )
+        return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf P(malware) over the ensemble, shape (n_samples,).
 
-        Scores are reduced over fixed-size tree chunks (independent of
-        ``n_jobs``), so the result is bit-identical whether chunks were
-        computed serially or across a process pool.
+        Scores are reduced over fixed-size tree chunks, partial sums
+        added in chunk order.
         """
         if not self.trees_ or self.bin_mapper_ is None:
             raise RuntimeError("forest is not fitted")
@@ -249,27 +170,13 @@ class RandomForestClassifier:
                 f"expected {self.n_features_} features, got {X.shape[1]}"
             )
         chunks = _chunked(self.trees_, _PREDICT_TREE_CHUNK)
-        jobs = min(self.n_jobs, len(chunks))
-        events = current_event_log()
-        events_mark = events.mark()
         with current_tracer().span(
             "segugio_forest_predict",
             n_samples=int(X.shape[0]),
-            n_jobs=jobs,
             n_chunks=len(chunks),
-        ) as span:
+        ):
             X_binned = self.bin_mapper_.transform(X)
-            from repro.runtime.supervisor import supervised_map
-
-            partials = supervised_map(
-                _predict_tree_batch,
-                [(chunk, X_binned) for chunk in chunks],
-                max_workers=jobs,
-                label="forest_predict",
-            )
-            n_degraded = len(events) - events_mark
-            if span is not None and n_degraded:
-                span.set_attribute("n_supervisor_events", n_degraded)
+            partials = [_predict_tree_batch(chunk, X_binned) for chunk in chunks]
             scores = np.zeros(X.shape[0], dtype=np.float64)
             for partial in partials:
                 scores += partial

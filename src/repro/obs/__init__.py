@@ -22,14 +22,6 @@ directions — the writer and :class:`TelemetryRun`, the one reader behind
 ``segugio inspect``, ``segugio explain --telemetry-dir`` and the
 bench/chaos gates.
 
-:mod:`repro.obs.workerctx` carries the ambient pattern across process
-boundaries: the supervised executor injects a picklable
-:class:`TaskContext` into every pool task, workers open real spans and
-record events into per-process sidecar files, and the parent
-merges the sidecars back into the main span tree after each pool call —
-so a profiled multi-process run yields one unified timeline
-(``segugio inspect --view timeline``).
-
 Both layers are **ambient and off by default**: library code instruments
 unconditionally against :func:`current_tracer` / :func:`get_logger`, and
 pays (only) a context-variable lookup per site until a run activates
@@ -96,13 +88,6 @@ from repro.obs.tracing import (
     current_tracer,
     use_tracer,
 )
-from repro.obs.workerctx import (
-    SIDECAR_SCHEMA_VERSION,
-    TaskContext,
-    WorkerMergeBox,
-    open_box,
-    read_sidecars,
-)
 
 __all__ = [
     "AlertRule",
@@ -122,17 +107,14 @@ __all__ = [
     "ResourceReader",
     "RunTelemetry",
     "RuntimeEventLog",
-    "SIDECAR_SCHEMA_VERSION",
     "SPAN_NAMES",
     "Span",
     "Stopwatch",
     "StructuredLogger",
     "TRACE_FILENAME",
-    "TaskContext",
     "TelemetryError",
     "TelemetryRun",
     "Tracer",
-    "WorkerMergeBox",
     "bound",
     "config_hash",
     "configure",
@@ -150,8 +132,6 @@ __all__ = [
     "load_decisions",
     "load_manifest",
     "load_resource_budgets",
-    "open_box",
-    "read_sidecars",
     "render_decision",
     "rules_from_dicts",
     "run_health",

@@ -1,14 +1,13 @@
-"""Runtime events: structured degradation provenance from the execution layer.
+"""Runtime events: structured degradation provenance from the runtime.
 
-The supervised executor (:mod:`repro.runtime.supervisor`) never changes
-*what* a run computes — worker death, hung tasks, and transient I/O are
-absorbed by resubmitting seed-keyed work, shrinking the pool, or falling
-back to bit-identical serial execution.  What it must change is the run's
-*story*: an operator looking at a manifest has to see that day 41 limped
-home on one worker.  This module is that story's ledger — an append-only
-log of small structured events (``worker_lost``, ``task_hang``,
-``pool_shrunk``, ``serial_fallback``, …), each a plain dict with a ``kind``
-plus context fields.
+The runtime (:mod:`repro.runtime.supervisor`,
+:mod:`repro.runtime.checkpoint`) never changes *what* a run computes —
+transient I/O is absorbed by retrying a day whose ledger is untouched, or
+a checkpoint write.  What it must change is the run's *story*: an
+operator looking at a manifest has to see that day 41 needed a second
+attempt.  This module is that story's ledger — an append-only log of
+small structured events (``day_retry``, ``io_retry``), each a plain dict
+with a ``kind`` plus context fields.
 
 Like the tracer and :class:`~repro.obs.provenance.DecisionLog`, the log
 is **ambient**: library code calls :func:`current_event_log` and
@@ -19,13 +18,13 @@ important enough that even an untelemetered run keeps them, surfacing the
 count through each :class:`~repro.core.tracker.DayReport` and the day's
 health verdict.
 
-Events are deterministic: they carry task indices, labels, and ladder
-positions — never wall-clock timestamps or PIDs — so a faulted run's event
+Events are deterministic: they carry days, attempts and error texts —
+never wall-clock timestamps or PIDs — so a faulted run's event
 stream is itself reproducible under a seed-keyed fault plan.  When the
 structured-log context has a ``day`` or ``phase`` bound (telemetry's
 ``day_scope``, the tracer's active span), :meth:`RuntimeEventLog.record`
 stamps them onto the event unless the caller passed its own — so a fault
-that fires mid-shard self-describes which day and phase it degraded
+that fires mid-day self-describes which day and phase it degraded
 instead of relying on where the event happened to land in the manifest.
 """
 

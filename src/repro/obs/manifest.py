@@ -36,22 +36,15 @@ Manifest layout (``manifest_version`` 3)::
       "spans": […],                  # nested span tree
       "ingest": [{…}],               # IngestReport.to_dict() per loaded source
       "degradations": ["…"],         # union of day provenance tags
-      "runtime_events": [{…}],       # whole-run supervisor event log: every
-                                     # worker_lost/task_hang/task_retry/
-                                     # pool_shrunk/serial_fallback/day_retry/
-                                     # io_retry event, in order (see
-                                     # repro.runtime.supervisor)
+      "runtime_events": [{…}],       # whole-run runtime event log: every
+                                     # day_retry/io_retry event, in order
+                                     # (see repro.runtime.supervisor)
       "warnings": ["…"],
       "trace_file": "trace.jsonl",
       "decisions_file": "decisions.jsonl" | null,  # decision provenance
-      "resources": {…}               # additive: per-phase CPU/peak-RSS/IO,
-                                     # throughput gauges, pool stats, and
-                                     # "workers" — per-pool-label sidecar
-                                     # merge accounting (n_merged/
-                                     # n_quarantined/n_missing/...) from
-                                     # cross-process worker tracing
-                                     # (repro.obs.workerctx, DESIGN.md §15)
-                                     # — present only on ``--profile`` runs
+      "resources": {…}               # additive: per-phase CPU/peak-RSS/IO
+                                     # and throughput gauges — present
+                                     # only on ``--profile`` runs
                                      # (repro.obs.resources; readers render
                                      # "n/a" when absent)
     }
@@ -61,10 +54,13 @@ run-level snapshot and a per-day delta of a metrics registry nothing
 read).  The reader opens both with the same code: a v2 manifest's
 ``metrics`` passes through unread, and every number it held is also a
 day-record field, an ``ingest[]`` counter or a span attribute.
-``runtime_events`` (run-level and per-day), ``resources`` (run-level and
-per-day) and ``resources.workers`` are additive: writers emit them only
-when they apply (``resources`` only on ``--profile`` runs) and the reader
-treats a missing key as empty.  Version 1 (no ``health``/``drift``/
+``runtime_events`` (run-level and per-day) and ``resources`` (run-level
+and per-day) are additive: writers emit them only when they apply
+(``resources`` only on ``--profile`` runs) and the reader treats a
+missing key as empty.  Manifests written while the day still ran
+through a process pool carry ``resources.pool``/``resources.workers``
+and ``segugio_worker_task`` spans; they pass through unread, the spans
+as ordinary spans.  Version 1 (no ``health``/``drift``/
 ``decisions_file``, dotted span names) has had no writer since the v2 bump
 and is rejected by version like any other.
 """
@@ -90,10 +86,6 @@ MANIFEST_VERSION = 3
 READABLE_VERSIONS = (2, MANIFEST_VERSION)
 MANIFEST_FILENAME = "manifest.json"
 TRACE_FILENAME = "trace.jsonl"
-
-#: the span workers open around every supervised pool task
-WORKER_TASK_SPAN = "segugio_worker_task"
-
 
 # Phase grouping of the paper's §IV-G table: the learning phase covers graph
 # preparation + training; the classification phase covers measuring and
@@ -225,20 +217,6 @@ _RESOURCES = {
     },
     "throughput": {"*": _NUM},
     "units": {"*": _ANY},
-    "pool": {
-        "*": {
-            "n_tasks": _INT,
-            "busy_s": _NUM,
-            "cpu_s": _NUM,
-            "queue_wait_s": _NUM,
-            "queue_wait_max_s": _NUM,
-            "latency": {"count": _INT, "sum": _NUM, "buckets": {"*": _INT}},
-            "workers": {"*": {"n_tasks": _INT, "busy_s": _NUM}},
-        }
-    },
-    "workers": {
-        "*": {"n_merged": _INT, "n_quarantined": _INT, "n_missing": _INT}
-    },
 }
 _MANIFEST = {
     "created_unix": _NUM,
@@ -494,39 +472,3 @@ class TelemetryRun:
             return self._check_decisions(load_decisions(path), path)
         except ProvenanceError as error:
             raise TelemetryError(str(error)) from None
-
-    # ------------------------------------------------------------------ #
-    # derived accessors
-    # ------------------------------------------------------------------ #
-
-    def worker_accounting(self) -> Dict[str, Any]:
-        """Pool tasks against the worker spans merged back for them.
-
-        Every supervised pool task should have contributed exactly one
-        merged :data:`WORKER_TASK_SPAN` span, none quarantined or missing
-        (DESIGN.md §15); the bench gate and the chaos invariant each
-        phrase their own verdict over these counts.
-        """
-        n_spans = 0
-        stack = list(self.spans)
-        while stack:
-            span = stack.pop()
-            n_spans += span.get("name") == WORKER_TASK_SPAN
-            stack.extend(span["children"])
-        resources = self.resources or {"workers": {}, "pool": {}}
-        workers, pool = resources["workers"], resources["pool"]
-
-        def total(stats: Mapping[str, Mapping[str, Any]], key: str) -> int:
-            return sum(entry.get(key) or 0 for entry in stats.values())
-
-        return {
-            "n_worker_spans": n_spans,
-            "n_pool_tasks": total(pool, "n_tasks"),
-            "n_merged": total(workers, "n_merged"),
-            "n_quarantined": total(workers, "n_quarantined"),
-            "n_missing": total(workers, "n_missing"),
-            "merged_per_label": all(
-                workers.get(label, {}).get("n_merged") == (stats.get("n_tasks") or 0)
-                for label, stats in pool.items()
-            ),
-        }

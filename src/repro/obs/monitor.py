@@ -153,8 +153,8 @@ DEFAULT_ALERT_RULES: Tuple[AlertRule, ...] = (
         warn=1.0,
         alert=4.0,
         description=(
-            "the execution layer degraded while computing the day "
-            "(worker loss, task hang, retry, pool shrink, or serial fallback)"
+            "the runtime retried while computing the day "
+            "(a day retry or a checkpoint-write retry)"
         ),
     ),
 )

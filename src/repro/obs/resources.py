@@ -14,10 +14,7 @@ active) and attributes to each pipeline phase:
 
 Throughput gauges (trace rows/s, graph edges/s, domains scored/s) are
 derived from unit counters the pipeline reports via :func:`count_units`
-divided by the wall-clock of the phases that process them, and the
-supervised process pool reports per-worker busy time, queue-wait, and
-task-latency histograms through :meth:`ResourceMonitor.observe_task`
-(child RSS folded in via ``RUSAGE_CHILDREN``).
+divided by the wall-clock of the phases that process them.
 
 Like every other :mod:`repro.obs` layer the monitor is **ambient and off
 by default**: instrumented code consults :func:`current_monitor`, which
@@ -76,25 +73,9 @@ UNIT_PHASES: Dict[str, Tuple[str, ...]] = {
     UNIT_EDGE_BATCHES: ("build_graph",),
 }
 
-#: task-latency histogram bucket upper bounds (seconds)
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
 #: default watermark sampler period (seconds); ~20 Hz keeps the sampler
 #: itself well under the documented <3% overhead bound
 DEFAULT_SAMPLE_INTERVAL = 0.05
-
-
-def process_clock() -> Tuple[float, float]:
-    """``(wall_seconds, cpu_seconds)`` for the calling process.
-
-    Wall is the monotonic performance counter; CPU is user+system via
-    ``os.times()``.  Exported so pool workers (``repro.runtime.supervisor``)
-    can self-time without reading resource primitives directly (SEG012).
-    """
-    t = os.times()
-    return time.perf_counter(), t.user + t.system
 
 
 def _maxrss_to_mb(ru_maxrss: float) -> float:
@@ -226,7 +207,7 @@ class _Frame:
 
 
 class ResourceMonitor:
-    """Accumulates per-phase resource deltas, throughput units, pool stats.
+    """Accumulates per-phase resource deltas and throughput units.
 
     Thread-safety: :meth:`sample` runs on the background watermark thread
     and only touches the open-frame peaks and the global sampled peak,
@@ -247,9 +228,6 @@ class ResourceMonitor:
         self._open_frames: List[_Frame] = []
         self.phases: Dict[str, Dict[str, object]] = {}
         self.units: Dict[str, int] = {}
-        self.pool: Dict[str, Dict[str, object]] = {}
-        self.workers: Dict[str, Dict[str, object]] = {}
-        self._workers: Dict[object, str] = {}
         self.n_samples = 0
         self._sampled_peak_mb: Optional[float] = None
         self._last_rss_mb: Optional[float] = None
@@ -306,10 +284,9 @@ class ResourceMonitor:
             # no watermark sample landed yet (sampler not running, or a
             # frame closed before the first tick): one direct read keeps
             # the column populated rather than blank.  The reading is
-            # cached as the last-known RSS so samplerless monitors (the
-            # per-process worker context) pay the /proc/self/status parse
-            # once, not once per span — per-frame parses alone would
-            # break the <3% e2e overhead gate.
+            # cached as the last-known RSS so a samplerless monitor pays
+            # the /proc/self/status parse once, not once per span —
+            # per-frame parses alone would break the <3% e2e overhead gate.
             rss = self.reader.rss_mb()
             if rss is not None:
                 with self._lock:
@@ -407,133 +384,6 @@ class ResourceMonitor:
         self.units[unit] = self.units.get(unit, 0) + int(n)
 
     # ------------------------------------------------------------------ #
-    # pool / worker accounting
-    # ------------------------------------------------------------------ #
-
-    def _worker_id(self, worker: object) -> str:
-        if worker not in self._workers:
-            self._workers[worker] = f"w{len(self._workers)}"
-        return self._workers[worker]
-
-    def worker_alias(self, worker: object) -> str:
-        """The stable anonymised id (``w0``, ``w1``, …) for *worker*.
-
-        Public face of the first-seen worker table so the sidecar merge
-        (:mod:`repro.obs.workerctx`) stamps merged spans with the same
-        alias the pool stats use — pids never reach the manifest.
-        """
-        return self._worker_id(worker)
-
-    def record_worker_merge(
-        self,
-        label: str,
-        *,
-        n_merged: int,
-        n_quarantined: int,
-        n_missing: int,
-        n_sidecar_files: int,
-        n_worker_events: int = 0,
-    ) -> None:
-        """Account one sidecar merge (per ``supervised_map`` label).
-
-        *n_merged* worker span trees were grafted into the parent trace;
-        *n_quarantined* sidecar records were superseded (a retried task's
-        earlier round) and dropped — counted like orphan runtime events;
-        *n_missing* completed tasks produced no sidecar record (killed
-        worker, spill failure).  Lands additively as the manifest's
-        ``resources.workers`` section.
-        """
-        if not self.enabled:
-            return
-        stats = self.workers.setdefault(
-            label,
-            {
-                "n_merged": 0,
-                "n_quarantined": 0,
-                "n_missing": 0,
-                "n_sidecar_files": 0,
-                "n_worker_events": 0,
-            },
-        )
-        stats["n_merged"] = int(stats["n_merged"]) + int(n_merged)  # type: ignore[arg-type]
-        stats["n_quarantined"] = (  # type: ignore[arg-type]
-            int(stats["n_quarantined"]) + int(n_quarantined)  # type: ignore[arg-type]
-        )
-        stats["n_missing"] = int(stats["n_missing"]) + int(n_missing)  # type: ignore[arg-type]
-        stats["n_sidecar_files"] = (  # type: ignore[arg-type]
-            int(stats["n_sidecar_files"]) + int(n_sidecar_files)  # type: ignore[arg-type]
-        )
-        stats["n_worker_events"] = (  # type: ignore[arg-type]
-            int(stats["n_worker_events"]) + int(n_worker_events)  # type: ignore[arg-type]
-        )
-
-    def observe_task(
-        self,
-        label: str,
-        queue_wait_s: float,
-        exec_wall_s: float,
-        exec_cpu_s: Optional[float],
-        worker: object,
-    ) -> None:
-        """Record one supervised-pool task completion.
-
-        *label* is the ``supervised_map`` task label (``forest_fit``, …);
-        *worker* is the executing pid (or ``"serial"``), anonymised to a
-        stable first-seen index (``w0``, ``w1``, …) in the summary.
-        """
-        if not self.enabled:
-            return
-        queue_wait_s = max(float(queue_wait_s), 0.0)
-        exec_wall_s = max(float(exec_wall_s), 0.0)
-        latency = queue_wait_s + exec_wall_s
-        stats = self.pool.setdefault(
-            label,
-            {
-                "n_tasks": 0,
-                "busy_s": 0.0,
-                "cpu_s": 0.0,
-                "queue_wait_s": 0.0,
-                "queue_wait_max_s": 0.0,
-                "latency": {
-                    "buckets": {f"{le:g}": 0 for le in LATENCY_BUCKETS}
-                    | {"inf": 0},
-                    "sum": 0.0,
-                    "count": 0,
-                },
-                "workers": {},
-            },
-        )
-        stats["n_tasks"] = int(stats["n_tasks"]) + 1  # type: ignore[arg-type]
-        stats["busy_s"] = round(float(stats["busy_s"]) + exec_wall_s, 6)  # type: ignore[arg-type]
-        if exec_cpu_s is not None:
-            stats["cpu_s"] = round(  # type: ignore[arg-type]
-                float(stats["cpu_s"]) + max(float(exec_cpu_s), 0.0), 6  # type: ignore[arg-type]
-            )
-        stats["queue_wait_s"] = round(  # type: ignore[arg-type]
-            float(stats["queue_wait_s"]) + queue_wait_s, 6  # type: ignore[arg-type]
-        )
-        stats["queue_wait_max_s"] = round(  # type: ignore[arg-type]
-            max(float(stats["queue_wait_max_s"]), queue_wait_s), 6  # type: ignore[arg-type]
-        )
-        hist: Dict[str, object] = stats["latency"]  # type: ignore[assignment]
-        buckets: Dict[str, int] = hist["buckets"]  # type: ignore[assignment]
-        placed = False
-        for le in LATENCY_BUCKETS:
-            if latency <= le:
-                buckets[f"{le:g}"] += 1
-                placed = True
-                break
-        if not placed:
-            buckets["inf"] += 1
-        hist["sum"] = round(float(hist["sum"]) + latency, 6)  # type: ignore[arg-type]
-        hist["count"] = int(hist["count"]) + 1  # type: ignore[arg-type]
-        workers: Dict[str, Dict[str, object]] = stats["workers"]  # type: ignore[assignment]
-        wid = self._worker_id(worker)
-        wstats = workers.setdefault(wid, {"n_tasks": 0, "busy_s": 0.0})
-        wstats["n_tasks"] = int(wstats["n_tasks"]) + 1  # type: ignore[arg-type]
-        wstats["busy_s"] = round(float(wstats["busy_s"]) + exec_wall_s, 6)  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------------ #
     # per-day deltas (driven by RunTelemetry.day_scope)
     # ------------------------------------------------------------------ #
 
@@ -628,14 +478,6 @@ class ResourceMonitor:
                 wall,
             ),
         }
-        if self.pool:
-            payload["pool"] = {
-                label: dict(stats) for label, stats in self.pool.items()
-            }
-        if self.workers:
-            payload["workers"] = {
-                label: dict(stats) for label, stats in self.workers.items()
-            }
         return payload
 
 

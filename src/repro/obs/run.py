@@ -180,27 +180,6 @@ class RunTelemetry:
         if self.resources.enabled:
             resources = self.resources.summary()
             violations = evaluate_budgets(resources, self.budgets)
-            # Worker span loss degrades health like orphan runtime events:
-            # a quarantined or missing sidecar record means part of the
-            # trace timeline is reconstructed, not observed.
-            n_lost = sum(
-                int(stats.get("n_quarantined", 0)) + int(stats.get("n_missing", 0))  # type: ignore[arg-type]
-                for stats in (resources.get("workers") or {}).values()  # type: ignore[union-attr]
-            )
-            if n_lost:
-                violations = list(violations) + [
-                    {
-                        "rule": "worker_spans_quarantined",
-                        "status": _monitor.STATUS_WARN,
-                        "path": "resources.workers",
-                        "value": n_lost,
-                        "message": (
-                            f"{n_lost} worker span record(s) quarantined or "
-                            "missing (retried or killed pool tasks); the "
-                            "merged trace covers completed attempts only"
-                        ),
-                    }
-                ]
             if violations:
                 reasons: List[Dict[str, object]] = health["reasons"]  # type: ignore[assignment]
                 reasons.extend({"day": None, **v} for v in violations)

@@ -21,12 +21,10 @@ SPAN_NAMES = frozenset(
     {
         # run loop (repro.obs.run)
         "segugio_run_day",
-        # runtime: ingest, checkpointing, the supervised pool
+        # runtime: ingest, checkpointing
         "segugio_ingest_load_observation",
         "segugio_checkpoint_save",
         "segugio_checkpoint_resume",
-        "segugio_supervisor_serial",
-        "segugio_worker_task",
         # out-of-core sharded graph build (repro.core.sharded)
         "segugio_sharded_build",
         # core tracker phases (the paper's daily loop)

@@ -104,22 +104,12 @@ _NULL_CONTEXT = _NullContext()
 class Tracer:
     """Collects a forest of spans for one run."""
 
-    def __init__(
-        self, enabled: bool = True, epoch: Optional[float] = None
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
         self.roots: List[Span] = []
         self._stack: List[Span] = []
         self._next_id = 1
-        # On Linux perf_counter() is CLOCK_MONOTONIC, shared across
-        # processes — a worker tracer built with the parent's epoch
-        # records starts directly on the parent's clock.
-        self._epoch = time.perf_counter() if epoch is None else float(epoch)
-
-    @property
-    def epoch(self) -> float:
-        """The perf_counter() instant all span starts are relative to."""
-        return self._epoch
+        self._epoch = time.perf_counter()
 
     def span(
         self, name: str, **attributes: object
@@ -162,52 +152,6 @@ class Tracer:
                     span.attributes["resources"] = delta
             _logs.pop_context(log_token)
             self._stack.pop()
-
-    # ------------------------------------------------------------------ #
-    # cross-process adoption
-    # ------------------------------------------------------------------ #
-
-    def adopt_span_trees(self, trees: List[Dict[str, object]]) -> int:
-        """Graft finished span trees (``to_dict`` shape) under the open span.
-
-        The supervisor merges worker sidecar records through this after a
-        pool call: each tree becomes a child of the currently open span
-        (or a new root when none is open), with fresh span ids assigned in
-        depth-first order so ids stay dense and deterministic regardless
-        of which process originally recorded the span.  Returns the number
-        of spans adopted.
-        """
-        if not self.enabled:
-            return 0
-        n = 0
-        for tree in trees:
-            span = self._adopt(tree)
-            n += self._count(span)
-            if self._stack:
-                self._stack[-1].children.append(span)
-            else:
-                self.roots.append(span)
-        return n
-
-    def _adopt(self, tree: Dict[str, object]) -> Span:
-        span = Span(
-            self._next_id,
-            str(tree.get("name", "")),
-            dict(tree.get("attributes") or {}),
-            float(tree.get("start", 0.0)),
-        )
-        self._next_id += 1
-        span.duration = float(tree.get("duration", 0.0))
-        span.status = str(tree.get("status", "ok"))
-        error = tree.get("error")
-        span.error = None if error is None else str(error)
-        for child in tree.get("children") or []:
-            span.children.append(self._adopt(child))
-        return span
-
-    @staticmethod
-    def _count(span: Span) -> int:
-        return 1 + sum(Tracer._count(child) for child in span.children)
 
     # ------------------------------------------------------------------ #
     # export

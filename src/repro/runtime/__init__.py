@@ -19,13 +19,13 @@ faults:
 * :mod:`repro.runtime.checkpoint` — checksummed checkpoint/resume for
   :class:`~repro.core.tracker.DomainTracker` so a killed run resumes to a
   bit-identical ledger.
-* :mod:`repro.runtime.supervisor` — supervised process-pool execution with
-  a deterministic degradation ladder (resubmit → shrink pool → serial)
-  that converts worker death, hangs, and transient errors into recorded
-  slowdowns instead of wrong or missing results.
+* :mod:`repro.runtime.supervisor` — the tracking campaign, one day at a
+  time in one process, with a day retried after a transient error only
+  while its ledger is untouched, so a retry is a recorded slowdown
+  instead of a wrong or missing result.
 * :mod:`repro.runtime.faults` — deterministic, seed-keyed fault injection
   (``SEGUGIO_FAULTS`` / ``--inject-faults`` / ``segugio chaos``) proving
-  the ladder's bit-identical-output invariant.
+  the retries' bit-identical-output invariant.
 
 Submodules are resolved lazily so low-level packages (``repro.datasets``)
 can import :mod:`repro.runtime.retry` without dragging in the ingest and
@@ -61,7 +61,6 @@ _LAZY_EXPORTS = {
     "load_drift_sidecar": "repro.runtime.checkpoint",
     "save_drift_sidecar": "repro.runtime.checkpoint",
     "SupervisorPolicy": "repro.runtime.supervisor",
-    "supervised_map": "repro.runtime.supervisor",
     "supervised_process_day": "repro.runtime.supervisor",
     "current_policy": "repro.runtime.supervisor",
     "use_policy": "repro.runtime.supervisor",

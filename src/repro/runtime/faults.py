@@ -1,13 +1,12 @@
-"""Deterministic, seed-keyed fault injection for the execution layer.
+"""Deterministic, seed-keyed fault injection for the runtime.
 
 A fault-tolerance claim that is only exercised by real outages is not a
 claim, it is a hope.  This module lets a test — or the ``segugio chaos``
-subcommand — *schedule* the outages: a worker killed while fitting tree
-batch 0, a predict task that wedges, a checkpoint write that hits a flaky
-mount.  The supervised executor (:mod:`repro.runtime.supervisor`) and the
-in-process fault sites then have to walk their degradation ladder, and the
-chaos harness asserts the run's outputs are bit-identical to a fault-free
-run.
+subcommand — *schedule* the outages: a day's fit that hits a flaky mount,
+a checkpoint write torn halfway.  The day retry
+(:mod:`repro.runtime.supervisor`) and the atomic writers then have to
+absorb them, and the chaos harness asserts the run's outputs are
+bit-identical to a fault-free run.
 
 Faults are described by a :class:`FaultPlan` — a list of :class:`FaultSpec`
 entries loaded from JSON (``segugio chaos --plan``, ``--inject-faults``, or
@@ -19,25 +18,16 @@ always fire the same faults, so a failing chaos run replays exactly.
 
 Fault taxonomy (``kind``):
 
-* ``worker_kill`` — the worker process calls ``os._exit`` mid-task, which
-  the parent observes as ``BrokenProcessPool``;
-* ``task_hang`` — the worker sleeps past the supervisor's task timeout;
 * ``io_error`` — the site raises a transient :class:`OSError`;
 * ``corrupt_intermediate`` — the site scribbles garbage over its staging
   file *and* raises, modeling a torn write the atomic-rename layer must
   contain;
-* ``memory_pressure`` — the site raises :class:`MemoryError`, modeling RSS
-  exhaustion the supervisor answers by shrinking the pool.
+* ``memory_pressure`` — the site raises :class:`MemoryError`, which no
+  retry absorbs.
 
-Two delivery paths: in-process sites call :func:`maybe_fault` directly,
-while worker-pool sites receive a picklable :class:`FaultDirective` taken
-at submission time and executed by the supervisor's worker shim (module
-globals do not reliably cross the fork/spawn boundary, the task payload
-does).  Directives are consumed when taken — a resubmitted task runs
-clean, which is exactly the transient-failure semantics being modeled.
-
-This is the **only** module allowed to call process-kill primitives
-(``os._exit``); the SEG011 lint rule enforces that containment.
+Sites call :func:`maybe_fault`; a spec is consumed when it fires, so a
+retried day runs clean, which is exactly the transient-failure semantics
+being modeled.
 """
 
 from __future__ import annotations
@@ -45,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -53,12 +42,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 #: environment variable naming a fault-plan JSON file to activate
 FAULTS_ENV_VAR = "SEGUGIO_FAULTS"
 
-#: exit status used by injected worker kills (distinguishable from crashes)
-KILL_EXIT_CODE = 3
-
 FAULT_KINDS = (
-    "worker_kill",
-    "task_hang",
     "io_error",
     "corrupt_intermediate",
     "memory_pressure",
@@ -66,18 +50,13 @@ FAULT_KINDS = (
 
 #: sites instrumented with fault hooks; plans loaded from JSON must name one
 KNOWN_SITES = (
-    "forest_fit",        # worker task: fit one seed-keyed tree batch
-    "forest_predict",    # worker task: score one fixed tree chunk
-    "pipeline_fit",      # in-process: start of Segugio.fit for a day
-    "pipeline_classify", # in-process: start of Segugio.classify for a day
-    "checkpoint_save",   # in-process: inside the atomic checkpoint write
-    "shard_scan",        # worker task: degree/e2ld scan of one edge shard
-    "shard_labels",      # worker task: label propagation over one shard
-    "shard_prune",       # worker task: kept-edge extraction of one shard
+    "pipeline_fit",      # start of Segugio.fit for a day
+    "pipeline_classify", # start of Segugio.classify for a day
+    "checkpoint_save",   # inside the atomic checkpoint write
 )
 
 #: policy override keys a plan file may carry (forwarded to SupervisorPolicy)
-POLICY_KEYS = ("task_timeout", "max_retries", "base_delay", "multiplier")
+POLICY_KEYS = ("max_retries", "base_delay", "multiplier")
 
 
 class FaultPlanError(ValueError):
@@ -86,10 +65,9 @@ class FaultPlanError(ValueError):
 
 @dataclass(frozen=True)
 class FaultDirective:
-    """One injected fault, picklable so it can ride into a pool worker."""
+    """One fired fault: what to raise, and where it fired."""
 
     kind: str
-    seconds: float = 0.0
     detail: str = ""
 
 
@@ -99,14 +77,13 @@ class FaultSpec:
 
     Either pin an exact task index (``task``), fire on every matching call
     up to ``count`` (``task=None, rate=None``), or fire seed-keyed at a
-    given ``rate``.  ``seconds`` only matters for ``task_hang``.
+    given ``rate``.
     """
 
     kind: str
     site: str
     task: Optional[int] = None
     count: int = 1
-    seconds: float = 30.0
     rate: Optional[float] = None
 
 
@@ -152,7 +129,7 @@ class FaultPlan:
             self.fired.append(
                 {"kind": spec.kind, "site": site, "task": task, "spec": index}
             )
-            return FaultDirective(kind=spec.kind, seconds=spec.seconds, detail=detail)
+            return FaultDirective(kind=spec.kind, detail=detail)
         return None
 
 
@@ -166,7 +143,7 @@ def _spec_from_dict(
 ) -> FaultSpec:
     if not isinstance(payload, Mapping):
         raise _located(source, index, f"expected an object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"kind", "site", "task", "count", "seconds", "rate"})
+    unknown = sorted(set(payload) - {"kind", "site", "task", "count", "rate"})
     if unknown:
         raise _located(source, index, f"unknown keys {unknown}")
     kind = payload.get("kind")
@@ -185,9 +162,6 @@ def _spec_from_dict(
     count = payload.get("count", 1)
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise _located(source, index, f"count must be a positive integer, got {count!r}")
-    seconds = payload.get("seconds", 30.0)
-    if not isinstance(seconds, (int, float)) or isinstance(seconds, bool) or seconds < 0:
-        raise _located(source, index, f"seconds must be non-negative, got {seconds!r}")
     rate = payload.get("rate")
     if rate is not None and (
         not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 < rate <= 1
@@ -198,7 +172,6 @@ def _spec_from_dict(
         site=str(site),
         task=task,
         count=int(count),
-        seconds=float(seconds),
         rate=None if rate is None else float(rate),
     )
 
@@ -289,24 +262,8 @@ def use_fault_plan(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
 # ---------------------------------------------------------------------- #
 
 
-def apply_directive(
-    directive: FaultDirective, path: Optional[str] = None, in_worker: bool = True
-) -> None:
-    """Execute one directive at its site.
-
-    Worker-only kinds (``worker_kill``, ``task_hang``) are no-ops when
-    ``in_worker`` is false: killing or wedging the *coordinating* process
-    is not a fault the ladder can absorb, and the serial ground floor must
-    never be less safe than the pool it replaced.
-    """
-    if directive.kind == "worker_kill":
-        if in_worker:
-            os._exit(KILL_EXIT_CODE)
-        return
-    if directive.kind == "task_hang":
-        if in_worker:
-            time.sleep(directive.seconds)
-        return
+def apply_directive(directive: FaultDirective, path: Optional[str] = None) -> None:
+    """Execute one directive at its site."""
     if directive.kind == "io_error":
         raise OSError(f"injected transient I/O error at {directive.detail}")
     if directive.kind == "corrupt_intermediate":
@@ -322,11 +279,11 @@ def apply_directive(
 def maybe_fault(
     site: str, task: Optional[int] = None, path: Optional[str] = None
 ) -> None:
-    """In-process fault hook: cheap no-op unless an active plan matches."""
+    """Fault hook: cheap no-op unless an active plan matches."""
     plan = current_fault_plan()
     if plan is None:
         return
     directive = plan.take(site, task)
     if directive is None:
         return
-    apply_directive(directive, path=path, in_worker=False)
+    apply_directive(directive, path=path)

@@ -253,12 +253,9 @@ class TestFaultToleranceFlags:
                 "track",
                 "--inject-faults",
                 str(plan),
-                "--task-timeout",
-                "120",
             ]
         )
         assert args.inject_faults == str(plan)
-        assert args.task_timeout == 120.0
 
     def test_track_bad_fault_plan_exits_with_located_error(self, tmp_path):
         plan = tmp_path / "plan.json"
@@ -405,8 +402,6 @@ class TestProfilingFlags:
         assert "end-to-end benchmark" in out
         payload = json.load(open("BENCH_e2e.json"))
         assert payload["schema_version"] == 3
-        assert payload["worker_tracing"]["complete"] is True
-        assert payload["sharded"]["worker_tracing"]["complete"] is True
         assert payload["profiling"]["outputs_bit_identical"] is True
         assert payload["throughput"]["trace_rows_per_s"] is not None
         assert payload["sharded"]["outputs_bit_identical"] is True

@@ -8,7 +8,6 @@ from repro.eval.document import render_html, render_text
 from repro.eval.profile import (
     aggregate_spans,
     budget_verdicts,
-    latency_summary,
     phase_hotspots,
 )
 from repro.eval.views import profile_view
@@ -119,6 +118,8 @@ def profiled_manifest(**overrides):
             },
             "units": {"trace_rows": 120000},
             "throughput": {"trace_rows_per_s": 100000.0},
+            # written by a run whose day still fanned out to a pool:
+            # the reader passes it through unread
             "pool": {
                 "forest_fit": {
                     "n_tasks": 4,
@@ -208,31 +209,6 @@ class TestBudgetVerdicts:
         assert budget_verdicts(manifest_with()) == []
 
 
-class TestLatencySummary:
-    def test_mean_and_p95_bucket_bound(self):
-        histogram = {
-            "buckets": {"0.05": 10, "0.1": 9, "0.25": 1},
-            "sum": 2.0,
-            "count": 20,
-        }
-        mean, p95 = latency_summary(histogram)
-        assert mean == pytest.approx(0.1)
-        # target = 0.95 * 20 = 19 cumulative, reached inside the 0.1 bucket
-        assert p95 == pytest.approx(0.1)
-
-    def test_empty_histogram(self):
-        assert latency_summary({"buckets": {}, "sum": 0, "count": 0}) == (
-            None,
-            None,
-        )
-
-    def test_overflow_p95_is_none(self):
-        histogram = {"buckets": {"inf": 5}, "sum": 60.0, "count": 5}
-        mean, p95 = latency_summary(histogram)
-        assert mean == pytest.approx(12.0)
-        assert p95 is None
-
-
 class TestRenderText:
     def test_unprofiled_manifest_renders_na_not_crash(self):
         text = render_profile(manifest_with())
@@ -246,8 +222,7 @@ class TestRenderText:
         assert "peak rss 140.0 MB" in text
         assert "trace_rows 100000.0/s" in text
         assert "hotspots (top phases by cpu seconds):" in text
-        assert "forest_fit: 4 task(s)" in text
-        assert "w0: 2 task(s)" in text
+        assert "forest_fit" not in text
         assert "rss-cap: peak rss over budget" in text
 
     def test_within_budget_message(self):
@@ -261,7 +236,6 @@ class TestRenderHtml:
         assert html_text.startswith("<!doctype html>")
         assert "segugio inspect: profile" in html_text
         assert "train_classifier" in html_text
-        assert "Supervised pool" in html_text
         assert "rss-cap" in html_text
 
     def test_unprofiled_html_renders(self):

@@ -1,4 +1,4 @@
-"""Tests for the ``segugio inspect`` unified timeline view."""
+"""Tests for the ``segugio inspect`` timeline view."""
 
 import json
 import os
@@ -6,8 +6,7 @@ import os
 import pytest
 
 from repro.eval.document import render_html, render_text
-from repro.eval.trace import STRAGGLER_FACTOR, build_timeline
-from repro.eval.views import ROW_LIMIT, timeline_view
+from repro.eval.views import ROW_LIMIT, build_timeline, timeline_view
 from repro.obs.manifest import TelemetryError, TelemetryRun
 
 
@@ -58,146 +57,64 @@ def row(
     return record
 
 
-def worker_rows():
-    """A parent span with worker tasks on two lanes plus a serial task."""
-    rows = [row(1, "segugio_run_day", 0.0, 1.0, depth=0, day=3)]
-    starts = [0.1, 0.2, 0.3, 0.4]
-    durations = [0.1, 0.1, 0.1, 0.5]  # last one is the straggler
-    workers = ["w0", "w1", "w0", "w1"]
-    next_id = 2
-    for task, (start, duration, worker) in enumerate(
-        zip(starts, durations, workers)
-    ):
-        rows.append(
-            row(
-                next_id,
-                "segugio_worker_task",
-                start,
-                duration,
-                parent_id=1,
-                depth=1,
-                worker=worker,
-                label="forest_fit",
-                task=task,
-            )
-        )
-        # a child span inherits its worker's lane through the ancestry
-        rows.append(
-            row(
-                next_id + 1,
-                "fit_batch",
-                start,
-                duration / 2,
-                parent_id=next_id,
-                depth=2,
-            )
-        )
-        next_id += 2
-    rows.append(
-        row(
-            next_id,
-            "segugio_worker_task",
-            0.9,
-            0.05,
-            parent_id=1,
-            depth=1,
-            worker="serial",
-            label="forest_predict",
-            task=0,
-        )
-    )
-    return rows
+def day_rows():
+    """One day span with nested phases, given out of start order."""
+    return [
+        row(4, "segugio_forest_predict", 0.8, 0.1, parent_id=3, depth=2),
+        row(1, "segugio_run_day", 0.0, 1.0, depth=0, day=3),
+        row(2, "build_graph", 0.1, 0.3, parent_id=1, depth=1),
+        row(3, "score_domains", 0.7, 0.25, parent_id=1, depth=1),
+        # a pool task span written before the day ran in one process
+        row(5, "segugio_worker_task", 0.4, 0.2, parent_id=1, depth=1,
+            worker="w0", label="forest_fit", task=0),
+    ]
 
 
 class TestBuildTimeline:
-    def test_lane_assignment_follows_worker_ancestry(self):
-        timeline = build_timeline(manifest(), worker_rows())
-        by_name = {}
-        for entry in timeline["rows"]:
-            by_name.setdefault(entry["name"], []).append(entry["lane"])
-        assert by_name["segugio_run_day"] == ["parent"]
-        assert set(by_name["segugio_worker_task"]) == {"w0", "w1", "serial"}
-        # child spans land in their worker's lane, not the parent's
-        assert set(by_name["fit_batch"]) == {"w0", "w1"}
+    def test_rows_in_start_order(self):
+        timeline = build_timeline(manifest(), day_rows())
+        assert [entry["id"] for entry in timeline["rows"]] == [1, 2, 5, 3, 4]
 
-    def test_lane_order_parent_then_workers_then_serial(self):
-        timeline = build_timeline(manifest(), worker_rows())
-        assert list(timeline["lanes"]) == ["parent", "w0", "w1", "serial"]
-
-    def test_straggler_detection_uses_label_median(self):
-        timeline = build_timeline(manifest(), worker_rows())
-        stragglers = [
-            entry for entry in timeline["rows"] if entry["straggler"]
-        ]
-        # only the 0.5s task beats 1.5x the 0.1s median of forest_fit
-        assert [e["attributes"]["task"] for e in stragglers] == [3]
-        assert timeline["n_stragglers"] == 1
-
-    def test_no_straggler_verdict_under_three_tasks(self):
-        rows = [
-            row(1, "segugio_run_day", 0.0, 1.0),
-            row(
-                2,
-                "segugio_worker_task",
-                0.0,
-                0.9,
-                parent_id=1,
-                depth=1,
-                worker="w0",
-                label="forest_fit",
-                task=0,
-            ),
-        ]
-        timeline = build_timeline(manifest(), rows)
-        assert timeline["n_stragglers"] == 0
-
-    def test_skew_normalized_spans_counted(self):
-        rows = worker_rows()
-        rows[1]["attributes"]["skew_normalized"] = True
-        timeline = build_timeline(manifest(), rows)
-        assert timeline["n_skew"] == 1
+    def test_busy_time_sums_the_root_spans(self):
+        rows = day_rows() + [row(6, "segugio_checkpoint_save", 1.0, 0.5)]
+        assert build_timeline(manifest(), rows)["busy_s"] == 1.5
 
     def test_clock_spans_the_whole_run(self):
-        timeline = build_timeline(manifest(), worker_rows())
+        timeline = build_timeline(manifest(), day_rows())
         assert timeline["clock_s"] == 1.0
 
     def test_events_carried_from_manifest(self):
-        events = [{"kind": "task_retry", "day": 3, "phase": "fit"}]
-        timeline = build_timeline(manifest(events=events), worker_rows())
+        events = [{"kind": "day_retry", "day": 3, "attempt": 0}]
+        timeline = build_timeline(manifest(events=events), day_rows())
         assert timeline["events"] == events
 
 
 class TestRenderTrace:
-    def test_text_view_lists_lanes_and_annotations(self):
-        text = render_trace(manifest(), worker_rows())
+    def test_text_view_lists_every_span(self):
+        text = render_trace(manifest(), day_rows())
         assert "segugio inspect: timeline" in text
-        assert "w0" in text and "w1" in text and "serial" in text
-        assert "STRAGGLER" in text
-        assert f"{STRAGGLER_FACTOR:g}x label median" in text
-
-    def test_parent_only_trace_renders_with_hint(self):
-        rows = [row(1, "segugio_run_day", 0.0, 1.0)]
-        text = render_trace(manifest(), rows)
-        assert "parent only" in text
-        assert "--profile" in text
+        assert "spans: 5 span(s), busy 1.000s" in text
+        # an old worker span is one more span, annotated like any other
+        assert "segugio_worker_task (label=forest_fit, task=0)" in text
 
     def test_row_limit_truncates_with_note(self):
-        text = render_trace(manifest(), worker_rows(), limit=2)
+        text = render_trace(manifest(), day_rows(), limit=2)
         assert "more row(s)" in text
 
     def test_degradation_events_listed(self):
-        events = [{"kind": "worker_lost", "day": 3, "phase": "fit"}]
-        text = render_trace(manifest(events=events), worker_rows())
-        assert "worker_lost" in text
+        events = [{"kind": "day_retry", "day": 3, "attempt": 0}]
+        text = render_trace(manifest(events=events), day_rows())
+        assert "day_retry" in text
         assert "day=3" in text
 
 
 class TestRenderTraceHtml:
-    def test_html_has_lane_blocks_and_bars(self):
-        html_text = render_trace_html(manifest(), worker_rows())
+    def test_html_draws_one_track_per_depth(self):
+        html_text = render_trace_html(manifest(), day_rows())
         assert "<!doctype html>" in html_text
-        assert html_text.count('class="lane-block"') == 4
-        assert 'class="bar worker straggler"' in html_text
+        assert html_text.count('class="timeline-block"') == 1
+        assert html_text.count('class="track"') == 3
+        assert html_text.count('class="bar"') == 5
 
     def test_html_escapes_untrusted_names(self):
         rows = [row(1, "<script>alert(1)</script>", 0.0, 1.0)]
@@ -206,10 +123,10 @@ class TestRenderTraceHtml:
         assert "&lt;script&gt;" in html_text
 
     def test_events_table_present(self):
-        events = [{"kind": "task_retry", "day": 3, "phase": "fit"}]
-        html_text = render_trace_html(manifest(events=events), worker_rows())
+        events = [{"kind": "day_retry", "day": 3, "attempt": 0}]
+        html_text = render_trace_html(manifest(events=events), day_rows())
         assert "Degradation events" in html_text
-        assert "task_retry" in html_text
+        assert "day_retry" in html_text
 
 
 class TestLoadTrace:
@@ -264,8 +181,6 @@ class TestTraceCli:
                     "track",
                     "--days",
                     "1",
-                    "--jobs",
-                    "2",
                     "--telemetry-dir",
                     telemetry_dir,
                     "--profile",
@@ -285,7 +200,7 @@ class TestTraceCli:
         assert "segugio inspect: timeline" in out
         assert "timeline" in out
         with open(html_path) as stream:
-            assert "lane-block" in stream.read()
+            assert "timeline-block" in stream.read()
 
     def test_trace_missing_dir_exits_with_error(self, tmp_path):
         from repro.cli import main

@@ -36,10 +36,8 @@ def track(directory, *flags):
 
 @pytest.fixture(scope="module")
 def profiled_dir(tmp_path_factory):
-    """A profiled two-day run with pool workers (every section has content)."""
-    return track(
-        str(tmp_path_factory.mktemp("inspect") / "profiled"), "--profile", "--jobs", "2"
-    )
+    """A profiled two-day run (every section has content)."""
+    return track(str(tmp_path_factory.mktemp("inspect") / "profiled"), "--profile")
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +127,7 @@ class TestReaderFaults:
         )
         edit_manifest(run_copy, trace_file="spans.jsonl", decisions_file="verdicts.jsonl")
         got = inspect_text(capsys, run_copy)
-        assert "decision verdicts per day" in got and "segugio_worker_task" in got
+        assert "decision verdicts per day" in got and "segugio_forest_fit" in got
         assert got == want.replace("trace.jsonl", "spans.jsonl").replace(
             "decisions decisions.jsonl", "decisions verdicts.jsonl"
         )
@@ -181,9 +179,7 @@ class TestSameContent:
             "Trend sparklines",
             "memory: peak rss",
             "io: read",
-            "queue wait mean",
-            "p95 <=",
-            "task(s), busy",
+            "span(s), busy",
             "peak rss",
         ):
             assert section in page, section
@@ -210,7 +206,7 @@ class TestSameContent:
             page = stream.read()
         assert page.count("<!doctype html>") == 1
         assert page.count("<h1>") == len(VIEW_NAMES)
-        assert 'class="lane-block"' in page and 'class="badge ok"' in page
+        assert 'class="timeline-block"' in page and 'class="badge ok"' in page
 
 
 #: a profiled two-day run of a tiny world, written by the version-2 writer:
@@ -236,6 +232,9 @@ class TestVersion2Directory:
         assert "234 decision record(s)" in text
         assert "peak rss" in text and "resources: n/a" not in text
         assert "metric series" not in text
+        # its pool-era spans are ordinary spans; its pool stats pass unread
+        assert "segugio_worker_task (label=forest_fit, task=0)" in text
+        assert "supervised pool" not in text
         assert inspect_text(capsys, V2_DIR) == text + "\n"
 
 

@@ -373,8 +373,28 @@ class TestBanTable:
         source = f"x = {name}(1)\nfrom {module} import {attr}\n"
         assert ban.rule_id not in rules_hit(source, module=_disallowed_module(ban))
 
+    @pytest.mark.parametrize("ban,name", _cases("modules"))
+    def test_banned_module_import_flagged_in_every_spelling(self, ban, name):
+        parent, _, last = name.rpartition(".")
+        spellings = [
+            f"import {name}\n",
+            f"import {name}.sub as alias\n",
+            f"from {name} import anything\n",
+            f"from {name}.sub import anything\n",
+        ] + ([f"from {parent} import {last}\n"] if parent else [])
+        for source in spellings:
+            assert ban.rule_id in rules_hit(source, module=_disallowed_module(ban)), source
+            # outside the row's scope (tools, benchmarks) the import is fine
+            assert ban.rule_id not in rules_hit(source, module="benchmarks.fake")
+
+    def test_a_module_that_only_shares_a_prefix_is_not_banned(self):
+        source = "import multiprocessing_extras\nfrom concurrent import other\n"
+        assert "SEG013" not in rules_hit(source, module="repro.core.fake")
+
     def test_every_row_has_cases(self):
         # a row whose lists went empty would pass the matrix vacuously
-        assert {ban.rule_id for ban in BANS} == {"SEG001", "SEG002", "SEG010", "SEG011", "SEG012"}
-        assert all(ban.calls for ban in BANS)
+        assert {ban.rule_id for ban in BANS} == {
+            "SEG001", "SEG002", "SEG010", "SEG011", "SEG012", "SEG013"
+        }
+        assert all(ban.calls or ban.modules for ban in BANS)
         assert {p.values[0].rule_id for p in _unrelated_cases()} == {"SEG002", "SEG010", "SEG011", "SEG012"}

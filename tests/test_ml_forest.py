@@ -118,27 +118,3 @@ class TestValidation:
         X[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             RandomForestClassifier(n_estimators=2).fit(X, y)
-
-
-class TestNJobs:
-    def test_default_is_serial(self):
-        assert RandomForestClassifier().n_jobs == 1
-        assert RandomForestClassifier(n_jobs=None).n_jobs == 1
-
-    def test_minus_one_uses_every_core(self):
-        import os
-
-        forest = RandomForestClassifier(n_jobs=-1)
-        assert forest.n_jobs == (os.cpu_count() or 1)
-
-    def test_invalid_n_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            RandomForestClassifier(n_jobs=0)
-        with pytest.raises(ValueError):
-            RandomForestClassifier(n_jobs=-2)
-
-    def test_more_jobs_than_trees_is_fine(self):
-        X, y = make_data(80)
-        forest = RandomForestClassifier(n_estimators=2, random_state=0, n_jobs=8)
-        forest.fit(X, y)
-        assert len(forest.trees_) == 2

@@ -1,12 +1,11 @@
 """Resource monitor: watermark/CPU/throughput math on fake readers,
-budgets, pool accounting, and the observation-only guarantee."""
+budgets, and the observation-only guarantee."""
 
 import json
 
 import pytest
 
 from repro.obs.resources import (
-    LATENCY_BUCKETS,
     RESOURCES_SCHEMA_VERSION,
     UNIT_DOMAINS_SCORED,
     UNIT_GRAPH_EDGES,
@@ -20,7 +19,6 @@ from repro.obs.resources import (
     derive_throughput,
     evaluate_budgets,
     load_resource_budgets,
-    process_clock,
     use_monitor,
 )
 
@@ -76,13 +74,6 @@ class FakeReader(ResourceReader):
 
 def monitor_with(**reader_kwargs):
     return ResourceMonitor(enabled=True, reader=FakeReader(**reader_kwargs))
-
-
-class TestProcessClock:
-    def test_returns_wall_and_cpu_floats(self):
-        wall, cpu = process_clock()
-        assert isinstance(wall, float) and isinstance(cpu, float)
-        assert cpu >= 0.0
 
 
 class TestRealReader:
@@ -194,36 +185,6 @@ class TestAmbientMonitor:
             count_units(UNIT_TRACE_ROWS, 7)
         assert current_monitor().enabled is False
         assert monitor.units == {UNIT_TRACE_ROWS: 12}
-
-
-class TestPoolAccounting:
-    def test_task_stats_and_worker_attribution(self):
-        monitor = monitor_with()
-        monitor.observe_task("forest_fit", 0.01, 0.03, 0.02, worker=111)
-        monitor.observe_task("forest_fit", 0.25, 0.05, 0.04, worker=222)
-        stats = monitor.pool["forest_fit"]
-        assert stats["n_tasks"] == 2
-        assert stats["busy_s"] == pytest.approx(0.08)
-        assert stats["cpu_s"] == pytest.approx(0.06)
-        assert stats["queue_wait_s"] == pytest.approx(0.26)
-        assert stats["queue_wait_max_s"] == pytest.approx(0.25)
-        assert stats["workers"] == {
-            "w0": {"n_tasks": 1, "busy_s": 0.03},
-            "w1": {"n_tasks": 1, "busy_s": 0.05},
-        }
-
-    def test_latency_histogram_buckets(self):
-        monitor = monitor_with()
-        monitor.observe_task("fit", 0.0, 0.03, None, worker="serial")  # 0.05 bucket
-        monitor.observe_task("fit", 0.0, 99.0, None, worker="serial")  # inf
-        buckets = monitor.pool["fit"]["latency"]["buckets"]
-        assert buckets["0.05"] == 1
-        assert buckets["inf"] == 1
-        assert monitor.pool["fit"]["latency"]["count"] == 2
-
-    def test_bucket_bounds_cover_subsecond_tasks(self):
-        assert LATENCY_BUCKETS == tuple(sorted(LATENCY_BUCKETS))
-        assert LATENCY_BUCKETS[0] <= 0.005 and LATENCY_BUCKETS[-1] >= 10.0
 
 
 class TestSummary:

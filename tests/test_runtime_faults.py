@@ -28,17 +28,15 @@ class TestFaultPlanMatching:
         assert plan.take("forest_fit", 0) is None
         assert plan.take("forest_predict", 2) is None
         directive = plan.take("forest_fit", 2)
-        assert directive == FaultDirective(
-            kind="io_error", seconds=30.0, detail="forest_fit[2]"
-        )
+        assert directive == FaultDirective(kind="io_error", detail="forest_fit[2]")
 
     def test_directives_are_consumed(self):
-        plan = FaultPlan([FaultSpec(kind="worker_kill", site="forest_fit")])
+        plan = FaultPlan([FaultSpec(kind="memory_pressure", site="forest_fit")])
         assert plan.take("forest_fit", 0) is not None
-        # one-shot: a resubmitted task runs clean
+        # one-shot: a retried day runs clean
         assert plan.take("forest_fit", 0) is None
         assert plan.n_fired == 1
-        assert plan.fired_kinds() == ["worker_kill"]
+        assert plan.fired_kinds() == ["memory_pressure"]
 
     def test_count_fires_that_many_times(self):
         plan = FaultPlan([FaultSpec(kind="io_error", site="pipeline_fit", count=2)])
@@ -70,17 +68,17 @@ class TestPlanParsing:
         plan = plan_from_dict(
             {
                 "seed": 3,
-                "policy": {"task_timeout": 1.5, "max_retries": 2},
+                "policy": {"base_delay": 1.5, "max_retries": 2},
                 "faults": [
-                    {"kind": "worker_kill", "site": "forest_fit", "task": 0},
-                    {"kind": "task_hang", "site": "forest_predict", "seconds": 9.0},
+                    {"kind": "io_error", "site": "pipeline_fit", "task": 0},
+                    {"kind": "corrupt_intermediate", "site": "checkpoint_save", "count": 2},
                 ],
             }
         )
         assert plan.seed == 3
-        assert plan.policy == {"task_timeout": 1.5, "max_retries": 2.0}
-        assert plan.specs[0].kind == "worker_kill"
-        assert plan.specs[1].seconds == 9.0
+        assert plan.policy == {"base_delay": 1.5, "max_retries": 2.0}
+        assert plan.specs[0].kind == "io_error"
+        assert plan.specs[1].count == 2
 
     @pytest.mark.parametrize(
         "payload, match",
@@ -89,20 +87,20 @@ class TestPlanParsing:
             ({"bogus": 1}, "unknown top-level keys"),
             ({"seed": "x"}, "seed must be an integer"),
             ({"policy": {"nope": 1}}, "unknown policy keys"),
-            ({"policy": {"task_timeout": "soon"}}, "must be a number"),
+            ({"policy": {"max_retries": "soon"}}, "must be a number"),
             ({"faults": "all"}, "faults must be a list"),
-            ({"faults": [{"kind": "nope", "site": "forest_fit"}]}, "unknown kind"),
+            ({"faults": [{"kind": "nope", "site": "pipeline_fit"}]}, "unknown kind"),
             ({"faults": [{"kind": "io_error", "site": "nope"}]}, "unknown site"),
             (
-                {"faults": [{"kind": "io_error", "site": "forest_fit", "task": -1}]},
+                {"faults": [{"kind": "io_error", "site": "pipeline_fit", "task": -1}]},
                 "non-negative",
             ),
             (
-                {"faults": [{"kind": "io_error", "site": "forest_fit", "rate": 2}]},
+                {"faults": [{"kind": "io_error", "site": "pipeline_fit", "rate": 2}]},
                 "rate must be in",
             ),
             (
-                {"faults": [{"kind": "io_error", "site": "forest_fit", "huh": 1}]},
+                {"faults": [{"kind": "io_error", "site": "pipeline_fit", "huh": 1}]},
                 "unknown keys",
             ),
         ],
@@ -117,8 +115,8 @@ class TestPlanParsing:
             plan_from_dict(
                 {
                     "faults": [
-                        {"kind": "io_error", "site": "forest_fit"},
-                        {"kind": "nope", "site": "forest_fit"},
+                        {"kind": "io_error", "site": "pipeline_fit"},
+                        {"kind": "nope", "site": "pipeline_fit"},
                     ]
                 },
                 source="plan.json",
@@ -144,13 +142,15 @@ class TestPlanParsing:
     def test_taxonomy_is_closed(self):
         # the documented taxonomy is the whole taxonomy
         assert set(FAULT_KINDS) == {
-            "worker_kill",
-            "task_hang",
             "io_error",
             "corrupt_intermediate",
             "memory_pressure",
         }
-        assert "forest_fit" in KNOWN_SITES and "checkpoint_save" in KNOWN_SITES
+        assert set(KNOWN_SITES) == {
+            "pipeline_fit",
+            "pipeline_classify",
+            "checkpoint_save",
+        }
 
 
 class TestActivation:
@@ -197,16 +197,6 @@ class TestDelivery:
                 path=str(staging),
             )
         assert b"corrupted" in staging.read_bytes()
-
-    def test_worker_only_kinds_are_noops_in_the_coordinator(self):
-        # the serial ground floor must never be less safe than the pool:
-        # in-process delivery of kill/hang does nothing (and returns fast)
-        apply_directive(
-            FaultDirective(kind="worker_kill"), in_worker=False
-        )
-        apply_directive(
-            FaultDirective(kind="task_hang", seconds=3600.0), in_worker=False
-        )
 
     def test_maybe_fault_is_a_noop_without_a_plan(self):
         with use_fault_plan(None):

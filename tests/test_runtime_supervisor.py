@@ -1,18 +1,16 @@
-"""Supervised execution: the degradation ladder, watched and bit-identical."""
+"""Supervised days: a transient failure retried only while the ledger is
+untouched, and recorded."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.events import RuntimeEventLog, use_event_log
-from repro.runtime.faults import FaultPlan, FaultSpec, use_fault_plan
 from repro.runtime.supervisor import (
     DEFAULT_POLICY,
     SupervisorPolicy,
     current_policy,
-    ladder_widths,
     policy_from_overrides,
-    supervised_map,
     supervised_process_day,
     use_policy,
 )
@@ -20,111 +18,18 @@ from repro.runtime.supervisor import (
 FAST_POLICY = SupervisorPolicy(base_delay=0.0, sleep=lambda _: None)
 
 
-def _square(x):
-    return x * x
-
-
-def _expected(n):
-    return [x * x for x in range(n)]
-
-
-def _tasks(n):
-    return [(x,) for x in range(n)]
-
-
-class TestLadder:
-    def test_ladder_shapes(self):
-        assert ladder_widths(4, 1) == [4, 4, 2, 0]
-        assert ladder_widths(8, 0) == [8, 4, 2, 0]
-        assert ladder_widths(2, 1) == [2, 2, 0]
-        assert ladder_widths(1, 3) == [0]
-
+class TestPolicy:
     def test_policy_overrides(self):
-        policy = policy_from_overrides(
-            {"task_timeout": 1.5, "max_retries": 3}, base=DEFAULT_POLICY
-        )
-        assert policy.task_timeout == 1.5
+        policy = policy_from_overrides({"max_retries": 3}, base=DEFAULT_POLICY)
         assert policy.max_retries == 3
         assert policy.base_delay == DEFAULT_POLICY.base_delay
 
     def test_use_policy_scopes_the_ambient_policy(self):
-        custom = SupervisorPolicy(task_timeout=9.0)
+        custom = SupervisorPolicy(max_retries=9)
         assert current_policy() is DEFAULT_POLICY
         with use_policy(custom):
             assert current_policy() is custom
         assert current_policy() is DEFAULT_POLICY
-
-
-class TestSupervisedMap:
-    def test_serial_path_matches_plain_map(self):
-        assert supervised_map(_square, _tasks(5), 1, "forest_fit") == _expected(5)
-
-    def test_parallel_path_matches_plain_map(self):
-        assert (
-            supervised_map(_square, _tasks(6), 2, "forest_fit", policy=FAST_POLICY)
-            == _expected(6)
-        )
-
-    def test_worker_kill_is_absorbed_bit_identically(self):
-        plan = FaultPlan([FaultSpec(kind="worker_kill", site="forest_fit", task=0)])
-        with use_fault_plan(plan), use_event_log(RuntimeEventLog()) as events:
-            results = supervised_map(
-                _square, _tasks(6), 2, "forest_fit", policy=FAST_POLICY
-            )
-        assert results == _expected(6)
-        assert plan.n_fired == 1
-        assert "worker_lost" in [e["kind"] for e in events.records]
-
-    def test_hang_trips_the_watchdog_and_degrades(self):
-        plan = FaultPlan(
-            [FaultSpec(kind="task_hang", site="forest_fit", task=1, seconds=30.0)]
-        )
-        policy = SupervisorPolicy(task_timeout=0.4, base_delay=0.0, sleep=lambda _: None)
-        with use_fault_plan(plan), use_event_log(RuntimeEventLog()) as events:
-            results = supervised_map(_square, _tasks(4), 2, "forest_fit", policy=policy)
-        assert results == _expected(4)  # the 30s sleeper never held us hostage
-        kinds = [e["kind"] for e in events.records]
-        assert "task_hang" in kinds
-
-    def test_transient_io_error_is_retried(self):
-        plan = FaultPlan([FaultSpec(kind="io_error", site="forest_fit", task=2)])
-        with use_fault_plan(plan), use_event_log(RuntimeEventLog()) as events:
-            results = supervised_map(
-                _square, _tasks(5), 2, "forest_fit", policy=FAST_POLICY
-            )
-        assert results == _expected(5)
-        assert "task_retry" in [e["kind"] for e in events.records]
-
-    def test_memory_pressure_skips_to_narrower_rungs(self):
-        plan = FaultPlan([FaultSpec(kind="memory_pressure", site="forest_fit", task=0)])
-        with use_fault_plan(plan), use_event_log(RuntimeEventLog()) as events:
-            results = supervised_map(
-                _square, _tasks(4), 2, "forest_fit", policy=FAST_POLICY
-            )
-        assert results == _expected(4)
-        kinds = [e["kind"] for e in events.records]
-        assert "memory_pressure" in kinds
-        # at width 2 there is no narrower pool: memory pressure goes
-        # straight to the serial ground floor, skipping same-width retries
-        assert "serial_fallback" in kinds
-
-    def test_ladder_exhaustion_ends_serial_and_correct(self):
-        plan = FaultPlan(
-            [FaultSpec(kind="worker_kill", site="forest_fit", count=10)]
-        )
-        with use_fault_plan(plan), use_event_log(RuntimeEventLog()) as events:
-            results = supervised_map(
-                _square, _tasks(6), 2, "forest_fit", policy=FAST_POLICY
-            )
-        assert results == _expected(6)
-        assert "serial_fallback" in [e["kind"] for e in events.records]
-
-    def test_programming_errors_propagate_unchanged(self):
-        def boom(_x):
-            raise ValueError("bug, not infrastructure")
-
-        with pytest.raises(ValueError, match="bug"):
-            supervised_map(boom, _tasks(3), 1, "forest_fit", policy=FAST_POLICY)
 
 
 class _FakeTracker:

@@ -1,5 +1,7 @@
 """Out-of-core paper-scale day emitter: determinism, strata, equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,32 @@ class TestShardedEquivalence:
         np.testing.assert_array_equal(got.domain_ids, ref.domain_ids)
         np.testing.assert_array_equal(got.scores, ref.scores)
         np.testing.assert_array_equal(got.features, ref.features)
+
+    def test_n_jobs_starts_no_process_and_changes_no_bytes(
+        self, tmp_path, world, monkeypatch
+    ):
+        """``n_jobs`` is read by nothing: a 2-shard day at ``n_jobs=2``
+        runs in this process and scores what ``n_jobs=1`` scores."""
+        import multiprocessing
+        from multiprocessing.process import BaseProcess
+
+        started = []
+        start = BaseProcess.start
+        monkeypatch.setattr(
+            BaseProcess, "start", lambda self: started.append(self) or start(self)
+        )
+        day = world.config.start_day
+        reports = {}
+        for jobs in (1, 2):
+            context = world.context(
+                day, store_dir=str(tmp_path / f"jobs{jobs}"), shards=2
+            )
+            config = dataclasses.replace(FAST, n_jobs=jobs)
+            reports[jobs] = Segugio(config).fit(context).classify(context)
+            assert started == []
+            assert multiprocessing.active_children() == []
+        np.testing.assert_array_equal(reports[2].domain_ids, reports[1].domain_ids)
+        np.testing.assert_array_equal(reports[2].scores, reports[1].scores)
 
 
 class TestStrataBehavior:

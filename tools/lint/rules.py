@@ -4,10 +4,11 @@ Each rule protects a guarantee the runtime or the paper reproduction
 relies on; the ``rationale`` string is surfaced by ``--list-rules`` and
 documented in DESIGN.md §9.
 
-Five of the rules are rows of one table, :data:`BANS`: a row names the
-dotted calls (and the ``from M import name`` spellings of them) that
-only a few modules may use, and :class:`BannedCalls` enforces every row
-with the same name resolution, smuggled-import and exemption checks.
+Six of the rules are rows of one table, :data:`BANS`: a row names the
+dotted calls (and the ``from M import name`` spellings of them), or the
+modules, that only a few modules may use, and :class:`BannedCalls`
+enforces every row with the same name resolution, smuggled-import and
+exemption checks.
 The rest (layering, exception hygiene, mutable defaults, annotations)
 look at program structure rather than at a name, and stay classes.
 """
@@ -110,10 +111,12 @@ class Ban:
     ``calls`` and ``imports`` hold dotted names; an entry ending in ``.``
     (``random.``) bans every direct attribute of that module.  A
     ``from M import name`` is banned when ``M.name`` matches ``imports``.
-    The ban binds the modules in ``within`` (everywhere when empty) except
-    those in ``allowed``, both read by :func:`in_modules`.  ``check``, when
-    set, sees each call the name lists do not ban and returns a message or
-    ``None``.
+    ``modules`` may not be imported at all, nor any module under them
+    (``import M``, ``import M.sub``, ``from M import x``, ``from P import
+    M``).  The ban binds the modules in ``within`` (everywhere when empty)
+    except those in ``allowed``, both read by :func:`in_modules`.
+    ``check``, when set, sees each call the name lists do not ban and
+    returns a message or ``None``.
     """
 
     rule_id: str
@@ -125,6 +128,7 @@ class Ban:
     message: str
     within: Tuple[str, ...] = ()
     check: Optional[Callable[[ast.Call, str], Optional[str]]] = None
+    modules: FrozenSet[str] = frozenset()
 
 
 _WALLCLOCK = frozenset(
@@ -227,13 +231,34 @@ BANS: Tuple[Ban, ...] = (
         "they bypass the ResourceMonitor and its platform fallbacks",
         check=_proc_open,
     ),
+    Ban(
+        rule_id="SEG013",
+        name="one-process",
+        rationale=(
+            "a day runs in one process — shards bound memory, not cores — "
+            "so repro imports no process or thread pool machinery"
+        ),
+        calls=frozenset(),
+        imports=frozenset(),
+        modules=frozenset({"concurrent.futures", "multiprocessing"}),
+        within=("repro.",),
+        allowed=(),
+        message="the day runs in one process: loop over shards and tree "
+        "batches in order instead of fanning them out to workers",
+    ),
 )
 
 
-class BannedCalls(Rule):
-    """Enforce one :class:`Ban` row: its calls and their ``from`` imports."""
+def _in_module(name: str, modules: FrozenSet[str]) -> bool:
+    """``name`` is one of *modules* or a module under one of them."""
+    return any(name == module or name.startswith(module + ".") for module in modules)
 
-    node_types = (ast.Call, ast.ImportFrom)
+
+class BannedCalls(Rule):
+    """Enforce one :class:`Ban` row: its calls and their ``from`` imports,
+    and its banned modules however imported."""
+
+    node_types = (ast.Call, ast.Import, ast.ImportFrom)
 
     def __init__(self, ban: Ban) -> None:
         self.ban = ban
@@ -247,10 +272,25 @@ class BannedCalls(Rule):
             return
         if in_modules(ctx.module, ban.allowed):
             return
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if _in_module(alias.name, ban.modules):
+                    yield self.finding(
+                        ctx, node, f"import {alias.name}: {ban.message}"
+                    )
+            return
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and node.module:
                 for alias in node.names:
-                    if _banned(f"{node.module}.{alias.name}", ban.imports):
+                    name = f"{node.module}.{alias.name}"
+                    if _in_module(name, ban.modules):
+                        yield self.finding(
+                            ctx,
+                            node,
+                            f"from {node.module} import {alias.name}: "
+                            f"{ban.message}",
+                        )
+                    elif _banned(name, ban.imports):
                         yield self.finding(
                             ctx,
                             node,
