@@ -163,11 +163,15 @@ class SegugioConfig:
     max_benign_train: Optional[int] = None
     seed: int = 0
     n_jobs: int = 1
-    """Read by nothing and starts no process: every day runs in one
-    process.  The field stays only because existing checkpoints carry it
-    (``config_from_dict`` rebuilds the config with
+    """Validated, otherwise read by nothing, and starts no process: every
+    day runs in one process.  The field stays only because existing
+    checkpoints carry it (``config_from_dict`` rebuilds the config with
     ``SegugioConfig(**payload)``) and the benchmark harness still sets
     it; the benchmark's next revision removes it."""
+
+    def __post_init__(self) -> None:
+        if self.n_jobs < 1 and self.n_jobs != -1:
+            raise ValueError(f"n_jobs must be >= 1 or -1, got {self.n_jobs}")
 
     def make_classifier(self) -> Union[RandomForestClassifier, LogisticRegression]:
         if self.classifier == "forest":

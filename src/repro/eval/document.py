@@ -78,7 +78,7 @@ class Table:
 
 @dataclass
 class Timeline:
-    """The result of :func:`repro.eval.views.build_timeline`: every span
+    """The result of :func:`repro.eval.trace.build_timeline`: every span
     on one clock, in start order."""
 
     timeline: Dict[str, Any]

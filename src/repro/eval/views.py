@@ -38,6 +38,7 @@ from repro.eval.profile import (
     phase_hotspots,
     tree_rows,
 )
+from repro.eval.trace import build_timeline
 from repro.obs.manifest import LEDGER_PHASES, TEST_PHASES, TRAIN_PHASES, TelemetryRun
 from repro.obs.monitor import worst_status
 
@@ -466,39 +467,6 @@ def profile_view(run: TelemetryRun) -> Document:
 # ---------------------------------------------------------------------- #
 # timeline — every span on one clock
 # ---------------------------------------------------------------------- #
-
-
-def build_timeline(
-    manifest: Mapping[str, Any], rows: Sequence[Mapping[str, Any]]
-) -> Dict[str, Any]:
-    """The trace rows on one clock: ``{clock_s, busy_s, rows, events}``.
-
-    *rows* come back ordered by ``(start, id)``; ``busy_s`` sums the
-    root spans' durations and ``events`` are the manifest's
-    ``runtime_events``.  Rows are in the shape
-    :class:`repro.obs.manifest.TelemetryRun` hands out.
-    """
-    ids = {row.get("id") for row in rows}
-    ordered = sorted(rows, key=lambda r: (r.get("start") or 0.0, r.get("id") or 0))
-    return {
-        "clock_s": round(
-            max(
-                ((r.get("start") or 0.0) + (r.get("duration") or 0.0) for r in rows),
-                default=0.0,
-            ),
-            6,
-        ),
-        "busy_s": round(
-            sum(
-                r.get("duration") or 0.0
-                for r in rows
-                if r.get("parent_id") is None or r.get("parent_id") not in ids
-            ),
-            6,
-        ),
-        "rows": ordered,
-        "events": [dict(event) for event in manifest.get("runtime_events") or ()],
-    }
 
 
 def timeline_view(run: TelemetryRun, limit: int = ROW_LIMIT) -> Document:

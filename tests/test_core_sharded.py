@@ -4,10 +4,12 @@ The determinism contract of :mod:`repro.core.sharded` is that at ANY
 shard count and batch size, the merged per-shard build reproduces the
 in-memory prepare/fit/classify outputs byte for byte — same edge arrays,
 same rule attributions, same stats dict, same scores.  These tests
-enforce that contract, plus kill-and-resume through sharded days.
+enforce that contract, plus kill-and-resume and fault injection through
+sharded days.
 """
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -18,9 +20,15 @@ from repro.core.sharded import _kept_subgraph
 from repro.core.tracker import DomainTracker
 from repro.datasets.edgestore import ShardedDayTrace
 from repro.dns.trace import DayTrace
+from repro.runtime.faults import FaultPlan, FaultSpec, use_fault_plan
+from repro.runtime.supervisor import (
+    SupervisorPolicy,
+    supervised_process_day,
+)
 from repro.utils.ids import Interner
 
 FAST = SegugioConfig(n_estimators=5)
+PARALLEL = SegugioConfig(n_estimators=5, n_jobs=2)
 
 #: every rule switched off alone and together, every threshold moved — the
 #: sharded path must follow the one R1-R4 wherever the config takes it
@@ -178,6 +186,15 @@ class TestScoresBitIdentity:
         np.testing.assert_array_equal(got.scores, ref.scores)
         np.testing.assert_array_equal(got.features, ref.features)
 
+    def test_parallel_pool_identical(self, tmp_path, train_context):
+        """Asking for two jobs starts no process and changes no bytes."""
+        ref = Segugio(FAST).fit(train_context).classify(train_context)
+        context = _sharded(train_context, tmp_path / "store", 4)
+        got = Segugio(PARALLEL).fit(context).classify(context)
+        assert multiprocessing.active_children() == []
+        np.testing.assert_array_equal(got.domain_ids, ref.domain_ids)
+        np.testing.assert_array_equal(got.scores, ref.scores)
+
 
 class TestKillAndResume:
     def test_resume_through_sharded_days(self, tmp_path, scenario):
@@ -207,7 +224,47 @@ class TestKillAndResume:
         assert resumed.state_dict() == uninterrupted.state_dict()
 
 
+class TestFaultInjection:
+    def test_shard_worker_faults_change_no_bytes(
+        self, tmp_path, train_context
+    ):
+        """Transient errors while a sharded day is learned and scored
+        retry the whole day without perturbing the ledger."""
+        clean = DomainTracker(config=PARALLEL, fp_target=0.01)
+        context = _sharded(train_context, tmp_path / "store", 4)
+        clean.process_day(context)
+
+        plan = FaultPlan(
+            [
+                FaultSpec(kind="io_error", site="pipeline_fit"),
+                FaultSpec(kind="io_error", site="pipeline_classify"),
+            ]
+        )
+        policy = SupervisorPolicy(base_delay=0.0, sleep=lambda _: None)
+        tracker = DomainTracker(config=PARALLEL, fp_target=0.01)
+        with use_fault_plan(plan):
+            supervised_process_day(tracker, context, policy=policy)
+        assert plan.n_fired == 2  # the plan really injected
+        assert tracker.state_dict() == clean.state_dict()
+
+
 class TestLocatedErrors:
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_bad_n_jobs_raises_before_any_shard_work(
+        self, tmp_path, train_context, monkeypatch, n_jobs
+    ):
+        """The config refuses a nonsense n_jobs up front, before a single
+        shard is scanned."""
+        import repro.core.sharded as sharded
+
+        def no_shard_work(*args, **kwargs):
+            raise AssertionError("shard work started before n_jobs was checked")
+
+        monkeypatch.setattr(sharded, "_shard_scan", no_shard_work)
+        context = _sharded(train_context, tmp_path / "store", 2)
+        with pytest.raises(ValueError, match=rf"n_jobs must be >= 1 or -1, got {n_jobs}"):
+            Segugio(SegugioConfig(n_estimators=5, n_jobs=n_jobs)).prepare_day(context)
+
     @pytest.mark.parametrize("kind", ["machine", "domain"])
     def test_stale_interner_is_a_located_error(
         self, tmp_path, train_context, kind

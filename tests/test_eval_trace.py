@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro.eval.document import render_html, render_text
-from repro.eval.views import ROW_LIMIT, build_timeline, timeline_view
+from repro.eval.trace import build_timeline
+from repro.eval.views import ROW_LIMIT, timeline_view
 from repro.obs.manifest import TelemetryError, TelemetryRun
 
 

@@ -1,10 +1,11 @@
-"""Phase-2 interprocedural rules: SEG101, SEG103 and SEG104 seeded
-violations.
+"""Phase-2 interprocedural rules: SEG101-SEG105 seeded violations.
 
 Each rule gets a tree deliberately violating its contract (an unseeded
-``default_rng()`` two calls deep, a manifest key read but never written,
-an unregistered span name) plus a clean twin proving the rule stays
-quiet on conforming code.
+``default_rng()`` two calls deep, a lambda submitted to a pool stub, a
+manifest key read but never written, an unregistered span name) plus a
+clean twin proving the rule stays quiet on conforming code.  The pool
+rules SEG102 and SEG105 find nothing in the live tree, which runs every
+day in one process; their stub trees keep them honest until they retire.
 """
 
 import re
@@ -15,10 +16,18 @@ from tools.lint.index import build_index
 from tools.lint.project_rules import (
     DeterminismTaintRule,
     ManifestContractRule,
+    PoolCallableRule,
     SpanRegistryRule,
+    WorkerTelemetryRule,
     canonical_name,
     run_project_rules,
 )
+
+SUPERVISOR_STUB = (
+    "def supervised_map(fn, tasks, max_workers=None, label=''):\n"
+    "    return [fn(t) for t in tasks]\n"
+)
+
 
 def write(tmp_path, rel, text):
     path = tmp_path / rel
@@ -164,6 +173,122 @@ class TestSEG101DeterminismTaint:
         )
         (finding,) = lint(tmp_path, monkeypatch, DeterminismTaintRule)
         assert "None" in finding.message
+
+
+class TestSEG102PoolCallableSafety:
+    def test_lambda_submitted_to_pool(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/supervisor.py", SUPERVISOR_STUB)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    return supervised_map(lambda t: t + 1, tasks)\n",
+        )
+        (finding,) = lint(tmp_path, monkeypatch, PoolCallableRule)
+        assert finding.rule == "SEG102"
+        assert "lambda" in finding.message
+
+    def test_nested_function_flagged(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/supervisor.py", SUPERVISOR_STUB)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    def worker(t):\n"
+            "        return t + 1\n"
+            "    return supervised_map(worker, tasks)\n",
+        )
+        (finding,) = lint(tmp_path, monkeypatch, PoolCallableRule)
+        assert "nested function" in finding.message
+
+    def test_global_mutating_callable_flagged(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/supervisor.py", SUPERVISOR_STUB)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "CACHE = {}\n"
+            "\n"
+            "\n"
+            "def worker(t):\n"
+            "    CACHE[t] = True\n"
+            "    return t\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    return supervised_map(worker, tasks)\n",
+        )
+        (finding,) = lint(tmp_path, monkeypatch, PoolCallableRule)
+        assert "mutates module-level" in finding.message
+
+    def test_bound_method_flagged(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/supervisor.py", SUPERVISOR_STUB)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "class Runner:\n"
+            "    def worker(self, t):\n"
+            "        return t\n"
+            "\n"
+            "    def run(self, tasks):\n"
+            "        return supervised_map(self.worker, tasks)\n",
+        )
+        (finding,) = lint(tmp_path, monkeypatch, PoolCallableRule)
+        assert "bound method" in finding.message
+
+    def test_module_level_function_is_clean(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/supervisor.py", SUPERVISOR_STUB)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def worker(t):\n"
+            "    local = {}\n"
+            "    local[t] = True\n"
+            "    return t\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    return supervised_map(worker, tasks)\n",
+        )
+        assert lint(tmp_path, monkeypatch, PoolCallableRule) == []
+
+    def test_executor_submit_lambda_flagged(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(
+            tmp_path,
+            "src/repro/pool.py",
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    pool = ProcessPoolExecutor(max_workers=2)\n"
+            "    return [pool.submit(lambda t: t, t) for t in tasks]\n",
+        )
+        (finding,) = lint(tmp_path, monkeypatch, PoolCallableRule)
+        assert "lambda" in finding.message
 
 
 class TestSEG103ManifestContract:
@@ -340,6 +465,120 @@ class TestSEG104SpanRegistry:
             "        return match.span(group)\n",
         )
         assert lint(tmp_path, monkeypatch, SpanRegistryRule) == []
+
+
+class TestSEG105WorkerTelemetry:
+    def _tree(self, tmp_path):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/__init__.py", "")
+        write(tmp_path, "src/repro/runtime/supervisor.py", SUPERVISOR_STUB)
+        write(tmp_path, "src/repro/obs/__init__.py", "")
+        write(
+            tmp_path,
+            "src/repro/obs/tracing.py",
+            "def current_tracer():\n    return None\n",
+        )
+        write(
+            tmp_path,
+            "src/repro/obs/workerctx.py",
+            "from repro.obs.tracing import current_tracer\n"
+            "\n"
+            "\n"
+            "def execute(ctx, fn, args):\n"
+            "    tracer = current_tracer()\n"
+            "    return fn(*args), tracer\n",
+        )
+
+    def test_ambient_getter_two_hops_deep_flagged(
+        self, tmp_path, monkeypatch
+    ):
+        self._tree(tmp_path)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.obs.tracing import current_tracer\n"
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def _emit(t):\n"
+            "    current_tracer()\n"
+            "    return t\n"
+            "\n"
+            "\n"
+            "def _task(t):\n"
+            "    return _emit(t) + 1\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    return supervised_map(_task, tasks)\n",
+        )
+        (finding,) = lint(tmp_path, monkeypatch, WorkerTelemetryRule)
+        assert finding.rule == "SEG105"
+        assert "current_tracer" in finding.message
+        assert "worker context API" in finding.message
+        assert any("_task" in hop for hop in finding.trace)
+
+    def test_workerctx_bridge_is_allowlisted(self, tmp_path, monkeypatch):
+        # the sanctioned bridge calls the getters to install the worker
+        # stack; submitting through it must stay quiet
+        self._tree(tmp_path)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.obs.workerctx import execute\n"
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def _task(t):\n"
+            "    return t + 1\n"
+            "\n"
+            "\n"
+            "def _shim(t):\n"
+            "    return execute(None, _task, (t,))\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    return supervised_map(_shim, tasks)\n",
+        )
+        assert lint(tmp_path, monkeypatch, WorkerTelemetryRule) == []
+
+    def test_clean_pool_callable_is_quiet(self, tmp_path, monkeypatch):
+        self._tree(tmp_path)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def _task(t):\n"
+            "    return t * 2\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    return supervised_map(_task, tasks)\n",
+        )
+        assert lint(tmp_path, monkeypatch, WorkerTelemetryRule) == []
+
+    def test_parent_side_getter_not_flagged(self, tmp_path, monkeypatch):
+        # ambient emission is fine in code that merely CALLS the pool —
+        # only the submitted callable's closure is constrained
+        self._tree(tmp_path)
+        write(
+            tmp_path,
+            "src/repro/work.py",
+            "from repro.obs.tracing import current_tracer\n"
+            "from repro.runtime.supervisor import supervised_map\n"
+            "\n"
+            "\n"
+            "def _task(t):\n"
+            "    return t + 1\n"
+            "\n"
+            "\n"
+            "def run(tasks):\n"
+            "    current_tracer()\n"
+            "    return supervised_map(_task, tasks)\n",
+        )
+        assert lint(tmp_path, monkeypatch, WorkerTelemetryRule) == []
 
 
 class TestLiveRepoContracts:

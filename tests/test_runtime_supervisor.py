@@ -18,7 +18,27 @@ from repro.runtime.supervisor import (
 FAST_POLICY = SupervisorPolicy(base_delay=0.0, sleep=lambda _: None)
 
 
-class TestPolicy:
+class TestLadder:
+    """The one rung left: a failing day is retried whole, on the policy's
+    deterministic backoff, in the same process."""
+
+    def test_ladder_shapes(self):
+        slept = []
+        policy = SupervisorPolicy(
+            max_retries=2, base_delay=0.5, multiplier=3.0, sleep=slept.append
+        )
+        tracker = _FakeTracker(failures=99)
+        with use_event_log(RuntimeEventLog()) as events:
+            with pytest.raises(OSError):
+                supervised_process_day(
+                    tracker, SimpleNamespace(day=4), policy=policy
+                )
+        # max_retries + 1 retries after the first attempt, then the last
+        # attempt's error propagates; no sleep follows it
+        assert tracker.calls == 4
+        assert slept == [0.5, 1.5, 4.5]
+        assert [e["attempt"] for e in events.records] == [0, 1, 2]
+
     def test_policy_overrides(self):
         policy = policy_from_overrides({"max_retries": 3}, base=DEFAULT_POLICY)
         assert policy.max_retries == 3

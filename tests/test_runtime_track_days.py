@@ -343,6 +343,27 @@ class TestSourceEquivalence:
         assert dir_checkpoint == checkpoint
         assert dir_decisions == decisions
 
+    def test_sharded_and_pooled(self, campaign):
+        """A checkpoint written by a run that asked for two pool workers
+        (its config carries ``n_jobs=2``) resumes through sharded
+        directories into the same ledger and decisions."""
+        import dataclasses
+
+        out, days, (reference, _, decisions) = campaign
+        killed, _, first = self._track(out, "pooled-killed", days[:1])
+        pooled = str(out / "pooled.ckpt")
+        tracker = DomainTracker.resume(killed)
+        tracker.config = dataclasses.replace(tracker.config, n_jobs=2)
+        tracker.save_checkpoint(pooled)
+        path, _, rest = self._track(
+            out, "pooled-resumed", [*days, "--shards", "2"], resume=pooled
+        )
+        assert first + rest == decisions
+        resumed, expected = DomainTracker.resume(path), DomainTracker.resume(reference)
+        assert resumed.state_dict() == expected.state_dict()
+        assert resumed.config.n_jobs == 2
+        assert dataclasses.replace(resumed.config, n_jobs=1) == expected.config
+
     def test_killed_and_resumed_between_directories(self, campaign):
         out, days, (_, checkpoint, decisions) = campaign
         killed, _, first = self._track(out, "dirs-killed", days[:1])

@@ -1,24 +1,24 @@
-"""Integration guarantees for cross-process worker tracing (DESIGN.md §15).
+"""Trace and ledger guarantees of a tracked campaign, end to end.
 
-Four contracts, end to end over real campaigns:
+These contracts were first proven across pool workers; every day now runs
+in one process, and each still holds:
 
-* the merged span tree is a *function of the work*, not the schedule —
-  identical across worker counts (1/2/4) and for sharded day contexts
-  at any shard count, once scheduling-only attributes are stripped;
-* a profiled chaos run under ``worker_kill`` either keeps every worker
-  span or quarantines the broken round's records, and quarantine is
-  surfaced in run health rather than silently dropped;
+* the span tree is a *function of the work*, not the schedule —
+  identical for every ``SegugioConfig.n_jobs`` value (a field that starts
+  no process) and for sharded day contexts at any shard count, once
+  timing and resource attributes are stripped;
+* a profiled chaos run keeps the span of every day attempt, failed ones
+  included;
 * the streamed ``decisions.jsonl`` is byte-identical to the buffered
   path, including across a transient day retry;
-* a fault fired inside a mid-shard pool task lands in the *right day's*
-  ``runtime_events``, not in the orphan bucket.
+* a fault fired while a sharded day runs lands in *that day's*
+  ``runtime_events``.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
-
-import pytest
 
 from repro.core.pipeline import SegugioConfig
 from repro.core.tracker import DomainTracker
@@ -53,6 +53,13 @@ def shard_contexts(contexts, root, n_shards):
     return sharded
 
 
+def io_error_at(site, **where):
+    return plan_from_dict(
+        {"faults": [{"kind": "io_error", "site": site, "count": 1, **where}]},
+        source="<test>",
+    )
+
+
 def run_campaign(contexts, n_jobs, estimators=20, profile=True):
     """One profiled tracked campaign; returns the run manifest."""
     telemetry = RunTelemetry(
@@ -65,22 +72,20 @@ def run_campaign(contexts, n_jobs, estimators=20, profile=True):
     )
     for context in contexts:
         tracker.process_day(context)
+    assert multiprocessing.active_children() == []
     return telemetry.build_manifest()
 
 
-#: attributes that encode *scheduling*, not work: which process ran the
-#: task, how many workers were asked for, and what the clock said
-SCHEDULING_ATTRS = frozenset(
-    {"worker", "n_jobs", "jobs", "resources", "skew_normalized"}
-)
+#: attributes that are measurements, not work
+MEASURED_ATTRS = frozenset({"resources"})
 
 
 def normalize(span):
-    """A span tree with timing and scheduling identity stripped."""
+    """A span tree with timing and measured attributes stripped."""
     attributes = {
         key: value
         for key, value in (span.get("attributes") or {}).items()
-        if key not in SCHEDULING_ATTRS
+        if key not in MEASURED_ATTRS
     }
     return {
         "name": span.get("name"),
@@ -96,17 +101,25 @@ def normalized_tree(manifest):
     )
 
 
-def worker_span_labels(spans):
-    labels = set()
+def span_names(spans):
+    names = set()
     for span in spans:
-        if span.get("name") == "segugio_worker_task":
-            labels.add((span.get("attributes") or {}).get("label"))
-        labels |= worker_span_labels(span.get("children") or [])
-    return labels
+        names.add(span.get("name"))
+        names |= span_names(span.get("children") or [])
+    return names
+
+
+def find_spans(spans, name):
+    found = []
+    for span in spans:
+        if span.get("name") == name:
+            found.append(span)
+        found.extend(find_spans(span.get("children") or [], name))
+    return found
 
 
 class TestSpanTreeScheduleInvariance:
-    """The merged tree depends on the work, never on the schedule."""
+    """The span tree depends on the work, never on the schedule."""
 
     def test_identical_across_worker_counts(self):
         contexts = day_contexts()
@@ -131,21 +144,18 @@ class TestSpanTreeScheduleInvariance:
         assert serial == parallel
 
     def test_sharded_run_traces_every_pool_phase(self, tmp_path):
+        """The phases that once ran as pool tasks — scan, labels, prune
+        and the forest's fit and predict — are spans of the day."""
         contexts = shard_contexts(day_contexts(), str(tmp_path), n_shards=2)
-        manifest = run_campaign(contexts, 2)
-        labels = worker_span_labels(manifest["spans"])
-        assert {
-            "shard_scan",
-            "shard_labels",
-            "shard_prune",
-            "forest_fit",
-        } <= labels
-        # the merge accounted for every pool task, nothing lost
-        workers = manifest["resources"]["workers"]
-        pool = manifest["resources"]["pool"]
-        for label, stats in pool.items():
-            assert workers[label]["n_merged"] == stats["n_tasks"]
-            assert workers[label]["n_missing"] == 0
+        spans = run_campaign(contexts, 2)["spans"]
+        (build,) = find_spans(spans, "segugio_sharded_build")
+        assert build["attributes"]["n_shards"] == 2
+        assert {"build_graph", "label_nodes", "prune_graph"} <= span_names(
+            build.get("children") or []
+        )
+        assert {"segugio_forest_fit", "segugio_forest_predict"} <= span_names(
+            spans
+        )
 
     def test_rerun_is_identical_including_timestamps_stripped(self):
         contexts = day_contexts()
@@ -155,49 +165,28 @@ class TestSpanTreeScheduleInvariance:
 
 
 class TestChaosWorkerKillAccounting:
-    """Worker spans survive ``worker_kill`` or are cleanly quarantined."""
+    """No span is lost when a chaos plan makes days fail and retry."""
 
     def test_profiled_chaos_run_accounts_for_every_span(self, tmp_path):
         from repro.eval.chaos import run_chaos
 
+        out_dir = tmp_path / "chaos"
         report = run_chaos(
-            out_dir=str(tmp_path / "chaos"),
-            days=1,
-            jobs=2,
-            estimators=18,
-            profile=True,
+            out_dir=str(out_dir), days=1, estimators=18, profile=True
         )
         assert report.passed, report.summary()
-        by_name = {inv.name: inv for inv in report.invariants}
-        assert "worker_spans_accounted" in by_name
-        assert by_name["worker_spans_accounted"].passed
-
-    def test_quarantine_surfaces_as_health_warning(self, tmp_path):
-        # Build the warning condition directly (whether worker_kill leaves
-        # a superseded sidecar behind is a race): a completed-on-round-1
-        # task whose round-0 spill survived must warn, never pass silently.
-        from repro.obs import workerctx
-
-        telemetry = RunTelemetry(
-            command="test", run_id="quarantine", profile=True
-        )
-        with telemetry.activate():
-            box = workerctx.open_box("forest_fit")
-            assert box is not None
-            for round_index in (0, 1):
-                _, record = workerctx.execute(
-                    box.task_context(0, round_index), lambda: None, ()
-                )
-                workerctx.spill(box.sidecar_dir, record)
-            box.note_completed(0, 1)
-            accounting = box.merge()
-            box.cleanup()
-        assert accounting["n_quarantined"] == 1
-        manifest = telemetry.build_manifest()
-        reasons = manifest["health"]["reasons"]
-        rules = [reason.get("rule") for reason in reasons]
-        assert "worker_spans_quarantined" in rules
-        assert manifest["health"]["status"] != "fail"
+        with open(out_dir / "manifest.json") as stream:
+            manifest = json.load(stream)
+        retries = [
+            event
+            for event in manifest["runtime_events"]
+            if event["kind"] == "day_retry"
+        ]
+        assert retries  # the default plan must fail a day
+        # one day span per attempt: every failed attempt is kept, in error
+        days = find_spans(manifest["spans"], "segugio_run_day")
+        assert len(days) == 1 + len(retries)
+        assert [span["status"] for span in days].count("error") == len(retries)
 
 
 class TestStreamedDecisionsByteIdentity:
@@ -206,23 +195,17 @@ class TestStreamedDecisionsByteIdentity:
     def run_tracked(self, out_dir, stream, contexts, fault_plan=None):
         telemetry = RunTelemetry(command="test", run_id="stream-check")
         tracker = DomainTracker(
-            config=SegugioConfig(n_estimators=12, n_jobs=1),
+            config=SegugioConfig(n_estimators=12),
             fp_target=0.01,
             telemetry=telemetry,
         )
         if stream:
             telemetry.stream_decisions(out_dir)
         policy = SupervisorPolicy(base_delay=0.0)
-        plan_guard = (
-            use_fault_plan(fault_plan) if fault_plan is not None else None
-        )
-        with plan_guard if plan_guard is not None else _null():
-            with use_policy(policy):
-                for context in contexts:
-                    with telemetry.activate():
-                        supervised_process_day(
-                            tracker, context, policy=policy
-                        )
+        with use_fault_plan(fault_plan), use_policy(policy):
+            for context in contexts:
+                with telemetry.activate():
+                    supervised_process_day(tracker, context, policy=policy)
         telemetry.write(out_dir)
         with open(os.path.join(out_dir, "decisions.jsonl"), "rb") as stream_:
             return stream_.read()
@@ -243,14 +226,7 @@ class TestStreamedDecisionsByteIdentity:
         clean = self.run_tracked(
             str(tmp_path / "clean"), stream=True, contexts=contexts
         )
-        plan = plan_from_dict(
-            {
-                "faults": [
-                    {"kind": "io_error", "site": "pipeline_fit", "count": 1}
-                ]
-            },
-            source="<test>",
-        )
+        plan = io_error_at("pipeline_fit")
         retried = self.run_tracked(
             str(tmp_path / "retried"),
             stream=True,
@@ -303,25 +279,14 @@ class TestStreamedDecisionsByteIdentity:
 
 
 class TestMidShardFaultDayAttribution:
-    """A pool-task fault lands under the day it happened in, not orphaned."""
+    """A fault inside a sharded day lands under that day, not orphaned."""
 
     def test_shard_fault_event_stamped_with_its_day(self, tmp_path):
         contexts = shard_contexts(
             day_contexts(n_days=2), str(tmp_path), n_shards=2
         )
-        plan = plan_from_dict(
-            {
-                "faults": [
-                    {
-                        "kind": "io_error",
-                        "site": "shard_scan",
-                        "task": 0,
-                        "count": 1,
-                    }
-                ]
-            },
-            source="<test>",
-        )
+        fault_day = contexts[1].day
+        plan = io_error_at("pipeline_classify", task=fault_day)
         telemetry = RunTelemetry(command="test", run_id="day-attrib")
         tracker = DomainTracker(
             config=SegugioConfig(n_estimators=12, n_jobs=2),
@@ -334,31 +299,8 @@ class TestMidShardFaultDayAttribution:
                 with telemetry.activate():
                     supervised_process_day(tracker, context, policy=policy)
         assert plan.fired
-        fault_day = contexts[0].day
-        manifest = telemetry.build_manifest()
-        day_records = {
-            record["day"]: record.get("runtime_events", [])
-            for record in manifest["days"]
-        }
-        retries = [
-            event
-            for event in day_records[fault_day]
-            if event["kind"] in ("task_retry", "io_retry")
+        events = telemetry.build_manifest()["runtime_events"]
+        assert [(e["kind"], e["day"]) for e in events] == [
+            ("day_retry", fault_day)
         ]
-        assert retries, day_records
-        assert all(event.get("day") == fault_day for event in retries)
-        # the degradation is attributed to its day, never to the orphan
-        # bucket (orphan reasons carry day=None and path=runtime_events)
-        reasons = manifest["health"]["reasons"]
-        assert any(reason.get("day") == fault_day for reason in reasons)
-        assert not any(
-            reason.get("rule") == "supervisor_degraded"
-            and reason.get("day") is None
-            for reason in reasons
-        )
-
-
-def _null():
-    from contextlib import nullcontext
-
-    return nullcontext()
+        assert tracker.days_processed == [c.day for c in contexts]

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.lint",
         description="segugio-lint: enforce determinism, layering, and "
         "telemetry contracts over the source tree — per-file rules "
-        "(SEG0xx) plus whole-program analyses (SEG101, SEG103, SEG104)",
+        "(SEG0xx) plus whole-program analyses (SEG101-SEG105)",
     )
     parser.add_argument(
         "targets",

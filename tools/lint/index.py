@@ -4,14 +4,14 @@ One pass over every Python file under the index roots (``src`` + ``tools``
 + ``benchmarks``) extracts a compact *module summary*: the import table,
 every function with its parameters / call sites / assignment provenance,
 span-name literals, and manifest key reads and writes.  Phase 2 (the
-SEG101, SEG103 and SEG104 project rules in :mod:`tools.lint.project_rules`) runs
+SEG101–SEG105 project rules in :mod:`tools.lint.project_rules`) runs
 entirely on these summaries — it never re-reads source.  The index is
 built in memory on every run.
 
 Expression provenance is recorded as bounded-depth "expression summaries"
 (dicts with a ``k`` kind tag) — enough structure for the determinism
-taint rule to trace a seed across function boundaries, without keeping
-ASTs.
+taint and pool-safety rules to trace a seed or a callable across function
+boundaries, without keeping ASTs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,24 @@ from tools.lint.engine import module_name_for
 INDEX_ROOTS = ("src", "tools", "benchmarks")
 
 _EXPR_DEPTH_LIMIT = 4
+
+#: dict/set/list methods that mutate the receiver in place
+_MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "add",
+        "update",
+        "setdefault",
+        "pop",
+        "popitem",
+        "remove",
+        "discard",
+        "clear",
+        "extend",
+        "insert",
+        "sort",
+    }
+)
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -128,24 +146,27 @@ class _ModuleWalker(ast.NodeVisitor):
         self._fn_stack: List[Dict[str, object]] = []
         self._class_depth = 0
         # module-level code is recorded as the pseudo-function "<module>"
-        self._module_fn = self._new_function("<module>", 1, [])
+        self._module_fn = self._new_function("<module>", 1, [], nested=False)
         self.functions["<module>"] = self._module_fn
 
     # ---------------------------------------------------------------- #
 
     @staticmethod
     def _new_function(
-        qualname: str, lineno: int, params: List[str]
+        qualname: str, lineno: int, params: List[str], nested: bool
     ) -> Dict[str, object]:
         return {
             "qualname": qualname,
             "lineno": lineno,
             "params": params,
+            "nested": nested,
             "in_class": False,
             "calls": [],
             "assigns": {},
             "for_iters": {},
             "returns": [],
+            "global_writes": [],
+            "mutations": [],
         }
 
     def _current(self) -> Dict[str, object]:
@@ -187,7 +208,9 @@ class _ModuleWalker(ast.NodeVisitor):
             params.append(args.vararg.arg)
         if args.kwarg is not None:
             params.append(args.kwarg.arg)
-        info = self._new_function(qualname, node.lineno, params)
+        info = self._new_function(
+            qualname, node.lineno, params, nested=bool(self._fn_stack)
+        )
         info["in_class"] = self._class_depth > 0 and not self._fn_stack
         self.functions[qualname] = info
         self._scope.append(node.name)
@@ -226,6 +249,26 @@ class _ModuleWalker(ast.NodeVisitor):
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None and isinstance(node.target, ast.Name):
             self._record_assign(node.target.id, summarize_expr(node.value))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.target, ast.Name):
+            name = node.target.id
+            fn = self._current()
+            if self._fn_stack and name in self.module_assigns and (
+                name not in fn["params"]  # type: ignore[operator]
+                and name not in fn["assigns"]  # type: ignore[operator]
+            ):
+                fn["mutations"].append(  # type: ignore[union-attr]
+                    {"name": name, "lineno": node.lineno, "how": "augmented assignment"}
+                )
+        self.generic_visit(node)
+
+    def visit_Global(self, node: ast.Global) -> None:
+        fn = self._current()
+        for name in node.names:
+            if name not in fn["global_writes"]:  # type: ignore[operator]
+                fn["global_writes"].append(name)  # type: ignore[union-attr]
         self.generic_visit(node)
 
     def _record_loop_targets(self, target: ast.AST, iter_node: ast.AST) -> None:
@@ -314,6 +357,24 @@ class _ModuleWalker(ast.NodeVisitor):
                     self.key_reads.append(entry)
                 else:
                     self.key_writes.append(entry)
+            if (
+                func.attr in _MUTATING_METHODS
+                and isinstance(func.value, ast.Name)
+                and self._fn_stack
+            ):
+                name = func.value.id
+                fn = self._current()
+                if name in self.module_assigns and (
+                    name not in fn["params"]  # type: ignore[operator]
+                    and name not in fn["assigns"]  # type: ignore[operator]
+                ):
+                    fn["mutations"].append(  # type: ignore[union-attr]
+                        {
+                            "name": name,
+                            "lineno": node.lineno,
+                            "how": f".{func.attr}() call",
+                        }
+                    )
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
@@ -337,6 +398,23 @@ class _ModuleWalker(ast.NodeVisitor):
             if receiver is not None:
                 self.key_writes.append(
                     {"recv": receiver, "key": target.slice.value, "lineno": lineno}
+                )
+        # a subscript-store on a module global is a mutation whatever the key
+        if (
+            isinstance(target.value, ast.Name)
+            and self._fn_stack
+            and target.value.id in self.module_assigns
+        ):
+            fn = self._current()
+            if target.value.id not in fn["params"] and (  # type: ignore[operator]
+                target.value.id not in fn["assigns"]  # type: ignore[operator]
+            ):
+                fn["mutations"].append(  # type: ignore[union-attr]
+                    {
+                        "name": target.value.id,
+                        "lineno": lineno,
+                        "how": "subscript store",
+                    }
                 )
 
 

@@ -8,6 +8,10 @@ phase 1 — never on raw source — so they see across file boundaries:
   a parameter or config field whose name matches the seed allowlist, or
   from a constant.  Entropy sources (``os.urandom``, ``secrets.*``,
   ``uuid.uuid4``) as seeds are always findings.
+* **SEG102** — pool-callable safety: every callable handed to
+  ``supervised_map`` / ``ProcessPoolExecutor.submit`` must be a
+  module-level function (picklable by construction) that neither writes
+  ``global`` names nor mutates module-level state.
 * **SEG103** — manifest contract: string keys written by the run
   manifest's producer (``repro.obs.run``) are checked against keys read
   by its one consumer, the reader in ``repro.obs.manifest`` (the edge
@@ -20,6 +24,14 @@ phase 1 — never on raw source — so they see across file boundaries:
   ``repro.obs`` (which forwards its callers' names) every name handed to
   a tracer must be a literal, so it too is held to the registry;
   registry entries with no call site are warnings.
+* **SEG105** — worker-telemetry isolation: code transitively reachable
+  from a pool-submitted callable must not call the ambient telemetry
+  getters (``current_tracer`` and friends).  Inside a worker those
+  resolve to whatever :mod:`repro.obs.workerctx` installed — or, on the
+  in-process serial floor, to the *parent's* tracer — so direct ambient
+  emission either dodges the sidecar merge or double-counts into the
+  parent span tree.  Worker-side telemetry goes through the worker
+  context API (the one module allowlisted here).
 
 Each finding carries a ``trace`` — the hop-by-hop flow path — printed
 indented under the finding.
@@ -60,6 +72,10 @@ _SEED_DERIVERS = frozenset({"spawn", "child"})
 
 _TAINT_DEPTH_LIMIT = 12
 
+#: (module, function) entry points that ship their first argument to a
+#: worker process
+POOL_ENTRYPOINTS = frozenset({("repro.runtime.supervisor", "supervised_map")})
+
 #: SEG103 contract endpoints: module -> receiver names that *are* the
 #: manifest in that module.  Producers contribute written keys,
 #: consumers contribute read keys; a module may be both.
@@ -83,6 +99,22 @@ MANIFEST_ARCHIVAL_KEYS: Dict[str, str] = {
 
 SPAN_REGISTRY_MODULE = "repro.obs.spans"
 SPAN_REGISTRY_NAME = "SPAN_NAMES"
+
+#: SEG105: the ambient telemetry getters — resolving one of these inside
+#: a pool-callable's transitive closure is a finding
+AMBIENT_GETTERS = frozenset(
+    {
+        ("repro.obs.tracing", "current_tracer"),
+        ("repro.obs.events", "current_event_log"),
+        ("repro.obs.resources", "current_monitor"),
+        ("repro.obs.provenance", "current_decision_log"),
+    }
+)
+
+#: SEG105: modules allowed to touch the ambient getters from worker
+#: context — the sanctioned bridge that installs the worker stack
+WORKER_TELEMETRY_MODULES = frozenset({"repro.obs.workerctx"})
+
 
 class ProjectRule:
     """Base class for whole-program rules (phase 2)."""
@@ -461,6 +493,231 @@ class DeterminismTaintRule(ProjectRule):
         )
 
 
+def pool_submitted_callable(
+    index: ProjectIndex,
+    module: str,
+    fn_info: Dict[str, object],
+    fn: str,
+    call: Dict[str, object],
+) -> Optional[Dict[str, object]]:
+    """The esum of the callable argument, if this call ships one to a
+    worker process; ``None`` otherwise.  Shared by SEG102 and SEG105."""
+    args: List[Dict[str, object]] = call["args"]  # type: ignore[assignment]
+    if not args:
+        return None
+    resolved = index.resolve_call(module, fn)
+    if resolved in POOL_ENTRYPOINTS:
+        return args[0]
+    head, _, method = fn.rpartition(".")
+    if method == "submit" and head:
+        receiver = head.split(".")[0]
+        assigns: Dict[str, Dict[str, object]] = fn_info["assigns"]  # type: ignore[assignment]
+        origin = assigns.get(receiver)
+        if origin is not None and origin.get("k") == "call":
+            origin_fn = str(origin.get("fn", ""))
+            if origin_fn.rsplit(".", 1)[-1] == "ProcessPoolExecutor":
+                return args[0]
+        if receiver in ("pool", "executor"):
+            return args[0]
+    return None
+
+
+class PoolCallableRule(ProjectRule):
+    """SEG102 — callables crossing the process-pool boundary."""
+
+    rule_id = "SEG102"
+    name = "pool-callable-safety"
+    rationale = (
+        "the supervised pool pickles its callable into worker processes; "
+        "lambdas, nested functions, and bound methods fail (or worse, "
+        "silently fork state), and module-global mutation in a worker "
+        "never propagates back"
+    )
+
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
+        for module, summary in sorted(index.modules.items()):
+            imports: Dict[str, str] = summary["imports"]  # type: ignore[assignment]
+            functions: Dict[str, Dict[str, object]] = summary["functions"]  # type: ignore[assignment]
+            for qualname, info in sorted(functions.items()):
+                for call in info["calls"]:  # type: ignore[union-attr]
+                    fn = str(call["fn"])
+                    submitted = self._submitted_callable(
+                        index, module, info, fn, call
+                    )
+                    if submitted is None:
+                        continue
+                    lineno = int(call["lineno"])
+                    path = str(summary["path"])
+                    trace = [
+                        f"{path}:{lineno}: {fn}(...) in {module}:{qualname}"
+                    ]
+                    for problem in self._check_callable(
+                        index, module, info, submitted, trace, set(), 0
+                    ):
+                        yield self.finding(
+                            path, lineno, problem, trace=trace
+                        )
+
+    def _submitted_callable(
+        self,
+        index: ProjectIndex,
+        module: str,
+        fn_info: Dict[str, object],
+        fn: str,
+        call: Dict[str, object],
+    ) -> Optional[Dict[str, object]]:
+        return pool_submitted_callable(index, module, fn_info, fn, call)
+
+    def _check_callable(
+        self,
+        index: ProjectIndex,
+        module: str,
+        fn_info: Dict[str, object],
+        expr: Dict[str, object],
+        trace: List[str],
+        visited: Set[Tuple[str, str, str]],
+        depth: int,
+    ) -> List[str]:
+        if depth > _TAINT_DEPTH_LIMIT:
+            return []
+        kind = expr.get("k")
+        if kind == "lambda":
+            return [
+                "lambda submitted to the process pool — lambdas are not "
+                "picklable; define a module-level function"
+            ]
+        if kind == "attr":
+            chain = str(expr["dotted"])
+            if chain.startswith("self.") or chain.startswith("cls."):
+                return [
+                    f"bound method {chain} submitted to the process pool — "
+                    "pickling drags the whole instance into every worker; "
+                    "use a module-level function"
+                ]
+            # mod.fn via an import alias: resolve and inspect
+            resolved = index.resolve_call(module, chain)
+            if resolved is not None:
+                return self._check_resolved(index, resolved, trace)
+            return []
+        if kind == "call":
+            fn = str(expr.get("fn", ""))
+            if fn.rsplit(".", 1)[-1] == "partial":
+                args: List[Dict[str, object]] = expr.get("args", [])  # type: ignore[assignment]
+                if args:
+                    trace.append("  = functools.partial wrapping:")
+                    return self._check_callable(
+                        index, module, fn_info, args[0], trace, visited, depth + 1
+                    )
+            return []
+        if kind != "name":
+            return []
+        name = str(expr["id"])
+        qualname = str(fn_info["qualname"])
+        key = (module, qualname, name)
+        if key in visited:
+            return []
+        visited.add(key)
+        assigns: Dict[str, Dict[str, object]] = fn_info["assigns"]  # type: ignore[assignment]
+        params: List[str] = fn_info["params"]  # type: ignore[assignment]
+        if name in assigns:
+            trace.append(f"  = local {name} assigned in {qualname}:")
+            return self._check_callable(
+                index, module, fn_info, assigns[name], trace, visited, depth + 1
+            )
+        if name in params:
+            problems: List[str] = []
+            position = params.index(name)
+            if bool(fn_info.get("in_class")) and params and params[0] in ("self", "cls"):
+                position -= 1
+            for site in index.callers_of(module, qualname):
+                call = site["call"]
+                cargs: List[Dict[str, object]] = call["args"]  # type: ignore[index]
+                ckw: Dict[str, Dict[str, object]] = call["kw"]  # type: ignore[index]
+                if name in ckw:
+                    arg = ckw[name]
+                elif 0 <= position < len(cargs):
+                    arg = cargs[position]
+                else:
+                    continue
+                caller_fn = index.function(
+                    str(site["module"]), str(site["function"])
+                )
+                if caller_fn is None:
+                    continue
+                trace.append(
+                    f"  <- passed as {name!r} from "
+                    f"{site['module']}:{site['function']}:"
+                )
+                problems.extend(
+                    self._check_callable(
+                        index,
+                        str(site["module"]),
+                        caller_fn,
+                        arg,
+                        trace,
+                        visited,
+                        depth + 1,
+                    )
+                )
+            return problems
+        # a nested def shadows nothing the resolver sees: look for it under
+        # the enclosing function's qualname first
+        summary = index.modules.get(module)
+        if summary is not None:
+            nested_qualname = f"{qualname}.{name}"
+            functions: Dict[str, object] = summary["functions"]  # type: ignore[assignment]
+            if nested_qualname in functions:
+                trace.append(f"  = {module}:{nested_qualname}")
+                return self._check_resolved(
+                    index, (module, nested_qualname), trace
+                )
+        resolved = index.resolve_call(module, name)
+        if resolved is not None:
+            trace.append(f"  = {resolved[0]}:{resolved[1]}")
+            return self._check_resolved(index, resolved, trace)
+        return []
+
+    def _check_resolved(
+        self,
+        index: ProjectIndex,
+        resolved: Tuple[str, str],
+        trace: List[str],
+    ) -> List[str]:
+        target = index.function(*resolved)
+        if target is None:
+            return []
+        problems: List[str] = []
+        label = f"{resolved[0]}:{resolved[1]}"
+        if bool(target.get("nested")):
+            problems.append(
+                f"pool callable {label} is a nested function — not "
+                "picklable; hoist it to module level"
+            )
+        if bool(target.get("in_class")):
+            problems.append(
+                f"pool callable {label} is defined inside a class — "
+                "submit a module-level function instead"
+            )
+        global_writes: List[str] = target.get("global_writes", [])  # type: ignore[assignment]
+        for name in global_writes:
+            problems.append(
+                f"pool callable {label} declares `global {name}` — "
+                "worker-side writes to module globals never propagate "
+                "back to the parent process"
+            )
+        mutations: List[Dict[str, object]] = target.get("mutations", [])  # type: ignore[assignment]
+        for mutation in mutations:
+            problems.append(
+                f"pool callable {label} mutates module-level "
+                f"{mutation['name']!r} ({mutation['how']}, line "
+                f"{mutation['lineno']}) — worker-side state diverges "
+                "silently from the parent"
+            )
+        if problems:
+            trace.append(f"  ! {label} fails picklable-by-construction checks")
+        return problems
+
+
 class ManifestContractRule(ProjectRule):
     """SEG103 — manifest keys: every read produced, every write read."""
 
@@ -644,11 +901,139 @@ class SpanRegistryRule(ProjectRule):
         return lineno
 
 
+class WorkerTelemetryRule(ProjectRule):
+    """SEG105 — no ambient telemetry getters inside pool-callable code."""
+
+    rule_id = "SEG105"
+    name = "worker-telemetry-isolation"
+    rationale = (
+        "pool-callable code runs both in forked workers (where the "
+        "ambient getters resolve to the stack repro.obs.workerctx "
+        "installed) and on the in-process serial floor (where they "
+        "resolve to the parent's tracer); emitting through them directly "
+        "either dodges the sidecar merge or double-counts into the "
+        "parent span tree — worker telemetry must flow through the "
+        "worker context API"
+    )
+
+    def run(self, index: ProjectIndex) -> Iterator[Finding]:
+        reported: Set[Tuple[str, int, str]] = set()
+        for module, summary in sorted(index.modules.items()):
+            functions: Dict[str, Dict[str, object]] = summary["functions"]  # type: ignore[assignment]
+            for qualname, info in sorted(functions.items()):
+                for call in info["calls"]:  # type: ignore[union-attr]
+                    fn = str(call["fn"])
+                    submitted = pool_submitted_callable(
+                        index, module, info, fn, call
+                    )
+                    if submitted is None:
+                        continue
+                    submit_site = (
+                        f"{summary['path']}:{call['lineno']}: "
+                        f"{fn}(...) in {module}:{qualname}"
+                    )
+                    for root in self._roots(index, module, info, submitted):
+                        yield from self._walk(
+                            index, root, submit_site, reported
+                        )
+
+    def _roots(
+        self,
+        index: ProjectIndex,
+        module: str,
+        fn_info: Dict[str, object],
+        expr: Dict[str, object],
+    ) -> List[Tuple[str, str]]:
+        """Resolve the submitted-callable esum to closure entry points."""
+        kind = expr.get("k")
+        if kind == "name":
+            name = str(expr["id"])
+            summary = index.modules.get(module)
+            if summary is not None:
+                nested = f"{fn_info['qualname']}.{name}"
+                if nested in summary["functions"]:  # type: ignore[operator]
+                    return [(module, nested)]
+            resolved = index.resolve_call(module, name)
+            return [resolved] if resolved is not None else []
+        if kind == "attr":
+            resolved = index.resolve_call(module, str(expr["dotted"]))
+            return [resolved] if resolved is not None else []
+        if kind == "call":
+            fn = str(expr.get("fn", ""))
+            if fn.rsplit(".", 1)[-1] == "partial":
+                args: List[Dict[str, object]] = expr.get("args", [])  # type: ignore[assignment]
+                if args:
+                    return self._roots(index, module, fn_info, args[0])
+        return []
+
+    def _walk(
+        self,
+        index: ProjectIndex,
+        root: Tuple[str, str],
+        submit_site: str,
+        reported: Set[Tuple[str, int, str]],
+    ) -> Iterator[Finding]:
+        """BFS the resolved call graph from *root*, flagging getters."""
+        if root[0] in WORKER_TELEMETRY_MODULES:
+            return
+        seen: Set[Tuple[str, str]] = {root}
+        # each queue entry carries the hop chain that reached it
+        queue: List[Tuple[Tuple[str, str], List[str]]] = [
+            (root, [f"  -> pool callable {root[0]}:{root[1]}"])
+        ]
+        while queue:
+            (module, qualname), chain = queue.pop(0)
+            info = index.function(module, qualname)
+            if info is None:
+                continue
+            summary = index.modules.get(module)
+            path = str(summary["path"]) if summary is not None else ""
+            for call in info["calls"]:  # type: ignore[union-attr]
+                resolved = index.resolve_call(module, str(call["fn"]))
+                if resolved is None:
+                    continue
+                lineno = int(call["lineno"])
+                if resolved in AMBIENT_GETTERS:
+                    key = (path, lineno, f"{resolved[0]}:{resolved[1]}")
+                    if key in reported:
+                        continue
+                    reported.add(key)
+                    yield self.finding(
+                        path,
+                        lineno,
+                        f"{call['fn']}() called inside pool-callable code "
+                        f"({module}:{qualname}, reachable from the process-"
+                        "pool boundary) — worker telemetry must go through "
+                        "the worker context API (repro.obs.workerctx), "
+                        "never the ambient getters",
+                        trace=[submit_site]
+                        + chain
+                        + [f"  ! {module}:{qualname} line {lineno} calls "
+                           f"{resolved[0]}:{resolved[1]}"],
+                    )
+                    continue
+                if (
+                    resolved not in seen
+                    and resolved[0] not in WORKER_TELEMETRY_MODULES
+                ):
+                    seen.add(resolved)
+                    queue.append(
+                        (
+                            resolved,
+                            chain
+                            + [f"  -> {resolved[0]}:{resolved[1]} "
+                               f"(line {lineno})"],
+                        )
+                    )
+
+
 def build_project_rules() -> Tuple[ProjectRule, ...]:
     return (
         DeterminismTaintRule(),
+        PoolCallableRule(),
         ManifestContractRule(),
         SpanRegistryRule(),
+        WorkerTelemetryRule(),
     )
 
 
