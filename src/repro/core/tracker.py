@@ -31,7 +31,6 @@ from repro.core.pipeline import (
 from repro.intel.blacklist import CncBlacklist
 from repro.ml.drift import feature_drift, ks_statistic, population_stability_index
 from repro.ml.metrics import threshold_for_fpr
-from repro.obs.events import current_event_log
 from repro.obs.logs import get_logger
 from repro.obs.monitor import AlertRule, STATUS_OK, evaluate_health
 from repro.obs.provenance import current_decision_log
@@ -92,9 +91,12 @@ class DayReport:
     tripped rules as reasons."""
 
     runtime_events: List[Dict[str, object]] = field(default_factory=list)
-    """Runtime degradation events recorded while this day ran (day and
-    checkpoint-write retries) — the provenance that results are correct
-    but were computed the hard way.  Empty on a fault-free day."""
+    """Always empty: a day's retries are recorded after its attempt fails,
+    outside the attempt, so the run's event log is where they live
+    (:func:`repro.obs.monitor.run_health` assigns them to their days).
+    The field stays only because the benchmark harness still reads it;
+    the benchmark's next revision, which retires its
+    ``runtime.supervisor.degradations`` metric, removes it."""
 
     def summary(self) -> str:
         degraded = (
@@ -104,17 +106,12 @@ class DayReport:
         )
         status = str(self.health.get("status", STATUS_OK))
         unhealthy = f" [health: {status}]" if status != STATUS_OK else ""
-        supervised = (
-            f" [supervisor: {len(self.runtime_events)} degradation events]"
-            if self.runtime_events
-            else ""
-        )
         return (
             f"day {self.day}: scored {self.n_scored} unknown domains, "
             f"{len(self.new_detections)} new + "
             f"{len(self.repeat_detections)} repeat detections, "
             f"{len(self.implicated_machines)} machines implicated"
-            f"{degraded}{unhealthy}{supervised}"
+            f"{degraded}{unhealthy}"
         )
 
 
@@ -214,8 +211,6 @@ class DomainTracker:
             )
         from repro.runtime.health import check_context
 
-        events_log = current_event_log()
-        events_mark = events_log.mark()
         tracer = current_tracer()
         with tracer.span("segugio_tracker_health_check", day=context.day):
             health = check_context(
@@ -246,13 +241,11 @@ class DomainTracker:
         detections = report.detections(threshold)
 
         provenance = sorted(set(health.provenance()) | set(report.provenance))
-        runtime_events = events_log.since(events_mark)
         with tracer.span("segugio_tracker_quality_check", day=context.day):
             drift = self._check_quality(context, prepared.prune.stats, report)
             summary = {
                 "drift": drift if drift is not None else {},
                 "n_degradations": len(provenance),
-                "n_supervisor_degradations": len(runtime_events),
             }
             day_health = (
                 evaluate_health(summary)
@@ -267,7 +260,6 @@ class DomainTracker:
             provenance=provenance,
             drift=drift,
             health=day_health,
-            runtime_events=runtime_events,
         )
         with tracer.span("segugio_tracker_ledger_update", n_detections=len(detections)):
             for name, score in detections:

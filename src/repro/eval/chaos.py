@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,11 +92,12 @@ class ChaosReport:
     def passed(self) -> bool:
         return all(invariant.passed for invariant in self.invariants)
 
-    def event_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
+    def event_counts(self) -> Dict[Tuple[object, str], int]:
+        """Events per ``(day, kind)``, in the order they first occurred."""
+        counts: Dict[Tuple[object, str], int] = {}
         for event in self.events:
-            kind = str(event.get("kind", "?"))
-            counts[kind] = counts.get(kind, 0) + 1
+            key = (event.get("day"), str(event.get("kind", "?")))
+            counts[key] = counts.get(key, 0) + 1
         return counts
 
     def summary(self) -> str:
@@ -116,8 +117,8 @@ class ChaosReport:
         counts = self.event_counts()
         if counts:
             lines.append("degradation events:")
-            for kind in sorted(counts):
-                lines.append(f"  {kind}: {counts[kind]}")
+            for (day, kind), n_events in counts.items():
+                lines.append(f"  day {day}: {kind}: {n_events}")
         lines.append("invariants:")
         for invariant in self.invariants:
             mark = "[+]" if invariant.passed else "[x]"

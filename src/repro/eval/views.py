@@ -412,11 +412,9 @@ def profile_view(run: TelemetryRun) -> Document:
             f"process: wall {fmt(process.get('wall_s'))}s, "
             f"cpu {fmt(process.get('cpu_s'))}s"
             + (f" (util {util:.2f})" if util is not None else "")
-            + f", child cpu {fmt(process.get('child_cpu_s'))}s"
         )
         document.lines.append(
-            f"memory: peak rss {fmt(process.get('peak_rss_mb'), '.1f')} MB, "
-            f"child peak rss {fmt(process.get('child_peak_rss_mb'), '.1f')} MB "
+            f"memory: peak rss {fmt(process.get('peak_rss_mb'), '.1f')} MB "
             f"({resources['platform'].get('n_rss_samples') or 0} watermark samples)"
         )
         document.lines += _io(process) + _throughput(resources["throughput"])

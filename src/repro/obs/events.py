@@ -14,18 +14,19 @@ is **ambient**: library code calls :func:`current_event_log` and
 records unconditionally; :class:`repro.obs.run.RunTelemetry` installs its
 own log via :func:`use_event_log` so events land in the manifest.  Unlike
 those layers the module default is *enabled* — degradations are rare and
-important enough that even an untelemetered run keeps them, surfacing the
-count through each :class:`~repro.core.tracker.DayReport` and the day's
-health verdict.
+important enough that even an untelemetered run keeps them.
+
+Every event names its day: a day retry and a checkpoint-write retry are
+recorded after the day's attempt, outside its window, so their callers
+pass ``day`` themselves; otherwise, when the structured-log context has a
+``day`` or ``phase`` bound (telemetry's ``day_scope``, the tracer's
+active span), :meth:`RuntimeEventLog.record` stamps them onto the event.
+:func:`repro.obs.monitor.run_health` groups the run's log by that field
+into one ``supervisor_degraded`` reason per degraded day.
 
 Events are deterministic: they carry days, attempts and error texts —
 never wall-clock timestamps or PIDs — so a faulted run's event
-stream is itself reproducible under a seed-keyed fault plan.  When the
-structured-log context has a ``day`` or ``phase`` bound (telemetry's
-``day_scope``, the tracer's active span), :meth:`RuntimeEventLog.record`
-stamps them onto the event unless the caller passed its own — so a fault
-that fires mid-day self-describes which day and phase it degraded
-instead of relying on where the event happened to land in the manifest.
+stream is itself reproducible under a seed-keyed fault plan.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ class RuntimeEventLog:
         event.update(fields)
         self.records.append(event)
         return event
-
-    # ------------------------------------------------------------------ #
-    # windows: callers slice "what happened during my phase/day"
-    # ------------------------------------------------------------------ #
-
-    def mark(self) -> int:
-        """An opaque cursor; pass to :meth:`since` to get later events."""
-        return len(self.records)
-
-    def since(self, mark: int) -> List[Dict[str, object]]:
-        return [dict(record) for record in self.records[mark:]]
 
     def to_list(self) -> List[Dict[str, object]]:
         return [dict(record) for record in self.records]

@@ -29,16 +29,15 @@ Manifest layout (``manifest_version`` 3)::
          "n_implicated_machines": 9, "provenance": ["blacklist_stale:warning"],
          "drift": {…} | null,        # day-over-day quality summary
          "health": {"status": "…", "reasons": […]},
-         "runtime_events": [{…}],    # execution-layer degradations, this day
-                                     # (absent when the day ran clean)
          "phases": {"build_graph": 0.41, …}}       # span seconds, this day
       ],
       "spans": […],                  # nested span tree
       "ingest": [{…}],               # IngestReport.to_dict() per loaded source
       "degradations": ["…"],         # union of day provenance tags
       "runtime_events": [{…}],       # whole-run runtime event log: every
-                                     # day_retry/io_retry event, in order
-                                     # (see repro.runtime.supervisor)
+                                     # day_retry/io_retry event, in order,
+                                     # each with its "day" (run health
+                                     # counts them per day)
       "warnings": ["…"],
       "trace_file": "trace.jsonl",
       "decisions_file": "decisions.jsonl" | null,  # decision provenance
@@ -54,11 +53,11 @@ run-level snapshot and a per-day delta of a metrics registry nothing
 read).  The reader opens both with the same code: a v2 manifest's
 ``metrics`` passes through unread, and every number it held is also a
 day-record field, an ``ingest[]`` counter or a span attribute.
-``runtime_events`` (run-level and per-day) and ``resources`` (run-level
-and per-day) are additive: writers emit them only when they apply
-(``resources`` only on ``--profile`` runs) and the reader treats a
-missing key as empty.  Manifests written while the day still ran
-through a process pool carry ``resources.pool``/``resources.workers``
+``resources`` (run-level and per-day) is additive: writers emit it only
+on ``--profile`` runs and the reader treats a missing key as empty.
+Manifests written while the day still ran through a process pool carry
+``resources.pool``/``resources.workers``, child-process CPU and peak-RSS
+columns under ``resources.process``, a per-day ``runtime_events`` key
 and ``segugio_worker_task`` spans; they pass through unread, the spans
 as ordinary spans.  Version 1 (no ``health``/``drift``/
 ``decisions_file``, dotted span names) has had no writer since the v2 bump

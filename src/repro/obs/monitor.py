@@ -21,6 +21,7 @@ Zero-dependency and deterministic, like the rest of :mod:`repro.obs`.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -147,15 +148,19 @@ DEFAULT_ALERT_RULES: Tuple[AlertRule, ...] = (
         alert=None,
         description="the day ran on degraded inputs (see provenance tags)",
     ),
-    AlertRule(
-        name="supervisor_degraded",
-        path="n_supervisor_degradations",
-        warn=1.0,
-        alert=4.0,
-        description=(
-            "the runtime retried while computing the day "
-            "(a day retry or a checkpoint-write retry)"
-        ),
+)
+
+#: The run-level rule over the runtime event log, counted per day by
+#: :func:`run_health`: a day's retries are recorded after its attempt
+#: failed, outside every day summary, so no per-day rule can see them.
+SUPERVISOR_DEGRADED = AlertRule(
+    name="supervisor_degraded",
+    path="runtime_events",
+    warn=1.0,
+    alert=4.0,
+    description=(
+        "the runtime retried while computing the day "
+        "(a day retry or a checkpoint-write retry)"
     ),
 )
 
@@ -200,16 +205,17 @@ def evaluate_health(
 
 def run_health(
     day_records: Sequence[Mapping[str, object]],
-    n_orphan_events: int = 0,
+    runtime_events: Sequence[Mapping[str, object]] = (),
 ) -> Dict[str, object]:
     """Aggregate per-day health verdicts into the run-level manifest entry.
 
     The run is as healthy as its worst day; reasons are flattened with the
     day number attached so the manifest is readable without the day table.
-    ``n_orphan_events`` counts execution-layer degradation events that fell
-    *between* day windows (a failed day attempt, a checkpoint-write retry)
-    and therefore appear in no day's verdict — any orphan degrades the run
-    to at least ``warn`` so a retried-then-succeeded day cannot look clean.
+    ``runtime_events`` is the run's event log (day retries, checkpoint-write
+    retries): grouped by each event's ``day``, every day with one adds a
+    :data:`SUPERVISOR_DEGRADED` reason, so a retried-then-succeeded day
+    cannot look clean.  An event without a day is reported under ``day:
+    None``.
     """
     statuses: List[str] = []
     reasons: List[Dict[str, object]] = []
@@ -221,23 +227,12 @@ def run_health(
         for reason in health.get("reasons", ()):  # type: ignore[union-attr]
             if isinstance(reason, Mapping):
                 reasons.append({"day": record.get("day"), **reason})
-    if n_orphan_events > 0:
-        statuses.append(STATUS_WARN)
-        reasons.append(
-            {
-                "day": None,
-                "rule": "supervisor_degraded",
-                "status": STATUS_WARN,
-                "path": "runtime_events",
-                "value": float(n_orphan_events),
-                "threshold": 1.0,
-                "message": (
-                    f"supervisor_degraded: {n_orphan_events} execution-layer "
-                    "degradation events outside any day window "
-                    "(day retries or checkpoint-write retries)"
-                ),
-            }
-        )
+    per_day = Counter(event.get("day") for event in runtime_events)
+    for day, n_events in per_day.items():
+        violation = SUPERVISOR_DEGRADED.evaluate({"runtime_events": n_events})
+        if violation is not None:
+            statuses.append(str(violation["status"]))
+            reasons.append({"day": day, **violation})
     return {"status": worst_status(statuses), "reasons": reasons}
 
 

@@ -124,11 +124,6 @@ class ResourceReader:
         t = os.times()
         return t.user + t.system
 
-    def child_cpu_seconds(self) -> float:
-        """User+system CPU seconds of reaped child processes."""
-        t = os.times()
-        return t.children_user + t.children_system
-
     def _status_kb(self, field: str) -> Optional[float]:
         try:
             with open(self.status_path) as stream:
@@ -153,13 +148,6 @@ class ResourceReader:
             usage = _resource.getrusage(_resource.RUSAGE_SELF)
             return _maxrss_to_mb(usage.ru_maxrss)
         return None
-
-    def child_peak_rss_mb(self) -> Optional[float]:
-        """Peak RSS of the largest reaped child (``RUSAGE_CHILDREN``)."""
-        if _resource is None:  # pragma: no cover - non-POSIX
-            return None
-        usage = _resource.getrusage(_resource.RUSAGE_CHILDREN)
-        return _maxrss_to_mb(usage.ru_maxrss)
 
     def io_bytes(self) -> Optional[Tuple[int, int]]:
         """``(read_bytes, write_bytes)`` from ``/proc/self/io``, or None."""
@@ -236,7 +224,6 @@ class ResourceMonitor:
         if self.enabled:
             self._wall0 = self.reader.clock()
             self._cpu0 = self.reader.cpu_seconds()
-            self._child_cpu0 = self.reader.child_cpu_seconds()
             self._io0 = self.reader.io_bytes()
 
     # ------------------------------------------------------------------ #
@@ -439,21 +426,14 @@ class ResourceMonitor:
         """The ``resources`` manifest payload (schema-versioned, additive)."""
         wall = max(self.reader.clock() - self._wall0, 0.0)
         cpu = max(self.reader.cpu_seconds() - self._cpu0, 0.0)
-        child_cpu = max(
-            self.reader.child_cpu_seconds() - self._child_cpu0, 0.0
-        )
         process: Dict[str, object] = {
             "wall_s": round(wall, 6),
             "cpu_s": round(cpu, 6),
-            "child_cpu_s": round(child_cpu, 6),
             "cpu_util": round(cpu / wall, 4) if wall > 0 else None,
         }
         peak = self.peak_rss_mb()
         if peak is not None:
             process["peak_rss_mb"] = round(peak, 3)
-        child_peak = self.reader.child_peak_rss_mb()
-        if child_peak is not None and child_peak > 0:
-            process["child_peak_rss_mb"] = round(child_peak, 3)
         io1 = self.reader.io_bytes()
         if io1 is not None and self._io0 is not None:
             process["io_read_bytes"] = max(io1[0] - self._io0[0], 0)

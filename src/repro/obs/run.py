@@ -100,7 +100,6 @@ class RunTelemetry:
         caller fills outcome fields (threshold, detection counts,
         provenance) into the yielded dict."""
         phases_before = self.tracer.phase_totals()
-        events_mark = self.events.mark()
         resources_mark = self.resources.day_mark()
         record: Dict[str, object] = {"day": int(day)}
         with _logs.bound(day=int(day)):
@@ -113,9 +112,6 @@ class RunTelemetry:
                 # the records of its failed attempt.
                 with self.tracer.span("segugio_decisions_flush"):
                     self.decisions.flush_pending()
-        runtime_events = self.events.since(events_mark)
-        if runtime_events:
-            record["runtime_events"] = runtime_events
         phases_after = self.tracer.phase_totals()
         record["phases"] = {
             name: round(seconds - phases_before.get(name, 0.0), 6)
@@ -166,14 +162,8 @@ class RunTelemetry:
         return sorted(tags)
 
     def build_manifest(self) -> Dict[str, object]:
-        n_day_events = sum(
-            len(record.get("runtime_events", ()))  # type: ignore[arg-type]
-            for record in self.days
-        )
-        health = _monitor.run_health(
-            self.days, n_orphan_events=len(self.events) - n_day_events
-        )
-        # ``resources`` is a purely additive v2 key (like runtime_events):
+        health = _monitor.run_health(self.days, self.events.records)
+        # ``resources`` is a purely additive v2 key:
         # absent unless the run profiled, and readers must render "n/a"
         # for manifests without it rather than fail.
         resources: Optional[Dict[str, object]] = None

@@ -62,8 +62,6 @@ _LAZY_EXPORTS = {
     "save_drift_sidecar": "repro.runtime.checkpoint",
     "SupervisorPolicy": "repro.runtime.supervisor",
     "supervised_process_day": "repro.runtime.supervisor",
-    "current_policy": "repro.runtime.supervisor",
-    "use_policy": "repro.runtime.supervisor",
     "FaultPlan": "repro.runtime.faults",
     "FaultPlanError": "repro.runtime.faults",
     "FaultSpec": "repro.runtime.faults",

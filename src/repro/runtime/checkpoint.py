@@ -91,10 +91,11 @@ def save_checkpoint(tracker: "DomainTracker", path: str) -> None:
     """Atomically write *tracker* (a :class:`DomainTracker`) to *path*.
 
     Transient ``OSError`` during the write is retried on the deterministic
-    backoff schedule, each retry recorded as an ``io_retry`` runtime event;
-    the atomic staging pattern guarantees a failed attempt leaves no torn
-    file behind.  The drift sidecar is saved best-effort afterwards — a
-    sidecar failure warns and is recorded, but never fails the checkpoint.
+    backoff schedule, each retry recorded as an ``io_retry`` runtime event
+    on the ledger's last processed day; the atomic staging pattern
+    guarantees a failed attempt leaves no torn file behind.  The drift
+    sidecar is saved best-effort afterwards — a sidecar failure warns and
+    is recorded, but never fails the checkpoint.
     """
     payload = {
         "checkpoint_version": CHECKPOINT_VERSION,
@@ -104,6 +105,8 @@ def save_checkpoint(tracker: "DomainTracker", path: str) -> None:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     header = f"{_HEADER_PREFIX} v{CHECKPOINT_VERSION} sha256={_digest(body)}"
     events = current_event_log()
+    # the write follows its day's window, so the event names the day itself
+    day = int(tracker.days_processed[-1]) if tracker.days_processed else None
 
     def _write() -> None:
         with atomic_file(path) as staging:
@@ -114,6 +117,7 @@ def save_checkpoint(tracker: "DomainTracker", path: str) -> None:
     def _on_retry(attempt: int, error: BaseException) -> None:
         events.record(
             "io_retry",
+            day=day,
             site="checkpoint_save",
             path=path,
             attempt=attempt,
@@ -130,6 +134,7 @@ def save_checkpoint(tracker: "DomainTracker", path: str) -> None:
         except OSError as error:
             events.record(
                 "io_retry",
+                day=day,
                 site="drift_sidecar_save",
                 path=path,
                 attempt=0,

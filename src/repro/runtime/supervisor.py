@@ -11,10 +11,10 @@ and tree batches in order, so there is no worker to lose.
 backoff schedule **only if the tracker's ledger is untouched** — a day
 that failed after mutating state is not safely re-runnable and fails
 loudly instead.  Each retry is recorded through the ambient
-:class:`~repro.obs.events.RuntimeEventLog` as a ``day_retry`` event (the
-checkpoint writer records its own ``io_retry``), which the tracker folds
-into the day's health verdict and :class:`~repro.obs.run.RunTelemetry`
-folds into the manifest.
+:class:`~repro.obs.events.RuntimeEventLog` as a ``day_retry`` event
+naming its day (the checkpoint writer records its own ``io_retry``);
+:class:`~repro.obs.run.RunTelemetry` writes the log into the manifest,
+and :func:`~repro.obs.monitor.run_health` counts it per day.
 
 :func:`track_days` is the campaign around that day (skip what a resumed
 ledger covers, pull the next day from a lazy source, run it supervised,
@@ -24,7 +24,7 @@ checkpoint): the one loop under ``track``, ``bigday`` and ``chaos``.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -73,31 +73,11 @@ class SupervisorPolicy:
 
 DEFAULT_POLICY = SupervisorPolicy()
 
-_ACTIVE_POLICY: Optional[SupervisorPolicy] = None
-
-
-def current_policy() -> SupervisorPolicy:
-    """The ambient policy (:data:`DEFAULT_POLICY` unless overridden)."""
-    return _ACTIVE_POLICY if _ACTIVE_POLICY is not None else DEFAULT_POLICY
-
-
-@contextmanager
-def use_policy(policy: SupervisorPolicy) -> Iterator[SupervisorPolicy]:
-    """Install *policy* as the ambient supervisor policy for the block."""
-    global _ACTIVE_POLICY
-    saved = _ACTIVE_POLICY
-    _ACTIVE_POLICY = policy
-    try:
-        yield policy
-    finally:
-        _ACTIVE_POLICY = saved
-
-
 def policy_from_overrides(
     overrides: Dict[str, float], base: Optional[SupervisorPolicy] = None
 ) -> SupervisorPolicy:
     """A policy with numeric fields replaced from a plan-file override dict."""
-    base = current_policy() if base is None else base
+    base = DEFAULT_POLICY if base is None else base
     return SupervisorPolicy(
         max_retries=int(overrides.get("max_retries", base.max_retries)),
         base_delay=float(overrides.get("base_delay", base.base_delay)),
@@ -121,7 +101,7 @@ def supervised_process_day(
     immediately: replaying it could double-count, and loud is better than
     subtly wrong.
     """
-    policy = current_policy() if policy is None else policy
+    policy = DEFAULT_POLICY if policy is None else policy
     events = current_event_log()
     delays = backoff_schedule(
         policy.max_retries + 2, policy.base_delay, policy.multiplier
@@ -171,13 +151,11 @@ def track_days(
     activation of the tracker's telemetry, so the source's ingest span, day
     retries and checkpoint-write retries all land in the run's manifest.
     """
-    policy = current_policy() if policy is None else policy
+    policy = DEFAULT_POLICY if policy is None else policy
     telemetry = tracker.telemetry
     contexts = iter(contexts)
     while True:
-        with use_policy(policy), (
-            telemetry.activate() if telemetry is not None else nullcontext()
-        ):
+        with telemetry.activate() if telemetry is not None else nullcontext():
             context = next(contexts, None)
             if context is None:
                 return

@@ -1,7 +1,6 @@
 """Trace and ledger guarantees of a tracked campaign, end to end.
 
-These contracts were first proven across pool workers; every day now runs
-in one process, and each still holds:
+Every day runs in one process, and each of these holds:
 
 * the span tree is a *function of the work*, not the schedule —
   identical for every ``SegugioConfig.n_jobs`` value (a field that starts
@@ -11,8 +10,8 @@ in one process, and each still holds:
   included;
 * the streamed ``decisions.jsonl`` is byte-identical to the buffered
   path, including across a transient day retry;
-* a fault fired while a sharded day runs lands in *that day's*
-  ``runtime_events``.
+* a fault fired while a sharded day runs is recorded under *that day*,
+  and run health reports it there, never outside every day.
 """
 
 import dataclasses
@@ -24,11 +23,7 @@ from repro.core.pipeline import SegugioConfig
 from repro.core.tracker import DomainTracker
 from repro.obs.run import RunTelemetry
 from repro.runtime.faults import plan_from_dict, use_fault_plan
-from repro.runtime.supervisor import (
-    SupervisorPolicy,
-    supervised_process_day,
-    use_policy,
-)
+from repro.runtime.supervisor import SupervisorPolicy, supervised_process_day
 from repro.synth.scenario import Scenario
 
 
@@ -164,7 +159,7 @@ class TestSpanTreeScheduleInvariance:
         assert first == second
 
 
-class TestChaosWorkerKillAccounting:
+class TestChaosRetryAccounting:
     """No span is lost when a chaos plan makes days fail and retry."""
 
     def test_profiled_chaos_run_accounts_for_every_span(self, tmp_path):
@@ -202,7 +197,7 @@ class TestStreamedDecisionsByteIdentity:
         if stream:
             telemetry.stream_decisions(out_dir)
         policy = SupervisorPolicy(base_delay=0.0)
-        with use_fault_plan(fault_plan), use_policy(policy):
+        with use_fault_plan(fault_plan):
             for context in contexts:
                 with telemetry.activate():
                     supervised_process_day(tracker, context, policy=policy)
@@ -294,13 +289,20 @@ class TestMidShardFaultDayAttribution:
             telemetry=telemetry,
         )
         policy = SupervisorPolicy(base_delay=0.0)
-        with use_fault_plan(plan), use_policy(policy):
+        with use_fault_plan(plan):
             for context in contexts:
                 with telemetry.activate():
                     supervised_process_day(tracker, context, policy=policy)
         assert plan.fired
-        events = telemetry.build_manifest()["runtime_events"]
+        manifest = telemetry.build_manifest()
+        events = manifest["runtime_events"]
         assert [(e["kind"], e["day"]) for e in events] == [
             ("day_retry", fault_day)
         ]
         assert tracker.days_processed == [c.day for c in contexts]
+        # run health names the retried day, and no event falls outside one
+        reasons = manifest["health"]["reasons"]
+        assert [
+            r["day"] for r in reasons if r["rule"] == "supervisor_degraded"
+        ] == [fault_day]
+        assert [r for r in reasons if r["day"] is None] == []

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -369,6 +371,13 @@ class TestProfilingFlags:
         assert "phase tree" in out
         with open(html_path) as stream:
             assert "<!doctype html>" in stream.read()
+        # a version-2 manifest still carries the child-process columns;
+        # they pass unread
+        v2_dir = os.path.join(os.path.dirname(__file__), "data", "telemetry_v2")
+        assert main(["inspect", v2_dir, "--view", "profile"]) == 0
+        captured = capsys.readouterr()
+        assert "peak rss" in captured.out and "child" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_profile_view_on_unprofiled_run(self, tmp_path, capsys):
         telemetry_dir = str(tmp_path / "telemetry")

@@ -223,7 +223,7 @@ class TestMatrixApi:
 
 # ---------------------------------------------------------------------- #
 # differential oracle: the per-row F2/F3 loops the bulk kernels replaced
-# (tests/test_parallel_equivalence.py runs them over whole synthetic days)
+# (tests/test_execution_equivalence.py runs them over whole synthetic days)
 # ---------------------------------------------------------------------- #
 
 

@@ -101,7 +101,6 @@ def profiled_manifest(**overrides):
             "process": {
                 "wall_s": 5.0,
                 "cpu_s": 4.4,
-                "child_cpu_s": 0.0,
                 "cpu_util": 0.88,
                 "peak_rss_mb": 140.0,
                 "io_read_bytes": 0,

@@ -43,16 +43,16 @@ def fitted_scores(monkeypatch, X, y, n_estimators, random_state, batch):
     return model.fit(X, y).predict_proba(X)
 
 
-class TestForestParallelEquivalence:
+class TestForestBatchEquivalence:
     """A tree depends on its seed alone, never on the batch it grew in."""
 
-    def test_parallel_fit_is_bit_identical(self, monkeypatch):
+    def test_lock_step_fit_is_bit_identical(self, monkeypatch):
         X, y = make_data()
         one_at_a_time = fitted_scores(monkeypatch, X, y, 16, 11, batch=1)
         lock_step = fitted_scores(monkeypatch, X, y, 16, 11, batch=4)
         assert np.array_equal(one_at_a_time, lock_step)
 
-    def test_parallel_predict_is_bit_identical(self):
+    def test_sliced_predict_is_bit_identical(self):
         # rows are scored independently: any row slicing, same bytes
         X, y = make_data()
         model = RandomForestClassifier(n_estimators=16, random_state=11)
@@ -73,7 +73,7 @@ class TestForestParallelEquivalence:
         assert np.array_equal(p1, p16)
         assert np.array_equal(p1, p5)
 
-    def test_all_cores_matches_serial(self, monkeypatch):
+    def test_one_batch_matches_one_tree_at_a_time(self, monkeypatch):
         # every tree in one lock-step batch vs. one tree at a time
         X, y = make_data()
         p1 = fitted_scores(monkeypatch, X, y, 8, 2, batch=1)
@@ -81,7 +81,7 @@ class TestForestParallelEquivalence:
         assert np.array_equal(p1, pn)
 
 
-class TestPipelineParallelEquivalence:
+class TestPipelineNJobsEquivalence:
     def test_classify_scores_identical_across_n_jobs(self):
         scenario = Scenario.small(seed=3)
         train = scenario.context("isp1", scenario.eval_day(0))

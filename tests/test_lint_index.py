@@ -68,34 +68,6 @@ class TestModuleSummary:
         assert summary["imports"]["sibling"] == "repro.pkg.sibling"
         assert summary["imports"]["thing"] == "repro.pkg.other.thing"
 
-    def test_module_level_mutation_recorded(self):
-        summary = summarize_module(
-            "CACHE = {}\n"
-            "\n"
-            "\n"
-            "def poke():\n"
-            "    CACHE['k'] = 1\n"
-            "    CACHE.update(a=2)\n",
-            "src/repro/m.py",
-            "repro.m",
-        )
-        hows = {m["how"] for m in summary["functions"]["poke"]["mutations"]}
-        assert "subscript store" in hows
-        assert ".update() call" in hows
-
-    def test_global_statement_recorded(self):
-        summary = summarize_module(
-            "N = 0\n"
-            "\n"
-            "\n"
-            "def bump():\n"
-            "    global N\n"
-            "    N = 1\n",
-            "src/repro/m.py",
-            "repro.m",
-        )
-        assert summary["functions"]["bump"]["global_writes"] == ["N"]
-
     def test_span_literals_collected(self):
         summary = summarize_module(
             "def run(tracer):\n"

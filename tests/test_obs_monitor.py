@@ -107,6 +107,19 @@ class TestHealthFolding:
         assert health["reasons"] == [
             {"day": 2, "rule": "score_psi", "status": "alert"}
         ]
+        # runtime events are counted per day: warn at one, alert at four
+        events = [{"kind": "day_retry", "day": 1}] * 4 + [
+            {"kind": "io_retry", "day": 2}
+        ]
+        health = run_health(days[:1], events)
+        assert health["status"] == STATUS_ALERT
+        assert [
+            (r["day"], r["rule"], r["status"], r["value"])
+            for r in health["reasons"]
+        ] == [
+            (1, "supervisor_degraded", "alert", 4.0),
+            (2, "supervisor_degraded", "warn", 1.0),
+        ]
 
     def test_rules_from_dicts(self):
         (rule,) = rules_from_dicts(

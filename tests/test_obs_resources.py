@@ -34,8 +34,6 @@ class FakeReader(ResourceReader):
         rss=None,
         ios=None,
         peak=None,
-        child_peak=None,
-        child_cpus=None,
     ):
         super().__init__()
         self._clocks = list(clocks or [])
@@ -43,8 +41,6 @@ class FakeReader(ResourceReader):
         self._rss = list(rss or [])
         self._ios = list(ios or [])
         self._peak = peak
-        self._child_peak = child_peak
-        self._child_cpus = list(child_cpus or [])
 
     @staticmethod
     def _pop(queue, default):
@@ -56,17 +52,11 @@ class FakeReader(ResourceReader):
     def cpu_seconds(self):
         return self._pop(self._cpus, 0.0)
 
-    def child_cpu_seconds(self):
-        return self._pop(self._child_cpus, 0.0)
-
     def rss_mb(self):
         return self._pop(self._rss, None)
 
     def peak_rss_mb(self):
         return self._peak
-
-    def child_peak_rss_mb(self):
-        return self._child_peak
 
     def io_bytes(self):
         return self._pop(self._ios, None)
@@ -192,23 +182,20 @@ class TestSummary:
         monitor = monitor_with(
             clocks=[0.0, 10.0],
             cpus=[0.0, 8.0],
-            child_cpus=[0.0, 1.5],
             ios=[(0, 0), (1000, 2000), (0, 0)],
             rss=[100.0, 100.0],
             peak=256.0,
-            child_peak=64.0,
         )
         summary = monitor.summary()
         assert summary["schema_version"] == RESOURCES_SCHEMA_VERSION
         process = summary["process"]
         assert process["wall_s"] == pytest.approx(10.0)
         assert process["cpu_s"] == pytest.approx(8.0)
-        assert process["child_cpu_s"] == pytest.approx(1.5)
         assert process["cpu_util"] == pytest.approx(0.8)
         assert process["peak_rss_mb"] == pytest.approx(256.0)
-        assert process["child_peak_rss_mb"] == pytest.approx(64.0)
         assert process["io_read_bytes"] == 1000
         assert process["io_write_bytes"] == 2000
+        assert not [key for key in process if key.startswith("child")]
         assert json.dumps(summary)  # JSON-serializable as a manifest key
 
     def test_off_linux_summary_omits_proc_columns(self):

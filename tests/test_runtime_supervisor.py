@@ -9,10 +9,8 @@ from repro.obs.events import RuntimeEventLog, use_event_log
 from repro.runtime.supervisor import (
     DEFAULT_POLICY,
     SupervisorPolicy,
-    current_policy,
     policy_from_overrides,
     supervised_process_day,
-    use_policy,
 )
 
 FAST_POLICY = SupervisorPolicy(base_delay=0.0, sleep=lambda _: None)
@@ -43,13 +41,6 @@ class TestLadder:
         policy = policy_from_overrides({"max_retries": 3}, base=DEFAULT_POLICY)
         assert policy.max_retries == 3
         assert policy.base_delay == DEFAULT_POLICY.base_delay
-
-    def test_use_policy_scopes_the_ambient_policy(self):
-        custom = SupervisorPolicy(max_retries=9)
-        assert current_policy() is DEFAULT_POLICY
-        with use_policy(custom):
-            assert current_policy() is custom
-        assert current_policy() is DEFAULT_POLICY
 
 
 class _FakeTracker:

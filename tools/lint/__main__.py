@@ -2,8 +2,9 @@
 
 Two phases. The per-file phase walks each target with the SEG0xx rules.
 The whole-program phase builds the project index over ``src`` + ``tools``
-+ ``benchmarks`` and runs the interprocedural SEG1xx rules on it; it runs
-on default-target invocations and is skipped for explicit targets.
++ ``benchmarks`` and runs the interprocedural SEG1xx rules (SEG101,
+SEG103, SEG104) on it; it runs on default-target invocations and is
+skipped for explicit targets.
 
 Exit codes: 0 = clean (warnings alone do not fail), 1 = error findings,
 2 = usage error (bad target, unknown rule).
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.lint",
         description="segugio-lint: enforce determinism, layering, and "
         "telemetry contracts over the source tree — per-file rules "
-        "(SEG0xx) plus whole-program analyses (SEG101-SEG105)",
+        "(SEG0xx) plus whole-program analyses (SEG101, SEG103, SEG104)",
     )
     parser.add_argument(
         "targets",
