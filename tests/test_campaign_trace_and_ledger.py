@@ -116,7 +116,7 @@ def find_spans(spans, name):
 class TestSpanTreeScheduleInvariance:
     """The span tree depends on the work, never on the schedule."""
 
-    def test_identical_across_worker_counts(self):
+    def test_identical_across_n_jobs(self):
         contexts = day_contexts()
         trees = {
             n_jobs: normalized_tree(run_campaign(contexts, n_jobs))
@@ -124,7 +124,7 @@ class TestSpanTreeScheduleInvariance:
         }
         assert trees[1] == trees[2] == trees[4]
 
-    def test_identical_across_worker_counts_when_sharded(self, tmp_path):
+    def test_identical_across_n_jobs_when_sharded(self, tmp_path):
         contexts = shard_contexts(day_contexts(), str(tmp_path), n_shards=2)
         trees = {
             n_jobs: normalized_tree(run_campaign(contexts, n_jobs))

@@ -99,8 +99,8 @@ class TestPipelineNJobsEquivalence:
 
 
 class TestBulkFeatureEquivalence:
-    @pytest.mark.parametrize("seed", [0, 7, 21])
     @pytest.mark.parametrize("hide_labels", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_bulk_matches_reference_loop(self, seed, hide_labels):
         scenario = Scenario.small(seed=seed)
         context = scenario.context("isp1", scenario.eval_day(0))
