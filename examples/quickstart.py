@@ -11,6 +11,8 @@ import sys
 
 from repro import Scenario, Segugio
 from repro.core.tracker import calibrate_threshold
+from repro.obs.manifest import TRAIN_PHASES
+from repro.obs.tracing import Tracer, use_tracer
 
 
 def main() -> None:
@@ -24,13 +26,17 @@ def main() -> None:
 
     print(f"training on {train_ctx.trace}")
     model = Segugio()
-    model.fit(train_ctx)
+    tracer = Tracer()  # the fit's phases are spans; this one times them
+    with use_tracer(tracer):
+        model.fit(train_ctx)
     training = model.training_set_
     print(
         f"  training set: {training.n_malware} known C&C domains, "
         f"{training.n_benign} whitelisted domains"
     )
-    print(model.timings_.report())
+    for name, seconds in tracer.phase_totals().items():
+        if name in TRAIN_PHASES:
+            print(f"  {name:<28s} {seconds:9.3f}s")
 
     # One week later: classify every still-unknown domain.
     test_day = scenario.eval_day(7)

@@ -31,6 +31,7 @@ runner, :func:`repro.runtime.supervisor.track_days`, over a lazy day source.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -917,6 +918,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # each already names the file or record at fault: one line, not a
         # traceback
         raise SystemExit(str(error))
+    except BrokenPipeError:
+        # stdout went away mid-output (e.g. piped into `head`): no
+        # traceback, but status 1, because whatever the command had left
+        # to do (a checkpoint, a manifest, --html) was not done.  Pointing
+        # stdout at devnull keeps the exit-time flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -72,7 +72,7 @@ from repro.obs.resources import (
     UNIT_TRACE_ROWS,
     count_units,
 )
-from repro.obs.tracing import Stopwatch, current_tracer
+from repro.obs.tracing import current_tracer
 from repro.pdns.abuse import AbuseOracle
 from repro.pdns.database import PassiveDNSDatabase
 from repro.utils.arrays import sorted_unique
@@ -85,36 +85,6 @@ _log = get_logger("pipeline")
 #: known label code; an unknown domain is sourced by the hidden mask
 _LEDGER_RULES = {int(RULE_KEPT): None, **RULE_NAMES}
 _LEDGER_LABELS = {MALWARE: ("malware", "blacklist"), BENIGN: ("benign", "whitelist")}
-
-
-def context_degradations(
-    context: "ObservationContext", config: "SegugioConfig"
-) -> List[str]:
-    """Which feature groups will silently fall back on this context.
-
-    Each tag is ``<fault>:<consequence>`` — e.g. a dead pDNS collector
-    yields ``pdns_empty_window:f3_zero`` because the F3 IP-abuse features
-    measure zero for every domain.  The tags are recorded as provenance on
-    :class:`DetectionReport` (and, via the tracker, on ``DayReport``) so a
-    day scored under degraded inputs is distinguishable from a healthy one
-    after the fact.
-    """
-    tags: List[str] = []
-    day = context.day
-    pdns_start = max(day - config.pdns_window_days, 0)
-    pdns_days, _, _ = context.pdns.window_records(pdns_start, day - 1)
-    if pdns_days.size == 0:
-        tags.append("pdns_empty_window:f3_zero")
-    act_start = max(day - config.activity_window + 1, 0)
-    if not context.fqd_activity.days_with_activity(act_start, day):
-        tags.append("fqd_activity_empty:f2_zero")
-    if not context.e2ld_activity.days_with_activity(act_start, day):
-        tags.append("e2ld_activity_empty:f2_zero")
-    if not context.blacklist.domains(as_of_day=day):
-        tags.append("blacklist_empty:no_malware_labels")
-    if len(context.whitelist) == 0:
-        tags.append("whitelist_empty:no_benign_labels")
-    return tags
 
 
 @dataclass
@@ -228,10 +198,6 @@ class PreparedDay:
     """Sorted int64 ids relabeled UNKNOWN before anything was measured
     (§IV-A); empty in deployment."""
 
-    degradations: List[str]
-    """:func:`context_degradations` of the day, computed once for both
-    the fit's ``degradations_`` and the classify report's provenance."""
-
     @property
     def graph(self) -> BehaviorGraph:
         """The pruned behavior graph."""
@@ -247,11 +213,6 @@ class DetectionReport:
     scores: np.ndarray
     graph: BehaviorGraph
     labels: GraphLabels
-    provenance: List[str] = field(default_factory=list)
-    """Degradation tags (see :func:`context_degradations`) recording which
-    feature groups fell back on the classified day — empty for a healthy
-    day."""
-
     features: Optional[np.ndarray] = None
     """Full 11-column feature matrix for ``domain_ids`` (pre column
     selection), kept for drift monitoring and decision provenance."""
@@ -306,11 +267,6 @@ class Segugio:
         self.classifier_ = None
         self.training_set_: Optional[TrainingSet] = None
         self.train_stats_: Dict[str, float] = {}
-        self.timings_: Stopwatch = Stopwatch()
-        self.degradations_: List[str] = []
-        """Degradation tags observed on the *training* context (see
-        :func:`context_degradations`); empty when training inputs were
-        healthy."""
 
     # ------------------------------------------------------------------ #
     # shared graph preparation
@@ -320,7 +276,6 @@ class Segugio:
         self,
         context: ObservationContext,
         hide_domains: Optional[Iterable[int]] = None,
-        watch: Optional[Stopwatch] = None,
     ) -> PreparedDay:
         """Graph -> labels (with optional hiding) -> pruning -> extractor.
 
@@ -332,10 +287,8 @@ class Segugio:
         and :meth:`explain` when they run on this same day with this same
         hidden set, so the day is built once.
         """
-        watch = watch if watch is not None else Stopwatch()
+        tracer = current_tracer()
         hidden = _hidden_ids(hide_domains)
-        # first: its temporaries are freed before the day's graph exists
-        degradations = context_degradations(context, self.config)
         if getattr(context.trace, "is_sharded", False):
             if self.config.filter_probes:
                 raise ValueError(
@@ -350,10 +303,9 @@ class Segugio:
                 context,
                 self.config,
                 hidden=hidden,
-                watch=watch,
             )
         else:
-            with watch.phase("build_graph"):
+            with tracer.span("build_graph"):
                 graph = BehaviorGraph.from_trace(context.trace)
             # Throughput numerators for the resource profile (--profile): one
             # build consumes the day's full trace and yields the raw graph, so
@@ -363,7 +315,7 @@ class Segugio:
             # the trace and the raw graph once.
             count_units(UNIT_TRACE_ROWS, int(context.trace.n_edges))
             count_units(UNIT_GRAPH_EDGES, int(graph.n_edges))
-            with watch.phase("label_nodes"):
+            with tracer.span("label_nodes"):
                 domain_labels = label_domains(
                     graph,
                     context.blacklist,
@@ -374,21 +326,21 @@ class Segugio:
                 domain_labels[hidden] = UNKNOWN
                 labels = derive_machine_labels(graph, domain_labels)
             if self.config.filter_probes:
-                with watch.phase("filter_probes"):
+                with tracer.span("filter_probes"):
                     from repro.core.anomalies import remove_probe_machines
 
                     graph = remove_probe_machines(
                         graph, labels, context.fqd_activity
                     )
                     labels = derive_machine_labels(graph, domain_labels)
-            with watch.phase("prune_graph"):
+            with tracer.span("prune_graph"):
                 result = prune_graph(
                     graph, labels, context.e2ld_index, self.config.prune
                 )
                 # Degrees changed; rederive machine labels on the pruned graph.
                 labels = derive_machine_labels(result.graph, domain_labels)
         pruned = result.graph
-        with watch.phase("build_abuse_oracle"):
+        with tracer.span("build_abuse_oracle"):
             known_malware = np.flatnonzero(domain_labels == MALWARE)
             known_benign = np.flatnonzero(domain_labels == BENIGN)
             oracle = AbuseOracle(
@@ -414,7 +366,6 @@ class Segugio:
             extractor=extractor,
             prune=result,
             hidden=hidden,
-            degradations=degradations,
         )
 
     def _prepared_for(
@@ -423,7 +374,6 @@ class Segugio:
         context: ObservationContext,
         hide_domains: Optional[Iterable[int]],
         prepared: Optional[PreparedDay],
-        watch: Optional[Stopwatch] = None,
     ) -> PreparedDay:
         """The day *caller* works on: built here, or the checked hand-off.
 
@@ -432,7 +382,7 @@ class Segugio:
         object would bypass the leak-free hiding of §IV-A.
         """
         if prepared is None:
-            return self.prepare_day(context, hide_domains=hide_domains, watch=watch)
+            return self.prepare_day(context, hide_domains=hide_domains)
         if prepared.context is not context or prepared.day != context.day:
             raise ValueError(
                 f"Segugio.{caller}: prepared= was built from another "
@@ -472,12 +422,9 @@ class Segugio:
         from repro.runtime.faults import maybe_fault
 
         maybe_fault("pipeline_fit", task=int(context.day))
-        watch = self.timings_ = Stopwatch()
-        prepared = self._prepared_for(
-            "fit", context, exclude_domains, prepared, watch
-        )
-        self.degradations_ = list(prepared.degradations)
-        with watch.phase("measure_training_features"):
+        tracer = current_tracer()
+        prepared = self._prepared_for("fit", context, exclude_domains, prepared)
+        with tracer.span("measure_training_features"):
             rng = np.random.default_rng(self.config.seed)
             training = build_training_set(
                 prepared.extractor,
@@ -488,7 +435,7 @@ class Segugio:
             )
         columns = self.config.columns()
         training = training.select_columns(columns)
-        with watch.phase("train_classifier"):
+        with tracer.span("train_classifier"):
             classifier = self.config.make_classifier()
             classifier.fit(training.X, training.y)
         self.classifier_ = classifier
@@ -503,8 +450,6 @@ class Segugio:
             day=context.day,
             n_train_malware=training.n_malware,
             n_train_benign=training.n_benign,
-            degradations=self.degradations_,
-            seconds=round(watch.total(), 6),
         )
         return self
 
@@ -532,12 +477,10 @@ class Segugio:
         from repro.runtime.faults import maybe_fault
 
         maybe_fault("pipeline_classify", task=int(context.day))
-        watch = self.timings_
-        prepared = self._prepared_for(
-            "classify", context, hide_domains, prepared, watch
-        )
+        tracer = current_tracer()
+        prepared = self._prepared_for("classify", context, hide_domains, prepared)
         graph, labels = prepared.graph, prepared.labels
-        with watch.phase("measure_test_features"):
+        with tracer.span("measure_test_features"):
             present = graph.domain_ids()
             unknown_ids = present[
                 labels.domain_labels[present] == UNKNOWN
@@ -545,7 +488,7 @@ class Segugio:
             X_full = prepared.extractor.feature_matrix(
                 unknown_ids, hide_labels=False
             )
-        with watch.phase("score_domains"):
+        with tracer.span("score_domains"):
             X = X_full[:, self.config.columns()]
             scores = (
                 self.classifier_.predict_proba(X)
@@ -563,7 +506,6 @@ class Segugio:
             scores=scores,
             graph=graph,
             labels=labels,
-            provenance=list(prepared.degradations),
             features=X_full,
         )
 

@@ -65,7 +65,7 @@ from repro.obs.resources import (
     UNIT_TRACE_ROWS,
     count_units,
 )
-from repro.obs.tracing import Stopwatch, current_tracer
+from repro.obs.tracing import current_tracer
 from repro.utils.arrays import sorted_unique
 
 # ---------------------------------------------------------------------- #
@@ -124,7 +124,6 @@ def build_day_sharded(
     context: ObservationContext,
     config: SegugioConfig,
     hidden: np.ndarray,
-    watch: Optional[Stopwatch] = None,
 ) -> Tuple[PruneResult, GraphLabels, np.ndarray]:
     """Graph build + labeling + pruning for a sharded day.
 
@@ -147,15 +146,15 @@ def build_day_sharded(
     n_domain_ids = len(trace.domains)
     n_e2lds = len(context.e2ld_index)
     n_shards = store.n_shards
-    watch = watch if watch is not None else Stopwatch()
+    tracer = current_tracer()
 
-    with current_tracer().span(
+    with tracer.span(
         "segugio_sharded_build",
         n_shards=n_shards,
         n_batches=store.n_batches,
         n_edges=store.n_edges,
     ):
-        with watch.phase("build_graph"):
+        with tracer.span("build_graph"):
             e2ld_map = context.e2ld_index.map_array()
             machine_degrees = np.zeros(n_machine_ids, dtype=np.int64)
             domain_degrees = np.zeros(n_domain_ids, dtype=np.int64)
@@ -174,7 +173,7 @@ def build_day_sharded(
         count_units(UNIT_GRAPH_EDGES, int(store.n_edges))
         count_units(UNIT_EDGE_BATCHES, int(store.n_batches))
 
-        with watch.phase("label_nodes"):
+        with tracer.span("label_nodes"):
             present_domain_ids = np.flatnonzero(domain_degrees > 0)
             domain_labels = label_domain_ids(
                 present_domain_ids,
@@ -198,7 +197,7 @@ def build_day_sharded(
                 machine_degrees, malware_degree, benign_degree
             )
 
-        with watch.phase("prune_graph"):
+        with tracer.span("prune_graph"):
             decision = decide_pruning(
                 machine_degrees,
                 domain_degrees,

@@ -74,8 +74,9 @@ class DayReport:
     repeat_detections: List[str] = field(default_factory=list)
     implicated_machines: List[str] = field(default_factory=list)
     provenance: List[str] = field(default_factory=list)
-    """Health warnings and feature-group degradations in effect while this
-    day was scored (``pdns_empty_window:warning``, ...); empty for a
+    """The pre-flight health warnings in effect while this day was scored
+    (``pdns_empty_window:warning``, ...: one ``check:severity`` tag per
+    fault, see :func:`repro.runtime.health.check_context`); empty for a
     healthy day."""
 
     drift: Optional[Dict[str, object]] = None
@@ -182,9 +183,9 @@ class DomainTracker:
         """Train on *context*, detect, and fold results into the ledger.
 
         Pre-flight health warnings (stale blacklist, collector gaps,
-        degenerate graph) and feature-group degradations are recorded in
-        the returned report's ``provenance`` — the day still runs, but its
-        detections carry the record of what was known-degraded at the time.
+        degenerate graph) are recorded in the returned report's
+        ``provenance`` — the day still runs, but its detections carry the
+        record of what was known-degraded at the time.
         """
         if self.telemetry is None:
             return self._process_day(context)
@@ -240,7 +241,7 @@ class DomainTracker:
         current_decision_log().finalize_day(context.day, threshold)
         detections = report.detections(threshold)
 
-        provenance = sorted(set(health.provenance()) | set(report.provenance))
+        provenance = health.provenance()
         with tracer.span("segugio_tracker_quality_check", day=context.day):
             drift = self._check_quality(context, prepared.prune.stats, report)
             summary = {

@@ -45,6 +45,7 @@ from repro.core.labeling import (
     UNKNOWN,
     derive_machine_labels,
     label_domains,
+    label_graph,
 )
 from repro.core.pipeline import ObservationContext, Segugio, SegugioConfig
 from repro.core.pruning import prune_graph
@@ -59,7 +60,7 @@ from repro.eval.harness import (
 from repro.ml.folds import family_balanced_folds
 from repro.ml.metrics import RocCurve, roc_curve
 from repro.obs.manifest import TEST_PHASES, TRAIN_PHASES
-from repro.obs.tracing import Stopwatch
+from repro.obs.tracing import Tracer, use_tracer
 from repro.synth.scenario import Scenario
 
 # --------------------------------------------------------------------- #
@@ -80,15 +81,12 @@ def table1_dataset_summary(
             day = scenario.eval_day(start_offset + i * gap)
             context = scenario.context(isp, day)
             graph = BehaviorGraph.from_trace(context.trace)
-            labels = derive_machine_labels(
+            labels = label_graph(
                 graph,
-                label_domains(
-                    graph,
-                    context.blacklist,
-                    context.whitelist,
-                    context.e2ld_index,
-                    as_of_day=day,
-                ),
+                context.blacklist,
+                context.whitelist,
+                context.e2ld_index,
+                as_of_day=day,
             )
             counts = labels.counts(graph)
             rows.append(
@@ -117,15 +115,12 @@ def fig3_infection_behavior(
     by each known-infected machine during one day of traffic."""
     context = scenario.context(isp, day)
     graph = BehaviorGraph.from_trace(context.trace)
-    labels = derive_machine_labels(
+    labels = label_graph(
         graph,
-        label_domains(
-            graph,
-            context.blacklist,
-            context.whitelist,
-            context.e2ld_index,
-            as_of_day=day,
-        ),
+        context.blacklist,
+        context.whitelist,
+        context.e2ld_index,
+        as_of_day=day,
     )
     infected = labels.machine_ids_with_label(MALWARE)
     counts = labels.machine_malware_degree[infected]
@@ -160,15 +155,12 @@ def pruning_statistics(
             day = scenario.eval_day(start_offset + i * gap)
             context = scenario.context(isp, day)
             graph = BehaviorGraph.from_trace(context.trace)
-            labels = derive_machine_labels(
+            labels = label_graph(
                 graph,
-                label_domains(
-                    graph,
-                    context.blacklist,
-                    context.whitelist,
-                    context.e2ld_index,
-                    as_of_day=day,
-                ),
+                context.blacklist,
+                context.whitelist,
+                context.e2ld_index,
+                as_of_day=day,
             )
             result = prune_graph(graph, labels, context.e2ld_index, config.prune)
             domain_pcts.append(result.stats["domains_removed_pct"])
@@ -618,6 +610,16 @@ def fig11_early_detection(
 # --------------------------------------------------------------------- #
 
 
+def _phase_seconds(tracer: Tracer) -> Dict[str, float]:
+    """Seconds per §IV-G phase span on *tracer*, in first-seen order."""
+    phases = TRAIN_PHASES + TEST_PHASES
+    return {
+        name: seconds
+        for name, seconds in tracer.phase_totals().items()
+        if name in phases
+    }
+
+
 def performance_timing(
     scenario: Scenario,
     isp: str = "isp1",
@@ -625,21 +627,21 @@ def performance_timing(
     config: Optional[SegugioConfig] = None,
 ) -> Dict[str, float]:
     """Average per-phase wall-clock cost of training and classification."""
-    totals: Dict[str, float] = {}
-    for i in range(n_days):
-        day = scenario.eval_day(i)
-        context = scenario.context(isp, day)
-        model = Segugio(config)
-        # The day is prepared once, as the tracker does it: graph, labels,
-        # pruning and the abuse oracle are learning-phase cost and are not
-        # repeated for classification.
-        prepare_watch = Stopwatch()
-        prepared = model.prepare_day(context, watch=prepare_watch)
-        model.fit(context, prepared=prepared)
-        model.classify(context, prepared=prepared)
-        for name, seconds in prepare_watch.items() + model.timings_.items():
-            totals[name] = totals.get(name, 0.0) + seconds
-    result = {name: seconds / n_days for name, seconds in totals.items()}
+    tracer = Tracer()
+    with use_tracer(tracer):
+        for i in range(n_days):
+            day = scenario.eval_day(i)
+            context = scenario.context(isp, day)
+            model = Segugio(config)
+            # The day is prepared once, as the tracker does it: graph,
+            # labels, pruning and the abuse oracle are learning-phase cost
+            # and are not repeated for classification.
+            prepared = model.prepare_day(context)
+            model.fit(context, prepared=prepared)
+            model.classify(context, prepared=prepared)
+    result = {
+        name: seconds / n_days for name, seconds in _phase_seconds(tracer).items()
+    }
     result["train_total"] = sum(result.get(p, 0.0) for p in TRAIN_PHASES)
     result["test_total"] = sum(result.get(p, 0.0) for p in TEST_PHASES)
     return result
@@ -863,14 +865,17 @@ def graph_inference_comparison(
     seed: int = 0,
 ) -> Dict[str, object]:
     """Segugio vs. loopy BP vs. co-occurrence on the identical test split."""
-    segugio = cross_day_experiment(
-        scenario.context(isp, scenario.eval_day(0)),
-        scenario.context(isp, scenario.eval_day(gap)),
-        name="Segugio",
-        config=config,
-        seed=seed,
-        keep_model=True,
-    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        segugio = cross_day_experiment(
+            scenario.context(isp, scenario.eval_day(0)),
+            scenario.context(isp, scenario.eval_day(gap)),
+            name="Segugio",
+            config=config,
+            seed=seed,
+            keep_model=True,
+        )
+    segugio_seconds = sum(_phase_seconds(tracer).values())
     split = segugio.split
     test_ctx = scenario.context(isp, scenario.eval_day(gap))
     graph = BehaviorGraph.from_trace(test_ctx.trace)
@@ -884,15 +889,11 @@ def graph_inference_comparison(
     domain_labels[split.all_ids] = UNKNOWN
     labels = derive_machine_labels(graph, domain_labels)
 
-    # timed through the ambient tracer (SEG010) so baseline scoring costs
-    # land in the span tree alongside Segugio's own phase table
-    watch = Stopwatch()
-    with watch.phase("score_lbp"):
+    # the baselines are timed on the same tracer as Segugio's phases
+    with tracer.span("segugio_experiment_score_lbp") as lbp_span:
         lbp_scores = LoopyBeliefPropagation().score_domains(graph, labels)
-    with watch.phase("score_cooccurrence"):
+    with tracer.span("segugio_experiment_score_cooccurrence") as cooc_span:
         cooc_scores = CoOccurrenceScorer().score_domains(graph, labels)
-    lbp_seconds = watch.elapsed("score_lbp")
-    cooc_seconds = watch.elapsed("score_cooccurrence")
 
     y = segugio.y_true
     ids = split.all_ids
@@ -903,9 +904,9 @@ def graph_inference_comparison(
     }
     return {
         "curves": curves,
-        "lbp_seconds": lbp_seconds,
-        "cooccurrence_seconds": cooc_seconds,
-        "segugio_seconds": segugio.model.timings_.total(),
+        "lbp_seconds": lbp_span.duration,
+        "cooccurrence_seconds": cooc_span.duration,
+        "segugio_seconds": segugio_seconds,
         "partial_auc_at_1pct": {
             name: curve.partial_auc(0.01) for name, curve in curves.items()
         },

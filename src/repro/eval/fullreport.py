@@ -19,7 +19,7 @@ from repro.core.pipeline import Segugio
 from repro.eval import experiments as E
 from repro.eval.figures import ascii_roc
 from repro.eval.reporting import ascii_table, histogram, roc_series_table
-from repro.obs.tracing import Stopwatch
+from repro.obs.tracing import Tracer
 from repro.synth.diagnostics import WorldDiagnostics, diagnose
 from repro.synth.scenario import Scenario
 
@@ -268,18 +268,17 @@ def generate_report(
         f"world: `{scenario!r}`",
         "",
     ]
-    # timed through the ambient tracer (SEG010): when telemetry is active
-    # each section shows up as a span, and the report text agrees with it
-    watch = Stopwatch()
+    # a span per section times it (SEG010); the report runs no telemetry,
+    # so the tracer is the report's own
+    tracer = Tracer()
     for section in chosen:
-        with watch.phase(section):
+        with tracer.span("segugio_report_section", section=section) as span:
             body = _RENDERERS[section](scenario)
-        elapsed = watch.elapsed(section)
         lines.append(f"## {_TITLES[section]}")
         lines.append("")
         lines.append(body)
         lines.append("")
-        lines.append(f"*(section generated in {elapsed:.1f}s)*")
+        lines.append(f"*(section generated in {span.duration:.1f}s)*")
         lines.append("")
     return "\n".join(lines)
 

@@ -352,10 +352,12 @@ def health_view(
             Table.of(columns, deltas) if deltas else "  no comparable days yet",
         )
 
+    # the run-level reasons: every day's tripped rules plus the runtime's
+    # per-day supervisor_degraded, which no day record carries
     tripped = [
-        f"  day {_day(day)}: {_reason(reason)}"
-        for day in days
-        for reason in day["health"]["reasons"]
+        f"  day {_day(reason)}: {_reason(reason)}"
+        for run in runs
+        for reason in run.health["reasons"]
     ]
     document.add(
         "tripped alert rules:" if tripped else "tripped alert rules: none",

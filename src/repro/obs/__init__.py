@@ -3,8 +3,7 @@
 Two coordinated zero-dependency layers (stdlib only):
 
 * :mod:`repro.obs.tracing` — nested, timed spans over the pipeline's call
-  tree (plus the accumulate-by-name ``Stopwatch`` that feeds them),
-  exported as a span tree and a per-run ``trace.jsonl``;
+  tree, exported as a span tree and a per-run ``trace.jsonl``;
 * :mod:`repro.obs.logs` — ``get_logger(component)`` emitting JSON records
   with run-id / day / phase context variables.
 
@@ -83,7 +82,6 @@ from repro.obs.resources import (
 from repro.obs.run import RunTelemetry
 from repro.obs.tracing import (
     Span,
-    Stopwatch,
     Tracer,
     current_tracer,
     use_tracer,
@@ -109,7 +107,6 @@ __all__ = [
     "RuntimeEventLog",
     "SPAN_NAMES",
     "Span",
-    "Stopwatch",
     "StructuredLogger",
     "TRACE_FILENAME",
     "TelemetryError",

@@ -10,11 +10,11 @@ small structured events (``day_retry``, ``io_retry``), each a plain dict
 with a ``kind`` plus context fields.
 
 Like the tracer and :class:`~repro.obs.provenance.DecisionLog`, the log
-is **ambient**: library code calls :func:`current_event_log` and
-records unconditionally; :class:`repro.obs.run.RunTelemetry` installs its
-own log via :func:`use_event_log` so events land in the manifest.  Unlike
-those layers the module default is *enabled* — degradations are rare and
-important enough that even an untelemetered run keeps them.
+is **ambient and off by default**: library code calls
+:func:`current_event_log` and records unconditionally, which is a no-op
+until :class:`repro.obs.run.RunTelemetry` installs its own log via
+:func:`use_event_log` so events land in the manifest.  A run without
+telemetry has no manifest to tell the story in, so it keeps no events.
 
 Every event names its day: a day retry and a checkpoint-write retry are
 recorded after the day's attempt, outside its window, so their callers
@@ -73,8 +73,8 @@ class RuntimeEventLog:
         return len(self.records)
 
 
-#: module default: enabled so untelemetered runs still surface degradations
-_DEFAULT_LOG = RuntimeEventLog(enabled=True)
+#: module default: disabled, like the tracer and the decision log
+_DEFAULT_LOG = RuntimeEventLog(enabled=False)
 
 _ACTIVE_LOG: contextvars.ContextVar[Optional[RuntimeEventLog]] = (
     contextvars.ContextVar("segugio_event_log", default=None)
@@ -82,7 +82,7 @@ _ACTIVE_LOG: contextvars.ContextVar[Optional[RuntimeEventLog]] = (
 
 
 def current_event_log() -> RuntimeEventLog:
-    """The ambient event log (the enabled module default unless overridden)."""
+    """The ambient event log (the disabled module default unless overridden)."""
     active = _ACTIVE_LOG.get()
     return active if active is not None else _DEFAULT_LOG
 

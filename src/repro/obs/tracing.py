@@ -16,11 +16,10 @@ instrumented code opens spans on :func:`current_tracer`, which is a
 permanently disabled tracer (``span()`` returns a shared null context
 manager) unless a run activated one via :func:`use_tracer`.
 
-:class:`Stopwatch` — the pre-observability phase timer — now lives here as
-a compatibility shim: it keeps its accumulate-by-name API (the §IV-G
-efficiency benchmark consumes it) while forwarding every phase to the
-ambient tracer, so `Segugio.fit`'s phases appear in a run's span tree
-without the pipeline knowing about tracers.
+Spans are also the one phase timer.  The pipeline's §IV-G phases
+(``build_graph`` ... ``score_domains``) are plain spans, and code that
+needs their seconds — the efficiency experiment, the report — activates
+a :class:`Tracer` of its own and reads :meth:`Tracer.phase_totals` back.
 """
 
 from __future__ import annotations
@@ -234,62 +233,3 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
         yield tracer
     finally:
         _active.reset(token)
-
-
-# ---------------------------------------------------------------------- #
-# Stopwatch compatibility shim
-# ---------------------------------------------------------------------- #
-
-
-class Stopwatch:
-    """Accumulates named wall-clock phase durations.
-
-    .. deprecated::
-        ``Stopwatch`` predates :mod:`repro.obs`; it survives as a shim so
-        the efficiency benchmark and ``Segugio.timings_`` keep their API.
-        New instrumentation should open spans on :func:`current_tracer`
-        (and get manifest integration for free) instead of holding
-        a private stopwatch.
-
-    Every :meth:`phase` also opens a span on the ambient tracer, so
-    stopwatch-timed phases land in the run's span tree whenever telemetry
-    is active — at zero cost (a shared null context) when it is not.
-    """
-
-    def __init__(self) -> None:
-        self._elapsed: Dict[str, float] = {}
-        self._order: List[str] = []
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Context manager timing one named phase (re-entrant accumulates)."""
-        with current_tracer().span(name):
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                duration = time.perf_counter() - start
-                if name not in self._elapsed:
-                    self._order.append(name)
-                    self._elapsed[name] = 0.0
-                self._elapsed[name] += duration
-
-    def elapsed(self, name: str) -> float:
-        """Total seconds recorded for *name* (0.0 if never timed)."""
-        return self._elapsed.get(name, 0.0)
-
-    def total(self) -> float:
-        return sum(self._elapsed.values())
-
-    def items(self) -> List[Tuple[str, float]]:
-        """Phases in first-recorded order with their cumulative seconds."""
-        return [(name, self._elapsed[name]) for name in self._order]
-
-    def report(self) -> str:
-        """Human-readable multi-line breakdown."""
-        lines = [f"{name:<28s} {secs:9.3f}s" for name, secs in self.items()]
-        lines.append(f"{'total':<28s} {self.total():9.3f}s")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"Stopwatch({dict(self.items())})"

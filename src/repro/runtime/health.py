@@ -20,14 +20,17 @@ check                     severity  decision
 ``activity_gaps``         warning   F2 (activity) features undercount on the
                                     missing days
 ``activity_empty``        warning   F2 features fall back to zero
+``e2ld_activity_empty``   warning   F2 e2LD activity features fall back to
+                                    zero
 ``graph_empty``           critical  no edges: nothing to build, fit aborts
 ``graph_degenerate``      warning   fewer than 2 machines or 2 domains:
                                     machine-behavior features are meaningless
 ========================  ========  =========================================
 
-Warnings degrade with provenance (they are threaded into
-``DetectionReport.provenance`` / ``DayReport.provenance``); criticals are
-faults the pipeline refuses to paper over.
+Warnings degrade with provenance: :meth:`HealthReport.provenance` tags
+each one ``check:severity`` once, and those tags are the tracked day's
+``DayReport.provenance``.  Criticals are faults the pipeline refuses to
+paper over.
 """
 
 from __future__ import annotations
@@ -213,6 +216,12 @@ def check_context(
                 f"{activity_window}-day feature window",
                 "F2 activity features undercount on the missing days",
             ))
+    if not context.e2ld_activity.days_with_activity(act_start, day):
+        add(HealthFinding(
+            "e2ld_activity_empty", WARNING,
+            f"e2LD activity index has no data in [{act_start}, {day}]",
+            "F2 e2LD activity features fall back to zero",
+        ))
 
     # --- graph -------------------------------------------------------- #
     n_edges = context.trace.n_edges

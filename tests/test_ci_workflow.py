@@ -98,7 +98,7 @@ def test_lint_invocations_parse():
 def test_the_patterns_see_the_workflow():
     # a pattern that matched nothing would pass the two checks vacuously
     text = "".join(line for _, line in _lines())
-    assert "tests/test_runtime_checkpoint.py" in _PATH.findall(text)
+    assert "tests/test_inspect.py" in _PATH.findall(text)
     assert {"track", "inspect", "chaos", "bench"} <= set(_COMMAND.findall(text))
 
 

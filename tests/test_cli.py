@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import sys
 
 import pytest
 
@@ -230,6 +231,26 @@ class TestOperatorErrors:
         monkeypatch.setattr(cli, "_run_health", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["health", "anywhere"])
+
+    def test_a_closed_pipe_ends_the_command_quietly(self, tmp_path, monkeypatch):
+        # `segugio inspect DIR --view profile | head -20`: the reader
+        # closes stdout mid-output, and the command ends without a
+        # traceback, with status 1 since it stopped short
+        v2_dir = os.path.join(os.path.dirname(__file__), "data", "telemetry_v2")
+        with open(tmp_path / "stdout", "w") as sink:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    pass
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["inspect", v2_dir, "--view", "profile"]) == 1
 
 
 class TestFaultToleranceFlags:

@@ -6,6 +6,8 @@ import pytest
 from repro.core.labeling import MALWARE, UNKNOWN, label_domains
 from repro.core.graph import BehaviorGraph
 from repro.core.pipeline import Segugio, SegugioConfig
+from repro.obs.manifest import TRAIN_PHASES
+from repro.obs.tracing import Tracer, use_tracer
 
 
 class TestConfig:
@@ -35,9 +37,17 @@ class TestFit:
         assert ts.n_benign > 0
         assert ts.X.shape[1] == 11
 
-    def test_fit_records_stats_and_timings(self, fitted_model):
+    def test_fit_records_stats_and_timings(self, fitted_model, train_context):
         assert fitted_model.train_stats_["n_train_malware"] > 0
-        assert fitted_model.timings_.elapsed("train_classifier") > 0
+        # the fit's phases are spans on the ambient tracer, in §IV-G order
+        tracer = Tracer()
+        with use_tracer(tracer):
+            Segugio(SegugioConfig(n_estimators=4)).fit(train_context)
+        totals = tracer.phase_totals()
+        assert [name for name in totals if name in TRAIN_PHASES] == [
+            name for name in TRAIN_PHASES if name != "filter_probes"
+        ]
+        assert totals["train_classifier"] > 0
 
     def test_classify_before_fit_raises(self, train_context):
         with pytest.raises(RuntimeError, match="fitted"):
@@ -155,12 +165,14 @@ class TestDetectionQuality:
         from repro.core.labeling import MALWARE
 
         model = Segugio(SegugioConfig(n_estimators=8, filter_probes=True))
-        model.fit(train_context)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            model.fit(train_context)
         graph = model.prepare_day(train_context).graph
         pop = scenario.populations["isp1"]
         for probe in pop.machines_of_archetype(ARCH_PROBE):
             assert graph.machine_degrees()[int(probe)] == 0
-        assert model.timings_.elapsed("filter_probes") > 0
+        assert tracer.phase_totals()["filter_probes"] > 0
 
 
 class TestLeakFreedom:

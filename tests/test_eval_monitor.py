@@ -145,6 +145,27 @@ class TestRenderText:
         assert "tripped alert rules:" in text
         assert "day 161: [x] alert label_churn" in text
 
+    def test_run_level_reasons_are_listed(self):
+        # a retried day is healthy in its own record; only the run-level
+        # health (the supervisor's per-day reason) says it needed a retry
+        from repro.obs.monitor import run_health
+
+        days = [
+            {"day": 160, "n_scored": 900, "health": {"status": "ok", "reasons": []}}
+        ]
+        events = [{"kind": "day_retry", "day": 160, "attempt": 0, "error": "io"}]
+        manifest = {
+            "run_id": "retried",
+            "command": "track",
+            "health": run_health(days, events),
+            "runtime_events": events,
+            "days": days,
+        }
+        text = render_monitor([TelemetryRun(manifest, path="/synthetic")])
+        assert "overall health [!] warn" in text
+        assert "tripped alert rules: none" not in text
+        assert "day 160: [!] warn supervisor_degraded" in text
+
     def test_quiet_run_says_none(self, telemetry_dir):
         text = render_monitor(load_runs([telemetry_dir]))
         assert "tripped alert rules: none" in text

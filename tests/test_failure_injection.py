@@ -140,7 +140,8 @@ class TestHostileInputs:
 
 
 class TestDegradationProvenance:
-    """Every degraded run must carry the record of *what* was degraded."""
+    """Every degraded run must carry the record of *what* was degraded,
+    one tag per fault."""
 
     def test_dead_pdns_day_is_tagged(self, scenario):
         context = degraded_context(
@@ -149,8 +150,10 @@ class TestDegradationProvenance:
         )
         tracker = DomainTracker(config=FAST)
         report = tracker.process_day(context)
-        assert "pdns_empty_window:f3_zero" in report.provenance
-        assert "pdns_empty_window:warning" in report.provenance
+        assert report.provenance.count("pdns_empty_window:warning") == 1
+        assert [t for t in report.provenance if t.startswith("pdns")] == [
+            "pdns_empty_window:warning"
+        ]
         assert "degraded" in report.summary()
 
     def test_dead_activity_day_is_tagged(self, scenario):
@@ -160,8 +163,18 @@ class TestDegradationProvenance:
             e2ld_activity=ActivityIndex(),
         )
         report = DomainTracker(config=FAST).process_day(context)
-        assert "fqd_activity_empty:f2_zero" in report.provenance
-        assert "e2ld_activity_empty:f2_zero" in report.provenance
+        assert report.provenance == [
+            "activity_empty:warning",
+            "e2ld_activity_empty:warning",
+        ]
+
+    def test_dead_e2ld_activity_alone_is_tagged(self, scenario):
+        context = degraded_context(
+            scenario.context("isp1", scenario.eval_day(0)),
+            e2ld_activity=ActivityIndex(),
+        )
+        report = DomainTracker(config=FAST).process_day(context)
+        assert report.provenance == ["e2ld_activity_empty:warning"]
 
     def test_healthy_day_carries_no_tags(self, scenario):
         context = scenario.context("isp1", scenario.eval_day(0))

@@ -83,7 +83,7 @@ class TestSEG002Determinism:
         assert rules_hit(src, module="repro.runtime.retry") == []
 
     def test_perf_counter_is_allowed(self):
-        # durations are not wall-clock identity; Stopwatch/tracing rely on it
+        # durations are not wall-clock identity; span timing relies on it
         assert rules_hit("import time\nt = time.perf_counter()\n") == []
 
 

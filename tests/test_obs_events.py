@@ -17,9 +17,10 @@ class TestRuntimeEventLog:
         assert log.to_list() == [event]
 
     def test_enabled_by_default(self):
-        # unlike tracer/metrics, degradations are kept even without telemetry
+        # a log built by a run records; the ambient module default does
+        # not, like the tracer and the decision log
         assert RuntimeEventLog().enabled
-        assert current_event_log().enabled
+        assert not current_event_log().enabled
 
     def test_disabled_log_records_nothing(self):
         log = RuntimeEventLog(enabled=False)

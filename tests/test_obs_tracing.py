@@ -1,4 +1,4 @@
-"""Span tracing: nesting, exception safety, exports, Stopwatch shim."""
+"""Span tracing: nesting, exception safety, exports."""
 
 import io
 import json
@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.obs.tracing import (
-    Stopwatch,
     Tracer,
     current_tracer,
     use_tracer,
@@ -143,35 +142,3 @@ class TestAmbient:
                 pass
         assert current_tracer().enabled is False
         assert [r.name for r in mine.roots] == ["scoped"]
-
-
-class TestStopwatchShim:
-    def test_accumulates_named_phases_in_order(self):
-        watch = Stopwatch()
-        with watch.phase("build"):
-            pass
-        with watch.phase("train"):
-            pass
-        with watch.phase("build"):
-            pass
-        names = [name for name, _ in watch.items()]
-        assert names == ["build", "train"]
-        assert watch.elapsed("build") > 0
-        assert watch.total() == pytest.approx(
-            watch.elapsed("build") + watch.elapsed("train")
-        )
-
-    def test_forwards_phases_to_ambient_tracer(self):
-        tracer = Tracer()
-        watch = Stopwatch()
-        with use_tracer(tracer):
-            with watch.phase("build_graph"):
-                with watch.phase("label_nodes"):
-                    pass
-        [root] = tracer.roots
-        assert root.name == "build_graph"
-        assert [c.name for c in root.children] == ["label_nodes"]
-        # The shim's own accounting agrees with the tracer's.
-        assert tracer.phase_totals()["build_graph"] == pytest.approx(
-            watch.elapsed("build_graph"), abs=5e-3
-        )

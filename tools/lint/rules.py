@@ -186,9 +186,9 @@ BANS: Tuple[Ban, ...] = (
         rule_id="SEG010",
         name="eval-perf-timing",
         rationale=(
-            "repro.eval must time work through repro.obs.tracing spans/"
-            "Stopwatch so manifests account for every reported second; bare "
-            "perf-clock pairs bypass the trace"
+            "repro.eval must time work through repro.obs.tracing spans so "
+            "every reported second is a span's duration; bare perf-clock "
+            "pairs bypass the trace"
         ),
         calls=_PERF_CLOCKS,
         imports=_PERF_CLOCKS,
@@ -197,8 +197,8 @@ BANS: Tuple[Ban, ...] = (
         # inside the lap would skew the very measurement
         allowed=("repro.eval.bench",),
         message="a bare perf clock in repro.eval bypasses the span tree — "
-        "time work through repro.obs.tracing (Stopwatch/span) so the "
-        "manifest accounts for it",
+        "time work with a repro.obs.tracing span and read its duration "
+        "(Tracer.phase_totals for a phase's total)",
     ),
     Ban(
         rule_id="SEG011",
