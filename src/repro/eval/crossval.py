@@ -13,14 +13,18 @@ its own model).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.graph import BehaviorGraph
-from repro.core.labeling import BENIGN, MALWARE, label_domains
 from repro.core.pipeline import ObservationContext, Segugio, SegugioConfig
-from repro.eval.harness import TestSplit, score_split
+from repro.eval.harness import (
+    TestSplit,
+    eligible_known_ids,
+    labeled_day,
+    pool_folds,
+    score_split,
+)
 from repro.ml.folds import stratified_kfold
 from repro.ml.metrics import RocCurve, roc_curve
 
@@ -52,29 +56,15 @@ def cross_validate_day(
 ) -> CrossValidationResult:
     """Stratified k-fold over the day's known domains."""
     rng = np.random.default_rng(seed)
-    graph = BehaviorGraph.from_trace(context.trace)
-    domain_labels = label_domains(
-        graph,
-        context.blacklist,
-        context.whitelist,
-        context.e2ld_index,
-        as_of_day=context.day,
-    )
-    present = graph.domain_ids()
-    degrees = graph.domain_degrees()
-    eligible = present[degrees[present] >= min_degree]
-    known = eligible[
-        (domain_labels[eligible] == MALWARE)
-        | (domain_labels[eligible] == BENIGN)
-    ]
+    malware, benign = eligible_known_ids(*labeled_day(context), min_degree)
+    known = np.sort(np.concatenate([malware, benign]))
     if known.size < n_folds * 2:
         raise ValueError("not enough known domains for cross-validation")
-    y = (domain_labels[known] == MALWARE).astype(np.int64)
+    y = np.isin(known, malware).astype(np.int64)
     if y.sum() < n_folds:
         raise ValueError("too few malware domains for the requested folds")
 
-    all_y: List[np.ndarray] = []
-    calibrated: List[np.ndarray] = []
+    folds: List[Tuple[np.ndarray, np.ndarray]] = []
     fold_aucs: List[float] = []
     for train_idx, test_idx in stratified_kfold(y, n_folds, rng):
         del train_idx  # training uses everything *not hidden*, below
@@ -92,13 +82,9 @@ def cross_validate_day(
         )
         y_fold, s_fold, _, _ = score_split(report, split)
         fold_aucs.append(roc_curve(y_fold, s_fold).auc())
-        benign_sorted = np.sort(s_fold[y_fold == 0])
-        ranks = np.searchsorted(benign_sorted, s_fold, side="left")
-        calibrated.append(ranks / max(benign_sorted.size, 1) - 1.0)
-        all_y.append(y_fold)
+        folds.append((y_fold, s_fold))
 
-    y_all = np.concatenate(all_y)
-    s_all = np.concatenate(calibrated)
+    y_all, s_all = pool_folds(folds)
     return CrossValidationResult(
         roc=roc_curve(y_all, s_all),
         y_true=y_all,

@@ -28,9 +28,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.graph import BehaviorGraph
-from repro.core.labeling import BENIGN, label_domains
+from repro.core.labeling import BENIGN
 from repro.core.pipeline import SegugioConfig
-from repro.eval.harness import RocExperiment, cross_day_experiment
+from repro.eval.harness import RocExperiment, cross_day_experiment, labeled_day
 from repro.synth.config import ScenarioConfig, small_scenario_config
 from repro.synth.scenario import Scenario
 
@@ -183,16 +183,12 @@ def evasion_popular_cover(
     world = _world(cover_config)
 
     day = world.eval_day(5)
-    context = world.context("isp1", day)
-    graph = BehaviorGraph.from_trace(context.trace)
-    labels = label_domains(
-        graph, context.blacklist, context.whitelist, context.e2ld_index, as_of_day=day
-    )
+    graph, labels = labeled_day(world.context("isp1", day))
     active = world.malware.active_mask(day)
     active_ids = world.malware.fqd_ids[active]
     present = active_ids[graph.domain_degrees()[active_ids] > 0]
     n_whitelisted_cover = int(
-        np.count_nonzero(labels[present] == BENIGN)
+        np.count_nonzero(labels.domain_labels[present] == BENIGN)
     )
     return {
         "n_active_cnc_in_traffic": int(present.size),

@@ -30,7 +30,7 @@ Fig. 12 + Table IV             :func:`fig12_notos_comparison`
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -39,14 +39,7 @@ from repro.baselines.belief import LoopyBeliefPropagation
 from repro.baselines.cooccurrence import CoOccurrenceScorer
 from repro.baselines.notos import NotosReputation
 from repro.core.graph import BehaviorGraph
-from repro.core.labeling import (
-    BENIGN,
-    MALWARE,
-    UNKNOWN,
-    derive_machine_labels,
-    label_domains,
-    label_graph,
-)
+from repro.core.labeling import MALWARE
 from repro.core.pipeline import ObservationContext, Segugio, SegugioConfig
 from repro.core.pruning import prune_graph
 from repro.core.tracker import calibrate_threshold
@@ -55,7 +48,10 @@ from repro.eval.harness import (
     RocExperiment,
     TestSplit,
     cross_day_experiment,
-    score_split,
+    eligible_known_ids,
+    labeled_day,
+    pool_folds,
+    run_split,
 )
 from repro.ml.folds import family_balanced_folds
 from repro.ml.metrics import RocCurve, roc_curve
@@ -79,15 +75,7 @@ def table1_dataset_summary(
     for isp in scenario.populations:
         for i in range(days_per_isp):
             day = scenario.eval_day(start_offset + i * gap)
-            context = scenario.context(isp, day)
-            graph = BehaviorGraph.from_trace(context.trace)
-            labels = label_graph(
-                graph,
-                context.blacklist,
-                context.whitelist,
-                context.e2ld_index,
-                as_of_day=day,
-            )
+            graph, labels = labeled_day(scenario.context(isp, day))
             counts = labels.counts(graph)
             rows.append(
                 {
@@ -113,15 +101,7 @@ def fig3_infection_behavior(
 ) -> Dict[str, object]:
     """Distribution of the number of known malware-control domains queried
     by each known-infected machine during one day of traffic."""
-    context = scenario.context(isp, day)
-    graph = BehaviorGraph.from_trace(context.trace)
-    labels = label_graph(
-        graph,
-        context.blacklist,
-        context.whitelist,
-        context.e2ld_index,
-        as_of_day=day,
-    )
+    _, labels = labeled_day(scenario.context(isp, day))
     infected = labels.machine_ids_with_label(MALWARE)
     counts = labels.machine_malware_degree[infected]
     distribution = Counter(int(c) for c in counts)
@@ -152,16 +132,8 @@ def pruning_statistics(
     domain_pcts, machine_pcts, edge_pcts = [], [], []
     for isp in scenario.populations:
         for i in range(days_per_isp):
-            day = scenario.eval_day(start_offset + i * gap)
-            context = scenario.context(isp, day)
-            graph = BehaviorGraph.from_trace(context.trace)
-            labels = label_graph(
-                graph,
-                context.blacklist,
-                context.whitelist,
-                context.e2ld_index,
-                as_of_day=day,
-            )
+            context = scenario.context(isp, scenario.eval_day(start_offset + i * gap))
+            graph, labels = labeled_day(context)
             result = prune_graph(graph, labels, context.e2ld_index, config.prune)
             domain_pcts.append(result.stats["domains_removed_pct"])
             machine_pcts.append(result.stats["machines_removed_pct"])
@@ -246,23 +218,11 @@ def fig7_feature_ablation(
     results: Dict[str, RocExperiment] = {}
     for label, excluded in ABLATIONS.items():
         columns = FeatureExtractor.columns_without_group(excluded)
-        variant = SegugioConfig(
-            activity_window=base.activity_window,
-            pdns_window_days=base.pdns_window_days,
-            prune=base.prune,
-            classifier=base.classifier,
-            n_estimators=base.n_estimators,
-            max_depth=base.max_depth,
-            max_bins=base.max_bins,
-            feature_columns=tuple(columns),
-            max_benign_train=base.max_benign_train,
-            seed=base.seed,
-        )
         results[label] = cross_day_experiment(
             train_ctx,
             test_ctx,
             name=f"{isp} {label}",
-            config=variant,
+            config=replace(base, feature_columns=tuple(columns)),
             seed=seed,
         )
     return results
@@ -307,19 +267,8 @@ def fig8_cross_family(
     rng = np.random.default_rng(seed)
 
     # Known (family-labeled) malware domains present in the test graph.
-    test_graph = BehaviorGraph.from_trace(test_ctx.trace)
-    test_labels = label_domains(
-        test_graph,
-        test_ctx.blacklist,
-        test_ctx.whitelist,
-        test_ctx.e2ld_index,
-        as_of_day=test_ctx.day,
-    )
-    present = test_graph.domain_ids()
-    degrees = test_graph.domain_degrees()
-    eligible = present[
-        (test_labels[present] == MALWARE) & (degrees[present] >= min_degree)
-    ]
+    test_graph, test_labels = labeled_day(test_ctx)
+    eligible, benign = eligible_known_ids(test_graph, test_labels, min_degree)
     families: List[str] = []
     candidate_ids: List[int] = []
     for domain_id in eligible:
@@ -334,13 +283,8 @@ def fig8_cross_family(
             f"need >= {n_folds} families in test traffic, got {len(distinct_families)}"
         )
 
-    benign = present[
-        (test_labels[present] == BENIGN) & (degrees[present] >= min_degree)
-    ]
     folds = family_balanced_folds(families, n_folds, rng)
 
-    all_y: List[np.ndarray] = []
-    all_scores: List[np.ndarray] = []
     per_fold: List[RocExperiment] = []
     for fold_index, (_, test_idx) in enumerate(folds):
         fold_malware = candidate_ids_arr[test_idx]
@@ -360,37 +304,19 @@ def fig8_cross_family(
         train_exclude.update(int(i) for i in split.benign_ids)
         test_hide = set(int(i) for i in test_ctx.domain_ids(family_domain_names))
         test_hide.update(int(i) for i in split.all_ids)
-
-        model = Segugio(config)
-        model.fit(train_ctx, exclude_domains=sorted(train_exclude))
-        report = model.classify(test_ctx, hide_domains=sorted(test_hide))
-        y_true, scores, miss_mal, miss_ben = score_split(report, split)
-        all_y.append(y_true)
-        all_scores.append(scores)
         per_fold.append(
-            RocExperiment(
+            run_split(
+                train_ctx,
+                test_ctx,
+                split,
                 name=f"fold {fold_index}",
-                roc=roc_curve(y_true, scores),
-                split=split,
-                y_true=y_true,
-                scores=scores,
-                n_malware_missing=miss_mal,
-                n_benign_missing=miss_ben,
+                config=config,
+                exclude_domains=sorted(train_exclude),
+                hide_domains=sorted(test_hide),
             )
         )
 
-    # Pool folds on *benign-calibrated ranks*: each fold trains its own
-    # classifier, so raw scores are not on a common scale; a sample's
-    # pooled score is minus the empirical FPR its raw score would incur
-    # within its own fold's benign population.  (Naive raw-score pooling
-    # destroys the low-FPR region of the combined curve.)
-    calibrated: List[np.ndarray] = []
-    for y_fold, s_fold in zip(all_y, all_scores):
-        benign_sorted = np.sort(s_fold[y_fold == 0])
-        ranks = np.searchsorted(benign_sorted, s_fold, side="left")
-        calibrated.append(ranks / max(benign_sorted.size, 1) - 1.0)
-    y = np.concatenate(all_y)
-    scores = np.concatenate(calibrated)
+    y, scores = pool_folds([(fold.y_true, fold.scores) for fold in per_fold])
     return CrossFamilyResult(
         roc=roc_curve(y, scores),
         y_true=y,
@@ -510,7 +436,7 @@ def cross_blacklist_test(
     train_ctx = scenario.context(isp, scenario.eval_day(0))
     test_ctx = scenario.context(isp, scenario.eval_day(gap))
 
-    graph = BehaviorGraph.from_trace(test_ctx.trace)
+    graph, labels = labeled_day(test_ctx)
     present = set(int(d) for d in graph.domain_ids())
     degrees = graph.domain_degrees()
 
@@ -526,29 +452,22 @@ def cross_blacklist_test(
         if degrees[domain_id] >= min_degree:
             public_only.append(int(domain_id))
     public_only_arr = np.asarray(sorted(public_only), dtype=np.int64)
+    if public_only_arr.size == 0:
+        raise ValueError("no public-only blacklisted domains in test traffic")
 
     rng = np.random.default_rng(seed)
-    labels = label_domains(
-        graph,
-        test_ctx.blacklist,
-        test_ctx.whitelist,
-        test_ctx.e2ld_index,
-        as_of_day=test_ctx.day,
-    )
-    all_present = graph.domain_ids()
-    benign = all_present[
-        (labels[all_present] == BENIGN) & (degrees[all_present] >= min_degree)
-    ]
+    _, benign = eligible_known_ids(graph, labels, min_degree)
     benign_test = np.sort(rng.choice(benign, size=benign.size // 2, replace=False))
 
     split = TestSplit(malware_ids=public_only_arr, benign_ids=benign_test)
-    model = Segugio(config)
-    model.fit(train_ctx, exclude_domains=benign_test)
-    report = model.classify(test_ctx, hide_domains=split.all_ids)
-    y_true, scores, _, _ = score_split(report, split)
-    if public_only_arr.size == 0:
-        raise ValueError("no public-only blacklisted domains in test traffic")
-    roc = roc_curve(y_true, scores)
+    roc = run_split(
+        train_ctx,
+        test_ctx,
+        split,
+        name="cross-blacklist",
+        config=config,
+        exclude_domains=benign_test,
+    ).roc
     return {
         "n_public_matched": matched,
         "n_public_only": int(public_only_arr.size),
@@ -748,12 +667,11 @@ def fig12_notos_comparison(
     benign_arr = np.asarray(sorted(benign_eval), dtype=np.int64)
     split = TestSplit(malware_ids=new_malware_arr, benign_ids=benign_arr)
 
-    # --- Segugio ---
-    model = Segugio(config)
-    model.fit(train_ctx)
-    report = model.classify(test_ctx, hide_domains=split.all_ids)
-    y_true, seg_scores, _, _ = score_split(report, split)
-    segugio_roc = roc_curve(y_true, seg_scores)
+    # --- Segugio (no test domain is excluded: training is frozen to t_train) ---
+    segugio = run_split(
+        train_ctx, test_ctx, split, name="Segugio", config=config, exclude_domains=()
+    )
+    y_true = segugio.y_true
 
     # --- Notos ---
     notos = NotosReputation(
@@ -812,7 +730,7 @@ def fig12_notos_comparison(
     breakdown = _notos_fp_breakdown(scenario, test_ctx, fp_ids)
 
     return NotosComparison(
-        segugio_roc=segugio_roc,
+        segugio_roc=segugio.roc,
         notos_roc=notos_roc,
         exposure_roc=exposure_roc,
         n_new_malware=int(new_malware_arr.size),
@@ -877,17 +795,8 @@ def graph_inference_comparison(
         )
     segugio_seconds = sum(_phase_seconds(tracer).values())
     split = segugio.split
-    test_ctx = scenario.context(isp, scenario.eval_day(gap))
-    graph = BehaviorGraph.from_trace(test_ctx.trace)
-    domain_labels = label_domains(
-        graph,
-        test_ctx.blacklist,
-        test_ctx.whitelist,
-        test_ctx.e2ld_index,
-        as_of_day=test_ctx.day,
-    )
-    domain_labels[split.all_ids] = UNKNOWN
-    labels = derive_machine_labels(graph, domain_labels)
+    graph, day_labels = labeled_day(scenario.context(isp, scenario.eval_day(gap)))
+    labels = day_labels.with_hidden(graph, split.all_ids)
 
     # the baselines are timed on the same tracer as Segugio's phases
     with tracer.span("segugio_experiment_score_lbp") as lbp_span:

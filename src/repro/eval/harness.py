@@ -14,6 +14,12 @@ public-blacklist, and cross-family experiments:
    exception) is scored ``-1`` — an automatic miss — so the TP denominator
    matches the full test set, as in the paper.
 
+Each protocol decision is one function here, and every driver in
+:mod:`repro.eval` goes through it: :func:`labeled_day` labels a day's raw
+graph as of that day, :func:`eligible_known_ids` picks the step-1
+candidates, :func:`run_split` is steps 2-4, and :func:`pool_folds` puts
+per-fold scores from separately trained models on one scale.
+
 Domain ids are global (one interner per scenario world), so train/test day
 and even train/test *network* share ids and exclusion lists transfer
 directly.
@@ -22,13 +28,14 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.graph import BehaviorGraph
-from repro.core.labeling import BENIGN, MALWARE, label_domains
+from repro.core.labeling import BENIGN, MALWARE, GraphLabels, label_graph
 from repro.core.pipeline import DetectionReport, ObservationContext, Segugio, SegugioConfig
+from repro.ml.calibration import FprCalibrator
 from repro.ml.metrics import RocCurve, roc_curve
 from repro.obs.tracing import current_tracer
 
@@ -86,6 +93,34 @@ class RocExperiment:
         )
 
 
+def labeled_day(context: ObservationContext) -> Tuple[BehaviorGraph, GraphLabels]:
+    """A day's raw graph, labeled from ground truth as of that day."""
+    graph = BehaviorGraph.from_trace(context.trace)
+    labels = label_graph(
+        graph,
+        context.blacklist,
+        context.whitelist,
+        context.e2ld_index,
+        as_of_day=context.day,
+    )
+    return graph, labels
+
+
+def eligible_known_ids(
+    graph: BehaviorGraph, labels: GraphLabels, min_degree: int = 2
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Known (malware, benign) ids queried by at least *min_degree*
+    machines, each in ascending id order.
+
+    A domain with a single querier cannot survive pruning once its label
+    is hidden, so testing on it would only measure R3, not the classifier.
+    """
+    present = graph.domain_ids()
+    eligible = present[graph.domain_degrees()[present] >= min_degree]
+    eligible_labels = labels.domain_labels[eligible]
+    return eligible[eligible_labels == MALWARE], eligible[eligible_labels == BENIGN]
+
+
 def select_test_split(
     context: ObservationContext,
     test_fraction: float = 0.5,
@@ -95,27 +130,12 @@ def select_test_split(
 ) -> TestSplit:
     """Sample held-out known domains from a test day's traffic.
 
-    Candidates are known malware/benign domains queried by at least
-    *min_degree* machines (a domain with a single querier cannot survive
-    pruning once its label is hidden, so including it would only measure
-    R3, not the classifier).
+    Candidates are :func:`eligible_known_ids` of the labeled day.
     """
     if not 0 < test_fraction <= 1:
         raise ValueError("test_fraction must be in (0, 1]")
     rng = rng if rng is not None else np.random.default_rng(0)
-    graph = BehaviorGraph.from_trace(context.trace)
-    domain_labels = label_domains(
-        graph,
-        context.blacklist,
-        context.whitelist,
-        context.e2ld_index,
-        as_of_day=context.day,
-    )
-    present = graph.domain_ids()
-    degrees = graph.domain_degrees()
-    eligible = present[degrees[present] >= min_degree]
-    malware = eligible[domain_labels[eligible] == MALWARE]
-    benign = eligible[domain_labels[eligible] == BENIGN]
+    malware, benign = eligible_known_ids(*labeled_day(context), min_degree)
 
     def sample(ids: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
         k = max(1, int(round(test_fraction * ids.size))) if ids.size else 0
@@ -199,11 +219,37 @@ def cross_day_experiment(
     if split.n_benign == 0:
         raise ValueError(f"{name}: empty benign test set")
 
+    return run_split(
+        train_context,
+        test_context,
+        split,
+        name=name,
+        config=config,
+        keep_model=keep_model,
+    )
+
+
+def run_split(
+    train_context: ObservationContext,
+    test_context: ObservationContext,
+    split: TestSplit,
+    name: str,
+    config: Optional[SegugioConfig] = None,
+    exclude_domains: Optional[Iterable[int]] = None,
+    hide_domains: Optional[Iterable[int]] = None,
+    keep_model: bool = False,
+) -> RocExperiment:
+    """Steps 2-4 for one split: fit without *exclude_domains*, classify
+    with *hide_domains* hidden (each defaults to the split's ids), score
+    the split and build its ROC."""
+    exclude = split.all_ids if exclude_domains is None else exclude_domains
+    hide = split.all_ids if hide_domains is None else hide_domains
+    tracer = current_tracer()
     model = Segugio(config)
     with tracer.span("segugio_experiment_fit", experiment=name):
-        model.fit(train_context, exclude_domains=split.all_ids)
+        model.fit(train_context, exclude_domains=exclude)
     with tracer.span("segugio_experiment_classify", experiment=name):
-        report = model.classify(test_context, hide_domains=split.all_ids)
+        report = model.classify(test_context, hide_domains=hide)
     y_true, scores, miss_mal, miss_ben = score_split(report, split)
     return RocExperiment(
         name=name,
@@ -216,3 +262,20 @@ def cross_day_experiment(
         model=model if keep_model else None,
         report=report if keep_model else None,
     )
+
+
+def pool_folds(
+    folds: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pool per-fold ``(y_true, scores)`` on benign-calibrated ranks.
+
+    Each fold trains its own classifier, so raw scores are not on a common
+    scale; a sample's pooled score is minus the empirical FP rate its raw
+    score would incur within its own fold's benign population.  (Naive
+    raw-score pooling destroys the low-FPR region of the combined curve.)
+    """
+    y_true = np.concatenate([y for y, _ in folds])
+    scores = np.concatenate(
+        [-FprCalibrator().fit(s[y == 0]).fpr_of(s) for y, s in folds]
+    )
+    return y_true, scores

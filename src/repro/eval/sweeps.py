@@ -10,6 +10,7 @@ Each sweep returns ``[(value, RocExperiment), ...]`` ordered by value.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import SegugioConfig
@@ -17,12 +18,6 @@ from repro.eval.harness import RocExperiment, cross_day_experiment
 from repro.synth.scenario import Scenario
 
 SweepResult = List[Tuple[float, RocExperiment]]
-
-
-def _variant(base: SegugioConfig, **overrides) -> SegugioConfig:
-    from dataclasses import replace
-
-    return replace(base, **overrides)
 
 
 def sweep_train_test_gap(
@@ -70,7 +65,7 @@ def sweep_activity_window(
             train_ctx,
             test_ctx,
             name=f"n={window}d",
-            config=_variant(base, activity_window=int(window)),
+            config=replace(base, activity_window=int(window)),
             seed=seed,
         )
         results.append((float(window), experiment))
@@ -95,7 +90,7 @@ def sweep_pdns_window(
             train_ctx,
             test_ctx,
             name=f"W={window}d",
-            config=_variant(base, pdns_window_days=int(window)),
+            config=replace(base, pdns_window_days=int(window)),
             seed=seed,
         )
         results.append((float(window), experiment))

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.ml.metrics import threshold_for_fpr
 from repro.utils.validation import as_1d_int_array, check_same_length
 
 
@@ -48,12 +49,7 @@ class FprCalibrator:
         """Smallest score whose implied FP rate is <= max_fpr."""
         if self._benign_sorted is None:
             raise RuntimeError("calibrator is not fitted")
-        if not 0 <= max_fpr <= 1:
-            raise ValueError("max_fpr must be in [0, 1]")
-        allowed = int(np.floor(max_fpr * self._benign_sorted.size))
-        if allowed == 0:
-            return float(np.nextafter(self._benign_sorted[-1], np.inf))
-        return float(np.nextafter(self._benign_sorted[-allowed], np.inf))
+        return threshold_for_fpr(self._benign_sorted, max_fpr)
 
 
 class IsotonicCalibrator:

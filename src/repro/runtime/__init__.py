@@ -24,7 +24,7 @@ faults:
   while its ledger is untouched, so a retry is a recorded slowdown
   instead of a wrong or missing result.
 * :mod:`repro.runtime.faults` — deterministic, seed-keyed fault injection
-  (``SEGUGIO_FAULTS`` / ``--inject-faults`` / ``segugio chaos``) proving
+  (``--inject-faults`` / ``segugio chaos``) proving
   the retries' bit-identical-output invariant.
 
 Submodules are resolved lazily so low-level packages (``repro.datasets``)
@@ -66,7 +66,6 @@ _LAZY_EXPORTS = {
     "FaultPlanError": "repro.runtime.faults",
     "FaultSpec": "repro.runtime.faults",
     "load_fault_plan": "repro.runtime.faults",
-    "install_fault_plan": "repro.runtime.faults",
     "use_fault_plan": "repro.runtime.faults",
     "current_fault_plan": "repro.runtime.faults",
     "maybe_fault": "repro.runtime.faults",

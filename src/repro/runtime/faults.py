@@ -9,8 +9,8 @@ absorb them, and the chaos harness asserts the run's outputs are
 bit-identical to a fault-free run.
 
 Faults are described by a :class:`FaultPlan` — a list of :class:`FaultSpec`
-entries loaded from JSON (``segugio chaos --plan``, ``--inject-faults``, or
-the ``SEGUGIO_FAULTS`` environment variable).  Matching is deterministic
+entries loaded from JSON (``segugio chaos --plan`` or ``--inject-faults``)
+and activated with :func:`use_fault_plan`.  Matching is deterministic
 and seed-keyed: a spec either pins an exact ``(site, task)`` or fires
 probabilistically via a ``rate``, where "probabilistically" means a SHA-256
 hash of ``(plan seed, spec index, site, task)`` — the same plan and seed
@@ -34,13 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-#: environment variable naming a fault-plan JSON file to activate
-FAULTS_ENV_VAR = "SEGUGIO_FAULTS"
 
 FAULT_KINDS = (
     "io_error",
@@ -48,7 +44,7 @@ FAULT_KINDS = (
     "memory_pressure",
 )
 
-#: sites instrumented with fault hooks; plans loaded from JSON must name one
+#: sites instrumented with fault hooks; every spec must name one
 KNOWN_SITES = (
     "pipeline_fit",      # start of Segugio.fit for a day
     "pipeline_classify", # start of Segugio.classify for a day
@@ -61,6 +57,14 @@ POLICY_KEYS = ("max_retries", "base_delay", "multiplier")
 
 class FaultPlanError(ValueError):
     """A fault-plan spec that cannot be parsed or validated."""
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ class FaultSpec:
 
     Either pin an exact task index (``task``), fire on every matching call
     up to ``count`` (``task=None, rate=None``), or fire seed-keyed at a
-    given ``rate``.
+    given ``rate``.  A spec that names an unknown kind or site, or carries
+    an out-of-range task, count or rate, raises :class:`FaultPlanError`.
     """
 
     kind: str
@@ -85,6 +90,24 @@ class FaultSpec:
     task: Optional[int] = None
     count: int = 1
     rate: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise FaultPlanError(
+                f"unknown kind {self.kind!r} (known: {', '.join(FAULT_KINDS)})"
+            )
+        if self.site not in KNOWN_SITES:
+            raise FaultPlanError(
+                f"unknown site {self.site!r} (known: {', '.join(KNOWN_SITES)})"
+            )
+        if self.task is not None and not (_is_int(self.task) and self.task >= 0):
+            raise FaultPlanError(f"task must be a non-negative integer, got {self.task!r}")
+        if not (_is_int(self.count) and self.count >= 1):
+            raise FaultPlanError(f"count must be a positive integer, got {self.count!r}")
+        if self.rate is not None:
+            if not (_is_number(self.rate) and 0 < self.rate <= 1):
+                raise FaultPlanError(f"rate must be in (0, 1], got {self.rate!r}")
+            object.__setattr__(self, "rate", float(self.rate))
 
 
 class FaultPlan:
@@ -146,34 +169,16 @@ def _spec_from_dict(
     unknown = sorted(set(payload) - {"kind", "site", "task", "count", "rate"})
     if unknown:
         raise _located(source, index, f"unknown keys {unknown}")
-    kind = payload.get("kind")
-    if kind not in FAULT_KINDS:
-        raise _located(
-            source, index, f"unknown kind {kind!r} (known: {', '.join(FAULT_KINDS)})"
+    try:
+        return FaultSpec(
+            kind=payload.get("kind"),
+            site=payload.get("site"),
+            task=payload.get("task"),
+            count=payload.get("count", 1),
+            rate=payload.get("rate"),
         )
-    site = payload.get("site")
-    if site not in KNOWN_SITES:
-        raise _located(
-            source, index, f"unknown site {site!r} (known: {', '.join(KNOWN_SITES)})"
-        )
-    task = payload.get("task")
-    if task is not None and (not isinstance(task, int) or isinstance(task, bool) or task < 0):
-        raise _located(source, index, f"task must be a non-negative integer, got {task!r}")
-    count = payload.get("count", 1)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise _located(source, index, f"count must be a positive integer, got {count!r}")
-    rate = payload.get("rate")
-    if rate is not None and (
-        not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0 < rate <= 1
-    ):
-        raise _located(source, index, f"rate must be in (0, 1], got {rate!r}")
-    return FaultSpec(
-        kind=str(kind),
-        site=str(site),
-        task=task,
-        count=int(count),
-        rate=None if rate is None else float(rate),
-    )
+    except FaultPlanError as error:
+        raise _located(source, index, str(error)) from None
 
 
 def plan_from_dict(payload: Mapping[str, object], source: str = "<plan>") -> FaultPlan:
@@ -184,7 +189,7 @@ def plan_from_dict(payload: Mapping[str, object], source: str = "<plan>") -> Fau
     if unknown:
         raise _located(source, None, f"unknown top-level keys {unknown}")
     seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise _located(source, None, f"seed must be an integer, got {seed!r}")
     policy = payload.get("policy", {})
     if not isinstance(policy, Mapping):
@@ -195,7 +200,7 @@ def plan_from_dict(payload: Mapping[str, object], source: str = "<plan>") -> Fau
             source, None, f"unknown policy keys {bad_policy} (known: {', '.join(POLICY_KEYS)})"
         )
     for key, value in policy.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise _located(source, None, f"policy.{key} must be a number, got {value!r}")
     faults = payload.get("faults", [])
     if not isinstance(faults, Sequence) or isinstance(faults, (str, bytes)):
@@ -219,42 +224,27 @@ def load_fault_plan(path: str) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------- #
-# activation: one ambient plan, installed explicitly or via the env var
+# activation: one ambient plan, scoped by use_fault_plan
 # ---------------------------------------------------------------------- #
 
 _ACTIVE_PLAN: Optional[FaultPlan] = None
-_ENV_CHECKED = False
-
-
-def install_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install *plan* process-wide (``None`` clears; overrides the env var)."""
-    global _ACTIVE_PLAN, _ENV_CHECKED
-    _ACTIVE_PLAN = plan
-    _ENV_CHECKED = True
-    return plan
 
 
 def current_fault_plan() -> Optional[FaultPlan]:
-    """The active plan, lazily loading ``SEGUGIO_FAULTS`` on first call."""
-    global _ACTIVE_PLAN, _ENV_CHECKED
-    if not _ENV_CHECKED:
-        _ENV_CHECKED = True
-        spec_path = os.environ.get(FAULTS_ENV_VAR)
-        if spec_path:
-            _ACTIVE_PLAN = load_fault_plan(spec_path)
+    """The plan :func:`use_fault_plan` activated, if any."""
     return _ACTIVE_PLAN
 
 
 @contextmanager
 def use_fault_plan(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
-    """Scoped :func:`install_fault_plan`; restores the prior state on exit."""
-    global _ACTIVE_PLAN, _ENV_CHECKED
-    saved_plan, saved_checked = _ACTIVE_PLAN, _ENV_CHECKED
-    _ACTIVE_PLAN, _ENV_CHECKED = plan, True
+    """Activate *plan* for the block (``None`` runs it fault-free); the
+    prior plan is restored on exit."""
+    global _ACTIVE_PLAN
+    saved_plan, _ACTIVE_PLAN = _ACTIVE_PLAN, plan
     try:
         yield plan
     finally:
-        _ACTIVE_PLAN, _ENV_CHECKED = saved_plan, saved_checked
+        _ACTIVE_PLAN = saved_plan
 
 
 # ---------------------------------------------------------------------- #

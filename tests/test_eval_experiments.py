@@ -64,6 +64,20 @@ class TestFig7:
         sizes = {e.split.n_malware for e in results.values()}
         assert len(sizes) == 1
 
+    def test_variants_keep_every_base_field(self, scenario, monkeypatch):
+        # a variant differs from the base config in its feature columns only
+        seen = []
+        monkeypatch.setattr(
+            E, "cross_day_experiment", lambda *args, config, **kw: seen.append(config)
+        )
+        base = SegugioConfig(filter_probes=True, n_jobs=2, n_estimators=15)
+        E.fig7_feature_ablation(scenario, config=base)
+        assert len(seen) == 4
+        for variant in seen:
+            assert variant.filter_probes and variant.n_jobs == 2
+            assert variant.n_estimators == 15
+        assert len({variant.feature_columns for variant in seen}) == 4
+
 
 class TestFig8:
     def test_cross_family_pools_folds(self, scenario):

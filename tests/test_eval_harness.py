@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.graph import BehaviorGraph
-from repro.core.labeling import MALWARE, label_domains
+from repro.core.labeling import BENIGN, MALWARE, label_domains
 from repro.core.pipeline import SegugioConfig
 from repro.eval.harness import (
     MISS_SCORE,
     TestSplit,
     cross_day_experiment,
+    eligible_known_ids,
+    labeled_day,
+    pool_folds,
     score_split,
     select_test_split,
 )
@@ -51,6 +54,39 @@ class TestSelectTestSplit:
     def test_invalid_fraction(self, test_context):
         with pytest.raises(ValueError):
             select_test_split(test_context, test_fraction=0.0)
+
+
+class TestLabeledDay:
+    def test_labels_as_of_the_context_day(self, test_context):
+        graph, labels = labeled_day(test_context)
+        expected = label_domains(
+            graph, test_context.blacklist, test_context.whitelist,
+            test_context.e2ld_index, as_of_day=test_context.day,
+        )
+        np.testing.assert_array_equal(labels.domain_labels, expected)
+        assert graph.n_edges == test_context.trace.n_edges
+
+    def test_eligible_ids_are_known_ascending_and_well_queried(self, test_context):
+        graph, labels = labeled_day(test_context)
+        malware, benign = eligible_known_ids(graph, labels, min_degree=3)
+        assert malware.size and benign.size
+        for ids, label in ((malware, MALWARE), (benign, BENIGN)):
+            assert (np.diff(ids) > 0).all()
+            assert (labels.domain_labels[ids] == label).all()
+            assert (graph.domain_degrees()[ids] >= 3).all()
+
+
+class TestPoolFolds:
+    def test_scores_are_minus_the_fold_benign_fpr(self):
+        folds = [
+            (np.array([1, 0, 0, 0]), np.array([0.9, 0.1, 0.5, 0.9])),
+            (np.array([0, 1, 0]), np.array([10.0, 30.0, 20.0])),
+        ]
+        y, scores = pool_folds(folds)
+        assert y.tolist() == [1, 0, 0, 0, 0, 1, 0]
+        # fold 1: 0.9 ties the top benign score (1 of 3 benign at or above)
+        expected = [-1 / 3, -1.0, -2 / 3, -1 / 3, -1.0, 0.0, -0.5]
+        np.testing.assert_allclose(scores, expected)
 
 
 class TestScoreSplit:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.runtime.faults import (
     FAULT_KINDS,
-    FAULTS_ENV_VAR,
     KNOWN_SITES,
     FaultDirective,
     FaultPlan,
@@ -14,7 +13,6 @@ from repro.runtime.faults import (
     FaultSpec,
     apply_directive,
     current_fault_plan,
-    install_fault_plan,
     load_fault_plan,
     maybe_fault,
     plan_from_dict,
@@ -24,17 +22,17 @@ from repro.runtime.faults import (
 
 class TestFaultPlanMatching:
     def test_take_matches_site_and_task(self):
-        plan = FaultPlan([FaultSpec(kind="io_error", site="forest_fit", task=2)])
-        assert plan.take("forest_fit", 0) is None
-        assert plan.take("forest_predict", 2) is None
-        directive = plan.take("forest_fit", 2)
-        assert directive == FaultDirective(kind="io_error", detail="forest_fit[2]")
+        plan = FaultPlan([FaultSpec(kind="io_error", site="pipeline_fit", task=2)])
+        assert plan.take("pipeline_fit", 0) is None
+        assert plan.take("pipeline_classify", 2) is None
+        directive = plan.take("pipeline_fit", 2)
+        assert directive == FaultDirective(kind="io_error", detail="pipeline_fit[2]")
 
     def test_directives_are_consumed(self):
-        plan = FaultPlan([FaultSpec(kind="memory_pressure", site="forest_fit")])
-        assert plan.take("forest_fit", 0) is not None
+        plan = FaultPlan([FaultSpec(kind="memory_pressure", site="pipeline_fit")])
+        assert plan.take("pipeline_fit", 0) is not None
         # one-shot: a retried day runs clean
-        assert plan.take("forest_fit", 0) is None
+        assert plan.take("pipeline_fit", 0) is None
         assert plan.n_fired == 1
         assert plan.fired_kinds() == ["memory_pressure"]
 
@@ -45,19 +43,19 @@ class TestFaultPlanMatching:
         assert plan.take("pipeline_fit") is None
 
     def test_rate_is_deterministic_in_the_seed(self):
-        spec = FaultSpec(kind="io_error", site="forest_fit", rate=0.5)
+        spec = FaultSpec(kind="io_error", site="pipeline_fit", rate=0.5)
         fired_a = [
-            FaultPlan([spec], seed=11).take("forest_fit", task) is not None
+            FaultPlan([spec], seed=11).take("pipeline_fit", task) is not None
             for task in range(32)
         ]
         fired_b = [
-            FaultPlan([spec], seed=11).take("forest_fit", task) is not None
+            FaultPlan([spec], seed=11).take("pipeline_fit", task) is not None
             for task in range(32)
         ]
         assert fired_a == fired_b  # same seed -> same outcome, always
         assert any(fired_a) and not all(fired_a)  # rate 0.5 is neither 0 nor 1
         fired_other = [
-            FaultPlan([spec], seed=12).take("forest_fit", task) is not None
+            FaultPlan([spec], seed=12).take("pipeline_fit", task) is not None
             for task in range(32)
         ]
         assert fired_a != fired_other  # the seed actually keys the hash
@@ -110,6 +108,21 @@ class TestPlanParsing:
             plan_from_dict(payload, source="plan.json")
         assert "plan.json" in str(excinfo.value)  # every error names the file
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"kind": "nope", "site": "pipeline_fit"}, "unknown kind"),
+            ({"kind": "io_error", "site": "forest_fit"}, "unknown site"),
+            ({"kind": "io_error", "site": "pipeline_fit", "task": True}, "non-negative"),
+            ({"kind": "io_error", "site": "pipeline_fit", "count": 0}, "positive integer"),
+            ({"kind": "io_error", "site": "pipeline_fit", "rate": 0}, "rate must be in"),
+        ],
+    )
+    def test_a_spec_built_in_code_is_validated(self, fields, match):
+        # the same checks as a JSON spec, without the file location
+        with pytest.raises(FaultPlanError, match=match):
+            FaultSpec(**fields)
+
     def test_bad_spec_errors_name_the_index(self):
         with pytest.raises(FaultPlanError, match=r"faults\[1\]"):
             plan_from_dict(
@@ -160,23 +173,6 @@ class TestActivation:
         with use_fault_plan(plan):
             assert current_fault_plan() is plan
         assert current_fault_plan() is before
-
-    def test_env_var_loads_lazily(self, tmp_path, monkeypatch):
-        path = tmp_path / "env-plan.json"
-        path.write_text(
-            json.dumps({"faults": [{"kind": "io_error", "site": "pipeline_fit"}]})
-        )
-        monkeypatch.setenv(FAULTS_ENV_VAR, str(path))
-        install_fault_plan(None)  # reset any cached state
-        try:
-            import repro.runtime.faults as faults_module
-
-            monkeypatch.setattr(faults_module, "_ENV_CHECKED", False)
-            plan = current_fault_plan()
-            assert plan is not None
-            assert plan.specs[0].site == "pipeline_fit"
-        finally:
-            install_fault_plan(None)
 
 
 class TestDelivery:

@@ -153,12 +153,11 @@ DETERMINISM = Ban(
     name="determinism",
     rationale=(
         "bit-identical reruns (checkpoint resume, run manifests) forbid "
-        "wall-clock reads and unseeded RNGs outside repro.obs and "
-        "repro.runtime.retry"
+        "wall-clock reads and unseeded RNGs outside repro.obs"
     ),
     calls=_WALLCLOCK | {"random."},
     imports=frozenset({"time.time", "time.time_ns", "random."}),
-    allowed=("repro.obs.", "repro.runtime.retry"),
+    allowed=("repro.obs.",),
     message=(
         "a wall-clock read or a draw from the process-global RNG breaks "
         "run-to-run reproducibility — take timestamps via repro.obs and "
@@ -204,17 +203,16 @@ BANS: Tuple[Ban, ...] = (
         rule_id="SEG011",
         name="fault-containment",
         rationale=(
-            "process-kill primitives (os._exit, os.kill, os.abort, ...) are "
-            "confined to repro.runtime.faults; elsewhere they are crashes the "
-            "supervisor cannot absorb"
+            "a day runs in one process, so a process-kill primitive (os._exit, "
+            "os.kill, os.abort, ...) anywhere in the library is a crash no day "
+            "retry can absorb"
         ),
         calls=frozenset({"os." + kill for kill in _KILLS[:4]} | {"signal." + kill for kill in _KILLS[4:]}),
         # the os/signal cross product: a from-import is caught even when misspelled onto the other module
         imports=frozenset(m + "." + kill for m in ("os", "signal") for kill in _KILLS),
-        allowed=("repro.runtime.faults",),
-        message="only repro.runtime.faults may kill processes; elsewhere a "
-        "kill is an unsupervised crash — raise an exception and let the "
-        "supervisor's degradation ladder handle it",
+        allowed=(),
+        message="the library never kills a process — a kill is a crash no "
+        "day retry can absorb; raise an exception instead",
     ),
     Ban(
         rule_id="SEG012",
